@@ -75,6 +75,10 @@ class AcquisitionConfig:
     def __post_init__(self):
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be >= 1")
+        if self.refine_top < 1:
+            raise ValueError("refine_top must be >= 1")
+        if self.refine_steps < 0:
+            raise ValueError("refine_steps must be >= 0")
         if self.xi < 0.0:
             raise ValueError("xi must be >= 0")
         if not 0.0 < self.step_final <= self.step_init:
@@ -150,27 +154,22 @@ def maximize_acquisition(state: gp.GPPosterior, box: ParameterBox,
     mean, var = state.posterior(cand)
     scores = expected_improvement(mean, var, best_so_far, config.xi)
 
-    top = np.argsort(scores)[::-1][:min(config.refine_top, len(scores))]
-    steps = np.geomspace(config.step_init, config.step_final, config.refine_steps)
-    best_point = cand[top[0]].copy()
-    best_score = float(scores[top[0]])
-
-    eye = np.eye(n)
-    for i in top:
-        point = cand[i].copy()
-        score = float(scores[i])
-        for step in steps:
-            probes = np.clip(
-                np.vstack([point + step * eye, point - step * eye]), 0.0, 1.0)
-            m, v = state.posterior(probes)
-            s = expected_improvement(m, v, best_so_far, config.xi)
-            j = int(np.argmax(s))
-            if s[j] > score:
-                score = float(s[j])
-                point = probes[j]
-        if score > best_score:
-            best_score = score
-            best_point = point
+    # refine all kept candidates together, one posterior call per shrinking
+    # step; each moves to its first best probe on strict improvement only
+    top = np.argsort(scores)[::-1][:config.refine_top]
+    points, score, rows = cand[top], scores[top], np.arange(len(top))
+    offsets = np.vstack([np.eye(n), -np.eye(n)])
+    for step in np.geomspace(config.step_init, config.step_final,
+                             config.refine_steps):
+        probes = np.clip(points[:, None, :] + step * offsets, 0.0, 1.0)
+        m, v = state.posterior(probes.reshape(-1, n))
+        s = expected_improvement(m, v, best_so_far, config.xi)
+        s = s.reshape(len(top), -1)
+        j = np.argmax(s, axis=1)
+        better = s[rows, j] > score
+        score[better] = s[rows, j][better]
+        points[better] = probes[rows, j][better]
+    best_point = points[np.argmax(score)]   # first maximum, in top order
 
     # keep the proposal distinct from everything already observed
     for _ in range(16):

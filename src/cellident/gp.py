@@ -61,7 +61,7 @@ class GPPosterior:
         query = np.atleast_2d(theta)
         k_star = se_kernel(self.points, query)          # (s, m)
         mean_std = k_star.T @ self.alpha                # (m,)
-        v = solve_triangular(self.chol, k_star, lower=True)
+        v = solve_triangular(self.chol, k_star, lower=True, check_finite=False)
         var_std = 1.0 - np.sum(v * v, axis=0)
         np.maximum(var_std, 0.0, out=var_std)
         mean = mean_std * self.scale + self.mean_shift

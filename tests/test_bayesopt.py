@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cellident.bayesopt as bayesopt
+import cellident.gp as gp
 from cellident.bayesopt import (
     AcquisitionConfig,
     BoRunConfig,
@@ -40,6 +41,12 @@ class TestConfig:
             AcquisitionConfig(step_init=0.01, step_final=0.05)
         with pytest.raises(ValueError):
             AcquisitionConfig(xi=-1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("refine_top", 0), ("refine_top", -1), ("refine_steps", -1)])
+    def test_rejects_refinement_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AcquisitionConfig(**{field: value})
 
 
 class TestBudget:
@@ -152,6 +159,166 @@ class TestAcquisition:
         m, v = state.posterior(proposal)
         assert bayesopt.expected_improvement(float(m), float(v), best) \
             >= raw_best - 1e-12
+
+
+def _reference_maximize_acquisition(state, box, config, rng, sampler,
+                                    best_so_far):
+    """The per-candidate refinement loop, one posterior call per probe set."""
+    n = box.n
+    cand = sampler.draw(config.n_candidates)
+    mean, var = state.posterior(cand)
+    scores = bayesopt.expected_improvement(mean, var, best_so_far, config.xi)
+
+    top = np.argsort(scores)[::-1][:min(config.refine_top, len(scores))]
+    steps = np.geomspace(config.step_init, config.step_final,
+                         config.refine_steps)
+    best_point = cand[top[0]].copy()
+    best_score = float(scores[top[0]])
+
+    eye = np.eye(n)
+    for i in top:
+        point = cand[i].copy()
+        score = float(scores[i])
+        for step in steps:
+            probes = np.clip(
+                np.vstack([point + step * eye, point - step * eye]), 0.0, 1.0)
+            m, v = state.posterior(probes)
+            s = bayesopt.expected_improvement(m, v, best_so_far, config.xi)
+            j = int(np.argmax(s))
+            if s[j] > score:
+                score = float(s[j])
+                point = probes[j]
+        if score > best_score:
+            best_score = score
+            best_point = point
+
+    for _ in range(16):
+        dist = np.sqrt(np.sum((state.points - best_point) ** 2, axis=1))
+        if np.min(dist) >= 1e-9:
+            break
+        best_point = np.clip(
+            best_point + rng.uniform(-1e-6, 1e-6, size=n), 0.0, 1.0)
+    return best_point
+
+
+class _FixedSampler:
+    """Returns the same candidate array on every draw (first k rows)."""
+
+    def __init__(self, cand):
+        self.cand = np.asarray(cand, dtype=float)
+
+    def draw(self, k):
+        return self.cand[:k].copy()
+
+
+def _sphere_state(s, seed, center=(0.3, 0.6, 0.2)):
+    points = np.random.default_rng(seed).uniform(size=(s, 3))
+    values = np.sum((points - np.asarray(center)) ** 2, axis=1)
+    return fit(points, values), float(values.min())
+
+
+def _both(state, cube, config, best, make_sampler, seed=0):
+    """Proposals of the batched and the reference search from equal inputs."""
+    got = maximize_acquisition(state, cube, config,
+                               np.random.default_rng(seed), make_sampler(),
+                               best)
+    want = _reference_maximize_acquisition(state, cube, config,
+                                           np.random.default_rng(seed),
+                                           make_sampler(), best)
+    return got, want
+
+
+class TestBatchedRefinementOracle:
+    """The batched refinement proposes exactly what the per-candidate loop
+    proposes: same probes, same first-maximum tie-breaking, same nudge."""
+
+    @pytest.mark.parametrize("s", [1, 10, 60])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference(self, cube, s, seed):
+        state, best = _sphere_state(s, seed)
+        got, want = _both(state, cube, AcquisitionConfig(), best,
+                          lambda: HaltonSampler(3, seed))
+        np.testing.assert_array_equal(got, want)
+
+    def test_fewer_candidates_than_refine_top(self, cube):
+        state, best = _sphere_state(10, 3)
+        config = AcquisitionConfig(n_candidates=3, refine_top=5)
+        got, want = _both(state, cube, config, best,
+                          lambda: HaltonSampler(3, 3))
+        np.testing.assert_array_equal(got, want)
+
+    def test_clipped_probes_on_cube_faces(self, cube):
+        """Low losses in a corner favour candidates on the cube faces, so
+        probes stepping off those faces are clipped back into the cube."""
+        state, best = _sphere_state(15, 4, center=(0.0, 1.0, 0.0))
+        face = HaltonSampler(3, 4).draw(256)
+        face[::2, 0] = 0.0
+        face[1::2, 1] = 1.0
+        face[::3, 2] = 0.0
+        config = AcquisitionConfig(n_candidates=256)
+        got, want = _both(state, cube, config, best,
+                          lambda: _FixedSampler(face))
+        np.testing.assert_array_equal(got, want)
+        assert np.any((got == 0.0) | (got == 1.0))
+
+    def test_positive_xi(self, cube):
+        state, best = _sphere_state(20, 5)
+        got, want = _both(state, cube, AcquisitionConfig(xi=0.01), best,
+                          lambda: HaltonSampler(3, 5))
+        np.testing.assert_array_equal(got, want)
+
+    def test_no_refinement_steps(self, cube):
+        state, best = _sphere_state(20, 6)
+        got, want = _both(state, cube, AcquisitionConfig(refine_steps=0),
+                          best, lambda: HaltonSampler(3, 6))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("standardize,value,best,cand,steps", [
+        # every probe ties; the first best one (+x) wins
+        (True, 3.0, 3.0, [[0.5, 0.5, 0.5]], 1),
+        # the best probe only ties the candidate, which must not move
+        (False, -1.0, -0.5, [[0.25, 0.5, 0.5]], 1),
+        # two candidates tie; the first in score order wins
+        (True, 3.0, 3.0, [[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]], 0),
+    ])
+    def test_exact_ties(self, cube, standardize, value, best, cand, steps):
+        """Dyadic points around one observation give bit-equal EI, so these
+        cases pin the strict-improvement, first-maximum tie-breaking."""
+        state = fit([[0.5, 0.5, 0.5]], [value], standardize=standardize)
+        config = AcquisitionConfig(n_candidates=len(cand), refine_steps=steps,
+                                   step_init=0.5, step_final=0.5)
+        got, want = _both(state, cube, config, best,
+                          lambda: _FixedSampler(cand))
+        np.testing.assert_array_equal(got, want)
+
+    def test_duplicate_nudge(self, cube):
+        """A winner on an observed point is nudged by the same RNG draws."""
+        state, best = _sphere_state(10, 7)
+        config = AcquisitionConfig(n_candidates=1, refine_steps=0)
+        got, want = _both(state, cube, config, best,
+                          lambda: _FixedSampler(state.points[:1]), seed=11)
+        np.testing.assert_array_equal(got, want)
+        assert np.min(np.linalg.norm(state.points - got, axis=1)) >= 1e-9
+
+
+class TestPosteriorCallCount:
+    @pytest.mark.parametrize("refine_steps", [0, 1, 20])
+    def test_one_posterior_call_per_step(self, cube, monkeypatch,
+                                         refine_steps):
+        calls = []
+        original = gp.GPPosterior.posterior
+
+        def counting(self, theta):
+            calls.append(np.atleast_2d(theta).shape[0])
+            return original(self, theta)
+
+        monkeypatch.setattr(gp.GPPosterior, "posterior", counting)
+        state, best = _sphere_state(12, 8)
+        config = AcquisitionConfig(refine_steps=refine_steps)
+        maximize_acquisition(state, cube, config, np.random.default_rng(0),
+                             HaltonSampler(3, 8), best)
+        assert len(calls) == 1 + refine_steps
+        assert calls[1:] == [config.refine_top * 2 * cube.n] * refine_steps
 
 
 class TestSphereBehavior:
