@@ -29,13 +29,16 @@ from .bench import (
 from .ecm import (
     DiscreteCellModel,
     FirstOrderLag,
+    FixedTerms,
     SimulationResult,
     TrapezoidIntegrator,
+    assemble,
     build_model,
     bulk_stoichiometry,
     c1_coefficient,
     electrolyte_potential,
     exchange_current_density,
+    fixed_terms,
     kinetic_overpotential,
     ohmic_drop,
     simulate,

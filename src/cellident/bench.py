@@ -27,7 +27,7 @@ import numpy as np
 
 from .baselines import GdConfig, PsoConfig, gradient_descent, pso, random_search
 from .bayesopt import BoRunConfig, OptimizationResult, export_trace, run_bo
-from .ecm import bulk_stoichiometry, simulate
+from .ecm import build_model, bulk_stoichiometry, simulate
 from .errors import ConfigError, DataError, SocWindowViolation
 from .identify import (
     IdentificationDataset,
@@ -184,13 +184,22 @@ def default_config(**overrides) -> ExperimentConfig:
 
 
 def resolve_cell(config: ExperimentConfig) -> tuple[CellParameters, OcvCurve, OcvCurve, dict]:
-    """Load the configured (or packaged) cell and its OCV tables."""
-    path = Path(config.parameter_file) if config.parameter_file else reference_cell_path()
+    """Load the configured (or packaged) cell and its OCV tables.
+
+    The provenance names the parameter file as the config gave it, or as
+    ``packaged:<name>``, so the results body does not depend on where the
+    package or the working directory lives; the hashes pin the content.
+    """
+    if config.parameter_file:
+        path, label = Path(config.parameter_file), config.parameter_file
+    else:
+        path = reference_cell_path()
+        label = f"packaged:{path.name}"
     params, ocv_p_path, ocv_n_path = load_parameter_file(path)
     ocv_p = OcvCurve.from_csv(ocv_p_path)
     ocv_n = OcvCurve.from_csv(ocv_n_path)
     provenance = {
-        "parameter_file": str(path),
+        "parameter_file": label,
         "parameter_sha256": _sha256(path),
         "ocv_cathode_sha256": _sha256(ocv_p_path),
         "ocv_anode_sha256": _sha256(ocv_n_path),
@@ -200,6 +209,26 @@ def resolve_cell(config: ExperimentConfig) -> tuple[CellParameters, OcvCurve, Oc
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def check_step_resolution(config: ExperimentConfig, params: CellParameters,
+                          ocv_p: OcvCurve, ocv_n: OcvCurve) -> None:
+    """ConfigError unless every profile's dt can be simulated over the box.
+
+    The fastest time constant falls as D_e grows, so the box's upper D_e
+    corner is the worst case; a box past it would fail every objective call
+    with StepTooCoarse.
+    """
+    if "D_e" not in config.box.names:
+        return
+    d_e = float(config.box.upper[config.box.names.index("D_e")])
+    for spec in config.train_profiles + config.test_profiles:
+        try:
+            build_model(params.replace(D_e=d_e), ocv_p, ocv_n, spec.dt_s)
+        except ValueError as exc:   # StepTooCoarse, or an invalid D_e
+            raise ConfigError(
+                f"search box upper D_e = {d_e:g} m^2/s cannot be simulated on "
+                f"a {spec.kind} profile with dt_s = {spec.dt_s:g}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +414,15 @@ def run_benchmark(config: ExperimentConfig,
                   out_dir=None) -> BenchmarkReport:
     """Full protocol: data generation, method x repetition sweep, report.
 
-    Per-repetition failures are recorded with a failure flag and excluded
-    from aggregates; the sweep never aborts.  When out_dir is given, every
-    optimizer trace is exported there as CSV alongside the report.
+    A search box whose largest D_e the profiles' steps cannot resolve is a
+    ConfigError before any run.  Per-repetition failures are recorded with
+    a failure flag and excluded from aggregates; the sweep never aborts.
+    When out_dir is given, every optimizer trace is exported there as CSV
+    alongside the report.
     """
     t_start = time.perf_counter()
     params, ocv_p, ocv_n, provenance = resolve_cell(config)
+    check_step_resolution(config, params, ocv_p, ocv_n)
 
     root = np.random.SeedSequence(config.master_seed)
     profile_ss, noise_ss, *rep_seeds = root.spawn(2 + config.repetitions)

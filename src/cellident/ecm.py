@@ -22,6 +22,21 @@ scaled by C1/D_e.
 Discretization: lags use the exact zero-order-hold map (pole e^(-dt/tau),
 input taken as the previous sample), the integrator uses the trapezoidal
 rule, so DC behavior is preserved exactly.
+
+The identified parameters theta = (k_p, k_n, D_e) enter V only through the
+overpotentials, eta_i = R T0 (-J_i I)/(F i0_i) with i0_i proportional to
+k_i, and through phi_e, whose gain C1/D_e and lag poles depend on D_e.  A
+simulation is therefore two steps:
+
+- ``fixed_terms``: everything theta-free -- surface concentrations and their
+  range checks, U_p - U_n, the square roots and Arrhenius*F factors of i0,
+  the overpotential numerators R T0 (-J_i I), phi_ohm and I*R_c;
+- ``assemble``: i0, eta and phi_e at the model's theta, then the sum above.
+
+``simulate_detailed`` is ``build_model`` followed by both steps; a fit that
+evaluates many theta on one profile builds the fixed terms once.  The float
+operations and their order are those of the one-step formula, so results
+do not depend on how the steps are scheduled.
 """
 
 from __future__ import annotations
@@ -257,16 +272,20 @@ def bulk_stoichiometry(params: CellParameters, electrode: str,
     return bulk_concentration(params, electrode, profile) / c_max
 
 
-def exchange_current_density(params: CellParameters, electrode: str,
+def exchange_current_factors(params: CellParameters, electrode: str,
                              c_surf, T: float | None = None):
-    """i0 = Arrhenius(T) * F * k_i * sqrt(c (c_max - c) c_e); scalar or array."""
+    """(Arrhenius(T) * F, sqrt(c (c_max - c) c_e)): i0 without its k_i.
+
+    Raises ConcentrationOutOfRange where the square-root argument is not
+    positive.
+    """
     p = params
     if T is None:
         T = p.T
     if electrode == "p":
-        k, c_max, c_e, E_io = p.k_p, p.c_max_p, p.c_e_p, p.E_io_p
+        c_max, c_e, E_io = p.c_max_p, p.c_e_p, p.E_io_p
     elif electrode == "n":
-        k, c_max, c_e, E_io = p.k_n, p.c_max_n, p.c_e_n, p.E_io_n
+        c_max, c_e, E_io = p.c_max_n, p.c_e_n, p.E_io_n
     else:
         raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
 
@@ -281,19 +300,36 @@ def exchange_current_density(params: CellParameters, electrode: str,
             electrode=electrode, index=k_bad,
         )
     arrhenius = math.exp((1.0 / p.T_ref - 1.0 / T) * E_io / p.R_gas)
-    i0 = arrhenius * p.F * k * np.sqrt(arg)
+    return arrhenius * p.F, np.sqrt(arg)
+
+
+def exchange_current_density(params: CellParameters, electrode: str,
+                             c_surf, T: float | None = None):
+    """i0 = Arrhenius(T) * F * k_i * sqrt(c (c_max - c) c_e); scalar or array."""
+    scale, root = exchange_current_factors(params, electrode, c_surf, T)
+    k = params.k_p if electrode == "p" else params.k_n
+    i0 = scale * k * root
     return float(i0) if np.isscalar(c_surf) else i0
+
+
+def overpotential_numerator(params: CellParameters, electrode: str, current):
+    """R T0 (-J_i I): the overpotential eta_i times F i0."""
+    if electrode not in ("p", "n"):
+        raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
+    p = params
+    J = p.J_p if electrode == "p" else p.J_n
+    return p.R_gas * p.T0 * (-J * np.asarray(current, dtype=float))
+
+
+def _over_f_i0(params: CellParameters, numerator, i0):
+    if np.any(np.asarray(i0) == 0.0):
+        raise ZeroDivisionError("exchange current density is zero")
+    return numerator / (params.F * i0)
 
 
 def kinetic_overpotential(params: CellParameters, electrode: str, current, i0):
     """eta_i = R T0 (-J_i I)/(F i0): linear in I at fixed exchange current."""
-    p = params
-    J = p.J_p if electrode == "p" else p.J_n
-    if electrode not in ("p", "n"):
-        raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
-    if np.any(np.asarray(i0) == 0.0):
-        raise ZeroDivisionError("exchange current density is zero")
-    return p.R_gas * p.T0 * (-J * np.asarray(current, dtype=float)) / (p.F * i0)
+    return _over_f_i0(params, overpotential_numerator(params, electrode, current), i0)
 
 
 def electrolyte_potential(model: DiscreteCellModel, current: np.ndarray) -> np.ndarray:
@@ -328,6 +364,86 @@ class SimulationResult:
         return VoltageSeries(dt=self.dt, volts=self.volts)
 
 
+@dataclass(frozen=True)
+class FixedTerms:
+    """The theta-free part of one simulation (see the module docstring).
+
+    Per electrode, ``i0_scale * k * sqrt_arg`` is the exchange current
+    density and ``eta_num / (F i0)`` the overpotential.  ``c_p`` and ``c_n``
+    only feed the SimulationResult, so a cache may drop them (None).
+    """
+
+    dt: float
+    current: np.ndarray
+    c_p: np.ndarray | None
+    c_n: np.ndarray | None
+    ocv_diff: np.ndarray          # U_p(x_p) - U_n(x_n) [V]
+    i0_scale_p: float             # Arrhenius * F
+    i0_scale_n: float
+    sqrt_arg_p: np.ndarray        # sqrt(c (c_max - c) c_e); scalar when i0 is frozen
+    sqrt_arg_n: np.ndarray
+    eta_num_p: np.ndarray         # R T0 (-J_p I)
+    eta_num_n: np.ndarray
+    phi_ohm: np.ndarray           # ohmic drop [V]
+    contact_drop: np.ndarray      # I R_c [V]
+
+
+def fixed_terms(model: DiscreteCellModel, profile: CurrentProfile,
+                freeze_exchange_current: bool = False) -> FixedTerms:
+    """Every term of the voltage that does not depend on (k_p, k_n, D_e).
+
+    Raises SimulationDiverged when a surface concentration leaves its valid
+    range; see ``simulate_detailed`` for ``freeze_exchange_current``.
+    """
+    p = model.params
+    I = profile.current
+    try:
+        c_p = surface_concentration(model, "p", I)
+        c_n = surface_concentration(model, "n", I)
+        if freeze_exchange_current:
+            scale_p, root_p = exchange_current_factors(p, "p", p.c_p0)
+            scale_n, root_n = exchange_current_factors(p, "n", p.c_n0)
+        else:
+            scale_p, root_p = exchange_current_factors(p, "p", c_p)
+            scale_n, root_n = exchange_current_factors(p, "n", c_n)
+        u_p = model.ocv_p(c_p / p.c_max_p)
+        u_n = model.ocv_n(c_n / p.c_max_n)
+    except ConcentrationOutOfRange as exc:
+        raise SimulationDiverged(str(exc), index=exc.index) from exc
+
+    return FixedTerms(
+        dt=profile.dt, current=I, c_p=c_p, c_n=c_n, ocv_diff=u_p - u_n,
+        i0_scale_p=scale_p, i0_scale_n=scale_n,
+        sqrt_arg_p=root_p, sqrt_arg_n=root_n,
+        eta_num_p=overpotential_numerator(p, "p", I),
+        eta_num_n=overpotential_numerator(p, "n", I),
+        phi_ohm=ohmic_drop(p, I), contact_drop=I * p.R_c)
+
+
+def assemble(model: DiscreteCellModel, fixed: FixedTerms) -> SimulationResult:
+    """Terminal voltage at the model's (k_p, k_n, D_e) from its fixed terms.
+
+    Raises SimulationDiverged on a non-finite voltage.
+    """
+    p = model.params
+    i0_p = fixed.i0_scale_p * p.k_p * fixed.sqrt_arg_p
+    i0_n = fixed.i0_scale_n * p.k_n * fixed.sqrt_arg_n
+    eta_p = _over_f_i0(p, fixed.eta_num_p, i0_p)
+    eta_n = _over_f_i0(p, fixed.eta_num_n, i0_n)
+    phi_e = electrolyte_potential(model, fixed.current)
+
+    volts = (fixed.ocv_diff - (eta_p - eta_n) + phi_e + fixed.phi_ohm
+             - fixed.contact_drop)
+    if not np.all(np.isfinite(volts)):
+        k = int(np.flatnonzero(~np.isfinite(volts))[0])
+        raise SimulationDiverged(f"non-finite terminal voltage at sample {k}", index=k)
+
+    return SimulationResult(dt=fixed.dt, current=fixed.current, volts=volts,
+                            c_p=fixed.c_p, c_n=fixed.c_n, eta_p=np.asarray(eta_p),
+                            eta_n=np.asarray(eta_n), phi_e=phi_e,
+                            phi_ohm=fixed.phi_ohm)
+
+
 def simulate_detailed(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
                       profile: CurrentProfile,
                       freeze_exchange_current: bool = False) -> SimulationResult:
@@ -339,35 +455,7 @@ def simulate_detailed(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
     surface concentrations.
     """
     model = build_model(params, ocv_p, ocv_n, profile.dt)
-    I = profile.current
-    p = params
-    try:
-        c_p = surface_concentration(model, "p", I)
-        c_n = surface_concentration(model, "n", I)
-        if freeze_exchange_current:
-            i0_p = exchange_current_density(p, "p", p.c_p0)
-            i0_n = exchange_current_density(p, "n", p.c_n0)
-        else:
-            i0_p = exchange_current_density(p, "p", c_p)
-            i0_n = exchange_current_density(p, "n", c_n)
-        u_p = ocv_p(c_p / p.c_max_p)
-        u_n = ocv_n(c_n / p.c_max_n)
-    except ConcentrationOutOfRange as exc:
-        raise SimulationDiverged(str(exc), index=exc.index) from exc
-
-    eta_p = kinetic_overpotential(p, "p", I, i0_p)
-    eta_n = kinetic_overpotential(p, "n", I, i0_n)
-    phi_e = electrolyte_potential(model, I)
-    phi_ohm = ohmic_drop(p, I)
-
-    volts = u_p - u_n - (eta_p - eta_n) + phi_e + phi_ohm - I * p.R_c
-    if not np.all(np.isfinite(volts)):
-        k = int(np.flatnonzero(~np.isfinite(volts))[0])
-        raise SimulationDiverged(f"non-finite terminal voltage at sample {k}", index=k)
-
-    return SimulationResult(dt=profile.dt, current=I, volts=volts,
-                            c_p=c_p, c_n=c_n, eta_p=np.asarray(eta_p),
-                            eta_n=np.asarray(eta_n), phi_e=phi_e, phi_ohm=phi_ohm)
+    return assemble(model, fixed_terms(model, profile, freeze_exchange_current))
 
 
 def simulate(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,

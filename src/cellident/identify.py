@@ -6,18 +6,21 @@ sum of squared voltage residuals (V^2, no dt weighting) over every profile
 in the training set.  Simulations that leave the model's validity region
 contribute a large finite penalty instead of raising, so every optimizer
 sees a total function over the box.
+
+The objective builds each profile's theta-free model terms (``ecm.fixed_terms``)
+on its first call and reuses them, so later calls only assemble the voltage.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .ecm import simulate
+from .ecm import DiscreteCellModel, FixedTerms, assemble, build_model, fixed_terms
 from .errors import DataError, DimensionMismatch, OutOfBox, SimulationDiverged
 from .ocv import OcvCurve
 from .params import CellParameters
@@ -184,6 +187,8 @@ class VoltageFitObjective:
     Calling with physical theta returns an ObjectiveEvaluation; the
     ``unit`` method is the float-valued unit-cube view the optimizers use.
     Divergent simulations charge DIVERGENCE_PENALTY per failing profile.
+    A divergence of the theta-free terms is remembered, since no theta can
+    cure it; any other error is raised again on every call.
     """
 
     def __init__(self, base: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
@@ -196,6 +201,7 @@ class VoltageFitObjective:
         self.box = box
         self.dataset = dataset
         self.evaluations: list[ObjectiveEvaluation] = []
+        self._fixed: dict[int, FixedTerms | None] = {}   # None: diverged
 
     def __call__(self, theta) -> ObjectiveEvaluation:
         theta = np.asarray(theta, dtype=float)
@@ -207,14 +213,15 @@ class VoltageFitObjective:
                                    D_e=float(theta[2]))
         per = []
         penalized = False
-        for profile, measured in zip(self.dataset.profiles, self.dataset.voltages):
-            try:
-                sim = simulate(params, self.ocv_p, self.ocv_n, profile)
-                residual = sim.volts - measured.volts
-                per.append(float(np.dot(residual, residual)))
-            except SimulationDiverged:
+        for i, (profile, measured) in enumerate(
+                zip(self.dataset.profiles, self.dataset.voltages)):
+            model = build_model(params, self.ocv_p, self.ocv_n, profile.dt)
+            loss = self._profile_loss(i, model, profile, measured)
+            if loss is None:
                 per.append(DIVERGENCE_PENALTY)
                 penalized = True
+            else:
+                per.append(loss)
         ev = ObjectiveEvaluation(
             theta=theta, loss=float(sum(per)), per_profile=tuple(per),
             index=len(self.evaluations), wall_time_s=time.perf_counter() - t0,
@@ -222,6 +229,25 @@ class VoltageFitObjective:
         )
         self.evaluations.append(ev)
         return ev
+
+    def _profile_loss(self, i: int, model: DiscreteCellModel,
+                      profile: CurrentProfile,
+                      measured: VoltageSeries) -> float | None:
+        """Squared residual of profile ``i``; None when the simulation diverges."""
+        if i not in self._fixed:
+            try:
+                terms = fixed_terms(model, profile)
+                self._fixed[i] = replace(terms, c_p=None, c_n=None)
+            except SimulationDiverged:
+                self._fixed[i] = None
+        terms = self._fixed[i]
+        if terms is None:
+            return None
+        try:
+            residual = assemble(model, terms).volts - measured.volts
+        except SimulationDiverged:
+            return None
+        return float(np.dot(residual, residual))
 
     def unit(self, point) -> float:
         """Loss at a unit-cube point (the optimizer-facing view)."""

@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from cellident import bench
 from cellident.bench import (
     BenchmarkReport,
     CountingObjective,
     ExperimentConfig,
     ProfileSpec,
+    check_step_resolution,
     default_config,
     export_report,
     generate_profile,
@@ -21,7 +23,7 @@ from cellident.bench import (
 )
 from cellident.ecm import simulate
 from cellident.errors import ConfigError, DataError, SocWindowViolation, StepTooCoarse
-from cellident.identify import default_box
+from cellident.identify import ParameterBox, default_box
 from cellident.params import reference_cell_path
 
 
@@ -140,12 +142,45 @@ class TestResolveCell:
     def test_provenance_hashes_recompute(self):
         params, ocv_p, ocv_n, provenance = resolve_cell(default_config())
         path = reference_cell_path()
-        assert provenance["parameter_file"] == str(path)
+        assert provenance["parameter_file"] == "packaged:reference_cell.json"
         expected = hashlib.sha256(path.read_bytes()).hexdigest()
         assert provenance["parameter_sha256"] == expected
         assert len(provenance["ocv_cathode_sha256"]) == 64
         assert len(provenance["ocv_anode_sha256"]) == 64
         assert params.k_p > 0 and ocv_p.u[0] > ocv_n.u[0]
+
+
+    def test_provenance_holds_no_absolute_path(self, tmp_path, monkeypatch):
+        source = reference_cell_path().parent
+        for name in ("reference_cell.json", "ocv_cathode.csv", "ocv_anode.csv"):
+            (tmp_path / name).write_bytes((source / name).read_bytes())
+        monkeypatch.chdir(tmp_path)
+        packaged = resolve_cell(default_config())[3]
+        given = resolve_cell(default_config(parameter_file="reference_cell.json"))[3]
+        assert given["parameter_file"] == "reference_cell.json"
+        assert given["parameter_sha256"] == packaged["parameter_sha256"]
+        for provenance in (packaged, given):
+            text = json.dumps(provenance)
+            assert str(source) not in text and str(tmp_path) not in text
+
+
+class TestStepResolution:
+    """A box whose largest D_e the profile steps cannot resolve is rejected."""
+
+    def test_default_config_accepted(self, cell):
+        check_step_resolution(default_config(), *cell)
+
+    def test_large_d_e_rejected_before_any_run(self, tmp_path, monkeypatch):
+        box = default_box().to_dict()
+        box["upper"][2] = 1e-8
+        runs = []
+        monkeypatch.setattr(bench, "_run_method",
+                            lambda *args: runs.append(args))
+        with pytest.raises(ConfigError, match="upper D_e = 1e-08"):
+            run_benchmark(default_config(box=ParameterBox.from_dict(box)),
+                          out_dir=tmp_path)
+        assert runs == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGenerateProfile:

@@ -195,6 +195,20 @@ class TestBenchAndReport:
             "bench", "--config", str(bad), "--out", str(tmp_path / "b")])
         assert result.exit_code == 2
 
+    def test_bench_box_too_wide_for_the_step(self, runner, tmp_path):
+        """Upper D_e 1e-8 needs dt < 0.07 s; the default 1-s profiles exit 2."""
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"box": {
+            "names": ["k_p", "k_n", "D_e"],
+            "lower": [2.0e-11, 2.8e-11, 1.6e-10],
+            "upper": [4.5e-11, 5.6e-11, 1.0e-8]}}))
+        out = tmp_path / "b"
+        result = runner.invoke(main, [
+            "bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "upper D_e" in result.output
+        assert not (out / "report.json").exists()
+
 
 class TestDeterminismThroughCli:
     def test_same_seed_same_voltages(self, runner, tmp_path):

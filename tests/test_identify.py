@@ -1,5 +1,6 @@
 """Search box, voltage-fit objective, and dataset file round trips."""
 
+import copy
 import json
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellident import identify
 from cellident.bench import generate_synthetic_dataset
-from cellident.errors import DataError, DimensionMismatch, OutOfBox
+from cellident.errors import DataError, DimensionMismatch, OutOfBox, StepTooCoarse
 from cellident.identify import (
     DIVERGENCE_PENALTY,
     THETA_NAMES,
@@ -201,6 +203,84 @@ class TestObjective:
         # landscape spans a few V^2 over the whole box; steps of 1/99 of a
         # segment must move the loss by far less than that
         assert worst_jump < 0.5
+
+
+class TestFixedTermCache:
+    """The objective builds each profile's theta-free terms on its first call."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """Profiles that ``fixed_terms`` was called for, in call order."""
+        profiles = []
+        real = identify.fixed_terms
+
+        def counting(model, profile, *args, **kwargs):
+            profiles.append(profile)
+            return real(model, profile, *args, **kwargs)
+
+        monkeypatch.setattr(identify, "fixed_terms", counting)
+        return profiles
+
+    @pytest.fixture()
+    def pair(self, cell):
+        params, ocv_p, ocv_n = cell
+        p1 = CurrentProfile(dt=1.0, current=np.full(200, 0.5))
+        p2 = CurrentProfile(dt=1.0, current=-np.full(300, 0.4))
+        dataset, _, _ = generate_synthetic_dataset(params, ocv_p, ocv_n,
+                                                   [p1, p2], [p1], 0.0, 1)
+        return dataset
+
+    def test_built_once_per_profile_per_objective(self, cell, box, pair,
+                                                  built, rng):
+        params, ocv_p, ocv_n = cell
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, pair)
+        for unit in rng.uniform(size=(6, 3)):
+            objective.unit(unit)
+        assert built == list(pair.profiles)
+        VoltageFitObjective(params, ocv_p, ocv_n, box, pair).unit(np.zeros(3))
+        assert built == 2 * list(pair.profiles)
+
+    def test_divergence_penalty_charged_on_every_call(self, cell, box, pair,
+                                                      built, i_1c):
+        params, ocv_p, ocv_n = cell
+        harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
+        fake_volts = VoltageSeries(dt=1.0, volts=np.full(600, 3.0))
+        dataset = IdentificationDataset(profiles=(pair.profiles[0], harsh),
+                                        voltages=(pair.voltages[0], fake_volts))
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, dataset)
+        truth = np.array([params.k_p, params.k_n, params.D_e])
+        for _ in range(3):
+            evaluation = objective(truth)
+            assert evaluation.penalized
+            assert evaluation.per_profile == (0.0, DIVERGENCE_PENALTY)
+        assert built == [pair.profiles[0], harsh]
+
+    def test_too_large_d_e_raises_on_every_call(self, cell, pair, built):
+        params, ocv_p, ocv_n = cell
+        wide = ParameterBox(names=THETA_NAMES,
+                            lower=np.array([2.0e-11, 2.8e-11, 1.6e-10]),
+                            upper=np.array([4.5e-11, 5.6e-11, 1.0e-8]))
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, wide, pair)
+        truth = np.array([params.k_p, params.k_n, params.D_e])
+        assert objective(truth).loss == 0.0
+        for _ in range(2):
+            with pytest.raises(StepTooCoarse):
+                objective(wide.upper.copy())
+        assert objective(truth).loss == 0.0
+        assert len(built) == len(pair.profiles)
+
+    def test_ocv_table_error_raised_on_every_call(self, cell, box, pair,
+                                                  built):
+        """An out-of-table OCV query is an error, never cached or penalized."""
+        params, ocv_p, ocv_n = cell
+        narrow = copy.copy(ocv_p)
+        narrow.x = 0.5 * ocv_p.x   # the cell starts at cathode x = 0.8
+        objective = VoltageFitObjective(params, narrow, ocv_n, box, pair)
+        for _ in range(3):
+            with pytest.raises(DataError, match="outside table range"):
+                objective(box.midpoint())
+        assert built == 3 * [pair.profiles[0]]
+        assert objective.evaluations == []
 
 
 class TestProfileCsv:

@@ -1,0 +1,167 @@
+"""The two-step simulator (fixed_terms + assemble) and the caching objective
+against the one-step simulator they replaced, compared with ``==``.
+
+``reference_simulate_detailed`` is a copy of the one-step ``simulate_detailed``
+with its exchange-current and overpotential helpers inlined, so the oracle
+does not change when the split does.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from cellident.bench import generate_profile, generate_synthetic_dataset
+from cellident.ecm import (
+    SimulationResult,
+    build_model,
+    electrolyte_potential,
+    ohmic_drop,
+    simulate_detailed,
+    surface_concentration,
+)
+from cellident.errors import ConcentrationOutOfRange, SimulationDiverged
+from cellident.identify import DIVERGENCE_PENALTY, VoltageFitObjective
+from cellident.profiles import CurrentProfile
+
+
+def _reference_i0(params, electrode, c_surf):
+    p = params
+    if electrode == "p":
+        k, c_max, c_e, E_io = p.k_p, p.c_max_p, p.c_e_p, p.E_io_p
+    else:
+        k, c_max, c_e, E_io = p.k_n, p.c_max_n, p.c_e_n, p.E_io_n
+    c = np.asarray(c_surf, dtype=float)
+    arg = c * (c_max - c) * c_e
+    bad = np.flatnonzero(np.atleast_1d(arg) <= 0.0)
+    if bad.size:
+        raise ConcentrationOutOfRange("non-positive exchange-current argument",
+                                      electrode=electrode, index=int(bad[0]))
+    arrhenius = math.exp((1.0 / p.T_ref - 1.0 / p.T) * E_io / p.R_gas)
+    i0 = arrhenius * p.F * k * np.sqrt(arg)
+    return float(i0) if np.isscalar(c_surf) else i0
+
+
+def _reference_eta(params, electrode, current, i0):
+    p = params
+    J = p.J_p if electrode == "p" else p.J_n
+    if np.any(np.asarray(i0) == 0.0):
+        raise ZeroDivisionError("exchange current density is zero")
+    return p.R_gas * p.T0 * (-J * np.asarray(current, dtype=float)) / (p.F * i0)
+
+
+def reference_simulate_detailed(params, ocv_p, ocv_n, profile,
+                                freeze_exchange_current=False):
+    model = build_model(params, ocv_p, ocv_n, profile.dt)
+    I = profile.current
+    p = params
+    try:
+        c_p = surface_concentration(model, "p", I)
+        c_n = surface_concentration(model, "n", I)
+        if freeze_exchange_current:
+            i0_p = _reference_i0(p, "p", p.c_p0)
+            i0_n = _reference_i0(p, "n", p.c_n0)
+        else:
+            i0_p = _reference_i0(p, "p", c_p)
+            i0_n = _reference_i0(p, "n", c_n)
+        u_p = ocv_p(c_p / p.c_max_p)
+        u_n = ocv_n(c_n / p.c_max_n)
+    except ConcentrationOutOfRange as exc:
+        raise SimulationDiverged(str(exc), index=exc.index) from exc
+
+    eta_p = _reference_eta(p, "p", I, i0_p)
+    eta_n = _reference_eta(p, "n", I, i0_n)
+    phi_e = electrolyte_potential(model, I)
+    phi_ohm = ohmic_drop(p, I)
+
+    volts = u_p - u_n - (eta_p - eta_n) + phi_e + phi_ohm - I * p.R_c
+    if not np.all(np.isfinite(volts)):
+        k = int(np.flatnonzero(~np.isfinite(volts))[0])
+        raise SimulationDiverged(f"non-finite terminal voltage at sample {k}", index=k)
+
+    return SimulationResult(dt=profile.dt, current=I, volts=volts,
+                            c_p=c_p, c_n=c_n, eta_p=np.asarray(eta_p),
+                            eta_n=np.asarray(eta_n), phi_e=phi_e, phi_ohm=phi_ohm)
+
+
+def reference_loss(base, ocv_p, ocv_n, dataset, theta):
+    """(loss, per_profile) of the objective before it cached anything."""
+    params = base.replace(k_p=float(theta[0]), k_n=float(theta[1]),
+                          D_e=float(theta[2]))
+    per = []
+    for profile, measured in zip(dataset.profiles, dataset.voltages):
+        try:
+            sim = reference_simulate_detailed(params, ocv_p, ocv_n, profile)
+            residual = sim.volts - measured.volts
+            per.append(float(np.dot(residual, residual)))
+        except SimulationDiverged:
+            per.append(DIVERGENCE_PENALTY)
+    return float(sum(per)), tuple(per)
+
+
+FIELDS = ("dt", "current", "volts", "c_p", "c_n", "eta_p", "eta_n", "phi_e",
+          "phi_ohm")
+
+
+@pytest.fixture(scope="module")
+def profiles(cell):
+    params = cell[0]
+    return {
+        "staircase": generate_profile("rcid-like", 900.0, 0.5, 0, params),
+        "drive": generate_profile("drive-cycle-like", 600.0, 1.0, 5, params),
+    }
+
+
+@pytest.fixture(scope="module")
+def noisy_dataset(cell, profiles):
+    params, ocv_p, ocv_n = cell
+    train, _, _ = generate_synthetic_dataset(
+        params, ocv_p, ocv_n, [profiles["staircase"], profiles["drive"]],
+        [profiles["drive"]], 0.005, 11)
+    return train
+
+
+class TestSimulatorSplit:
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("kind", ["staircase", "drive"])
+    @pytest.mark.parametrize("scale", [(1.0, 1.0, 1.0), (1.7, 0.6, 1.4),
+                                       (0.55, 1.9, 0.7)])
+    def test_every_field_matches(self, cell, profiles, freeze, kind, scale):
+        params, ocv_p, ocv_n = cell
+        theta = params.replace(k_p=params.k_p * scale[0],
+                               k_n=params.k_n * scale[1],
+                               D_e=params.D_e * scale[2])
+        got = simulate_detailed(theta, ocv_p, ocv_n, profiles[kind],
+                                freeze_exchange_current=freeze)
+        want = reference_simulate_detailed(theta, ocv_p, ocv_n, profiles[kind],
+                                           freeze_exchange_current=freeze)
+        for name in FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.shape(a) == np.shape(b), name
+            assert np.array_equal(a, b), name
+
+    def test_divergence_matches(self, cell, i_1c):
+        params, ocv_p, ocv_n = cell
+        harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
+        with pytest.raises(SimulationDiverged) as got:
+            simulate_detailed(params, ocv_p, ocv_n, harsh)
+        with pytest.raises(SimulationDiverged) as want:
+            reference_simulate_detailed(params, ocv_p, ocv_n, harsh)
+        assert got.value.index == want.value.index
+
+
+class TestObjectiveSplit:
+    def test_losses_match_at_corners_and_random_points(self, cell, box,
+                                                       noisy_dataset, rng):
+        params, ocv_p, ocv_n = cell
+        corners = [np.array([a, b, c], dtype=float)
+                   for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        units = corners + list(rng.uniform(size=(12, 3))) + corners[:2]
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, noisy_dataset)
+        for unit in units:
+            theta = box.denormalize(unit)
+            evaluation = objective(theta)
+            loss, per = reference_loss(params, ocv_p, ocv_n, noisy_dataset, theta)
+            assert evaluation.loss == loss
+            assert evaluation.per_profile == per
+            assert not evaluation.penalized
