@@ -1,0 +1,76 @@
+"""A one-thread BLAS scope for small dense linear algebra.
+
+The GP surrogate works on matrices of at most a few hundred rows.  At those
+sizes a second OpenBLAS thread costs more than it saves, and its worker
+keeps spinning after each threaded call.  OpenBLAS (0.3.27 and later)
+exports ``openblas_set_num_threads_local``, which sets the thread count for
+the calling thread only and returns the previous value; ``one_blas_thread``
+applies it to every OpenBLAS loaded in the process (numpy and scipy each
+bundle their own).  Where no loaded library exports it (another OS, MKL, an
+older OpenBLAS) the scope does nothing.
+
+OpenBLAS also splits ``ddot`` across threads above 10,000 elements, which
+changes the rounding of the sum; ``sum_of_squares`` runs such long dot
+products on one thread, so a loss has the same bits at any thread count.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+from contextlib import contextmanager
+
+import numpy as np
+
+_DDOT_SERIAL_MAX = 10_000   # OpenBLAS runs ddot on one thread up to this n
+
+
+@functools.cache
+def _thread_local_setters() -> tuple:
+    """The per-thread setter of every loaded OpenBLAS, found on first use.
+
+    Importing the package loads numpy and scipy.linalg, so both bundled
+    copies are mapped before any caller gets here.
+    """
+    paths = set()
+    try:
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                fields = line.split(None, 5)   # the sixth is the mapped file
+                path = fields[5].strip() if len(fields) == 6 else ""
+                if "openblas" in os.path.basename(path).lower():
+                    paths.add(path)
+    except OSError:
+        return ()
+    setters = []
+    for path in sorted(paths):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = ctypes.c_int
+        setters.append(setter)
+    return tuple(setters)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one BLAS thread; the previous per-thread count is
+    restored on exit.  Other threads keep their own setting."""
+    setters = _thread_local_setters()
+    previous = [set_local(1) for set_local in setters]
+    try:
+        yield
+    finally:
+        for set_local, value in zip(setters, previous):
+            set_local(value)
+
+
+def sum_of_squares(v: np.ndarray) -> float:
+    """``v · v`` by ddot, bit-identical at any OpenBLAS thread count."""
+    if v.size <= _DDOT_SERIAL_MAX:   # never threaded; skip the scope's cost
+        return float(np.dot(v, v))
+    with one_blas_thread():
+        return float(np.dot(v, v))

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import gp
+from ._blas import one_blas_thread
 from .errors import DuplicatePoint, NegativeVariance, SingularKernel
 from .identify import ParameterBox
 from .sampling import HaltonSampler
@@ -216,10 +217,11 @@ def run_bo(objective, config: BoRunConfig) -> OptimizationResult:
     while len(trace) < config.budget:
         best = float(np.min(losses))
         try:
-            state = gp.fit(np.vstack(points_unit), np.asarray(losses),
-                           standardize=config.standardize)
-            nxt = maximize_acquisition(state, box, config.acquisition, rng,
-                                       sampler, best)
+            with one_blas_thread():   # small matrices: one thread is faster
+                state = gp.fit(np.vstack(points_unit), np.asarray(losses),
+                               standardize=config.standardize)
+                nxt = maximize_acquisition(state, box, config.acquisition,
+                                           rng, sampler, best)
         except (SingularKernel, DuplicatePoint) as exc:
             fallbacks += 1
             log.warning("surrogate fit failed (%s); falling back to a "

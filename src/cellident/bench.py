@@ -211,24 +211,25 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def check_step_resolution(config: ExperimentConfig, params: CellParameters,
+def check_step_resolution(box: ParameterBox, dts, params: CellParameters,
                           ocv_p: OcvCurve, ocv_n: OcvCurve) -> None:
-    """ConfigError unless every profile's dt can be simulated over the box.
+    """ConfigError unless every profile step in ``dts`` (s) can be simulated
+    over the box.
 
     The fastest time constant falls as D_e grows, so the box's upper D_e
     corner is the worst case; a box past it would fail every objective call
     with StepTooCoarse.
     """
-    if "D_e" not in config.box.names:
+    if "D_e" not in box.names:
         return
-    d_e = float(config.box.upper[config.box.names.index("D_e")])
-    for spec in config.train_profiles + config.test_profiles:
+    d_e = float(box.upper[box.names.index("D_e")])
+    for dt in dts:
         try:
-            build_model(params.replace(D_e=d_e), ocv_p, ocv_n, spec.dt_s)
+            build_model(params.replace(D_e=d_e), ocv_p, ocv_n, dt)
         except ValueError as exc:   # StepTooCoarse, or an invalid D_e
             raise ConfigError(
                 f"search box upper D_e = {d_e:g} m^2/s cannot be simulated on "
-                f"a {spec.kind} profile with dt_s = {spec.dt_s:g}: {exc}") from exc
+                f"a profile with dt = {dt:g} s: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +423,9 @@ def run_benchmark(config: ExperimentConfig,
     """
     t_start = time.perf_counter()
     params, ocv_p, ocv_n, provenance = resolve_cell(config)
-    check_step_resolution(config, params, ocv_p, ocv_n)
+    check_step_resolution(
+        config.box, [spec.dt_s for spec in config.train_profiles
+                     + config.test_profiles], params, ocv_p, ocv_n)
 
     root = np.random.SeedSequence(config.master_seed)
     profile_ss, noise_ss, *rep_seeds = root.spawn(2 + config.repetitions)

@@ -21,6 +21,7 @@ from .bench import (
     BenchmarkReport,
     CountingObjective,
     ExperimentConfig,
+    check_step_resolution,
     default_config,
     export_report,
     generate_profile,
@@ -185,8 +186,10 @@ def identify_cmd(config_path, manifest_path, method, budget, seed, out_dir):
     config = _apply_overrides(_load_config(config_path), seed, budget, None, None)
     params, ocv_p, ocv_n, _ = resolve_cell(config)
     train, test, _ = load_dataset(manifest_path)
-
     box = config.box
+    check_step_resolution(box, [p.dt for p in train.profiles + test.profiles],
+                          params, ocv_p, ocv_n)
+
     train_obj = VoltageFitObjective(params, ocv_p, ocv_n, box, train)
     counter = CountingObjective(train_obj.unit, limit=config.budget)
     seed_value = config.master_seed

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import sum_of_squares
 from .ecm import DiscreteCellModel, FixedTerms, assemble, build_model, fixed_terms
 from .errors import DataError, DimensionMismatch, OutOfBox, SimulationDiverged
 from .ocv import OcvCurve
@@ -247,7 +248,7 @@ class VoltageFitObjective:
             residual = assemble(model, terms).volts - measured.volts
         except SimulationDiverged:
             return None
-        return float(np.dot(residual, residual))
+        return sum_of_squares(residual)
 
     def unit(self, point) -> float:
         """Loss at a unit-cube point (the optimizer-facing view)."""

@@ -17,13 +17,18 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 
 def _van_der_corput(indices: np.ndarray, base: int) -> np.ndarray:
     """Radical-inverse of each index in the given base."""
-    work = np.asarray(indices, dtype=np.int64).copy()
+    work = np.asarray(indices, dtype=np.int64)
     out = np.zeros(work.shape, dtype=float)
+    top = int(work.max()) if work.size else 0
+    n_digits = 0
+    while top > 0:                 # digits of the largest index
+        top //= base
+        n_digits += 1
     denom = 1.0
-    while np.any(work > 0):
+    for _ in range(n_digits):
         denom *= base
-        out += (work % base) / denom
-        work //= base
+        work, digit = np.divmod(work, base)
+        out += digit / denom
     return out
 
 

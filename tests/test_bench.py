@@ -168,7 +168,10 @@ class TestStepResolution:
     """A box whose largest D_e the profile steps cannot resolve is rejected."""
 
     def test_default_config_accepted(self, cell):
-        check_step_resolution(default_config(), *cell)
+        config = default_config()
+        dts = [spec.dt_s for spec in config.train_profiles
+               + config.test_profiles]
+        check_step_resolution(config.box, dts, *cell)
 
     def test_large_d_e_rejected_before_any_run(self, tmp_path, monkeypatch):
         box = default_box().to_dict()

@@ -1,0 +1,137 @@
+"""The one-thread BLAS scope: same results, restored state, no-op fallback."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cellident import _blas, gp
+from cellident._blas import one_blas_thread, sum_of_squares
+from cellident.bayesopt import AcquisitionConfig, maximize_acquisition
+from cellident.identify import default_box
+from cellident.sampling import HaltonSampler
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _propose(state, best):
+    return maximize_acquisition(state, default_box(), AcquisitionConfig(),
+                                np.random.default_rng(3), HaltonSampler(3, 4),
+                                best)
+
+
+def test_proposal_bytes_same_inside_and_outside_the_scope():
+    rng = np.random.default_rng(0)
+    points = rng.uniform(size=(99, 3))
+    losses = np.sum((points - 0.3) ** 2, axis=1) + 1e-3 * rng.normal(size=99)
+    state = gp.fit(points, losses)
+    outside = _propose(state, float(np.min(losses)))
+    with one_blas_thread():
+        inside = _propose(state, float(np.min(losses)))
+    assert inside.tobytes() == outside.tobytes()
+
+
+def test_scope_restores_the_previous_per_thread_value():
+    setters = _blas._thread_local_setters()
+    if not setters:
+        pytest.skip("no loaded OpenBLAS exports a per-thread setter")
+    original = [set_local(2) for set_local in setters]
+    try:
+        with one_blas_thread():
+            assert [set_local(1) for set_local in setters] == [1] * len(setters)
+        assert [set_local(2) for set_local in setters] == [2] * len(setters)
+    finally:
+        for set_local, value in zip(setters, original):
+            set_local(value)
+
+
+class _FakeSetter:
+    """Stands in for one library's setter: keeps a value, logs each call."""
+
+    def __init__(self, value):
+        self.value = value
+        self.calls = []
+
+    def __call__(self, value):
+        self.calls.append(value)
+        self.value, previous = value, self.value
+        return previous
+
+
+def test_scope_sets_one_thread_and_restores_on_error(monkeypatch):
+    fakes = (_FakeSetter(2), _FakeSetter(4))
+    monkeypatch.setattr(_blas, "_thread_local_setters", lambda: fakes)
+    with pytest.raises(RuntimeError):
+        with one_blas_thread():
+            assert [f.value for f in fakes] == [1, 1]
+            with one_blas_thread():
+                pass
+            assert [f.value for f in fakes] == [1, 1]
+            raise RuntimeError
+    assert [f.value for f in fakes] == [2, 4]
+    assert fakes[1].calls == [1, 1, 1, 4]
+
+
+def test_scope_does_nothing_without_a_setter(monkeypatch):
+    monkeypatch.setattr(_blas, "_thread_local_setters", lambda: ())
+    with one_blas_thread():
+        value = np.dot(np.arange(3.0), np.arange(3.0))
+    assert value == 5.0
+
+
+@pytest.mark.parametrize("n", [0, 3601, _blas._DDOT_SERIAL_MAX,
+                               _blas._DDOT_SERIAL_MAX + 1, 14_401])
+def test_sum_of_squares_is_ddot_with_a_scope_only_when_long(n, monkeypatch):
+    scopes = []
+    monkeypatch.setattr(_blas, "one_blas_thread",
+                        lambda: scopes.append(n) or one_blas_thread())
+    v = np.random.default_rng(n).normal(size=n)
+    with one_blas_thread():
+        expected = float(np.dot(v, v))
+    assert sum_of_squares(v).hex() == expected.hex()
+    assert scopes == ([n] if n > _blas._DDOT_SERIAL_MAX else [])
+
+
+_RUN = """
+import hashlib
+import numpy as np
+from cellident._blas import _DDOT_SERIAL_MAX
+from cellident.bayesopt import BoRunConfig, run_bo
+from cellident.bench import generate_profile, generate_synthetic_dataset
+from cellident.identify import VoltageFitObjective, default_box
+from cellident.params import reference_cell
+
+params, ocv_p, ocv_n = reference_cell()
+profile = generate_profile("rcid-like", 3600.0, 0.25, 0, params)
+assert profile.n > 10_000
+train, _, _ = generate_synthetic_dataset(params, ocv_p, ocv_n, [profile],
+                                         [profile], 0.005, 7)
+objective = VoltageFitObjective(params, ocv_p, ocv_n, default_box(), train)
+digest = hashlib.sha256(objective.unit(np.full(3, 0.5)).hex().encode())
+result = run_bo(objective.unit, BoRunConfig(box=default_box(), budget=14,
+                                            seed=5, s0=8))
+for _, theta, loss in result.trace:
+    digest.update(theta.tobytes() + loss.hex().encode())
+# the longest dot product that skips the scope must not thread on its own
+v = np.random.default_rng(1).normal(size=_DDOT_SERIAL_MAX)
+print(digest.hexdigest(), float(np.dot(v, v)).hex())
+"""
+
+
+def test_results_do_not_depend_on_the_thread_count():
+    """A BO run and losses on a profile of more than 10,000 samples, where
+    OpenBLAS threads ddot, are bit-identical at one and two threads; so is
+    an unscoped ddot of 10,000 elements."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _RUN], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]

@@ -139,6 +139,31 @@ class TestIdentify:
             "--budget", "6", "--out", str(tmp_path / "fit")])
         assert result.exit_code == 3
 
+    def test_box_too_wide_for_the_data_step(self, runner, dataset_dir,
+                                            tmp_path, monkeypatch):
+        """Upper D_e 1e-8 cannot be simulated at the dataset's dt of 1 s."""
+        import cellident.cli as cli
+
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"box": {
+            "names": ["k_p", "k_n", "D_e"],
+            "lower": [2.0e-11, 2.8e-11, 1.6e-10],
+            "upper": [4.5e-11, 5.6e-11, 1.0e-8]}}))
+        evaluations = []
+        monkeypatch.setattr(cli.VoltageFitObjective, "__call__",
+                            lambda self, theta: evaluations.append(theta))
+        out = tmp_path / "fit"
+        result = runner.invoke(main, [
+            "identify", "--config", str(config),
+            "--data", str(dataset_dir / "manifest.json"),
+            "--method", "bo", "--budget", "8", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+        assert "upper D_e = 1e-08" in result.output
+        assert "dt = 1 s" in result.output
+        assert evaluations == []
+        assert not out.exists()
+
     def test_trace_matches_budget(self, runner, config_path, dataset_dir,
                                   tmp_path):
         out = tmp_path / "fit_rs"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cellident.sampling import HaltonSampler, halton_points
+from cellident.sampling import _PRIMES, HaltonSampler, _van_der_corput, halton_points
 
 
 class TestStream:
@@ -57,3 +57,43 @@ class TestSpread:
         pts = halton_points(64, dim=2, seed=1)
         # base-2 and base-3 streams never coincide after unrotation
         assert np.max(np.abs(np.diff(pts, axis=1))) > 0.01
+
+
+def _reference_van_der_corput(indices, base):
+    """The digit loop the package used before, kept as an exact reference."""
+    work = np.asarray(indices, dtype=np.int64).copy()
+    out = np.zeros(work.shape, dtype=float)
+    denom = 1.0
+    while np.any(work > 0):
+        denom *= base
+        out += (work % base) / denom
+        work //= base
+    return out
+
+
+class TestRadicalInverseOracle:
+    """The radical inverse must keep its exact bits: traces depend on them."""
+
+    @pytest.mark.parametrize("base", _PRIMES)
+    def test_matches_reference_up_to_3e5(self, base):
+        idx = np.arange(300_001)
+        assert (_van_der_corput(idx, base).tobytes()
+                == _reference_van_der_corput(idx, base).tobytes())
+
+    @pytest.mark.parametrize("start", [1, 100_000, 200_000])
+    def test_draws_match_reference(self, start):
+        sampler = HaltonSampler(dim=25, seed=4)
+        if start > 1:
+            sampler.draw(start - 1)
+        pts = sampler.draw(2048)
+        idx = np.arange(start, start + 2048)
+        ref = np.column_stack([
+            (_reference_van_der_corput(idx, b) + sampler._rotation[j]) % 1.0
+            for j, b in enumerate(_PRIMES)])
+        assert pts.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("indices", [[], [0], [0, 0], [7, 0, 3]])
+    def test_edge_inputs(self, indices):
+        for base in (2, 3, 97):
+            assert (_van_der_corput(indices, base).tobytes()
+                    == _reference_van_der_corput(indices, base).tobytes())
