@@ -10,6 +10,7 @@ its trace bit for bit.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,12 +34,20 @@ def expected_improvement(mean, variance, best_so_far: float, xi: float = 0.0):
 
     With sigma = sqrt(variance) and z = (best - mean - xi)/sigma this is
     (best - mean - xi)*Phi(z) + sigma*phi(z); at sigma = 0 it degenerates to
-    max(0, best - mean - xi).  Result is >= 0 everywhere.
+    max(0, best - mean - xi).  Result is >= 0 everywhere.  ``mean`` and
+    ``variance`` must be finite and of one shape, ``best_so_far`` finite.
     """
     if xi < 0.0:
         raise ValueError(f"xi must be non-negative, got {xi}")
+    if not math.isfinite(best_so_far):
+        raise ValueError(f"best_so_far must be finite, got {best_so_far}")
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
+    if mean.shape != variance.shape:
+        raise ValueError(f"mean of shape {mean.shape} but variance of shape "
+                         f"{variance.shape}")
+    if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
+        raise ValueError("mean and variance must be finite")
     single = mean.ndim == 0
     mean = np.atleast_1d(mean)
     variance = np.atleast_1d(variance)
@@ -49,16 +58,15 @@ def expected_improvement(mean, variance, best_so_far: float, xi: float = 0.0):
     sigma = np.sqrt(variance)
     diff = best_so_far - mean - xi
 
-    out = np.maximum(diff, 0.0)            # sigma = 0 branch
-    pos = sigma > 0.0
-    if np.any(pos):
-        z = diff[pos] / sigma[pos]
-        # |z| can overflow z*z when sigma is denormal-small; exp(-inf) = 0 is
-        # exactly the degenerate limit, so silence the intermediate warning
-        with np.errstate(over="ignore"):
-            pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
-        out[pos] = diff[pos] * ndtr(z) + sigma[pos] * pdf
-    out = np.maximum(out, 0.0)             # guard tiny negative roundoff
+    # |z| can overflow z*z when sigma is denormal-small; exp(-inf) = 0 is
+    # exactly the degenerate limit.  sigma = 0 gives 0/0 here, replaced below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = diff / sigma
+        out = diff * ndtr(z) + sigma * (np.exp(-0.5 * z * z) / _SQRT_2PI)
+    degenerate = sigma == 0.0
+    if degenerate.any():
+        out = np.where(degenerate, np.maximum(diff, 0.0), out)
+    np.maximum(out, 0.0, out=out)          # guard tiny negative roundoff
     return float(out[0]) if single else out
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg.lapack import dtrtri
 
-from .errors import DuplicatePoint, SingularKernel
+from .errors import DimensionMismatch, DuplicatePoint, SingularKernel
 
 JITTER_LADDER = (1e-8, 1e-6, 1e-4)
 DUPLICATE_TOL = 1e-10
@@ -25,14 +26,15 @@ def se_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram matrix exp(-||a_i - b_j||^2/2), shape (len(a), len(b))."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    # squared distances via the expansion ||a||^2 + ||b||^2 - 2 a.b
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
+    # squared distances via the expansion ||a||^2 + ||b||^2 - 2 a.b, computed
+    # in place: the only (len(a), len(b)) arrays are a.b and the result
+    ab = a @ b.T
+    ab *= 2.0
+    sq = np.add.outer(np.sum(a * a, axis=1), np.sum(b * b, axis=1))
+    sq -= ab
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-0.5 * sq)
+    sq *= -0.5
+    return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,7 @@ class GPPosterior:
     points: np.ndarray        # (s, d) inputs, normalized coordinates
     values_std: np.ndarray    # (s,) standardized observed values
     chol: np.ndarray          # lower-triangular L with L L^T = K + jitter I
+    chol_inv: np.ndarray      # L^{-1}, lower-triangular
     alpha: np.ndarray         # (K + jitter I)^{-1} values_std
     mean_shift: float         # standardization offset
     scale: float              # standardization scale (1 when disabled)
@@ -54,15 +57,22 @@ class GPPosterior:
     def posterior(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Posterior (mean, variance) at one point (d,) or a batch (m, d).
 
-        Variance is clamped to [0, inf) before de-standardization.
+        Variance is clamped to [0, inf) before de-standardization.  It is
+        1 - ||L^{-1} k*||^2, one matrix product against the inverse factor
+        that fit cached.
         """
         theta = np.asarray(theta, dtype=float)
         single = theta.ndim == 1
         query = np.atleast_2d(theta)
+        if query.ndim > 2 or query.shape[1] != self.points.shape[1]:
+            raise DimensionMismatch(
+                f"query of shape {theta.shape} against training points of "
+                f"shape {self.points.shape}")
         k_star = se_kernel(self.points, query)          # (s, m)
         mean_std = k_star.T @ self.alpha                # (m,)
-        v = solve_triangular(self.chol, k_star, lower=True, check_finite=False)
-        var_std = 1.0 - np.sum(v * v, axis=0)
+        v = self.chol_inv @ k_star
+        v *= v
+        var_std = 1.0 - np.sum(v, axis=0)
         np.maximum(var_std, 0.0, out=var_std)
         mean = mean_std * self.scale + self.mean_shift
         var = var_std * self.scale ** 2
@@ -77,7 +87,8 @@ def fit(points, values, jitter: float = JITTER_LADDER[0],
 
     The jitter escalates through JITTER_LADDER on factorization failure;
     SingularKernel is raised only when the whole ladder fails.  Two inputs
-    closer than DUPLICATE_TOL raise DuplicatePoint.
+    closer than DUPLICATE_TOL raise DuplicatePoint; a non-finite point or
+    value raises ValueError.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float).ravel()
@@ -86,6 +97,8 @@ def fit(points, values, jitter: float = JITTER_LADDER[0],
             f"{points.shape[0]} points but {values.size} values")
     if points.shape[0] < 1:
         raise ValueError("need at least one observation")
+    if not (np.isfinite(points).all() and np.isfinite(values).all()):
+        raise ValueError("points and values must be finite")
     if jitter < 0.0:
         raise ValueError(f"jitter must be non-negative, got {jitter}")
 
@@ -128,6 +141,8 @@ def fit(points, values, jitter: float = JITTER_LADDER[0],
 
     rhs = solve_triangular(chol, values_std, lower=True)
     alpha = solve_triangular(chol.T, rhs, lower=False)
+    # the factor's diagonal is positive, so its inverse exists
+    chol_inv, _ = dtrtri(chol, lower=1)
     return GPPosterior(points=points, values_std=values_std, chol=chol,
-                       alpha=alpha, mean_shift=mean_shift, scale=scale,
-                       jitter=used)
+                       chol_inv=chol_inv, alpha=alpha, mean_shift=mean_shift,
+                       scale=scale, jitter=used)

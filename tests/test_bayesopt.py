@@ -301,6 +301,28 @@ class TestBatchedRefinementOracle:
         assert np.min(np.linalg.norm(state.points - got, axis=1)) >= 1e-9
 
 
+class TestInverseFactorProposals:
+    """The cached-inverse variance rounds differently from the triangular
+    solve, by far less than it takes to change a proposal."""
+
+    @pytest.mark.parametrize("s", [10, 50, 99])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_proposal_as_the_triangular_solve(
+            self, cube, monkeypatch, bo_like_data, solve_posterior, s, seed):
+        points, values = bo_like_data(s, seed)
+        state = fit(points, values)
+        best = float(values.min())
+
+        def propose():
+            return maximize_acquisition(state, cube, AcquisitionConfig(),
+                                        np.random.default_rng(seed),
+                                        HaltonSampler(3, seed), best)
+
+        got = propose()
+        monkeypatch.setattr(gp.GPPosterior, "posterior", solve_posterior)
+        assert propose().tobytes() == got.tobytes()
+
+
 class TestPosteriorCallCount:
     @pytest.mark.parametrize("refine_steps", [0, 1, 20])
     def test_one_posterior_call_per_step(self, cube, monkeypatch,

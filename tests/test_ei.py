@@ -4,11 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from cellident.bayesopt import expected_improvement
 from cellident.errors import NegativeVariance
 
 PHI_AT_ZERO = 0.3989422804014327   # standard normal density at 0
+
+
+def masked_ei(mean, variance, best_so_far, xi=0.0):
+    """EI on the sigma > 0 entries only, gathered and scattered back by a
+    boolean mask: the form the whole-array computation must match."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    sigma = np.sqrt(np.maximum(np.atleast_1d(variance), 0.0))
+    diff = best_so_far - mean - xi
+    out = np.maximum(diff, 0.0)
+    pos = sigma > 0.0
+    if np.any(pos):
+        z = diff[pos] / sigma[pos]
+        with np.errstate(over="ignore"):
+            pdf = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        out[pos] = diff[pos] * ndtr(z) + sigma[pos] * pdf
+    return np.maximum(out, 0.0)
 
 
 class TestClosedForm:
@@ -58,6 +75,26 @@ class TestClosedForm:
                 > expected_improvement(1.0, 1.0, 0.0))
 
 
+class TestMaskedForm:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("zero_share", [0.0, 0.3])
+    def test_bytes_equal_the_masked_form(self, seed, zero_share):
+        """Means and variances over many scales, some variances so small
+        that z*z overflows, and with zero_share > 0 some exactly 0 or tiny
+        negative (the sigma = 0 hinge)."""
+        rng = np.random.default_rng(seed)
+        m = 2048
+        mean = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3, size=m)
+        var = 10.0 ** rng.uniform(-20, 2, size=m)
+        var[:2] = [1e-310, 5e-324]
+        if zero_share:
+            var[rng.uniform(size=m) < zero_share] = 0.0
+            var[2] = -1e-13
+        for xi in (0.0, 0.01):
+            got = expected_improvement(mean, var, 0.1, xi)
+            assert got.tobytes() == masked_ei(mean, var, 0.1, xi).tobytes()
+
+
 class TestGuards:
     def test_negative_variance_below_tolerance(self):
         with pytest.raises(NegativeVariance):
@@ -69,6 +106,30 @@ class TestGuards:
     def test_negative_xi_rejected(self):
         with pytest.raises(ValueError):
             expected_improvement(0.0, 1.0, 0.0, xi=-0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        """A NaN variance used to score as the sigma = 0 hinge (mean -2,
+        best -1 gave EI 1.0), and a NaN mean or best as NaN, which argsort
+        ranks first."""
+        with pytest.raises(ValueError, match="finite"):
+            expected_improvement(-2.0, bad, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            expected_improvement(bad, 1.0, -1.0)
+        with pytest.raises(ValueError, match="finite"):
+            expected_improvement(np.array([0.0, bad]), np.ones(2), 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            expected_improvement(np.zeros(2), np.array([1.0, bad]), 0.0)
+        with pytest.raises(ValueError, match="best_so_far"):
+            expected_improvement(np.zeros(2), np.ones(2), bad)
+
+    @pytest.mark.parametrize("mean_shape,var_shape", [
+        ((3,), (1,)), ((3,), ()), ((), (2,)), ((2, 3), (6,))])
+    def test_shape_mismatch_rejected(self, mean_shape, var_shape):
+        with pytest.raises(ValueError) as info:
+            expected_improvement(np.zeros(mean_shape), np.ones(var_shape), 0.0)
+        assert str(mean_shape) in str(info.value)
+        assert str(var_shape) in str(info.value)
 
 
 class TestMonteCarlo:

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import LinAlgError
 
 import cellident.gp as gp
-from cellident.errors import DuplicatePoint, SingularKernel
+from cellident.errors import DimensionMismatch, DuplicatePoint, SingularKernel
 from cellident.gp import DUPLICATE_TOL, JITTER_LADDER, GPPosterior, fit, se_kernel
 
 
@@ -29,6 +29,19 @@ def dense_oracle(points, values, queries, jitter, standardize):
     return mean * sd + mu, np.maximum(var, 0.0) * sd**2
 
 
+def expanded_kernel(a, b):
+    """The kernel as one expression, the form the in-place one must match."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    sq = (
+        np.sum(a * a, axis=1)[:, None]
+        + np.sum(b * b, axis=1)[None, :]
+        - 2.0 * (a @ b.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-0.5 * sq)
+
+
 class TestKernel:
     def test_unit_diagonal_and_symmetry(self, rng):
         x = rng.uniform(size=(6, 3))
@@ -44,6 +57,18 @@ class TestKernel:
     def test_shape(self, rng):
         K = se_kernel(rng.uniform(size=(4, 2)), rng.uniform(size=(7, 2)))
         assert K.shape == (4, 7)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bytes_equal_the_expanded_expression(self, seed):
+        """Random shapes, with rows of b copied from a (distance 0, where
+        the expansion can round below zero) and a 1-D query."""
+        rng = np.random.default_rng(seed)
+        s, m, d = rng.integers(1, 200), rng.integers(1, 3000), rng.integers(1, 6)
+        a = rng.uniform(-2.0, 2.0, size=(s, d))
+        b = rng.uniform(-2.0, 2.0, size=(m, d))
+        b[rng.integers(0, m, size=min(s, m))] = a[:min(s, m)]
+        for x, y in ((a, b), (a, a), (a, b[0])):
+            assert se_kernel(x, y).tobytes() == expanded_kernel(x, y).tobytes()
 
 
 class TestFitAgainstOracle:
@@ -74,6 +99,39 @@ class TestFitAgainstOracle:
         assert m_single == pytest.approx(m_batch[0], abs=1e-14)
         assert v_single == pytest.approx(v_batch[0], abs=1e-14)
         assert isinstance(m_single, float)
+
+
+class TestInverseFactor:
+    """The variance comes from the cached L^{-1}; the mean path is as before."""
+
+    def test_inverse_of_the_factor(self, bo_like_data):
+        points, values = bo_like_data(50, 0)
+        state = fit(points, values)
+        assert np.all(np.triu(state.chol_inv, 1) == 0.0)
+        np.testing.assert_allclose(state.chol_inv @ state.chol, np.eye(50),
+                                   atol=1e-9)
+
+    @pytest.mark.parametrize("s", [10, 50, 99, 199])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_triangular_solve(self, bo_like_data,
+                                          solve_posterior, s, seed):
+        """Mean bit for bit, variance within 1e-10 in standardized units, at
+        the default jitter on clustered points, for uniform queries and for
+        probes close to the observations."""
+        points, values = bo_like_data(s, seed)
+        state = fit(points, values)
+        assert state.jitter == JITTER_LADDER[0]
+        rng = np.random.default_rng(100 + seed)
+        queries = np.vstack([
+            rng.uniform(size=(2048, 3)),
+            np.clip(points + 1e-3 * rng.normal(size=points.shape), 0.0, 1.0),
+            points])
+        mean, var = state.posterior(queries)
+        ref_mean, ref_var = solve_posterior(state, queries)
+        assert mean.tobytes() == ref_mean.tobytes()
+        np.testing.assert_allclose(var / state.scale ** 2,
+                                   ref_var / state.scale ** 2,
+                                   rtol=0.0, atol=1e-10)
 
 
 class TestPosteriorBehavior:
@@ -146,6 +204,33 @@ class TestRobustness:
         monkeypatch.setattr(gp, "cholesky", always_fail)
         with pytest.raises(SingularKernel, match="singular"):
             fit(np.array([[0.1], [0.9]]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_and_values_rejected(self, bad):
+        points = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.1]])
+        values = np.array([1.0, 2.0, 3.0])
+        bad_points = points.copy()
+        bad_points[1, 0] = bad
+        bad_values = values.copy()
+        bad_values[2] = bad
+        for p, v in ((bad_points, values), (points, bad_values)):
+            for standardize in (True, False):
+                with pytest.raises(ValueError, match="finite"):
+                    fit(p, v, standardize=standardize)
+
+    @pytest.mark.parametrize("query", [
+        np.zeros(3),              # one point of the wrong dimension
+        np.zeros((4, 1)),         # a batch of the wrong dimension
+        np.zeros((2, 4, 2)),      # a stack of batches
+        np.zeros((1, 1, 2)),
+    ])
+    def test_mis_shaped_query_rejected(self, rng, query):
+        state = fit(rng.uniform(size=(5, 2)), rng.standard_normal(5))
+        with pytest.raises(DimensionMismatch) as info:
+            state.posterior(query)
+        assert str(query.shape) in str(info.value)
+        assert "(5, 2)" in str(info.value)
+        assert isinstance(info.value, ValueError)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="values"):
