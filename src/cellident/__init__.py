@@ -10,13 +10,11 @@ from .baselines import GdConfig, PsoConfig, gradient_descent, pso, random_search
 from .bayesopt import (
     AcquisitionConfig,
     BoRunConfig,
-    OptimizationResult,
     expected_improvement,
     run_bo,
 )
 from .bench import (
     BenchmarkReport,
-    CountingObjective,
     ExperimentConfig,
     ProfileSpec,
     default_config,
@@ -25,6 +23,7 @@ from .bench import (
     generate_synthetic_dataset,
     one_c_current,
     run_benchmark,
+    run_method,
 )
 from .ecm import (
     DiscreteCellModel,
@@ -73,6 +72,7 @@ from .identify import (
 from .ocv import OcvCurve, synthetic_anode, synthetic_cathode
 from .params import CellParameters, load_parameter_file, reference_cell
 from .profiles import CurrentProfile, VoltageSeries, noise_cycle_profile, staircase_profile
+from .runs import OptimizationResult, Recorder, export_trace
 from .sampling import HaltonSampler, halton_points
 
 __version__ = "0.1.0"

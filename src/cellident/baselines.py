@@ -8,13 +8,12 @@ evaluation budget, so comparisons are evaluation-for-evaluation fair.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bayesopt import OptimizationResult, _best_of_trace
 from .identify import ParameterBox
+from .runs import OptimizationResult, Recorder
 
 
 @dataclass(frozen=True)
@@ -53,15 +52,14 @@ class PsoConfig:
                 f"budget {self.budget} below swarm size {self.swarm_size}")
 
 
-def _make_recorder(objective, box: ParameterBox):
-    trace = []
-
-    def evaluate(unit_point):
-        loss = float(objective(unit_point))
-        trace.append((len(trace), box.denormalize(unit_point), loss))
-        return loss
-
-    return trace, evaluate
+def min_budget(method: str, n: int) -> int:
+    """Smallest budget ``method`` runs with on an n-dimensional box: one full
+    GD iteration (start, n probes, one step) or one PSO swarm."""
+    if method == "gd":
+        return n + 2
+    if method == "pso":
+        return PsoConfig.swarm_size
+    return 1
 
 
 def gradient_descent(objective, box: ParameterBox,
@@ -74,23 +72,19 @@ def gradient_descent(objective, box: ParameterBox,
     charged greedily, so the budget is consumed exactly.
     """
     n = box.n
-    if config.budget < n + 2:
+    need = min_budget("gd", n)
+    if config.budget < need:
         raise ValueError(
-            f"budget {config.budget} below one full iteration ({n + 2})")
-    t0 = time.perf_counter()
+            f"budget {config.budget} below one full iteration ({need})")
     rng = np.random.default_rng(config.seed)
-    trace, evaluate = _make_recorder(objective, box)
+    evaluate = Recorder(objective, box, config.budget)
 
     theta = rng.uniform(size=n)
     f_theta = evaluate(theta)
 
-    while len(trace) < config.budget:
+    while evaluate.remaining:
         grad = np.zeros(n)
-        aborted = False
-        for i in range(n):
-            if len(trace) >= config.budget:
-                aborted = True
-                break
+        for i in range(min(n, evaluate.remaining)):
             if theta[i] + config.epsilon <= 1.0:
                 probe, sign = theta.copy(), 1.0
                 probe[i] += config.epsilon
@@ -98,50 +92,38 @@ def gradient_descent(objective, box: ParameterBox,
                 probe, sign = theta.copy(), -1.0
                 probe[i] -= config.epsilon
             grad[i] = sign * (evaluate(probe) - f_theta) / config.epsilon
-        if aborted:
-            break
         norm = float(np.linalg.norm(grad))
-        if norm > 0.0:
+        if norm > 0.0 and evaluate.remaining:
             theta = np.clip(theta - config.alpha * grad / norm, 0.0, 1.0)
-            if len(trace) >= config.budget:
-                break
             f_theta = evaluate(theta)
         # norm == 0: hold position; probes above were still charged
 
-    best_theta, best_loss = _best_of_trace(trace)
-    return OptimizationResult(
-        method="gd", best_theta=best_theta, best_loss=best_loss,
-        trace=tuple(trace), evaluations_used=len(trace),
-        wall_time_s=time.perf_counter() - t0,
-        notes={"alpha": config.alpha, "epsilon": config.epsilon},
-    )
+    return evaluate.result("gd", alpha=config.alpha, epsilon=config.epsilon)
 
 
 def pso(objective, box: ParameterBox, config: PsoConfig) -> OptimizationResult:
     """Synchronous global-best PSO with clamped velocities and positions.
 
-    The final generation may be partial so the evaluation cap is respected
-    exactly; velocities start at zero.
+    The final generation may be partial so the budget is consumed exactly;
+    velocities start at zero.
     """
-    n = box.n
-    t0 = time.perf_counter()
+    n, m = box.n, config.swarm_size
     rng = np.random.default_rng(config.seed)
-    trace, evaluate = _make_recorder(objective, box)
+    evaluate = Recorder(objective, box, config.budget)
 
-    m = config.swarm_size
     pos = rng.uniform(size=(m, n))
     vel = np.zeros((m, n))
     pbest = pos.copy()
     pbest_f = np.full(m, np.inf)
-
-    for i in range(m):
-        if len(trace) >= config.budget:
+    while True:
+        for i in range(min(m, evaluate.remaining)):
+            f = evaluate(pos[i])
+            if f < pbest_f[i]:
+                pbest_f[i] = f
+                pbest[i] = pos[i].copy()
+        if not evaluate.remaining:
             break
-        pbest_f[i] = evaluate(pos[i])
-    gbest_i = int(np.argmin(pbest_f))
-    gbest = pbest[gbest_i].copy()
-
-    while len(trace) < config.budget:
+        gbest = pbest[int(np.argmin(pbest_f))].copy()
         r1 = rng.uniform(size=(m, n))
         r2 = rng.uniform(size=(m, n))
         vel = (config.inertia * vel
@@ -149,23 +131,8 @@ def pso(objective, box: ParameterBox, config: PsoConfig) -> OptimizationResult:
                + config.social * r2 * (gbest - pos))
         np.clip(vel, -config.v_max, config.v_max, out=vel)
         pos = np.clip(pos + vel, 0.0, 1.0)
-        for i in range(m):
-            if len(trace) >= config.budget:
-                break
-            f = evaluate(pos[i])
-            if f < pbest_f[i]:
-                pbest_f[i] = f
-                pbest[i] = pos[i].copy()
-        gbest_i = int(np.argmin(pbest_f))
-        gbest = pbest[gbest_i].copy()
 
-    best_theta, best_loss = _best_of_trace(trace)
-    return OptimizationResult(
-        method="pso", best_theta=best_theta, best_loss=best_loss,
-        trace=tuple(trace), evaluations_used=len(trace),
-        wall_time_s=time.perf_counter() - t0,
-        notes={"swarm_size": m},
-    )
+    return evaluate.result("pso", swarm_size=m)
 
 
 def random_search(objective, box: ParameterBox, budget: int,
@@ -173,14 +140,8 @@ def random_search(objective, box: ParameterBox, budget: int,
     """Uniform random sampling at the same budget (mechanism-check control)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    trace, evaluate = _make_recorder(objective, box)
+    evaluate = Recorder(objective, box, budget)
     for _ in range(budget):
         evaluate(rng.uniform(size=box.n))
-    best_theta, best_loss = _best_of_trace(trace)
-    return OptimizationResult(
-        method="random", best_theta=best_theta, best_loss=best_loss,
-        trace=tuple(trace), evaluations_used=len(trace),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return evaluate.result("random")

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
@@ -22,6 +20,7 @@ from . import gp
 from ._blas import one_blas_thread
 from .errors import DuplicatePoint, NegativeVariance, SingularKernel
 from .identify import ParameterBox
+from .runs import OptimizationResult, Recorder
 from .sampling import HaltonSampler
 
 log = logging.getLogger(__name__)
@@ -115,39 +114,6 @@ class BoRunConfig:
                 f"s0 = {self.s0} exceeds budget = {self.budget}")
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
-    """Outcome of one optimizer run (shared by BO and the baselines)."""
-
-    method: str
-    best_theta: np.ndarray          # physical units
-    best_loss: float
-    trace: tuple                    # ((index, theta_physical, loss), ...)
-    evaluations_used: int
-    wall_time_s: float
-    notes: dict = field(default_factory=dict)
-
-    def cumulative_best(self) -> np.ndarray:
-        return np.minimum.accumulate([loss for _, _, loss in self.trace])
-
-
-def export_trace(result: OptimizationResult, box: ParameterBox, path) -> None:
-    """Trace CSV: eval_index,<dim names>,loss_V2,cum_best_V2."""
-    names = ",".join(box.names)
-    cum = result.cumulative_best()
-    with open(path, "w") as fh:
-        fh.write(f"eval_index,{names},loss_V2,cum_best_V2\n")
-        for (idx, theta, loss), best in zip(result.trace, cum):
-            coords = ",".join(f"{v:.12g}" for v in np.atleast_1d(theta))
-            fh.write(f"{idx},{coords},{loss:.12g},{best:.12g}\n")
-
-
-def _best_of_trace(trace) -> tuple[np.ndarray, float]:
-    idx = int(np.argmin([loss for _, _, loss in trace]))
-    _, theta, loss = trace[idx]
-    return theta, loss
-
-
 def maximize_acquisition(state: gp.GPPosterior, box: ParameterBox,
                          config: AcquisitionConfig, rng: np.random.Generator,
                          sampler: HaltonSampler, best_so_far: float) -> np.ndarray:
@@ -197,50 +163,31 @@ def run_bo(objective, config: BoRunConfig) -> OptimizationResult:
     exactly ``budget`` entries; a singular surrogate falls back to one
     uniform random point for that iteration (logged, counted in notes).
     """
-    t0 = time.perf_counter()
     box = config.box
-    n = box.n
+    evaluate = Recorder(objective, box, config.budget)
     ss = (config.seed if isinstance(config.seed, np.random.SeedSequence)
           else np.random.SeedSequence(config.seed))
     halton_seed, fallback_seed = ss.spawn(2)
-    sampler = HaltonSampler(n, halton_seed)
+    sampler = HaltonSampler(box.n, halton_seed)
     rng = np.random.default_rng(fallback_seed)
 
-    trace = []
-    points_unit = []
-
-    def evaluate(unit_point):
-        loss = float(objective(unit_point))
-        theta = box.denormalize(unit_point)
-        trace.append((len(trace), theta, loss))
-        points_unit.append(np.asarray(unit_point, dtype=float))
-        return loss
-
-    losses = []
-    n_init = min(config.s0, config.budget)
-    for point in sampler.draw(n_init):
-        losses.append(evaluate(point))
+    for point in sampler.draw(config.s0):
+        evaluate(point)
 
     fallbacks = 0
-    while len(trace) < config.budget:
-        best = float(np.min(losses))
+    while evaluate.remaining:
+        losses = evaluate.losses()
         try:
             with one_blas_thread():   # small matrices: one thread is faster
-                state = gp.fit(np.vstack(points_unit), np.asarray(losses),
+                state = gp.fit(np.vstack(evaluate.points), losses,
                                standardize=config.standardize)
                 nxt = maximize_acquisition(state, box, config.acquisition,
-                                           rng, sampler, best)
+                                           rng, sampler, float(np.min(losses)))
         except (SingularKernel, DuplicatePoint) as exc:
             fallbacks += 1
             log.warning("surrogate fit failed (%s); falling back to a "
                         "uniform random point", exc)
-            nxt = rng.uniform(size=n)
-        losses.append(evaluate(nxt))
+            nxt = rng.uniform(size=box.n)
+        evaluate(nxt)
 
-    best_theta, best_loss = _best_of_trace(trace)
-    return OptimizationResult(
-        method="bo", best_theta=best_theta, best_loss=best_loss,
-        trace=tuple(trace), evaluations_used=len(trace),
-        wall_time_s=time.perf_counter() - t0,
-        notes={"s0": n_init, "surrogate_fallbacks": fallbacks},
-    )
+    return evaluate.result("bo", s0=config.s0, surrogate_fallbacks=fallbacks)

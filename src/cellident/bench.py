@@ -25,11 +25,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import GdConfig, PsoConfig, gradient_descent, pso, random_search
-from .bayesopt import BoRunConfig, OptimizationResult, export_trace, run_bo
+from .baselines import (
+    GdConfig,
+    PsoConfig,
+    gradient_descent,
+    min_budget,
+    pso,
+    random_search,
+)
+from .bayesopt import BoRunConfig, run_bo
 from .ecm import build_model, bulk_stoichiometry, simulate
 from .errors import ConfigError, DataError, SocWindowViolation
 from .identify import (
+    THETA_NAMES,
     IdentificationDataset,
     ParameterBox,
     VoltageFitObjective,
@@ -39,6 +47,7 @@ from .identify import (
 from .ocv import OcvCurve
 from .params import CellParameters, load_parameter_file, reference_cell_path
 from .profiles import CurrentProfile, VoltageSeries, noise_cycle_profile, staircase_profile
+from .runs import OptimizationResult, export_trace
 
 SOC_HARD_WINDOW = (0.05, 0.95)   # violation is an error
 METHODS = ("bo", "gd", "pso")
@@ -119,6 +128,12 @@ class ExperimentConfig:
             raise ConfigError("need 1 <= s0 <= budget")
         if not self.train_profiles or not self.test_profiles:
             raise ConfigError("train and test profile lists must be non-empty")
+        if self.box.names != THETA_NAMES:
+            raise ConfigError(f"box names must be {list(THETA_NAMES)}, got "
+                              f"{list(self.box.names)}")
+        if np.any(self.box.lower <= 0.0):
+            raise ConfigError("box lower bounds must be > 0, got "
+                              f"{self.box.lower.tolist()}")
 
     def to_dict(self) -> dict:
         return {
@@ -220,8 +235,6 @@ def check_step_resolution(box: ParameterBox, dts, params: CellParameters,
     corner is the worst case; a box past it would fail every objective call
     with StepTooCoarse.
     """
-    if "D_e" not in box.names:
-        return
     d_e = float(box.upper[box.names.index("D_e")])
     for dt in dts:
         try:
@@ -302,20 +315,23 @@ def generate_synthetic_dataset(
     return train, test, meta
 
 
-class CountingObjective:
-    """Hard evaluation-budget guard around a unit-cube objective."""
+def build_dataset(config: ExperimentConfig, params: CellParameters,
+                  ocv_p: OcvCurve, ocv_n: OcvCurve
+                  ) -> tuple[IdentificationDataset, IdentificationDataset, dict]:
+    """The configured train/test data, derived from the master seed.
 
-    def __init__(self, fn, limit: int | None = None):
-        self.fn = fn
-        self.limit = limit
-        self.count = 0
-
-    def __call__(self, point):
-        if self.limit is not None and self.count >= self.limit:
-            raise RuntimeError(
-                f"objective evaluation budget ({self.limit}) exceeded")
-        self.count += 1
-        return self.fn(point)
+    The first two children of the master SeedSequence seed the profiles and
+    the measurement noise (see the module docstring); returns (train, test,
+    meta) as ``generate_synthetic_dataset`` does.
+    """
+    profile_ss, noise_ss = np.random.SeedSequence(config.master_seed).spawn(2)
+    specs = config.train_profiles + config.test_profiles
+    profiles = [generate_profile(s.kind, s.duration_s, s.dt_s, child, params)
+                for s, child in zip(specs, profile_ss.spawn(len(specs)))]
+    n_train = len(config.train_profiles)
+    return generate_synthetic_dataset(
+        params, ocv_p, ocv_n, profiles[:n_train], profiles[n_train:],
+        config.noise_sigma_v, noise_ss)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +365,10 @@ class BenchmarkReport:
         if not isinstance(doc, dict) or "results" not in doc:
             raise DataError(f"report {path} lacks a results section")
         report = cls(results=doc["results"], meta=doc.get("meta", {}))
+        stored = report.meta.get("body_sha256")
+        if stored and stored != hashlib.sha256(report.body_bytes()).hexdigest():
+            raise DataError(f"report {path}: meta.body_sha256 does not match "
+                            "the results section")
         report.validate()
         return report
 
@@ -396,8 +416,18 @@ def _aggregate_rows(rows) -> dict:
     return out
 
 
-def _run_method(method: str, objective, box: ParameterBox, budget: int,
-                seed, s0: int) -> OptimizationResult:
+def check_budget(methods, budget: int, box: ParameterBox) -> None:
+    """ConfigError unless ``budget`` reaches every method's minimum."""
+    for method in methods:
+        need = min_budget(method, box.n)
+        if budget < need:
+            raise ConfigError(f"budget {budget} is below the {method} "
+                              f"minimum of {need} evaluations")
+
+
+def run_method(method: str, objective, box: ParameterBox, budget: int,
+               seed, s0: int) -> OptimizationResult:
+    """One budgeted run of ``method`` on a unit-cube objective."""
     if method == "bo":
         return run_bo(objective, BoRunConfig(box=box, budget=budget,
                                              seed=seed, s0=s0))
@@ -415,34 +445,22 @@ def run_benchmark(config: ExperimentConfig,
                   out_dir=None) -> BenchmarkReport:
     """Full protocol: data generation, method x repetition sweep, report.
 
-    A search box whose largest D_e the profiles' steps cannot resolve is a
-    ConfigError before any run.  Per-repetition failures are recorded with
-    a failure flag and excluded from aggregates; the sweep never aborts.
-    When out_dir is given, every optimizer trace is exported there as CSV
-    alongside the report.
+    A search box whose largest D_e the profiles' steps cannot resolve, or a
+    budget below a method's minimum, is a ConfigError before any run.
+    Per-repetition failures are recorded with a failure flag and excluded
+    from aggregates; the sweep never aborts.  When out_dir is given, every
+    optimizer trace is exported there as CSV alongside the report.
     """
     t_start = time.perf_counter()
     params, ocv_p, ocv_n, provenance = resolve_cell(config)
     check_step_resolution(
         config.box, [spec.dt_s for spec in config.train_profiles
                      + config.test_profiles], params, ocv_p, ocv_n)
+    check_budget(config.methods, config.budget, config.box)
 
-    root = np.random.SeedSequence(config.master_seed)
-    profile_ss, noise_ss, *rep_seeds = root.spawn(2 + config.repetitions)
-    profile_children = profile_ss.spawn(
-        len(config.train_profiles) + len(config.test_profiles))
-
-    train_profiles = [
-        generate_profile(spec.kind, spec.duration_s, spec.dt_s, child, params)
-        for spec, child in zip(config.train_profiles, profile_children)]
-    test_profiles = [
-        generate_profile(spec.kind, spec.duration_s, spec.dt_s, child, params)
-        for spec, child in zip(config.test_profiles,
-                               profile_children[len(config.train_profiles):])]
-
-    train_ds, test_ds, data_meta = generate_synthetic_dataset(
-        params, ocv_p, ocv_n, train_profiles, test_profiles,
-        config.noise_sigma_v, noise_ss)
+    train_ds, test_ds, data_meta = build_dataset(config, params, ocv_p, ocv_n)
+    rep_seeds = np.random.SeedSequence(config.master_seed).spawn(
+        2 + config.repetitions)[2:]
 
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -459,10 +477,8 @@ def run_benchmark(config: ExperimentConfig,
             try:
                 train_obj = VoltageFitObjective(params, ocv_p, ocv_n,
                                                 config.box, train_ds)
-                counter = CountingObjective(train_obj.unit,
-                                            limit=config.budget)
-                result = _run_method(method, counter, config.box,
-                                     config.budget, rep_seeds[rep], config.s0)
+                result = run_method(method, train_obj.unit, config.box,
+                                    config.budget, rep_seeds[rep], config.s0)
                 test_obj = VoltageFitObjective(params, ocv_p, ocv_n,
                                                config.box, test_ds)
                 test_loss = test_obj(result.best_theta).loss
@@ -473,10 +489,6 @@ def run_benchmark(config: ExperimentConfig,
                     theta={name: float(v) for name, v in
                            zip(config.box.names, result.best_theta)},
                 )
-                if counter.count != result.evaluations_used:
-                    raise RuntimeError(
-                        f"trace records {result.evaluations_used} evaluations "
-                        f"but the objective saw {counter.count}")
                 if out_dir is not None:
                     export_trace(result, config.box,
                                  out_dir / f"trace_{method}_rep{rep}.csv")
@@ -494,8 +506,8 @@ def run_benchmark(config: ExperimentConfig,
         "rows": rows,
         "aggregates": _aggregate_rows(rows),
         "profile_lengths": {
-            "train": [p.n for p in train_profiles],
-            "test": [p.n for p in test_profiles],
+            "train": [p.n for p in train_ds.profiles],
+            "test": [p.n for p in test_ds.profiles],
         },
     }
     time_stats = {}
@@ -586,21 +598,7 @@ def _export_voltage_traces(report: BenchmarkReport, out_dir: Path) -> list[Path]
     """Per-run measured-vs-model test-set traces (voltage-fit analogues)."""
     config = ExperimentConfig.from_dict(report.results["config"])
     params, ocv_p, ocv_n, _ = resolve_cell(config)
-
-    root = np.random.SeedSequence(config.master_seed)
-    profile_ss, noise_ss, *_ = root.spawn(2 + config.repetitions)
-    profile_children = profile_ss.spawn(
-        len(config.train_profiles) + len(config.test_profiles))
-    train_profiles = [
-        generate_profile(s.kind, s.duration_s, s.dt_s, c, params)
-        for s, c in zip(config.train_profiles, profile_children)]
-    test_profiles = [
-        generate_profile(s.kind, s.duration_s, s.dt_s, c, params)
-        for s, c in zip(config.test_profiles,
-                        profile_children[len(config.train_profiles):])]
-    _, test_ds, _ = generate_synthetic_dataset(
-        params, ocv_p, ocv_n, train_profiles, test_profiles,
-        config.noise_sigma_v, noise_ss)
+    _, test_ds, _ = build_dataset(config, params, ocv_p, ocv_n)
 
     trace_dir = out_dir / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)

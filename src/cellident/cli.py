@@ -13,31 +13,30 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .baselines import GdConfig, PsoConfig, gradient_descent, pso, random_search
-from .bayesopt import BoRunConfig, export_trace, run_bo
 from .bench import (
     BenchmarkReport,
-    CountingObjective,
     ExperimentConfig,
+    build_dataset,
+    check_budget,
     check_step_resolution,
     default_config,
     export_report,
     generate_profile,
     resolve_cell,
     run_benchmark,
+    run_method,
 )
 from .ecm import simulate
 from .errors import CellIdentError, ConfigError, DataError
 from .identify import (
     VoltageFitObjective,
+    load_current_csv,
     load_dataset,
-    load_profile_csv,
     save_dataset,
     save_profile_csv,
 )
-from .profiles import CurrentProfile, VoltageSeries
+from .runs import export_trace
 
 
 def _exit_codes(fn):
@@ -108,7 +107,7 @@ def simulate_cmd(config_path, profile_path, kind, duration, dt, seed, out_path):
     if (profile_path is None) == (kind is None):
         raise ConfigError("give exactly one of --profile or --kind")
     if profile_path is not None:
-        profile, _ = _read_current_csv(profile_path)
+        profile = load_current_csv(profile_path)
     else:
         profile = generate_profile(kind, duration, dt, seed, params)
     volts = simulate(params, ocv_p, ocv_n, profile)
@@ -117,31 +116,6 @@ def simulate_cmd(config_path, profile_path, kind, duration, dt, seed, out_path):
 
 
 main.add_command(simulate_cmd, name="simulate")
-
-
-def _read_current_csv(path) -> tuple[CurrentProfile, VoltageSeries | None]:
-    path = Path(path)
-    try:
-        table = np.genfromtxt(path, delimiter=",", names=True)
-    except FileNotFoundError as exc:
-        raise DataError(f"profile file not found: {path}") from exc
-    except ValueError as exc:
-        raise DataError(f"profile file {path} is malformed: {exc}") from exc
-    names = set(table.dtype.names or ())
-    if not {"time_s", "current_A"} <= names:
-        raise DataError(f"{path} needs columns time_s,current_A")
-    t = np.atleast_1d(table["time_s"])
-    if t.size < 2:
-        raise DataError(f"{path} needs at least two samples")
-    steps = np.diff(t)
-    dt = float(steps[0])
-    if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
-        raise DataError(f"{path} is not uniformly sampled")
-    profile = CurrentProfile(dt=dt, current=np.atleast_1d(table["current_A"]))
-    volts = None
-    if "voltage_V" in names:
-        volts = VoltageSeries(dt=dt, volts=np.atleast_1d(table["voltage_V"]))
-    return profile, volts
 
 
 @main.command("gen-data")
@@ -153,20 +127,7 @@ def gen_data_cmd(config_path, seed, out_dir):
     """Generate a synthetic train/test dataset (CSV files + manifest)."""
     config = _apply_overrides(_load_config(config_path), seed, None, None, None)
     params, ocv_p, ocv_n, _ = resolve_cell(config)
-
-    from .bench import generate_synthetic_dataset  # local import: avoids cycle confusion in docs
-
-    root = np.random.SeedSequence(config.master_seed)
-    profile_ss, noise_ss, *_ = root.spawn(2 + config.repetitions)
-    children = profile_ss.spawn(len(config.train_profiles) + len(config.test_profiles))
-    train_profiles = [generate_profile(s.kind, s.duration_s, s.dt_s, c, params)
-                      for s, c in zip(config.train_profiles, children)]
-    test_profiles = [generate_profile(s.kind, s.duration_s, s.dt_s, c, params)
-                     for s, c in zip(config.test_profiles,
-                                     children[len(config.train_profiles):])]
-    train, test, meta = generate_synthetic_dataset(
-        params, ocv_p, ocv_n, train_profiles, test_profiles,
-        config.noise_sigma_v, noise_ss)
+    train, test, meta = build_dataset(config, params, ocv_p, ocv_n)
     manifest = save_dataset(out_dir, train, test, extra_meta=meta)
     click.echo(f"wrote dataset manifest {manifest}")
 
@@ -189,21 +150,11 @@ def identify_cmd(config_path, manifest_path, method, budget, seed, out_dir):
     box = config.box
     check_step_resolution(box, [p.dt for p in train.profiles + test.profiles],
                           params, ocv_p, ocv_n)
+    check_budget((method,), config.budget, box)
 
     train_obj = VoltageFitObjective(params, ocv_p, ocv_n, box, train)
-    counter = CountingObjective(train_obj.unit, limit=config.budget)
-    seed_value = config.master_seed
-    if method == "bo":
-        result = run_bo(counter, BoRunConfig(box=box, budget=config.budget,
-                                             seed=seed_value, s0=config.s0))
-    elif method == "gd":
-        result = gradient_descent(counter, box,
-                                  GdConfig(budget=config.budget, seed=seed_value))
-    elif method == "pso":
-        result = pso(counter, box, PsoConfig(budget=config.budget,
-                                             seed=seed_value))
-    else:
-        result = random_search(counter, box, config.budget, seed_value)
+    result = run_method(method, train_obj.unit, box, config.budget,
+                        config.master_seed, config.s0)
 
     test_obj = VoltageFitObjective(params, ocv_p, ocv_n, box, test)
     test_loss = test_obj(result.best_theta).loss

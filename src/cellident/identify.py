@@ -4,8 +4,9 @@ The searched vector is theta = (k_p, k_n, D_e) inside an axis-aligned box.
 Optimizers work in normalized unit-cube coordinates; the loss is the plain
 sum of squared voltage residuals (V^2, no dt weighting) over every profile
 in the training set.  Simulations that leave the model's validity region
+(a non-finite voltage, or a squared residual beyond the penalty itself)
 contribute a large finite penalty instead of raising, so every optimizer
-sees a total function over the box.
+sees a total, bounded function over the box.
 
 The objective builds each profile's theta-free model terms (``ecm.fixed_terms``)
 on its first call and reuses them, so later calls only assemble the voltage.
@@ -187,7 +188,8 @@ class VoltageFitObjective:
 
     Calling with physical theta returns an ObjectiveEvaluation; the
     ``unit`` method is the float-valued unit-cube view the optimizers use.
-    Divergent simulations charge DIVERGENCE_PENALTY per failing profile.
+    Divergent simulations, and any profile whose squared residual exceeds
+    DIVERGENCE_PENALTY or overflows, charge DIVERGENCE_PENALTY.
     A divergence of the theta-free terms is remembered, since no theta can
     cure it; any other error is raised again on every call.
     """
@@ -201,7 +203,7 @@ class VoltageFitObjective:
         self.ocv_n = ocv_n
         self.box = box
         self.dataset = dataset
-        self.evaluations: list[ObjectiveEvaluation] = []
+        self.n_evaluations = 0   # numbers ObjectiveEvaluation.index
         self._fixed: dict[int, FixedTerms | None] = {}   # None: diverged
 
     def __call__(self, theta) -> ObjectiveEvaluation:
@@ -225,16 +227,17 @@ class VoltageFitObjective:
                 per.append(loss)
         ev = ObjectiveEvaluation(
             theta=theta, loss=float(sum(per)), per_profile=tuple(per),
-            index=len(self.evaluations), wall_time_s=time.perf_counter() - t0,
+            index=self.n_evaluations, wall_time_s=time.perf_counter() - t0,
             penalized=penalized,
         )
-        self.evaluations.append(ev)
+        self.n_evaluations += 1
         return ev
 
     def _profile_loss(self, i: int, model: DiscreteCellModel,
                       profile: CurrentProfile,
                       measured: VoltageSeries) -> float | None:
-        """Squared residual of profile ``i``; None when the simulation diverges."""
+        """Squared residual of profile ``i``; None when the simulation
+        diverges or the residual exceeds DIVERGENCE_PENALTY."""
         if i not in self._fixed:
             try:
                 terms = fixed_terms(model, profile)
@@ -248,7 +251,8 @@ class VoltageFitObjective:
             residual = assemble(model, terms).volts - measured.volts
         except SimulationDiverged:
             return None
-        return sum_of_squares(residual)
+        loss = sum_of_squares(residual)
+        return loss if loss <= DIVERGENCE_PENALTY else None   # inf, NaN too
 
     def unit(self, point) -> float:
         """Loss at a unit-cube point (the optimizer-facing view)."""
@@ -267,7 +271,13 @@ def save_profile_csv(path, profile: CurrentProfile, volts: VoltageSeries) -> Non
                header="time_s,current_A,voltage_V", fmt="%.12g")
 
 
-def load_profile_csv(path) -> tuple[CurrentProfile, VoltageSeries]:
+def _read_profile_table(path, columns_ok, columns: str):
+    """(table, dt) of a uniformly sampled CSV with a header row.
+
+    DataError when the file is missing or malformed, when its column names
+    fail ``columns_ok`` (the message asks for ``columns``), or when it has
+    fewer than two samples or an uneven ``time_s`` grid.
+    """
     path = Path(path)
     try:
         table = np.genfromtxt(path, delimiter=",", names=True)
@@ -275,9 +285,8 @@ def load_profile_csv(path) -> tuple[CurrentProfile, VoltageSeries]:
         raise DataError(f"profile file not found: {path}") from exc
     except ValueError as exc:
         raise DataError(f"profile file {path} is malformed: {exc}") from exc
-    expected = {"time_s", "current_A", "voltage_V"}
-    if table.dtype.names is None or set(table.dtype.names) != expected:
-        raise DataError(f"profile file {path} must have columns time_s,current_A,voltage_V")
+    if not columns_ok(set(table.dtype.names or ())):
+        raise DataError(f"profile file {path} must have columns {columns}")
     t = np.atleast_1d(table["time_s"])
     if t.size < 2:
         raise DataError(f"profile file {path} needs at least two samples")
@@ -285,9 +294,25 @@ def load_profile_csv(path) -> tuple[CurrentProfile, VoltageSeries]:
     dt = float(steps[0])
     if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
         raise DataError(f"profile file {path} is not uniformly sampled")
+    return table, dt
+
+
+def load_profile_csv(path) -> tuple[CurrentProfile, VoltageSeries]:
+    """A dataset file: exactly the columns time_s,current_A,voltage_V."""
+    expected = {"time_s", "current_A", "voltage_V"}
+    table, dt = _read_profile_table(path, lambda names: names == expected,
+                                    "time_s,current_A,voltage_V")
     profile = CurrentProfile(dt=dt, current=np.atleast_1d(table["current_A"]))
     volts = VoltageSeries(dt=dt, volts=np.atleast_1d(table["voltage_V"]))
     return profile, volts
+
+
+def load_current_csv(path) -> CurrentProfile:
+    """An excitation file: columns time_s,current_A, others ignored."""
+    table, dt = _read_profile_table(
+        path, lambda names: {"time_s", "current_A"} <= names,
+        "time_s,current_A")
+    return CurrentProfile(dt=dt, current=np.atleast_1d(table["current_A"]))
 
 
 def save_dataset(out_dir, train: IdentificationDataset,

@@ -104,3 +104,22 @@ def solve_posterior():
             return float(mean[0]), float(var[0])
         return mean, var
     return posterior
+
+
+class _Counted:
+    """A unit-cube objective that counts the calls it receives."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.count = 0
+
+    def __call__(self, point):
+        self.count += 1
+        return self.fn(point)
+
+
+@pytest.fixture(scope="session")
+def counted():
+    """``counted(fn)`` wraps an objective so a test can check that an
+    optimizer called the raw objective exactly ``budget`` times."""
+    return _Counted

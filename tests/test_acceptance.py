@@ -15,7 +15,7 @@ from scipy.stats import mannwhitneyu
 from cellident import gp
 from cellident.baselines import random_search
 from cellident.bayesopt import BoRunConfig, expected_improvement, run_bo
-from cellident.bench import CountingObjective, default_config, run_benchmark
+from cellident.bench import default_config, run_benchmark
 from cellident.ecm import (
     TrapezoidIntegrator,
     build_model,
@@ -157,7 +157,7 @@ def test_3_simulator_invariants(cell, i_1c, capsys):
              f"{orders[0]:.2f}/{orders[1]:.2f} (min 1.0); {elapsed:.1f}s")
 
 
-def test_4_parameter_recovery(cell, box, train_dataset, capsys):
+def test_4_parameter_recovery(cell, box, train_dataset, counted, capsys):
     """BO at a 200-evaluation budget recovers the generating parameters."""
     t0 = time.perf_counter()
     params, ocv_p, ocv_n = cell
@@ -167,7 +167,7 @@ def test_4_parameter_recovery(cell, box, train_dataset, capsys):
     successes = 0
     worst_errors = []
     for rep_seed in np.random.SeedSequence(20260817).spawn(10):
-        counter = CountingObjective(objective.unit, limit=200)
+        counter = counted(objective.unit)
         result = run_bo(counter, BoRunConfig(box=box, budget=200,
                                              seed=rep_seed, s0=10))
         assert counter.count == 200

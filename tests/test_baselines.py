@@ -10,7 +10,6 @@ from cellident.baselines import (
     pso,
     random_search,
 )
-from cellident.bench import CountingObjective
 from cellident.identify import ParameterBox
 
 
@@ -45,8 +44,8 @@ class TestGradientDescent:
         assert np.all(np.abs(unit_best - 0.3) < 0.1)
 
     @pytest.mark.parametrize("budget", [4, 5, 7, 30])
-    def test_budget_consumed_exactly(self, cube2, budget):
-        counter = CountingObjective(bowl, limit=budget)
+    def test_budget_consumed_exactly(self, cube2, budget, counted):
+        counter = counted(bowl)
         result = gradient_descent(counter, cube2,
                                   GdConfig(budget=budget, seed=2))
         assert counter.count == budget
@@ -139,8 +138,9 @@ class TestPso:
         assert result.best_loss < 0.01
 
     @pytest.mark.parametrize("budget", [10, 23, 40])
-    def test_budget_exact_with_partial_generation(self, cube3, budget):
-        counter = CountingObjective(bowl, limit=budget)
+    def test_budget_exact_with_partial_generation(self, cube3, budget,
+                                                  counted):
+        counter = counted(bowl)
         result = pso(counter, cube3, PsoConfig(budget=budget, seed=5))
         assert counter.count == budget
         assert result.evaluations_used == budget
@@ -174,8 +174,8 @@ class TestPso:
 
 
 class TestRandomSearch:
-    def test_budget_and_box(self, cube3):
-        counter = CountingObjective(bowl, limit=17)
+    def test_budget_and_box(self, cube3, counted):
+        counter = counted(bowl)
         result = random_search(counter, cube3, budget=17, seed=3)
         assert counter.count == 17
         assert result.evaluations_used == 17

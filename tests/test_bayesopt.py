@@ -8,14 +8,13 @@ import cellident.gp as gp
 from cellident.bayesopt import (
     AcquisitionConfig,
     BoRunConfig,
-    export_trace,
     maximize_acquisition,
     run_bo,
 )
-from cellident.bench import CountingObjective
 from cellident.errors import SingularKernel
 from cellident.gp import fit
 from cellident.identify import ParameterBox
+from cellident.runs import export_trace
 from cellident.sampling import HaltonSampler
 
 
@@ -51,8 +50,8 @@ class TestConfig:
 
 class TestBudget:
     @pytest.mark.parametrize("budget,s0", [(1, 1), (5, 5), (10, 10), (23, 10)])
-    def test_exact_consumption(self, cube, budget, s0):
-        counter = CountingObjective(sphere, limit=budget)
+    def test_exact_consumption(self, cube, budget, s0, counted):
+        counter = counted(sphere)
         result = run_bo(counter, BoRunConfig(box=cube, budget=budget,
                                              seed=3, s0=s0))
         assert counter.count == budget
@@ -117,12 +116,13 @@ class TestNotesAndFallback:
         assert result.method == "bo"
         assert result.wall_time_s > 0.0
 
-    def test_singular_surrogate_falls_back_to_random(self, cube, monkeypatch):
+    def test_singular_surrogate_falls_back_to_random(self, cube, monkeypatch,
+                                                     counted):
         def broken_fit(*args, **kwargs):
             raise SingularKernel("forced")
 
         monkeypatch.setattr(bayesopt.gp, "fit", broken_fit)
-        counter = CountingObjective(sphere, limit=18)
+        counter = counted(sphere)
         result = run_bo(counter, BoRunConfig(box=cube, budget=18, seed=4, s0=6))
         assert counter.count == 18
         assert result.notes["surrogate_fallbacks"] == 12

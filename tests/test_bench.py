@@ -5,11 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from cellident import bench
 from cellident.bench import (
     BenchmarkReport,
-    CountingObjective,
     ExperimentConfig,
     ProfileSpec,
     check_step_resolution,
@@ -23,7 +24,7 @@ from cellident.bench import (
 )
 from cellident.ecm import simulate
 from cellident.errors import ConfigError, DataError, SocWindowViolation, StepTooCoarse
-from cellident.identify import ParameterBox, default_box
+from cellident.identify import THETA_NAMES, ParameterBox, default_box
 from cellident.params import reference_cell_path
 
 
@@ -109,6 +110,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             default_config(**overrides)
 
+    @pytest.mark.parametrize("names,lower,match", [
+        (["k_n", "k_p", "D_e"], [2.0e-11, 2.8e-11, 1.6e-10], "box names"),
+        (["k_p", "k_n", "R_s"], [2.0e-11, 2.8e-11, 1.6e-10], "box names"),
+        (["k_p", "k_n", "D_e"], [-1e-11, 2.8e-11, 1.6e-10], "lower bounds"),
+        (["k_p", "k_n", "D_e"], [2.0e-11, 2.8e-11, 0.0], "lower bounds"),
+    ])
+    def test_box_validation(self, names, lower, match):
+        box = {"names": names, "lower": lower,
+               "upper": [4.5e-11, 5.6e-11, 4.0e-10]}
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict({"box": box})
+
     def test_dict_round_trip(self, tiny_config):
         rebuilt = ExperimentConfig.from_dict(tiny_config.to_dict())
         assert rebuilt.to_dict() == tiny_config.to_dict()
@@ -177,7 +190,7 @@ class TestStepResolution:
         box = default_box().to_dict()
         box["upper"][2] = 1e-8
         runs = []
-        monkeypatch.setattr(bench, "_run_method",
+        monkeypatch.setattr(bench, "run_method",
                             lambda *args: runs.append(args))
         with pytest.raises(ConfigError, match="upper D_e = 1e-08"):
             run_benchmark(default_config(box=ParameterBox.from_dict(box)),
@@ -258,22 +271,6 @@ class TestGenerateSyntheticDataset:
                                        [profile], 0.0, seed=0)
 
 
-class TestCountingObjective:
-    def test_counts_and_enforces_limit(self):
-        counter = CountingObjective(lambda u: 1.0, limit=3)
-        for _ in range(3):
-            counter(np.zeros(2))
-        assert counter.count == 3
-        with pytest.raises(RuntimeError, match="budget"):
-            counter(np.zeros(2))
-
-    def test_unlimited_by_default(self):
-        counter = CountingObjective(lambda u: 1.0)
-        for _ in range(100):
-            counter(np.zeros(2))
-        assert counter.count == 100
-
-
 class TestRunBenchmark:
     def test_rows_and_budget(self, tiny_run):
         report, _ = tiny_run
@@ -336,9 +333,13 @@ class TestRunBenchmark:
                 first[method] = lines[1].split(",")[1:4]
             assert first["gd"] == first["pso"]
 
-    def test_failure_recorded_not_raised(self):
+    def test_failure_recorded_not_raised(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("forced optimizer failure")
+
+        monkeypatch.setattr(bench, "gradient_descent", broken)
         config = default_config(
-            methods=("gd",), budget=2, s0=2, repetitions=1,
+            methods=("gd",), budget=6, s0=2, repetitions=1,
             train_profiles=(ProfileSpec(kind="rcid-like", duration_s=600.0,
                                         dt_s=1.0),),
             test_profiles=(ProfileSpec(kind="rcid-like", duration_s=600.0,
@@ -353,6 +354,111 @@ class TestRunBenchmark:
         assert agg["n_ok"] == 0
         assert agg["train_mean"] is None
         report.validate()  # aggregates with no surviving rows still check out
+
+
+class TestBudgetMinimums:
+    @pytest.mark.parametrize("methods,budget", [
+        (("bo", "gd", "pso"), 4), (("gd",), 4), (("pso",), 9)])
+    def test_rejected_before_any_run(self, tmp_path, monkeypatch, methods,
+                                     budget):
+        runs = []
+        monkeypatch.setattr(bench, "run_method",
+                            lambda *args: runs.append(args))
+        config = default_config(methods=methods, budget=budget, s0=2)
+        with pytest.raises(ConfigError, match="minimum"):
+            run_benchmark(config, out_dir=tmp_path)
+        assert runs == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_minimum_itself_runs(self):
+        config = default_config(
+            methods=("gd", "random"), budget=5, s0=2, repetitions=1,
+            train_profiles=(ProfileSpec(kind="rcid-like", duration_s=200.0,
+                                        dt_s=1.0),),
+            test_profiles=(ProfileSpec(kind="rcid-like", duration_s=200.0,
+                                       dt_s=1.0),))
+        rows = run_benchmark(config).results["rows"]
+        assert [(r["method"], r["failed"], r["evaluations"]) for r in rows] \
+            == [("gd", False, 5), ("random", False, 5)]
+
+
+# half the factors near the default box, so some examples get past every
+# rejection and reach a full run
+_FACTORS = st.one_of(st.floats(0.5, 1.5), st.floats(-1.0, 10.0))
+_NAMES = st.one_of(st.just(THETA_NAMES),   # any 3 of THETA_NAMES + 1 unknown
+                   st.permutations(THETA_NAMES + ("R_s",)).map(
+                       lambda names: names[:3]))
+
+
+@st.composite
+def _raw_configs(draw):
+    """Config dicts: bounds at -1..10x the default box's, linear or log,
+    permuted or unknown names, budgets 2..12 and profiles of 100-300 dt."""
+    base = default_box()
+    factors = [sorted(draw(st.lists(_FACTORS, min_size=2, max_size=2)))
+               for _ in THETA_NAMES]
+    budget = draw(st.integers(2, 12))
+    dt = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+    spec = {"kind": draw(st.sampled_from(["rcid-like", "drive-cycle-like"])),
+            "duration_s": dt * draw(st.integers(100, 300)), "dt_s": dt}
+    return {
+        "box": {"names": list(draw(_NAMES)),
+                "lower": [a * v for (a, _), v in zip(factors, base.lower)],
+                "upper": [b * v for (_, b), v in zip(factors, base.upper)],
+                "scales": draw(st.lists(st.sampled_from(["linear", "log"]),
+                                        min_size=3, max_size=3))},
+        "methods": draw(st.lists(st.sampled_from(["bo", "gd", "pso", "random"]),
+                                 min_size=1, max_size=4, unique=True)),
+        "budget": budget,
+        "s0": draw(st.integers(1, budget)),
+        "repetitions": 1,
+        "noise_sigma_v": draw(st.sampled_from([0.0, 1e-3])),
+        "master_seed": draw(st.integers(0, 2**32 - 1)),
+        "train_profiles": [spec],
+        "test_profiles": [spec],
+    }
+
+
+class TestEveryLoadedConfigRuns:
+    """A config either fails to load or run_benchmark rejects it with a
+    ConfigError before any row; otherwise no row fails."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=_raw_configs())
+    def test_runs_or_rejected_up_front(self, raw):
+        try:
+            report = run_benchmark(ExperimentConfig.from_dict(raw))
+        except ConfigError:
+            event("rejected")
+            return
+        event("ran")
+        failed = [r for r in report.results["rows"] if r["failed"]]
+        assert failed == []
+
+    @pytest.mark.parametrize("lower,upper,scales", [
+        # found by the property: denormal lower bounds overflow the loss
+        ([3e-11, 6.2302e-319, 3.56012e-318], [3.6e-10, 4.5e-10, 3.2e-9],
+         ["log", "log", "log"]),
+        ([3e-11, 6.2302e-319, 8.4e-11], [1.5e-10, 4.5e-10, 1.3e-9],
+         ["log", "linear", "linear"]),
+        # ten times the default box
+        ([2e-10, 2.8e-10, 1.6e-9], [4.5e-10, 5.6e-10, 4e-9],
+         ["linear", "linear", "linear"]),
+    ])
+    @pytest.mark.filterwarnings(   # the overflow is charged the penalty
+        "ignore:overflow encountered in dot:RuntimeWarning")
+    def test_extreme_boxes_run(self, lower, upper, scales):
+        spec = {"kind": "drive-cycle-like", "duration_s": 29.4, "dt_s": 0.1}
+        raw = {"box": {"names": list(THETA_NAMES), "lower": lower,
+                       "upper": upper, "scales": scales},
+               "methods": ["bo", "random"], "budget": 8, "s0": 5,
+               "repetitions": 1, "noise_sigma_v": 1e-3,
+               "master_seed": 20260817,
+               "train_profiles": [spec], "test_profiles": [spec]}
+        rows = run_benchmark(ExperimentConfig.from_dict(raw)).results["rows"]
+        assert [(r["method"], r["failed"]) for r in rows] == [
+            ("bo", False), ("random", False)]
 
 
 class TestReportValidation:
@@ -371,6 +477,22 @@ class TestReportValidation:
         bad.write_text(json.dumps(doc))
         with pytest.raises(DataError):
             BenchmarkReport.load(bad)
+
+    @pytest.mark.parametrize("edit", ["theta", "truth"])
+    def test_checksum_verified_on_load(self, tiny_run, tmp_path, edit):
+        _, out_dir = tiny_run
+        doc = json.loads((out_dir / "report.json").read_text())
+        if edit == "theta":
+            doc["results"]["rows"][0]["theta"]["D_e"] *= 2.0
+        else:
+            doc["results"]["truth"]["k_n"] *= 2.0
+        bad = tmp_path / "edited.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="body_sha256"):
+            BenchmarkReport.load(bad)
+        del doc["meta"]["body_sha256"]   # no checksum: only rows are checked
+        bad.write_text(json.dumps(doc))
+        assert BenchmarkReport.load(bad).results == doc["results"]
 
     def test_missing_sections_rejected(self, tmp_path):
         path = tmp_path / "empty.json"

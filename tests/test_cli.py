@@ -235,6 +235,67 @@ class TestBenchAndReport:
         assert not (out / "report.json").exists()
 
 
+_BAD_BOXES = {
+    "permuted names": {"names": ["k_n", "k_p", "D_e"],
+                       "lower": [2.0e-11, 2.8e-11, 1.6e-10],
+                       "upper": [4.5e-11, 5.6e-11, 4.0e-10]},
+    "negative lower k_p": {"names": ["k_p", "k_n", "D_e"],
+                           "lower": [-1e-11, 2.8e-11, 1.6e-10],
+                           "upper": [4.5e-11, 5.6e-11, 4.0e-10]},
+}
+
+
+class TestRejectedUpFront:
+    """Configs and budgets that cannot run exit 2 and write nothing."""
+
+    @pytest.mark.parametrize("case", sorted(_BAD_BOXES))
+    @pytest.mark.parametrize("verb", ["bench", "identify"])
+    def test_bad_box(self, runner, dataset_dir, tmp_path, verb, case):
+        config = tmp_path / "box.json"
+        config.write_text(json.dumps({"box": _BAD_BOXES[case]}))
+        out = tmp_path / "out"
+        data = (["--data", str(dataset_dir / "manifest.json")]
+                if verb == "identify" else [])
+        result = runner.invoke(main, [verb, "--config", str(config), *data,
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config error: box" in result.output
+        assert not out.exists()
+
+    def test_bench_budget_below_pso_swarm(self, runner, config_path,
+                                          tmp_path):
+        out = tmp_path / "b"
+        result = runner.invoke(main, [
+            "bench", "--config", str(config_path), "--budget", "4",
+            "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "below the gd minimum of 5" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method,code", [("pso", 2), ("gd", 2),
+                                             ("bo", 0), ("random", 0)])
+    def test_identify_budget_checked_for_its_method(
+            self, runner, config_path, dataset_dir, tmp_path, method, code):
+        out = tmp_path / "fit"
+        result = runner.invoke(main, [
+            "identify", "--config", str(config_path),
+            "--data", str(dataset_dir / "manifest.json"),
+            "--method", method, "--budget", "4", "--out", str(out)])
+        assert result.exit_code == code, result.output
+        assert out.exists() == (code == 0)
+
+    def test_report_with_edited_row_exits_3(self, runner, bench_dir,
+                                            tmp_path):
+        doc = json.loads((bench_dir / "report.json").read_text())
+        doc["results"]["rows"][0]["theta"]["k_p"] *= 1.01
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        result = runner.invoke(main, [
+            "report", "--report", str(edited), "--out", str(tmp_path / "re")])
+        assert result.exit_code == 3, result.output
+        assert "body_sha256" in result.output
+
+
 class TestDeterminismThroughCli:
     def test_same_seed_same_voltages(self, runner, tmp_path):
         outputs = []

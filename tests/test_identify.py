@@ -18,6 +18,7 @@ from cellident.identify import (
     ParameterBox,
     VoltageFitObjective,
     default_box,
+    load_current_csv,
     load_dataset,
     load_profile_csv,
     save_dataset,
@@ -152,7 +153,7 @@ class TestObjective:
         e1 = objective(box.lower.copy())
         assert (e0.index, e1.index) == (0, 1)
         assert e0.wall_time_s > 0.0
-        assert len(objective.evaluations) == 2
+        assert objective.n_evaluations == 2
 
     def test_unit_view_clips_and_returns_float(self, cell, box, short_dataset):
         params, ocv_p, ocv_n = cell
@@ -173,6 +174,20 @@ class TestObjective:
         evaluation = objective(box.midpoint())
         assert evaluation.penalized
         assert evaluation.loss == 2.0 * DIVERGENCE_PENALTY
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-300])
+    def test_residual_beyond_the_penalty_is_charged_the_penalty(
+            self, cell, box, short_dataset, scale):
+        """A tiny k_n makes the voltage huge but finite; its squared
+        residual (1e-300: one that overflows) is charged the penalty."""
+        params, ocv_p, ocv_n = cell
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, box,
+                                        short_dataset)
+        theta = np.array([params.k_p, scale * params.k_n, params.D_e])
+        with np.errstate(over="ignore"):
+            evaluation = objective(theta)
+        assert evaluation.penalized
+        assert evaluation.per_profile == (DIVERGENCE_PENALTY,)
 
     def test_wrong_box_names_rejected(self, cell, short_dataset):
         params, ocv_p, ocv_n = cell
@@ -280,7 +295,7 @@ class TestFixedTermCache:
             with pytest.raises(DataError, match="outside table range"):
                 objective(box.midpoint())
         assert built == 3 * [pair.profiles[0]]
-        assert objective.evaluations == []
+        assert objective.n_evaluations == 0
 
 
 class TestProfileCsv:
@@ -311,6 +326,27 @@ class TestProfileCsv:
         uneven.write_text("time_s,current_A,voltage_V\n0,1,3\n1,1,3\n3,1,3\n")
         with pytest.raises(DataError, match="uniformly"):
             load_profile_csv(uneven)
+
+    def test_column_rules(self, tmp_path):
+        """Dataset files need exactly three columns; an excitation file needs
+        time_s and current_A and may carry others."""
+        extra = tmp_path / "extra.csv"
+        extra.write_text("time_s,current_A,voltage_V,temp_C\n"
+                         "0,1,3,25\n0.5,2,3,25\n")
+        with pytest.raises(DataError,
+                           match="columns time_s,current_A,voltage_V"):
+            load_profile_csv(extra)
+        profile = load_current_csv(extra)
+        assert profile.dt == 0.5
+        np.testing.assert_array_equal(profile.current, [1.0, 2.0])
+        no_current = tmp_path / "no_current.csv"
+        no_current.write_text("time_s,voltage_V\n0,3\n1,3\n")
+        with pytest.raises(DataError, match="columns time_s,current_A"):
+            load_current_csv(no_current)
+        single = tmp_path / "single.csv"
+        single.write_text("time_s,current_A\n0,1\n")
+        with pytest.raises(DataError, match="two samples"):
+            load_current_csv(single)
 
 
 class TestDatasetIo:
