@@ -19,6 +19,7 @@ from .bench import (
     ProfileSpec,
     default_config,
     export_report,
+    fit_and_score,
     generate_profile,
     generate_synthetic_dataset,
     one_c_current,

@@ -16,40 +16,36 @@ from .identify import ParameterBox
 from .runs import OptimizationResult, Recorder
 
 
+# GD: fixed step length and forward-difference probe distance, unit coordinates
+GD_STEP = 0.05
+GD_PROBE = 1e-3
+
+# PSO: global-best swarm with standard constriction-style coefficients
+PSO_SWARM = 10
+PSO_INERTIA = 0.729
+PSO_COGNITIVE = 1.49445
+PSO_SOCIAL = 1.49445
+PSO_V_MAX = 0.5   # velocity clamp, unit coordinates
+
+
 @dataclass(frozen=True)
 class GdConfig:
-    """Fixed-step normalized-gradient descent settings (unit coordinates)."""
+    """One gradient-descent run: evaluation budget and start seed."""
 
     budget: int
     seed: int
-    alpha: float = 0.05    # step length per iteration
-    epsilon: float = 1e-3  # forward-difference probe distance
-
-    def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be > 0")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
 
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Global-best PSO with standard constriction-style coefficients."""
+    """One PSO run: evaluation budget (at least one swarm) and seed."""
 
     budget: int
     seed: int
-    swarm_size: int = 10
-    inertia: float = 0.729
-    cognitive: float = 1.49445
-    social: float = 1.49445
-    v_max: float = 0.5     # velocity clamp, unit coordinates
 
     def __post_init__(self):
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
-        if self.budget < self.swarm_size:
-            raise ValueError(
-                f"budget {self.budget} below swarm size {self.swarm_size}")
+        if self.budget < PSO_SWARM:
+            raise ValueError(f"budget {self.budget} below swarm size {PSO_SWARM}")
 
 
 def min_budget(method: str, n: int) -> int:
@@ -58,7 +54,7 @@ def min_budget(method: str, n: int) -> int:
     if method == "gd":
         return n + 2
     if method == "pso":
-        return PsoConfig.swarm_size
+        return PSO_SWARM
     return 1
 
 
@@ -85,20 +81,20 @@ def gradient_descent(objective, box: ParameterBox,
     while evaluate.remaining:
         grad = np.zeros(n)
         for i in range(min(n, evaluate.remaining)):
-            if theta[i] + config.epsilon <= 1.0:
+            if theta[i] + GD_PROBE <= 1.0:
                 probe, sign = theta.copy(), 1.0
-                probe[i] += config.epsilon
+                probe[i] += GD_PROBE
             else:  # flip backward at the upper edge
                 probe, sign = theta.copy(), -1.0
-                probe[i] -= config.epsilon
-            grad[i] = sign * (evaluate(probe) - f_theta) / config.epsilon
+                probe[i] -= GD_PROBE
+            grad[i] = sign * (evaluate(probe) - f_theta) / GD_PROBE
         norm = float(np.linalg.norm(grad))
         if norm > 0.0 and evaluate.remaining:
-            theta = np.clip(theta - config.alpha * grad / norm, 0.0, 1.0)
+            theta = np.clip(theta - GD_STEP * grad / norm, 0.0, 1.0)
             f_theta = evaluate(theta)
         # norm == 0: hold position; probes above were still charged
 
-    return evaluate.result("gd", alpha=config.alpha, epsilon=config.epsilon)
+    return evaluate.result("gd")
 
 
 def pso(objective, box: ParameterBox, config: PsoConfig) -> OptimizationResult:
@@ -107,7 +103,7 @@ def pso(objective, box: ParameterBox, config: PsoConfig) -> OptimizationResult:
     The final generation may be partial so the budget is consumed exactly;
     velocities start at zero.
     """
-    n, m = box.n, config.swarm_size
+    n, m = box.n, PSO_SWARM
     rng = np.random.default_rng(config.seed)
     evaluate = Recorder(objective, box, config.budget)
 
@@ -126,13 +122,13 @@ def pso(objective, box: ParameterBox, config: PsoConfig) -> OptimizationResult:
         gbest = pbest[int(np.argmin(pbest_f))].copy()
         r1 = rng.uniform(size=(m, n))
         r2 = rng.uniform(size=(m, n))
-        vel = (config.inertia * vel
-               + config.cognitive * r1 * (pbest - pos)
-               + config.social * r2 * (gbest - pos))
-        np.clip(vel, -config.v_max, config.v_max, out=vel)
+        vel = (PSO_INERTIA * vel
+               + PSO_COGNITIVE * r1 * (pbest - pos)
+               + PSO_SOCIAL * r2 * (gbest - pos))
+        np.clip(vel, -PSO_V_MAX, PSO_V_MAX, out=vel)
         pos = np.clip(pos + vel, 0.0, 1.0)
 
-    return evaluate.result("pso", swarm_size=m)
+    return evaluate.result("pso")
 
 
 def random_search(objective, box: ParameterBox, budget: int,

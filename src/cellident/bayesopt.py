@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -93,6 +93,9 @@ class AcquisitionConfig:
             raise ValueError("need 0 < step_final <= step_init")
 
 
+ACQUISITION = AcquisitionConfig()   # the settings every BO run uses
+
+
 @dataclass(frozen=True)
 class BoRunConfig:
     """Outer-loop settings: initial design size, budget, seed, search box."""
@@ -101,8 +104,6 @@ class BoRunConfig:
     budget: int
     seed: int
     s0: int = 10
-    acquisition: AcquisitionConfig = field(default_factory=AcquisitionConfig)
-    standardize: bool = True   # internal value standardization in the GP
 
     def __post_init__(self):
         if self.s0 < 1:
@@ -179,10 +180,9 @@ def run_bo(objective, config: BoRunConfig) -> OptimizationResult:
         losses = evaluate.losses()
         try:
             with one_blas_thread():   # small matrices: one thread is faster
-                state = gp.fit(np.vstack(evaluate.points), losses,
-                               standardize=config.standardize)
-                nxt = maximize_acquisition(state, box, config.acquisition,
-                                           rng, sampler, float(np.min(losses)))
+                state = gp.fit(np.vstack(evaluate.points), losses)
+                nxt = maximize_acquisition(state, box, ACQUISITION, rng,
+                                           sampler, float(np.min(losses)))
         except (SingularKernel, DuplicatePoint) as exc:
             fallbacks += 1
             log.warning("surrogate fit failed (%s); falling back to a "

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -42,6 +43,7 @@ from .identify import (
     ParameterBox,
     VoltageFitObjective,
     default_box,
+    is_number,
     save_dataset,
 )
 from .ocv import OcvCurve
@@ -62,6 +64,17 @@ def one_c_current(params: CellParameters) -> float:
 
 # ---------------------------------------------------------------------------
 # configuration
+
+def _json_number(raw: dict, key: str, kind=float):
+    """``raw[key]`` as ``kind``: an int only from a JSON integer, a float
+    from any finite JSON number.  A bool is neither; ConfigError otherwise."""
+    value = raw[key]
+    if not (is_number(value) and (isinstance(value, int) if kind is int
+                                  else math.isfinite(value))):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return kind(value)
+
 
 @dataclass(frozen=True)
 class ProfileSpec:
@@ -91,8 +104,8 @@ class ProfileSpec:
         missing = known - set(raw)
         if missing:
             raise ConfigError(f"profile spec missing keys: {sorted(missing)}")
-        return cls(kind=raw["kind"], duration_s=float(raw["duration_s"]),
-                   dt_s=float(raw["dt_s"]))
+        return cls(kind=raw["kind"], duration_s=_json_number(raw, "duration_s"),
+                   dt_s=_json_number(raw, "dt_s"))
 
 
 @dataclass(frozen=True)
@@ -122,8 +135,11 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in METHODS + ("random",)]
         if bad:
             raise ConfigError(f"unknown methods: {bad}")
-        if self.noise_sigma_v < 0.0:
-            raise ConfigError("noise_sigma_v must be >= 0")
+        if not (math.isfinite(self.noise_sigma_v) and self.noise_sigma_v >= 0.0):
+            raise ConfigError("noise_sigma_v must be finite and >= 0, got "
+                              f"{self.noise_sigma_v}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 1 <= self.s0 <= self.budget:
             raise ConfigError("need 1 <= s0 <= budget")
         if not self.train_profiles or not self.test_profiles:
@@ -136,47 +152,37 @@ class ExperimentConfig:
                               f"{self.box.lower.tolist()}")
 
     def to_dict(self) -> dict:
-        return {
-            "parameter_file": self.parameter_file,
-            "box": self.box.to_dict(),
-            "methods": list(self.methods),
-            "budget": self.budget,
-            "repetitions": self.repetitions,
-            "noise_sigma_v": self.noise_sigma_v,
-            "master_seed": self.master_seed,
-            "s0": self.s0,
-            "train_profiles": [p.to_dict() for p in self.train_profiles],
-            "test_profiles": [p.to_dict() for p in self.test_profiles],
-        }
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {**fields, "box": self.box.to_dict(), "methods": list(self.methods),
+                "train_profiles": [p.to_dict() for p in self.train_profiles],
+                "test_profiles": [p.to_dict() for p in self.test_profiles]}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {"parameter_file", "box", "methods", "budget", "repetitions",
-                 "noise_sigma_v", "master_seed", "s0", "train_profiles",
-                 "test_profiles"}
-        unknown = set(raw) - known
+        """The config a JSON object describes; ConfigError on an unknown
+        key, a value of the wrong JSON type or a value out of range."""
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        if "box" in raw:
-            try:
-                kwargs["box"] = ParameterBox.from_dict(raw["box"])
-            except DataError as exc:
-                raise ConfigError(str(exc)) from exc
-        else:
-            kwargs["box"] = default_box()
-        if "parameter_file" in raw:
-            kwargs["parameter_file"] = raw["parameter_file"]
-        if "methods" in raw:
-            kwargs["methods"] = tuple(raw["methods"])
-        for key in ("budget", "repetitions", "s0", "master_seed"):
-            if key in raw:
-                kwargs[key] = int(raw[key])
-        if "noise_sigma_v" in raw:
-            kwargs["noise_sigma_v"] = float(raw["noise_sigma_v"])
-        for key in ("train_profiles", "test_profiles"):
-            if key in raw:
-                kwargs[key] = tuple(ProfileSpec.from_dict(p) for p in raw[key])
+        kwargs = {key: _json_number(raw, key, int) for key in
+                  ("budget", "repetitions", "s0", "master_seed") if key in raw}
+        try:
+            kwargs["box"] = (ParameterBox.from_dict(raw["box"]) if "box" in raw
+                             else default_box())
+            if "parameter_file" in raw:
+                kwargs["parameter_file"] = raw["parameter_file"]
+            if "methods" in raw:
+                kwargs["methods"] = tuple(raw["methods"])
+            if "noise_sigma_v" in raw:
+                kwargs["noise_sigma_v"] = _json_number(raw, "noise_sigma_v")
+            for key in ("train_profiles", "test_profiles"):
+                if key in raw:
+                    kwargs[key] = tuple(ProfileSpec.from_dict(p)
+                                        for p in raw[key])
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
         return cls(**kwargs)
 
     @classmethod
@@ -441,6 +447,20 @@ def run_method(method: str, objective, box: ParameterBox, budget: int,
     raise ConfigError(f"unknown method {method!r}")
 
 
+def fit_and_score(method: str, train_objective: VoltageFitObjective,
+                  test_objective: VoltageFitObjective, budget: int, seed,
+                  s0: int) -> tuple[dict, OptimizationResult]:
+    """Run ``method`` on ``train_objective``, score its best theta on
+    ``test_objective``; returns a benchmark row's result fields and the run."""
+    box = train_objective.box
+    result = run_method(method, train_objective.unit, box, budget, seed, s0)
+    return {"train_loss_V2": result.best_loss,
+            "test_loss_V2": test_objective(result.best_theta).loss,
+            "evaluations": result.evaluations_used,
+            "theta": dict(zip(box.names, map(float, result.best_theta))),
+            }, result
+
+
 def run_benchmark(config: ExperimentConfig,
                   out_dir=None) -> BenchmarkReport:
     """Full protocol: data generation, method x repetition sweep, report.
@@ -477,18 +497,12 @@ def run_benchmark(config: ExperimentConfig,
             try:
                 train_obj = VoltageFitObjective(params, ocv_p, ocv_n,
                                                 config.box, train_ds)
-                result = run_method(method, train_obj.unit, config.box,
-                                    config.budget, rep_seeds[rep], config.s0)
                 test_obj = VoltageFitObjective(params, ocv_p, ocv_n,
                                                config.box, test_ds)
-                test_loss = test_obj(result.best_theta).loss
-                row.update(
-                    train_loss_V2=result.best_loss,
-                    test_loss_V2=test_loss,
-                    evaluations=result.evaluations_used,
-                    theta={name: float(v) for name, v in
-                           zip(config.box.names, result.best_theta)},
-                )
+                fields, result = fit_and_score(
+                    method, train_obj, test_obj, config.budget,
+                    rep_seeds[rep], config.s0)
+                row.update(fields)
                 if out_dir is not None:
                     export_trace(result, config.box,
                                  out_dir / f"trace_{method}_rep{rep}.csv")
@@ -546,10 +560,7 @@ def export_report(report: BenchmarkReport, out_dir, formats=("csv", "json"),
     holds one row per method x repetition.
     """
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IOError(f"cannot create output directory {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     if "json" in formats:

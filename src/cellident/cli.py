@@ -22,10 +22,10 @@ from .bench import (
     check_step_resolution,
     default_config,
     export_report,
+    fit_and_score,
     generate_profile,
     resolve_cell,
     run_benchmark,
-    run_method,
 )
 from .ecm import simulate
 from .errors import CellIdentError, ConfigError, DataError
@@ -67,9 +67,8 @@ def main():
 
 
 def _load_config(config_path) -> ExperimentConfig:
-    if config_path is None:
-        return default_config()
-    return ExperimentConfig.from_json(config_path)
+    return (default_config() if config_path is None
+            else ExperimentConfig.from_json(config_path))
 
 
 def _apply_overrides(config: ExperimentConfig, seed, budget, reps,
@@ -152,29 +151,19 @@ def identify_cmd(config_path, manifest_path, method, budget, seed, out_dir):
                           params, ocv_p, ocv_n)
     check_budget((method,), config.budget, box)
 
-    train_obj = VoltageFitObjective(params, ocv_p, ocv_n, box, train)
-    result = run_method(method, train_obj.unit, box, config.budget,
-                        config.master_seed, config.s0)
-
-    test_obj = VoltageFitObjective(params, ocv_p, ocv_n, box, test)
-    test_loss = test_obj(result.best_theta).loss
+    best, result = fit_and_score(
+        method, VoltageFitObjective(params, ocv_p, ocv_n, box, train),
+        VoltageFitObjective(params, ocv_p, ocv_n, box, test), config.budget,
+        config.master_seed, config.s0)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     export_trace(result, box, out / "trace.csv")
-    best = {
-        "method": method,
-        "theta": {name: float(v) for name, v in zip(box.names,
-                                                    result.best_theta)},
-        "train_loss_V2": result.best_loss,
-        "test_loss_V2": test_loss,
-        "evaluations": result.evaluations_used,
-    }
-    (out / "best_theta.json").write_text(json.dumps(best, indent=2,
-                                                    sort_keys=True) + "\n")
-    click.echo(f"{method}: train loss {result.best_loss:.6g} V^2, "
-               f"test loss {test_loss:.6g} V^2 "
-               f"({result.evaluations_used} evaluations)")
+    (out / "best_theta.json").write_text(json.dumps(
+        {"method": method, **best}, indent=2, sort_keys=True) + "\n")
+    click.echo(f"{method}: train loss {best['train_loss_V2']:.6g} V^2, "
+               f"test loss {best['test_loss_V2']:.6g} V^2 "
+               f"({best['evaluations']} evaluations)")
 
 
 @main.command("bench")
@@ -190,8 +179,8 @@ def bench_cmd(config_path, seed, budget, reps, method, out_dir):
     """Run the full benchmark protocol and write the report."""
     config = _apply_overrides(_load_config(config_path), seed, budget, reps,
                               method)
-    report = run_benchmark(config, out_dir=out_dir)
-    export_report(report, out_dir, formats=("csv", "json"))
+    report = run_benchmark(config, out_dir=out_dir)   # saves report.json
+    export_report(report, out_dir, formats=("csv",))
     for method_name in config.methods:
         agg = report.results["aggregates"][method_name]
         click.echo(f"{method_name}: test loss mean {_show(agg['test_mean'])} "

@@ -15,7 +15,6 @@ on its first call and reuses them, so later calls only assemble the voltage.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,6 +30,11 @@ from .profiles import CurrentProfile, VoltageSeries
 DIVERGENCE_PENALTY = 1.0e6   # V^2, charged when a proposed theta breaks the model
 
 THETA_NAMES = ("k_p", "k_n", "D_e")
+
+
+def is_number(value) -> bool:
+    """True for an int or float that JSON would hold as a number (no bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,9 @@ class ParameterBox:
             raise DataError("box bounds must be matching 1-D arrays")
         if len(names) != lower.size:
             raise DataError("box names and bounds disagree in length")
-        if not np.all(lower < upper):
-            raise DataError("box requires lower < upper in every dimension")
+        if not (np.all(np.isfinite([lower, upper])) and np.all(lower < upper)):
+            raise DataError("box requires finite bounds with lower < upper in "
+                            "every dimension")
         scales = tuple(self.scales) if self.scales else ("linear",) * lower.size
         if len(scales) != lower.size or any(s not in ("linear", "log") for s in scales):
             raise DataError("scales must be 'linear' or 'log' per dimension")
@@ -75,16 +80,15 @@ class ParameterBox:
                 hi[i] = np.log10(hi[i])
         return lo, hi
 
-    def normalize(self, theta, strict: bool = True) -> np.ndarray:
-        """Physical -> unit cube; OutOfBox outside the box when strict."""
+    def normalize(self, theta) -> np.ndarray:
+        """Physical -> unit cube; OutOfBox outside the box."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape[-1] != self.n:
             raise DimensionMismatch(
                 f"theta has dimension {theta.shape[-1]}, box has {self.n}")
-        if strict:
-            eps = 1e-12 * (np.abs(self.lower) + np.abs(self.upper))
-            if np.any(theta < self.lower - eps) or np.any(theta > self.upper + eps):
-                raise OutOfBox(f"theta {theta} outside box")
+        eps = 1e-12 * (np.abs(self.lower) + np.abs(self.upper))
+        if np.any(theta < self.lower - eps) or np.any(theta > self.upper + eps):
+            raise OutOfBox(f"theta {theta} outside box")
         work = theta.copy()
         for i, s in enumerate(self.scales):
             if s == "log":
@@ -92,13 +96,13 @@ class ParameterBox:
         lo, hi = self._edges()
         return (work - lo) / (hi - lo)
 
-    def denormalize(self, unit, strict: bool = True) -> np.ndarray:
-        """Unit cube -> physical; OutOfBox outside [0,1]^n when strict."""
+    def denormalize(self, unit) -> np.ndarray:
+        """Unit cube -> physical; OutOfBox outside [0,1]^n."""
         unit = np.asarray(unit, dtype=float)
         if unit.shape[-1] != self.n:
             raise DimensionMismatch(
                 f"point has dimension {unit.shape[-1]}, box has {self.n}")
-        if strict and (np.any(unit < -1e-12) or np.any(unit > 1.0 + 1e-12)):
+        if np.any(unit < -1e-12) or np.any(unit > 1.0 + 1e-12):
             raise OutOfBox(f"unit point {unit} outside [0,1]^n")
         lo, hi = self._edges()
         work = lo + unit * (hi - lo)
@@ -128,6 +132,11 @@ class ParameterBox:
         unknown = set(raw) - known
         if unknown:
             raise DataError(f"unknown box keys: {sorted(unknown)}")
+        for key in ("lower", "upper"):
+            values = raw.get(key, [])
+            if not (isinstance(values, list) and all(map(is_number, values))):
+                raise DataError(f"box {key} must be a list of numbers, got "
+                                f"{values!r}")
         try:
             return cls(
                 names=tuple(raw["names"]),
@@ -178,8 +187,6 @@ class ObjectiveEvaluation:
     theta: np.ndarray              # physical units
     loss: float                    # V^2, sum over profiles
     per_profile: tuple[float, ...]
-    index: int                     # 0-based evaluation counter
-    wall_time_s: float
     penalized: bool = False        # true when a divergence penalty was charged
 
 
@@ -191,7 +198,8 @@ class VoltageFitObjective:
     Divergent simulations, and any profile whose squared residual exceeds
     DIVERGENCE_PENALTY or overflows, charge DIVERGENCE_PENALTY.
     A divergence of the theta-free terms is remembered, since no theta can
-    cure it; any other error is raised again on every call.
+    cure it; any other error is raised again on every call.  Floating-point
+    warnings of a call are silenced: a theta that overflows is penalized.
     """
 
     def __init__(self, base: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
@@ -203,7 +211,6 @@ class VoltageFitObjective:
         self.ocv_n = ocv_n
         self.box = box
         self.dataset = dataset
-        self.n_evaluations = 0   # numbers ObjectiveEvaluation.index
         self._fixed: dict[int, FixedTerms | None] = {}   # None: diverged
 
     def __call__(self, theta) -> ObjectiveEvaluation:
@@ -211,27 +218,22 @@ class VoltageFitObjective:
         if theta.shape != (self.box.n,):
             raise DimensionMismatch(
                 f"theta has shape {theta.shape}, expected ({self.box.n},)")
-        t0 = time.perf_counter()
         params = self.base.replace(k_p=float(theta[0]), k_n=float(theta[1]),
                                    D_e=float(theta[2]))
         per = []
         penalized = False
-        for i, (profile, measured) in enumerate(
-                zip(self.dataset.profiles, self.dataset.voltages)):
-            model = build_model(params, self.ocv_p, self.ocv_n, profile.dt)
-            loss = self._profile_loss(i, model, profile, measured)
-            if loss is None:
-                per.append(DIVERGENCE_PENALTY)
-                penalized = True
-            else:
-                per.append(loss)
-        ev = ObjectiveEvaluation(
-            theta=theta, loss=float(sum(per)), per_profile=tuple(per),
-            index=self.n_evaluations, wall_time_s=time.perf_counter() - t0,
-            penalized=penalized,
-        )
-        self.n_evaluations += 1
-        return ev
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i, (profile, measured) in enumerate(
+                    zip(self.dataset.profiles, self.dataset.voltages)):
+                model = build_model(params, self.ocv_p, self.ocv_n, profile.dt)
+                loss = self._profile_loss(i, model, profile, measured)
+                if loss is None:
+                    per.append(DIVERGENCE_PENALTY)
+                    penalized = True
+                else:
+                    per.append(loss)
+        return ObjectiveEvaluation(theta=theta, loss=float(sum(per)),
+                                   per_profile=tuple(per), penalized=penalized)
 
     def _profile_loss(self, i: int, model: DiscreteCellModel,
                       profile: CurrentProfile,

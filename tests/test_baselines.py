@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from cellident.baselines import (
+    GD_PROBE,
+    PSO_SWARM,
+    PSO_V_MAX,
     GdConfig,
     PsoConfig,
     gradient_descent,
@@ -28,14 +31,6 @@ def bowl(u):
     return float(np.sum((np.asarray(u) - 0.3) ** 2))
 
 
-class TestGdConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GdConfig(budget=10, seed=0, alpha=0.0)
-        with pytest.raises(ValueError):
-            GdConfig(budget=10, seed=0, epsilon=-1.0)
-
-
 class TestGradientDescent:
     def test_converges_on_a_bowl(self, cube2):
         result = gradient_descent(bowl, cube2, GdConfig(budget=60, seed=1))
@@ -56,26 +51,29 @@ class TestGradientDescent:
             gradient_descent(bowl, cube2, GdConfig(budget=3, seed=0))
 
     def test_probe_direction_rule(self, cube2):
-        """Forward-difference probes flip backward at the upper box edge."""
-        epsilon = 0.5
+        """Forward-difference probes flip backward at the upper box edge.
+
+        Seeds are scanned until one starts within GD_PROBE of the edge
+        (about one in 1/GD_PROBE does)."""
         forward_seen = backward_seen = False
-        for seed in range(20):
+        for seed in range(20_000):
             seen = []
 
             def capture(u):
                 seen.append(np.array(u, dtype=float))
                 return bowl(u)
 
-            gradient_descent(capture, cube2,
-                             GdConfig(budget=4, seed=seed, epsilon=epsilon))
+            gradient_descent(capture, cube2, GdConfig(budget=4, seed=seed))
             start, probe = seen[0], seen[1]
-            if start[0] + epsilon <= 1.0:
-                expected = start + np.array([epsilon, 0.0])
+            if start[0] + GD_PROBE <= 1.0:
+                expected = start + np.array([GD_PROBE, 0.0])
                 forward_seen = True
             else:
-                expected = start - np.array([epsilon, 0.0])
+                expected = start - np.array([GD_PROBE, 0.0])
                 backward_seen = True
             np.testing.assert_allclose(probe, expected, atol=1e-12)
+            if forward_seen and backward_seen:
+                break
         assert forward_seen and backward_seen
 
     def test_zero_gradient_holds_position(self, cube2):
@@ -91,9 +89,9 @@ class TestGradientDescent:
         result = gradient_descent(flat, cube2, config)
         assert result.evaluations_used == 13
         start = seen[0]
-        # a step would land 0.05 away; probes sit exactly epsilon away
+        # a step would land GD_STEP away; probes sit exactly GD_PROBE away
         stacked = np.vstack(seen)
-        assert np.max(np.abs(stacked - start)) <= config.epsilon + 1e-15
+        assert np.max(np.abs(stacked - start)) <= GD_PROBE + 1e-15
         # tie-break keeps the first point, i.e. the never-moved start
         np.testing.assert_array_equal(result.best_theta,
                                       cube2.denormalize(start))
@@ -126,10 +124,8 @@ class TestGradientDescent:
 
 class TestPsoConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="swarm"):
-            PsoConfig(budget=20, seed=0, swarm_size=1)
         with pytest.raises(ValueError, match="budget"):
-            PsoConfig(budget=5, seed=0, swarm_size=10)
+            PsoConfig(budget=PSO_SWARM - 1, seed=0)
 
 
 class TestPso:
@@ -157,10 +153,9 @@ class TestPso:
         stacked = np.vstack(seen)
         assert np.all(stacked >= 0.0) and np.all(stacked <= 1.0)
         # particle-major order: particle i in generation g sits at g*m + i
-        m = config.swarm_size
-        generations = stacked.reshape(-1, m, 2)
+        generations = stacked.reshape(-1, PSO_SWARM, 2)
         moves = np.abs(np.diff(generations, axis=0))
-        assert np.max(moves) <= config.v_max + 1e-12
+        assert np.max(moves) <= PSO_V_MAX + 1e-12
 
     def test_cumulative_best_non_increasing(self, cube3):
         result = pso(bowl, cube3, PsoConfig(budget=60, seed=2))

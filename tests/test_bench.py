@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -149,6 +150,89 @@ class TestExperimentConfig:
         path.write_text(json.dumps(tiny_config.to_dict()))
         rebuilt = ExperimentConfig.from_json(path)
         assert rebuilt.to_dict() == tiny_config.to_dict()
+
+
+_JUNK = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=4), st.integers(-5, -1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.5, 12.9,
+                     "abc", "nan", "12", 2**70]))
+
+
+def _or_junk(valid):
+    return st.one_of(valid, _JUNK)
+
+
+@st.composite
+def _typed_configs(draw):
+    """Config dicts whose numeric fields hold either a valid value or any
+    other JSON-like value: strings, bools, null, floats, NaN, +-inf and
+    negatives."""
+    fields = {"budget": st.integers(10, 60), "repetitions": st.integers(1, 3),
+              "s0": st.integers(1, 10), "master_seed": st.integers(0, 2**32),
+              "noise_sigma_v": st.one_of(st.floats(0.0, 0.01),
+                                         st.integers(0, 1))}
+    raw = {key: draw(_or_junk(valid)) for key, valid in fields.items()
+           if draw(st.booleans())}
+    if draw(st.booleans()):
+        raw["train_profiles"] = [{
+            "kind": "rcid-like",
+            "duration_s": draw(_or_junk(st.sampled_from([600, 600.0]))),
+            "dt_s": draw(_or_junk(st.sampled_from([1, 1.0])))}]
+    if draw(st.booleans()):
+        raw["box"] = default_box().to_dict()
+        side = raw["box"][draw(st.sampled_from(["lower", "upper"]))]
+        i = draw(st.integers(0, 2))
+        side[i] = draw(_or_junk(st.just(side[i])))
+    return raw
+
+
+class TestConfigTypes:
+    """The loader takes JSON integers for counts and seeds and finite
+    numbers for real values; anything else is a ConfigError."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(raw=_typed_configs())
+    def test_loads_typed_values_or_raises_config_error(self, raw):
+        try:
+            config = ExperimentConfig.from_dict(raw)
+        except ConfigError:
+            return
+        for key in ("budget", "repetitions", "s0", "master_seed"):
+            assert type(getattr(config, key)) is int
+        assert config.master_seed >= 0
+        assert math.isfinite(config.noise_sigma_v)
+        assert config.noise_sigma_v >= 0.0
+        for spec in config.train_profiles:
+            assert math.isfinite(spec.duration_s) and math.isfinite(spec.dt_s)
+        assert np.all(np.isfinite([config.box.lower, config.box.upper]))
+
+    @pytest.mark.parametrize("raw", [
+        {"budget": "abc"}, {"budget": 12.9}, {"budget": True},
+        {"repetitions": 1.0}, {"s0": 5.5}, {"master_seed": "7"},
+        {"noise_sigma_v": "nan"}, {"noise_sigma_v": float("nan")},
+        {"noise_sigma_v": float("inf")}, {"noise_sigma_v": True},
+        {"master_seed": -1},
+        {"train_profiles": [{"kind": "rcid-like", "duration_s": "600",
+                             "dt_s": 1.0}]},
+        {"box": {**default_box().to_dict(),
+                 "lower": ["x", 2.8e-11, 1.6e-10]}},
+        {"box": {**default_box().to_dict(),
+                 "upper": [4.5e-11, 5.6e-11, float("inf")]}},
+        {"box": 3},
+    ])
+    def test_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("overrides", [
+        {"master_seed": -1}, {"noise_sigma_v": float("nan")},
+        {"noise_sigma_v": float("inf")},
+    ])
+    def test_replace_checked_too(self, overrides):
+        """CLI overrides go through dataclasses.replace, not from_dict."""
+        with pytest.raises(ConfigError):
+            default_config(**overrides)
 
 
 class TestResolveCell:
@@ -446,8 +530,8 @@ class TestEveryLoadedConfigRuns:
         ([2e-10, 2.8e-10, 1.6e-9], [4.5e-10, 5.6e-10, 4e-9],
          ["linear", "linear", "linear"]),
     ])
-    @pytest.mark.filterwarnings(   # the overflow is charged the penalty
-        "ignore:overflow encountered in dot:RuntimeWarning")
+    @pytest.mark.filterwarnings(   # overflows are penalized, not printed
+        "error::RuntimeWarning")
     def test_extreme_boxes_run(self, lower, upper, scales):
         spec = {"kind": "drive-cycle-like", "duration_s": 29.4, "dt_s": 0.1}
         raw = {"box": {"names": list(THETA_NAMES), "lower": lower,

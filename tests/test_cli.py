@@ -142,7 +142,7 @@ class TestIdentify:
     def test_box_too_wide_for_the_data_step(self, runner, dataset_dir,
                                             tmp_path, monkeypatch):
         """Upper D_e 1e-8 cannot be simulated at the dataset's dt of 1 s."""
-        import cellident.cli as cli
+        import cellident.identify as identify
 
         config = tmp_path / "wide.json"
         config.write_text(json.dumps({"box": {
@@ -150,7 +150,7 @@ class TestIdentify:
             "lower": [2.0e-11, 2.8e-11, 1.6e-10],
             "upper": [4.5e-11, 5.6e-11, 1.0e-8]}}))
         evaluations = []
-        monkeypatch.setattr(cli.VoltageFitObjective, "__call__",
+        monkeypatch.setattr(identify.VoltageFitObjective, "__call__",
                             lambda self, theta: evaluations.append(theta))
         out = tmp_path / "fit"
         result = runner.invoke(main, [
@@ -294,6 +294,82 @@ class TestRejectedUpFront:
             "report", "--report", str(edited), "--out", str(tmp_path / "re")])
         assert result.exit_code == 3, result.output
         assert "body_sha256" in result.output
+
+
+_DEFAULT_BOX = {"names": ["k_p", "k_n", "D_e"],
+                "lower": [2.0e-11, 2.8e-11, 1.6e-10],
+                "upper": [4.5e-11, 5.6e-11, 4.0e-10]}
+_BAD_VALUES = {
+    "string budget": {"budget": "abc"},
+    "fractional budget": {"budget": 12.9},
+    "fractional s0": {"s0": 5.5},
+    "fractional repetitions": {"repetitions": 2.5},
+    "bool budget": {"budget": True},
+    "string box bound": {"box": {**_DEFAULT_BOX,
+                                 "lower": ["x", 2.8e-11, 1.6e-10]}},
+    "string noise": {"noise_sigma_v": "nan"},
+    "NaN noise": {"noise_sigma_v": float("nan")},
+    "negative seed": {"master_seed": -1},
+    "string duration": {"train_profiles": [
+        {"kind": "rcid-like", "duration_s": "600", "dt_s": 1.0}]},
+}
+
+
+class TestConfigValues:
+    """Wrong JSON types and out-of-range values exit 2 and write nothing."""
+
+    @pytest.mark.parametrize("case", sorted(_BAD_VALUES))
+    @pytest.mark.parametrize("verb", ["bench", "identify"])
+    def test_bad_value(self, runner, dataset_dir, tmp_path, verb, case):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_BAD_VALUES[case]))
+        out = tmp_path / "out"
+        data = (["--data", str(dataset_dir / "manifest.json")]
+                if verb == "identify" else [])
+        result = runner.invoke(main, [verb, "--config", str(config), *data,
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["bench", "identify", "gen-data"])
+    def test_negative_seed_flag(self, runner, config_path, dataset_dir,
+                                tmp_path, verb):
+        out = tmp_path / "out"
+        data = (["--data", str(dataset_dir / "manifest.json")]
+                if verb == "identify" else [])
+        result = runner.invoke(main, [verb, "--config", str(config_path),
+                                      *data, "--seed", "-1", "--out",
+                                      str(out)])
+        assert result.exit_code == 2, result.output
+        assert "master_seed must be >= 0" in result.output
+        assert not out.exists()
+
+    def test_bench_saves_the_report_once(self, runner, config_path, tmp_path,
+                                         monkeypatch):
+        from cellident.bench import BenchmarkReport
+
+        saved = []
+        real_save = BenchmarkReport.save
+
+        def counting_save(report, path):
+            saved.append(path)
+            real_save(report, path)
+
+        monkeypatch.setattr(BenchmarkReport, "save", counting_save)
+        out = tmp_path / "b"
+        result = runner.invoke(main, [
+            "bench", "--config", str(config_path), "--method", "bo",
+            "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert saved == [out / "report.json"]
+        written = sorted(p.relative_to(out).as_posix()
+                         for p in out.rglob("*") if p.is_file())
+        assert written == [
+            "dataset/manifest.json", "dataset/test_0.csv",
+            "dataset/train_0.csv", "repetitions.csv", "report.json",
+            "summary.csv", "trace_bo_rep0.csv",
+            "traces/voltage_bo_rep0_test0.csv"]
 
 
 class TestDeterminismThroughCli:

@@ -146,15 +146,6 @@ class TestObjective:
                                                rel=1e-12)
         assert loss_both.per_profile == (loss_1.loss, loss_2.loss)
 
-    def test_evaluation_bookkeeping(self, cell, box, short_dataset):
-        params, ocv_p, ocv_n = cell
-        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, short_dataset)
-        e0 = objective(box.midpoint())
-        e1 = objective(box.lower.copy())
-        assert (e0.index, e1.index) == (0, 1)
-        assert e0.wall_time_s > 0.0
-        assert objective.n_evaluations == 2
-
     def test_unit_view_clips_and_returns_float(self, cell, box, short_dataset):
         params, ocv_p, ocv_n = cell
         objective = VoltageFitObjective(params, ocv_p, ocv_n, box, short_dataset)
@@ -186,6 +177,23 @@ class TestObjective:
         theta = np.array([params.k_p, scale * params.k_n, params.D_e])
         with np.errstate(over="ignore"):
             evaluation = objective(theta)
+        assert evaluation.penalized
+        assert evaluation.per_profile == (DIVERGENCE_PENALTY,)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("index,value", [
+        (0, 5e-324), (1, 5e-324),   # eta = numerator / (F i0) overflows
+        (2, 3e-323),                # C1/D_e overflows, inf * 0 in phi_e
+        (0, 1e-300),                # finite voltage, the residual sum overflows
+    ])
+    def test_overflowing_theta_is_penalized_without_warnings(
+            self, cell, box, short_dataset, index, value):
+        params, ocv_p, ocv_n = cell
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, box,
+                                        short_dataset)
+        theta = np.array([params.k_p, params.k_n, params.D_e])
+        theta[index] = value
+        evaluation = objective(theta)
         assert evaluation.penalized
         assert evaluation.per_profile == (DIVERGENCE_PENALTY,)
 
@@ -295,7 +303,6 @@ class TestFixedTermCache:
             with pytest.raises(DataError, match="outside table range"):
                 objective(box.midpoint())
         assert built == 3 * [pair.profiles[0]]
-        assert objective.n_evaluations == 0
 
 
 class TestProfileCsv:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellident.sampling import _PRIMES, HaltonSampler, _van_der_corput, halton_points
 
@@ -21,6 +23,33 @@ class TestStream:
         sampler = HaltonSampler(dim=3, seed=5)
         parts = np.vstack([sampler.draw(4), sampler.draw(6)])
         np.testing.assert_array_equal(parts, whole)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 2000), dim=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_batch_layout_matches_one_draw(self, data, n, dim, seed):
+        """Every split of an n-point draw into batches gives the same bytes."""
+        cuts = data.draw(st.lists(st.integers(1, n - 1), unique=True,
+                                  max_size=8) if n > 1 else st.just([]))
+        edges = [0, *sorted(cuts), n]
+        sampler = HaltonSampler(dim=dim, seed=seed)
+        parts = np.vstack([sampler.draw(b - a) for a, b in zip(edges, edges[1:])])
+        assert parts.tobytes() == halton_points(n, dim, seed).tobytes()
+
+    @pytest.mark.parametrize("split,n", [
+        (1023, 1030),   # draw indices run from 1: index 1023|1024, base 2
+        (1024, 1030),   # a batch ending on 1024 = 2^10
+        (242, 250),     # 242|243 = 3^5, base 3
+        (243, 250),
+        (124, 130),     # 124|125 = 5^3, base 5
+        (1, 3),         # index 1|2, base 2's first carry
+    ])
+    def test_split_at_a_digit_count_boundary(self, split, n):
+        """Each batch takes its digit count from its own largest index; a
+        batch that ends just below or on b^k must match the one-shot draw."""
+        sampler = HaltonSampler(dim=5, seed=8)
+        parts = np.vstack([sampler.draw(split), sampler.draw(n - split)])
+        assert parts.tobytes() == halton_points(n, 5, 8).tobytes()
 
     def test_seed_determinism(self):
         a = halton_points(20, dim=2, seed=11)
