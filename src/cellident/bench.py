@@ -87,10 +87,12 @@ class ProfileSpec:
     def __post_init__(self):
         if self.kind not in ("rcid-like", "drive-cycle-like"):
             raise ConfigError(f"unknown profile kind {self.kind!r}")
-        if self.dt_s <= 0.0:
-            raise ConfigError("profile dt_s must be positive")
-        if self.duration_s < 100.0 * self.dt_s:
-            raise ConfigError("profile duration_s must be at least 100*dt_s")
+        if not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
+            raise ConfigError(f"profile dt_s must be finite and > 0, got {self.dt_s}")
+        if not (math.isfinite(self.duration_s)
+                and self.duration_s >= 100.0 * self.dt_s):
+            raise ConfigError("profile duration_s must be finite and at least "
+                              f"100*dt_s, got {self.duration_s}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -135,6 +137,9 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in METHODS + ("random",)]
         if bad:
             raise ConfigError(f"unknown methods: {bad}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(
+                f"methods must be distinct, got {list(self.methods)}")
         if not (math.isfinite(self.noise_sigma_v) and self.noise_sigma_v >= 0.0):
             raise ConfigError("noise_sigma_v must be finite and >= 0, got "
                               f"{self.noise_sigma_v}")
@@ -164,6 +169,11 @@ class ExperimentConfig:
         unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, types, what in (
+                ("parameter_file", (str, type(None)), "a string or null"),
+                ("methods", list, "a list of method names")):
+            if key in raw and not isinstance(raw[key], types):
+                raise ConfigError(f"{key} must be {what}, got {raw[key]!r}")
         kwargs = {key: _json_number(raw, key, int) for key in
                   ("budget", "repetitions", "s0", "master_seed") if key in raw}
         try:
@@ -260,17 +270,14 @@ def generate_profile(kind: str, duration: float, dt: float, seed,
 
     The bulk stoichiometry of both electrodes must stay inside
     SOC_HARD_WINDOW under the given cell's capacity, else
-    SocWindowViolation.
+    SocWindowViolation.  The request is checked as a ProfileSpec first.
     """
+    ProfileSpec(kind, duration, dt)
     i_1c = one_c_current(params)
     if kind == "rcid-like":
         profile = staircase_profile(i_1c, dt=dt, duration=duration)
-    elif kind == "drive-cycle-like":
-        profile = noise_cycle_profile(i_1c, seed, dt=dt, duration=duration)
     else:
-        raise ConfigError(f"unknown profile kind {kind!r}")
-    if duration < 100.0 * dt:
-        raise ConfigError("duration must be at least 100*dt")
+        profile = noise_cycle_profile(i_1c, seed, dt=dt, duration=duration)
 
     lo, hi = SOC_HARD_WINDOW
     for electrode in ("p", "n"):
@@ -293,27 +300,20 @@ def generate_synthetic_dataset(
     Returns (train, test, meta); meta records the truth parameters so
     recovered thetas can be scored.
     """
-    if noise_sigma_v < 0.0:
-        raise ConfigError("noise_sigma_v must be >= 0")
+    if not (math.isfinite(noise_sigma_v) and noise_sigma_v >= 0.0):
+        raise ConfigError(f"noise_sigma_v must be finite and >= 0, got "
+                          f"{noise_sigma_v}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(len(train_profiles) + len(test_profiles))
-
-    def measure(profile, child):
+    profiles = (*train_profiles, *test_profiles)
+    voltages = []
+    for profile, child in zip(profiles, ss.spawn(len(profiles))):
         clean = simulate(truth, ocv_p, ocv_n, profile)
         noise = np.random.default_rng(child).normal(0.0, noise_sigma_v,
                                                     size=clean.n)
-        return VoltageSeries(dt=profile.dt, volts=clean.volts + noise)
-
-    train = IdentificationDataset(
-        profiles=tuple(train_profiles),
-        voltages=tuple(measure(u, c) for u, c in
-                       zip(train_profiles, children[:len(train_profiles)])),
-        role="train")
-    test = IdentificationDataset(
-        profiles=tuple(test_profiles),
-        voltages=tuple(measure(u, c) for u, c in
-                       zip(test_profiles, children[len(train_profiles):])),
-        role="test")
+        voltages.append(VoltageSeries(dt=profile.dt, volts=clean.volts + noise))
+    n = len(train_profiles)
+    train = IdentificationDataset(profiles[:n], tuple(voltages[:n]), "train")
+    test = IdentificationDataset(profiles[n:], tuple(voltages[n:]), "test")
     meta = {
         "truth": {"k_p": truth.k_p, "k_n": truth.k_n, "D_e": truth.D_e},
         "noise_sigma_v": noise_sigma_v,
@@ -469,7 +469,8 @@ def run_benchmark(config: ExperimentConfig,
     budget below a method's minimum, is a ConfigError before any run.
     Per-repetition failures are recorded with a failure flag and excluded
     from aggregates; the sweep never aborts.  When out_dir is given, every
-    optimizer trace is exported there as CSV alongside the report.
+    file ``export_report`` writes, every optimizer trace and the dataset
+    are written there, all from the data derived once here.
     """
     t_start = time.perf_counter()
     params, ocv_p, ocv_n, provenance = resolve_cell(config)
@@ -542,7 +543,8 @@ def run_benchmark(config: ExperimentConfig,
     report = BenchmarkReport(results=results, meta=meta)
     meta["body_sha256"] = hashlib.sha256(report.body_bytes()).hexdigest()
     if out_dir is not None:
-        report.save(out_dir / "report.json")
+        export_report(report, out_dir, with_traces=False)
+        _write_voltage_traces(rows, test_ds, params, ocv_p, ocv_n, out_dir)
         save_dataset(out_dir / "dataset", train_ds, test_ds,
                      extra_meta=data_meta)
     return report
@@ -557,7 +559,8 @@ def export_report(report: BenchmarkReport, out_dir, formats=("csv", "json"),
 
     Returns the list of files written.  The summary mirrors the mean/variance
     table layout (wall time, training loss, testing loss); the box-plot file
-    holds one row per method x repetition.
+    holds one row per method x repetition.  The traces derive the cell and
+    the test set once from the report's config echo.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -597,7 +600,11 @@ def export_report(report: BenchmarkReport, out_dir, formats=("csv", "json"),
         written.append(path)
 
     if with_traces:
-        written.extend(_export_voltage_traces(report, out_dir))
+        config = ExperimentConfig.from_dict(report.results["config"])
+        params, ocv_p, ocv_n, _ = resolve_cell(config)
+        _, test_ds, _ = build_dataset(config, params, ocv_p, ocv_n)
+        written.extend(_write_voltage_traces(report.results["rows"], test_ds,
+                                             params, ocv_p, ocv_n, out_dir))
     return written
 
 
@@ -605,16 +612,15 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.12g}"
 
 
-def _export_voltage_traces(report: BenchmarkReport, out_dir: Path) -> list[Path]:
-    """Per-run measured-vs-model test-set traces (voltage-fit analogues)."""
-    config = ExperimentConfig.from_dict(report.results["config"])
-    params, ocv_p, ocv_n, _ = resolve_cell(config)
-    _, test_ds, _ = build_dataset(config, params, ocv_p, ocv_n)
-
+def _write_voltage_traces(rows, test_ds: IdentificationDataset,
+                          params: CellParameters, ocv_p: OcvCurve,
+                          ocv_n: OcvCurve, out_dir: Path) -> list[Path]:
+    """Per-run measured-vs-model test-set traces (voltage-fit analogues),
+    one file per successful row and test profile under ``out_dir/traces``."""
     trace_dir = out_dir / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for row in report.results["rows"]:
+    for row in rows:
         if row["failed"] or row["theta"] is None:
             continue
         theta = row["theta"]

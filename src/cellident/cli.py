@@ -179,8 +179,7 @@ def bench_cmd(config_path, seed, budget, reps, method, out_dir):
     """Run the full benchmark protocol and write the report."""
     config = _apply_overrides(_load_config(config_path), seed, budget, reps,
                               method)
-    report = run_benchmark(config, out_dir=out_dir)   # saves report.json
-    export_report(report, out_dir, formats=("csv",))
+    report = run_benchmark(config, out_dir=out_dir)
     for method_name in config.methods:
         agg = report.results["aggregates"][method_name]
         click.echo(f"{method_name}: test loss mean {_show(agg['test_mean'])} "

@@ -66,19 +66,17 @@ class ParameterBox:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "scales", scales)
+        # unit-cube edges: the bounds, log10-mapped on log-scaled dimensions
+        lo, hi = lower.copy(), upper.copy()
+        for i, s in enumerate(scales):
+            if s == "log":
+                lo[i], hi[i] = np.log10(lo[i]), np.log10(hi[i])
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_width", hi - lo)
 
     @property
     def n(self) -> int:
         return self.lower.size
-
-    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = self.lower.copy()
-        hi = self.upper.copy()
-        for i, s in enumerate(self.scales):
-            if s == "log":
-                lo[i] = np.log10(lo[i])
-                hi[i] = np.log10(hi[i])
-        return lo, hi
 
     def normalize(self, theta) -> np.ndarray:
         """Physical -> unit cube; OutOfBox outside the box."""
@@ -93,8 +91,7 @@ class ParameterBox:
         for i, s in enumerate(self.scales):
             if s == "log":
                 work[..., i] = np.log10(work[..., i])
-        lo, hi = self._edges()
-        return (work - lo) / (hi - lo)
+        return (work - self._lo) / self._width
 
     def denormalize(self, unit) -> np.ndarray:
         """Unit cube -> physical; OutOfBox outside [0,1]^n."""
@@ -104,13 +101,11 @@ class ParameterBox:
                 f"point has dimension {unit.shape[-1]}, box has {self.n}")
         if np.any(unit < -1e-12) or np.any(unit > 1.0 + 1e-12):
             raise OutOfBox(f"unit point {unit} outside [0,1]^n")
-        lo, hi = self._edges()
-        work = lo + unit * (hi - lo)
-        out = work.copy()
+        work = self._lo + unit * self._width
         for i, s in enumerate(self.scales):
             if s == "log":
-                out[..., i] = 10.0 ** work[..., i]
-        return out
+                work[..., i] = 10.0 ** work[..., i]
+        return work
 
     def clip_unit(self, unit) -> np.ndarray:
         return np.clip(np.asarray(unit, dtype=float), 0.0, 1.0)

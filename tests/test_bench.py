@@ -74,6 +74,13 @@ class TestProfileSpec:
         with pytest.raises(ConfigError):
             ProfileSpec(kind="rcid-like", duration_s=99.0, dt_s=1.0)
 
+    @pytest.mark.parametrize("duration,dt", [
+        (600.0, float("nan")), (600.0, float("inf")), (600.0, -1.0),
+        (float("nan"), 1.0), (float("inf"), 1.0), (-5.0, 1.0)])
+    def test_rejects_non_finite_or_negative_grid(self, duration, dt):
+        with pytest.raises(ConfigError, match="dt_s|duration_s"):
+            ProfileSpec(kind="rcid-like", duration_s=duration, dt_s=dt)
+
     def test_dict_round_trip(self):
         spec = ProfileSpec(kind="rcid-like", duration_s=600.0, dt_s=0.5)
         assert ProfileSpec.from_dict(spec.to_dict()) == spec
@@ -220,6 +227,8 @@ class TestConfigTypes:
         {"box": {**default_box().to_dict(),
                  "upper": [4.5e-11, 5.6e-11, float("inf")]}},
         {"box": 3},
+        {"parameter_file": 5}, {"parameter_file": ["cell.json"]},
+        {"methods": "bo"}, {"methods": ["gd", "gd"]},
     ])
     def test_rejected(self, raw):
         with pytest.raises(ConfigError):
@@ -227,12 +236,21 @@ class TestConfigTypes:
 
     @pytest.mark.parametrize("overrides", [
         {"master_seed": -1}, {"noise_sigma_v": float("nan")},
-        {"noise_sigma_v": float("inf")},
+        {"noise_sigma_v": float("inf")}, {"methods": ("gd", "gd")},
     ])
     def test_replace_checked_too(self, overrides):
         """CLI overrides go through dataclasses.replace, not from_dict."""
         with pytest.raises(ConfigError):
             default_config(**overrides)
+
+
+    def test_methods_string_named_as_written(self):
+        with pytest.raises(ConfigError, match="got 'bo'"):
+            ExperimentConfig.from_dict({"methods": "bo"})
+
+    def test_parameter_file_null_is_the_packaged_cell(self):
+        assert ExperimentConfig.from_dict(
+            {"parameter_file": None}).parameter_file is None
 
 
 class TestResolveCell:
@@ -298,6 +316,20 @@ class TestGenerateProfile:
         with pytest.raises(ConfigError, match="kind"):
             generate_profile("sinusoid", 600.0, 1.0, 0, params)
 
+    @pytest.mark.parametrize("kind", ["rcid-like", "drive-cycle-like"])
+    @pytest.mark.parametrize("duration,dt", [
+        (600.0, 0.0), (600.0, -1.0), (600.0, float("nan")), (-5.0, 1.0),
+        (99.0, 1.0), (float("inf"), 1.0)])
+    def test_bad_grid_rejected_before_building(self, params, monkeypatch,
+                                               kind, duration, dt):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("waveform built for a rejected grid")
+
+        monkeypatch.setattr(bench, "staircase_profile", unbuilt)
+        monkeypatch.setattr(bench, "noise_cycle_profile", unbuilt)
+        with pytest.raises(ConfigError):
+            generate_profile(kind, duration, dt, 0, params)
+
 
 class TestGenerateSyntheticDataset:
     def test_zero_noise_is_exact_simulation(self, cell):
@@ -346,6 +378,29 @@ class TestGenerateSyntheticDataset:
         with pytest.raises(ConfigError):
             generate_synthetic_dataset(params, ocv_p, ocv_n, [profile],
                                        [profile], -0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, cell, sigma):
+        params, ocv_p, ocv_n = cell
+        profile = generate_profile("rcid-like", 600.0, 1.0, 0, params)
+        with pytest.raises(ConfigError, match="noise_sigma_v"):
+            generate_synthetic_dataset(params, ocv_p, ocv_n, [profile],
+                                       [profile], sigma, seed=0)
+
+    def test_profiles_seeded_in_train_then_test_order(self, cell):
+        params, ocv_p, ocv_n = cell
+        a = generate_profile("rcid-like", 600.0, 1.0, 0, params)
+        b = generate_profile("drive-cycle-like", 300.0, 1.0, 1, params)
+        train, test, _ = generate_synthetic_dataset(
+            params, ocv_p, ocv_n, [a, b], [b], 1e-3, seed=4)
+        children = np.random.SeedSequence(4).spawn(3)
+        for profile, measured, child in zip(
+                (a, b, b), train.voltages + test.voltages, children):
+            clean = simulate(params, ocv_p, ocv_n, profile).volts
+            noise = np.random.default_rng(child).normal(0.0, 1e-3,
+                                                        size=profile.n)
+            np.testing.assert_array_equal(measured.volts, clean + noise)
+        assert train.profiles == (a, b) and test.profiles == (b,)
 
     def test_coarse_grid_propagates_step_error(self, cell):
         params, ocv_p, ocv_n = cell
@@ -401,6 +456,16 @@ class TestRunBenchmark:
         for method in ("bo", "gd", "pso"):
             for rep in (0, 1):
                 assert (out_dir / f"trace_{method}_rep{rep}.csv").exists()
+
+    def test_exports_written_from_the_run(self, tiny_run, tmp_path):
+        """The tables and voltage traces match a re-export of the report."""
+        report, out_dir = tiny_run
+        written = export_report(report, tmp_path / "re")
+        assert written
+        for path in written:
+            rel = path.relative_to(tmp_path / "re")
+            assert (out_dir / rel).read_bytes() == path.read_bytes(), rel
+        assert len(list((out_dir / "traces").iterdir())) == 6
 
     def test_report_round_trips_through_disk(self, tiny_run):
         report, out_dir = tiny_run

@@ -90,6 +90,17 @@ class TestSimulate:
         assert result.exit_code == 4
 
 
+    @pytest.mark.parametrize("grid", [
+        ["--dt", "0"], ["--dt", "-1"], ["--dt", "nan"], ["--duration", "-5"]])
+    def test_invalid_grid_is_config_error(self, runner, tmp_path, grid):
+        out = tmp_path / "v.csv"
+        result = runner.invoke(main, [
+            "simulate", "--kind", "rcid-like", *grid, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config error: profile" in result.output
+        assert not out.exists()
+
+
 class TestGenData:
     def test_manifest_written(self, dataset_dir):
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
@@ -206,6 +217,18 @@ class TestBenchAndReport:
         assert "wrote 2 files" in result.output
         assert (out / "summary.csv").exists()
         assert (out / "repetitions.csv").exists()
+
+    def test_report_traces_match_bench(self, runner, bench_dir, tmp_path):
+        out = tmp_path / "re"
+        result = runner.invoke(main, [
+            "report", "--report", str(bench_dir / "report.json"),
+            "--out", str(out), "--traces"])
+        assert result.exit_code == 0, result.output
+        names = sorted(p.name for p in (out / "traces").iterdir())
+        assert names == ["voltage_bo_rep0_test0.csv"]
+        for name in names:
+            assert ((out / "traces" / name).read_bytes()
+                    == (bench_dir / "traces" / name).read_bytes())
 
     def test_report_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, [
@@ -370,6 +393,60 @@ class TestConfigValues:
             "dataset/train_0.csv", "repetitions.csv", "report.json",
             "summary.csv", "trace_bo_rep0.csv",
             "traces/voltage_bo_rep0_test0.csv"]
+
+
+    def test_bench_derives_cell_and_data_once(self, runner, config_path,
+                                              tmp_path, monkeypatch):
+        from cellident import bench
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("resolve_cell", "build_dataset"):
+            monkeypatch.setattr(bench, name, counted(name, getattr(bench, name)))
+        from_dict = bench.ExperimentConfig.from_dict.__func__
+        monkeypatch.setattr(bench.ExperimentConfig, "from_dict", classmethod(
+            counted("from_dict", from_dict)))
+        result = runner.invoke(main, [
+            "bench", "--config", str(config_path), "--method", "bo",
+            "--out", str(tmp_path / "b")])
+        assert result.exit_code == 0, result.output
+        assert sorted(calls) == ["build_dataset", "from_dict", "resolve_cell"]
+
+
+_CONFIG_SHAPES = {
+    "numeric parameter_file": ({"parameter_file": 5},
+                               "parameter_file must be a string or null"),
+    "string methods": ({"methods": "bo"}, "got 'bo'"),
+    "repeated methods": ({"methods": ["gd", "gd"]},
+                         "methods must be distinct"),
+}
+
+
+class TestConfigShapes:
+    """parameter_file and methods of the wrong JSON shape exit 2 from every
+    verb that reads a config, before anything is written."""
+
+    @pytest.mark.parametrize("case", sorted(_CONFIG_SHAPES))
+    @pytest.mark.parametrize("verb", ["bench", "identify", "gen-data",
+                                      "simulate"])
+    def test_rejected(self, runner, dataset_dir, tmp_path, verb, case):
+        raw, message = _CONFIG_SHAPES[case]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        extra = {"identify": ["--data", str(dataset_dir / "manifest.json")],
+                 "simulate": ["--kind", "rcid-like", "--duration", "600"]}
+        result = runner.invoke(main, [verb, "--config", str(config),
+                                      *extra.get(verb, []), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
 
 
 class TestDeterminismThroughCli:

@@ -1,6 +1,7 @@
 """Search box, voltage-fit objective, and dataset file round trips."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -58,6 +59,23 @@ class TestParameterBox:
         box = ParameterBox(names=("a",), lower=np.array([1e-12]),
                            upper=np.array([1e-8]), scales=("log",))
         assert box.midpoint()[0] == pytest.approx(1e-10, rel=1e-9)
+
+    def test_maps_match_per_dimension_formula(self):
+        """The edges are the bounds, log10-mapped per log dimension, bit for
+        bit, and they follow a box rebuilt with dataclasses.replace."""
+        box = ParameterBox(names=("a", "b"), lower=np.array([1e-12, 0.5]),
+                           upper=np.array([1e-9, 2.0]),
+                           scales=("log", "linear"))
+        u = np.array([[0.3, 0.7], [1.0, 0.0]])
+        lo, hi = np.log10(1e-12), np.log10(1e-9)
+        theta = box.denormalize(u)
+        np.testing.assert_array_equal(theta[:, 0], 10.0 ** (lo + u[:, 0] * (hi - lo)))
+        np.testing.assert_array_equal(theta[:, 1], 0.5 + u[:, 1] * 1.5)
+        np.testing.assert_array_equal(
+            box.normalize(theta)[:, 0], (np.log10(theta[:, 0]) - lo) / (hi - lo))
+        wider = dataclasses.replace(box, upper=np.array([1e-8, 4.0]))
+        np.testing.assert_allclose(wider.denormalize(np.ones(2)), [1e-8, 4.0],
+                                   rtol=1e-12)
 
     def test_out_of_box_is_strict(self, box):
         with pytest.raises(OutOfBox):
