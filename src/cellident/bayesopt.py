@@ -48,22 +48,34 @@ def expected_improvement(mean, variance, best_so_far: float, xi: float = 0.0):
     if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
         raise ValueError("mean and variance must be finite")
     single = mean.ndim == 0
-    mean = np.atleast_1d(mean)
-    variance = np.atleast_1d(variance)
-    if np.any(variance < -1e-12):
+    if single:
+        mean = mean.reshape(1)
+        variance = variance.reshape(1)
+    # one reduction serves the tolerance check and the sigma = 0 test below
+    lowest = variance.min(initial=np.inf)
+    if lowest < -1e-12:
         raise NegativeVariance(
-            f"variance {np.min(variance):g} below clamping tolerance")
-    variance = np.maximum(variance, 0.0)
-    sigma = np.sqrt(variance)
-    diff = best_so_far - mean - xi
+            f"variance {lowest:g} below clamping tolerance")
+    sigma = np.maximum(variance, 0.0)
+    np.sqrt(sigma, out=sigma)
+    diff = best_so_far - mean
+    diff -= xi
 
     # |z| can overflow z*z when sigma is denormal-small; exp(-inf) = 0 is
-    # exactly the degenerate limit.  sigma = 0 gives 0/0 here, replaced below
+    # exactly the degenerate limit.  sigma = 0 gives 0/0 here, replaced below.
+    # Each in-place step is one operation of diff*Phi(z) + sigma*phi(z).
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z = diff / sigma
-        out = diff * ndtr(z) + sigma * (np.exp(-0.5 * z * z) / _SQRT_2PI)
-    degenerate = sigma == 0.0
-    if degenerate.any():
+        out = ndtr(z)
+        out *= diff
+        pdf = np.multiply(-0.5, z)
+        pdf *= z
+        np.exp(pdf, out=pdf)
+        pdf /= _SQRT_2PI
+        pdf *= sigma
+        out += pdf
+    if lowest <= 0.0:                      # some sigma is exactly 0
+        degenerate = sigma == 0.0
         out = np.where(degenerate, np.maximum(diff, 0.0), out)
     np.maximum(out, 0.0, out=out)          # guard tiny negative roundoff
     return float(out[0]) if single else out
@@ -135,16 +147,21 @@ def maximize_acquisition(state: gp.GPPosterior, box: ParameterBox,
     top = np.argsort(scores)[::-1][:config.refine_top]
     points, score, rows = cand[top], scores[top], np.arange(len(top))
     offsets = np.vstack([np.eye(n), -np.eye(n)])
-    for step in np.geomspace(config.step_init, config.step_final,
-                             config.refine_steps):
-        probes = np.clip(points[:, None, :] + step * offsets, 0.0, 1.0)
+    steps = np.geomspace(config.step_init, config.step_final,
+                         config.refine_steps)
+    probes = np.empty((len(top), 2 * n, n))
+    for move in steps[:, None, None] * offsets:     # move = step * offsets
+        np.add(points[:, None, :], move, out=probes)
+        np.maximum(probes, 0.0, out=probes)       # np.clip, without its
+        np.minimum(probes, 1.0, out=probes)       # wrapper's overhead
         m, v = state.posterior(probes.reshape(-1, n))
         s = expected_improvement(m, v, best_so_far, config.xi)
         s = s.reshape(len(top), -1)
-        j = np.argmax(s, axis=1)
-        better = s[rows, j] > score
-        score[better] = s[rows, j][better]
-        points[better] = probes[rows, j][better]
+        j = s.argmax(axis=1)
+        best = s[rows, j]
+        better = best > score
+        np.copyto(score, best, where=better)
+        np.copyto(points, probes[rows, j], where=better[:, None])
     best_point = points[np.argmax(score)]   # first maximum, in top order
 
     # keep the proposal distinct from everything already observed

@@ -59,6 +59,6 @@ class NegativeVariance(CellIdentError, ValueError):
     """A predictive variance is negative beyond clamping tolerance."""
 
 
-class SocWindowViolation(CellIdentError):
+class SocWindowViolation(ConfigError):
     """A generated current profile drives the reference cell outside the
-    allowed state-of-charge window."""
+    allowed state-of-charge window: the profile request cannot run."""

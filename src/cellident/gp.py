@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.linalg.lapack import dtrtri
+from scipy.spatial.distance import pdist
 
 from .errors import DimensionMismatch, DuplicatePoint, SingularKernel
 
@@ -26,11 +27,21 @@ def se_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram matrix exp(-||a_i - b_j||^2/2), shape (len(a), len(b))."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
+    return _kernel(a, _sq_norms(a), b, _sq_norms(b))
+
+
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Row norms ||a_i||^2: np.sum's reduction, without its wrapper."""
+    return np.add.reduce(a * a, axis=1)
+
+
+def _kernel(a, a_sq, b, b_sq) -> np.ndarray:
+    """se_kernel of 2-D float arrays whose row norms are a_sq and b_sq."""
     # squared distances via the expansion ||a||^2 + ||b||^2 - 2 a.b, computed
     # in place: the only (len(a), len(b)) arrays are a.b and the result
     ab = a @ b.T
     ab *= 2.0
-    sq = np.add.outer(np.sum(a * a, axis=1), np.sum(b * b, axis=1))
+    sq = np.add.outer(a_sq, b_sq)
     sq -= ab
     np.maximum(sq, 0.0, out=sq)
     sq *= -0.5
@@ -42,6 +53,7 @@ class GPPosterior:
     """Immutable fitted state: training set, Cholesky factor, scaling."""
 
     points: np.ndarray        # (s, d) inputs, normalized coordinates
+    sq_norms: np.ndarray      # (s,) squared row norms of points
     values_std: np.ndarray    # (s,) standardized observed values
     chol: np.ndarray          # lower-triangular L with L L^T = K + jitter I
     chol_inv: np.ndarray      # L^{-1}, lower-triangular
@@ -59,7 +71,8 @@ class GPPosterior:
 
         Variance is clamped to [0, inf) before de-standardization.  It is
         1 - ||L^{-1} k*||^2, one matrix product against the inverse factor
-        that fit cached.
+        that fit cached.  The kernel reuses the training points' cached
+        squared norms; every result is computed in place.
         """
         theta = np.asarray(theta, dtype=float)
         single = theta.ndim == 1
@@ -68,14 +81,17 @@ class GPPosterior:
             raise DimensionMismatch(
                 f"query of shape {theta.shape} against training points of "
                 f"shape {self.points.shape}")
-        k_star = se_kernel(self.points, query)          # (s, m)
-        mean_std = k_star.T @ self.alpha                # (m,)
+        k_star = _kernel(self.points, self.sq_norms, query,
+                         _sq_norms(query))              # (s, m)
+        mean = k_star.T @ self.alpha                    # (m,)
         v = self.chol_inv @ k_star
         v *= v
-        var_std = 1.0 - np.sum(v, axis=0)
-        np.maximum(var_std, 0.0, out=var_std)
-        mean = mean_std * self.scale + self.mean_shift
-        var = var_std * self.scale ** 2
+        var = np.add.reduce(v, axis=0)
+        np.subtract(1.0, var, out=var)
+        np.maximum(var, 0.0, out=var)
+        mean *= self.scale
+        mean += self.mean_shift
+        var *= self.scale ** 2
         if single:
             return float(mean[0]), float(var[0])
         return mean, var
@@ -103,15 +119,15 @@ def fit(points, values, jitter: float = JITTER_LADDER[0],
         raise ValueError(f"jitter must be non-negative, got {jitter}")
 
     if points.shape[0] > 1:
-        diff = points[:, None, :] - points[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        closest = np.min(dist)
-        if closest < DUPLICATE_TOL:
-            i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        # direct differences: the Gram expansion's squared distances carry
+        # absolute errors far above DUPLICATE_TOL
+        dist = pdist(points)                # pairs (i, j), i < j, row-major
+        k = dist.argmin()
+        if dist[k] < DUPLICATE_TOL:
+            i, j = (ix[k] for ix in np.triu_indices(points.shape[0], 1))
             raise DuplicatePoint(
                 f"observations {i} and {j} coincide within {DUPLICATE_TOL:g} "
-                f"(distance {closest:g})")
+                f"(distance {dist[k]:g})")
 
     if standardize:
         mean_shift = float(np.mean(values))
@@ -122,14 +138,19 @@ def fit(points, values, jitter: float = JITTER_LADDER[0],
         mean_shift = 0.0
         scale = 1.0
     values_std = (values - mean_shift) / scale
+    if not np.isfinite(values_std).all():
+        raise ValueError("standardized values overflow")
 
-    gram = se_kernel(points, points)
+    sq_norms = _sq_norms(points)
+    gram = _kernel(points, sq_norms, points, sq_norms)
+    diag = gram.diagonal().copy()
     ladder = [jitter] + [j for j in JITTER_LADDER if j > jitter]
     chol = None
     used = None
     for jit in ladder:
+        gram.flat[::len(values) + 1] = diag + jit    # K + jit I, in place
         try:
-            chol = cholesky(gram + jit * np.eye(len(values)), lower=True)
+            chol = cholesky(gram, lower=True)
             used = jit
             break
         except LinAlgError:
@@ -139,10 +160,12 @@ def fit(points, values, jitter: float = JITTER_LADDER[0],
             f"kernel matrix is singular even at jitter {ladder[-1]:g} "
             f"({len(values)} points)")
 
-    rhs = solve_triangular(chol, values_std, lower=True)
+    # cholesky checked the Gram matrix, so its factor is finite too
+    rhs = solve_triangular(chol, values_std, lower=True, check_finite=False)
     alpha = solve_triangular(chol.T, rhs, lower=False)
     # the factor's diagonal is positive, so its inverse exists
     chol_inv, _ = dtrtri(chol, lower=1)
-    return GPPosterior(points=points, values_std=values_std, chol=chol,
+    return GPPosterior(points=points, sq_norms=sq_norms,
+                       values_std=values_std, chol=chol,
                        chol_inv=chol_inv, alpha=alpha, mean_shift=mean_shift,
                        scale=scale, jitter=used)

@@ -9,26 +9,60 @@ depends on it.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
            53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_TABLE_MAX = 4096   # most entries in one base's table of low-digit sums
+
+
+def _add_digits(out, work, base, denom, n_digits):
+    """Add the lowest n_digits digits of work to out in place, lowest first,
+    the first at weight 1/(denom * base): the radical inverse's digit loop."""
+    for _ in range(n_digits):
+        denom *= base
+        work, digit = np.divmod(work, base)
+        out += digit / denom
+
+
+@cache
+def _low_digit_sums(base: int) -> tuple[np.ndarray, int]:
+    """Radical inverse of every index below base**k, the largest power of
+    base with at most _TABLE_MAX entries, and k.
+
+    Entries come from the same digit loop as _van_der_corput, so looking
+    one up replaces the loop's first k steps without changing a bit.
+    """
+    k = 1
+    while base ** (k + 1) <= _TABLE_MAX:
+        k += 1
+    table = np.zeros(base ** k)
+    _add_digits(table, np.arange(base ** k, dtype=np.int64), base, 1.0, k)
+    table.flags.writeable = False
+    return table, k
 
 
 def _van_der_corput(indices: np.ndarray, base: int) -> np.ndarray:
-    """Radical-inverse of each index in the given base."""
+    """Radical inverse in the given base of a 1-D array of indices >= 0.
+
+    The sum runs over the digits of the largest index, lowest first.  Its
+    first k terms come from _low_digit_sums: an index with fewer digits only
+    adds exact zeros there.
+    """
     work = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(work.shape, dtype=float)
     top = int(work.max()) if work.size else 0
     n_digits = 0
     while top > 0:                 # digits of the largest index
         top //= base
         n_digits += 1
-    denom = 1.0
-    for _ in range(n_digits):
-        denom *= base
-        work, digit = np.divmod(work, base)
-        out += digit / denom
+    table, k = _low_digit_sums(base)
+    if n_digits <= k:
+        return table[work]
+    work, low = np.divmod(work, len(table))
+    out = table[low]
+    _add_digits(out, work, base, float(len(table)), n_digits - k)
     return out
 
 
@@ -53,9 +87,14 @@ class HaltonSampler:
             raise ValueError(f"n must be positive, got {n}")
         idx = np.arange(self._count + 1, self._count + n + 1)  # skip index 0
         self._count += n
-        cols = [(_van_der_corput(idx, b) + self._rotation[j]) % 1.0
-                for j, b in enumerate(self._bases)]
-        return np.column_stack(cols)
+        out = np.empty((n, self.dim))
+        for j, b in enumerate(self._bases):
+            col = _van_der_corput(idx, b)
+            col += self._rotation[j]
+            # (x + u) mod 1 on [0, 2): y - 1 is exact there, as fmod is
+            np.subtract(col, 1.0, out=col, where=col >= 1.0)
+            out[:, j] = col
+        return out
 
 
 def halton_points(n: int, dim: int, seed) -> np.ndarray:

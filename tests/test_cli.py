@@ -100,6 +100,16 @@ class TestSimulate:
         assert "config error: profile" in result.output
         assert not out.exists()
 
+    def test_profile_leaving_the_soc_window_is_config_error(self, runner,
+                                                            tmp_path):
+        out = tmp_path / "v.csv"
+        result = runner.invoke(main, [
+            "simulate", "--kind", "rcid-like", "--duration", "36000",
+            "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config error: profile kind 'rcid-like'" in result.output
+        assert not out.exists()
+
 
 class TestGenData:
     def test_manifest_written(self, dataset_dir):
@@ -256,6 +266,17 @@ class TestBenchAndReport:
         assert result.exit_code == 2
         assert "upper D_e" in result.output
         assert not (out / "report.json").exists()
+
+    def test_bench_profile_leaving_the_soc_window(self, runner, tmp_path):
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps({"train_profiles": [
+            {"kind": "rcid-like", "duration_s": 36000.0, "dt_s": 1.0}]}))
+        out = tmp_path / "b"
+        result = runner.invoke(main, [
+            "bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config error: profile kind 'rcid-like'" in result.output
+        assert not out.exists()
 
 
 _BAD_BOXES = {

@@ -95,6 +95,51 @@ class TestMaskedForm:
             assert got.tobytes() == masked_ei(mean, var, 0.1, xi).tobytes()
 
 
+def expression_ei(mean, variance, best_so_far, xi=0.0):
+    """EI as whole-array expressions with an np.where at sigma = 0: the
+    form the in-place computation must match bit for bit."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    sigma = np.sqrt(np.maximum(np.atleast_1d(variance), 0.0))
+    diff = best_so_far - mean - xi
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = diff / sigma
+        out = diff * ndtr(z) + sigma * (np.exp(-0.5 * z * z)
+                                        / np.sqrt(2.0 * np.pi))
+    out = np.where(sigma == 0.0, np.maximum(diff, 0.0), out)
+    return np.maximum(out, 0.0)
+
+
+class TestExpressionOracle:
+    """The in-place EI keeps the bytes of expression_ei at the edges."""
+
+    _VARIANCES = [0.0, -0.0, -1e-13, -1e-12, 5e-324, 1e-310, 2.3e-308,
+                  1e-300, 1e-20, 1.0]       # sigma = 0 and denormal sigma
+
+    @pytest.mark.parametrize("xi", [0.0, 0.01])
+    @pytest.mark.parametrize("variance", _VARIANCES)
+    def test_zero_and_denormal_sigma(self, variance, xi):
+        mean = np.array([-1.0, 0.0, 0.1 - xi, 0.1, 0.5, 1e-300, -1e-300])
+        var = np.full(mean.shape, variance)
+        got = expected_improvement(mean, var, 0.1, xi)
+        assert got.tobytes() == expression_ei(mean, var, 0.1, xi).tobytes()
+        for m in mean:                                  # 0-d inputs
+            one = expected_improvement(np.float64(m), variance, 0.1, xi)
+            assert type(one) is float
+            assert (np.float64(one).tobytes()
+                    == expression_ei(m, variance, 0.1, xi).tobytes())
+
+    def test_mixed_array(self):
+        mean = np.linspace(-1.0, 1.0, len(self._VARIANCES))
+        var = np.array(self._VARIANCES)
+        assert (expected_improvement(mean, var, 0.0).tobytes()
+                == expression_ei(mean, var, 0.0).tobytes())
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_empty_input(self, shape):
+        got = expected_improvement(np.zeros(shape), np.zeros(shape), 0.1)
+        assert got.shape == shape and got.dtype == np.float64
+
+
 class TestGuards:
     def test_negative_variance_below_tolerance(self):
         with pytest.raises(NegativeVariance):

@@ -42,6 +42,38 @@ def expanded_kernel(a, b):
     return np.exp(-0.5 * sq)
 
 
+def inverse_factor_posterior(state, theta):
+    """The posterior spelled out from the public kernel and the cached
+    L^{-1}, recomputing the training points' norms on every call."""
+    theta = np.asarray(theta, dtype=float)
+    k_star = se_kernel(state.points, np.atleast_2d(theta))
+    mean_std = k_star.T @ state.alpha
+    v = state.chol_inv @ k_star
+    var_std = np.maximum(1.0 - np.sum(v * v, axis=0), 0.0)
+    mean = mean_std * state.scale + state.mean_shift
+    var = var_std * state.scale ** 2
+    if theta.ndim == 1:
+        return float(mean[0]), float(var[0])
+    return mean, var
+
+
+def pairwise_duplicate(points):
+    """The duplicate check as a loop over pairs i < j: the message for the
+    first closest pair below DUPLICATE_TOL, else None."""
+    closest, pair = np.inf, None
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            sq = 0.0
+            for x, y in zip(points[i], points[j]):
+                sq += (x - y) * (x - y)
+            if np.sqrt(sq) < closest:
+                closest, pair = np.sqrt(sq), (i, j)
+    if closest < DUPLICATE_TOL:
+        return (f"observations {pair[0]} and {pair[1]} coincide within "
+                f"{DUPLICATE_TOL:g} (distance {closest:g})")
+    return None
+
+
 class TestKernel:
     def test_unit_diagonal_and_symmetry(self, rng):
         x = rng.uniform(size=(6, 3))
@@ -99,6 +131,56 @@ class TestFitAgainstOracle:
         assert m_single == pytest.approx(m_batch[0], abs=1e-14)
         assert v_single == pytest.approx(v_batch[0], abs=1e-14)
         assert isinstance(m_single, float)
+
+
+class TestLeanPosteriorOracle:
+    """posterior keeps every bit of the kernel plus inverse-factor formula."""
+
+    @pytest.mark.parametrize("s", [1, 2, 40])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_bytes_equal_the_formula(self, s, d, standardize):
+        rng = np.random.default_rng(10 * s + d)
+        state = fit(rng.uniform(size=(s, d)), rng.normal(size=s),
+                    standardize=standardize)
+        queries = rng.uniform(size=(37, d))
+        queries[:min(s, 37)] = state.points[:37]   # distance 0 to the data
+        for theta in (queries, queries[:1], queries[3], queries[:0]):
+            got = state.posterior(theta)
+            ref = inverse_factor_posterior(state, theta)
+            if theta.ndim == 1:
+                assert all(type(x) is float for x in got)
+                assert np.array(got).tobytes() == np.array(ref).tobytes()
+            else:
+                for x, y in zip(got, ref):
+                    assert x.shape == y.shape == (len(theta),)
+                    assert x.tobytes() == y.tobytes()
+
+
+class TestDuplicateOracle:
+    """The duplicate check names the same pair with the same message as the
+    pairwise loop, just below, at and above the tolerance."""
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_outcome_as_the_loop(self, factor, d, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(size=(12, d))
+        gap = factor * DUPLICATE_TOL
+        points[[0, 5, 7]] = 0.0             # exact gaps on the zero corner:
+        points[5, 0] = 2.0 * gap            # (0, 7) and (5, 7) tie at gap,
+        points[7, 0] = gap                  # and the first pair is named
+        points[4] = points[9]
+        points[4, -1] += gap                # a rounded gap near the others
+        for pts in (points, points[::-1], points[[3, 7, 9, 5, 4, 0]]):
+            expected = pairwise_duplicate(pts)
+            if expected is None:
+                assert isinstance(fit(pts, np.zeros(len(pts))), GPPosterior)
+            else:
+                with pytest.raises(DuplicatePoint) as info:
+                    fit(pts, np.zeros(len(pts)))
+                assert str(info.value) == expected
 
 
 class TestInverseFactor:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellident.sampling import _PRIMES, HaltonSampler, _van_der_corput, halton_points
+from cellident.sampling import (
+    _PRIMES,
+    HaltonSampler,
+    _low_digit_sums,
+    _van_der_corput,
+    halton_points,
+)
 
 
 class TestStream:
@@ -126,3 +132,49 @@ class TestRadicalInverseOracle:
         for base in (2, 3, 97):
             assert (_van_der_corput(indices, base).tobytes()
                     == _reference_van_der_corput(indices, base).tobytes())
+
+    @pytest.mark.parametrize("base", _PRIMES)
+    def test_around_every_power_of_the_base(self, base):
+        """b^k - 1, b^k and b^k + 1 alone (each sets its own digit count,
+        on both sides of the cached low-digit table) and together."""
+        powers = [base ** k for k in range(1, 62) if base ** k < 2 ** 62]
+        around = [p + e for p in powers for e in (-1, 0, 1)]
+        for i in around:
+            assert (_van_der_corput([i], base).tobytes()
+                    == _reference_van_der_corput([i], base).tobytes())
+        assert (_van_der_corput(around, base).tobytes()
+                == _reference_van_der_corput(around, base).tobytes())
+
+    def test_digit_tables_stay_small(self):
+        """Each base's table is the largest power of the base up to 4096
+        entries, read-only."""
+        for base in _PRIMES:
+            table, k = _low_digit_sums(base)
+            assert table.size == base ** k <= 4096 < base ** (k + 1)
+            assert not table.flags.writeable
+
+    @pytest.mark.parametrize("base", _PRIMES)
+    def test_indices_above_2_to_the_20(self, base):
+        rng = np.random.default_rng(base)
+        for idx in (np.arange(2**20 - 3, 2**20 + 4096),
+                    rng.integers(2**20, 2**62, size=500)):
+            assert (_van_der_corput(idx, base).tobytes()
+                    == _reference_van_der_corput(idx, base).tobytes())
+
+
+class TestRotationWrap:
+    """Subtracting 1 from the rotated values at or above 1 gives the bytes
+    of (x + u) % 1.0, including sums that land exactly on 1."""
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, 0.25, 0.75, 1.0 - 2.0**-53,
+                                   2.0**-53, 1.0 / 3.0, 0.6180339887498949])
+    def test_matches_the_modulo(self, u):
+        sampler = HaltonSampler(dim=25, seed=0)
+        sampler._rotation = np.full(25, u)
+        pts = sampler.draw(3000)
+        idx = np.arange(1, 3001)
+        ref = np.column_stack([(_reference_van_der_corput(idx, b) + u) % 1.0
+                               for b in _PRIMES])
+        assert pts.tobytes() == ref.tobytes()
+        assert np.all(pts >= 0.0) and np.all(pts < 1.0)
+
