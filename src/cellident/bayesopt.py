@@ -34,10 +34,11 @@ def expected_improvement(mean, variance, best_so_far: float, xi: float = 0.0):
     With sigma = sqrt(variance) and z = (best - mean - xi)/sigma this is
     (best - mean - xi)*Phi(z) + sigma*phi(z); at sigma = 0 it degenerates to
     max(0, best - mean - xi).  Result is >= 0 everywhere.  ``mean`` and
-    ``variance`` must be finite and of one shape, ``best_so_far`` finite.
+    ``variance`` must be finite and of one shape, ``best_so_far`` finite and
+    ``xi`` finite and non-negative.
     """
-    if xi < 0.0:
-        raise ValueError(f"xi must be non-negative, got {xi}")
+    if not (math.isfinite(xi) and xi >= 0.0):
+        raise ValueError(f"xi must be finite and non-negative, got {xi}")
     if not math.isfinite(best_so_far):
         raise ValueError(f"best_so_far must be finite, got {best_so_far}")
     mean = np.asarray(mean, dtype=float)
@@ -99,8 +100,8 @@ class AcquisitionConfig:
             raise ValueError("refine_top must be >= 1")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be >= 0")
-        if self.xi < 0.0:
-            raise ValueError("xi must be >= 0")
+        if not (math.isfinite(self.xi) and self.xi >= 0.0):
+            raise ValueError(f"xi must be finite and >= 0, got {self.xi}")
         if not 0.0 < self.step_final <= self.step_init:
             raise ValueError("need 0 < step_final <= step_init")
 

@@ -31,12 +31,16 @@ simulation is therefore two steps:
 - ``fixed_terms``: everything theta-free -- surface concentrations and their
   range checks, U_p - U_n, the square roots and Arrhenius*F factors of i0,
   the overpotential numerators R T0 (-J_i I), phi_ohm and I*R_c;
-- ``assemble``: i0, eta and phi_e at the model's theta, then the sum above.
+- ``assemble``: the three theta terms, then their sum.  Each term has its
+  own function and reads one component: ``overpotential`` gives eta_i from
+  k_i, ``electrolyte_potential`` gives phi_e from a model built at D_e, and
+  ``terminal_voltage`` writes the sum above into a caller's buffer.
 
 ``simulate_detailed`` is ``build_model`` followed by both steps; a fit that
-evaluates many theta on one profile builds the fixed terms once.  The float
-operations and their order are those of the one-step formula, so results
-do not depend on how the steps are scheduled.
+evaluates many theta on one profile builds the fixed terms once and may
+keep a term whose component did not change.  The float operations and their
+order are those of the one-step formula, so results do not depend on how the
+steps are scheduled.
 """
 
 from __future__ import annotations
@@ -335,9 +339,10 @@ def kinetic_overpotential(params: CellParameters, electrode: str, current, i0):
 def electrolyte_potential(model: DiscreteCellModel, current: np.ndarray) -> np.ndarray:
     """phi_e(t): sum of the two discretized electrolyte lags, scaled by C1/D_e."""
     current = np.asarray(current, dtype=float)
-    y = (model.lag_elec_pos.response(current, model.dt)
-         + model.lag_elec_neg.response(current, model.dt))
-    return (model.c1 / model.params.D_e) * y
+    y = model.lag_elec_pos.response(current, model.dt)
+    y += model.lag_elec_neg.response(current, model.dt)
+    y *= model.c1 / model.params.D_e
+    return y
 
 
 def ohmic_drop(params: CellParameters, current):
@@ -420,28 +425,53 @@ def fixed_terms(model: DiscreteCellModel, profile: CurrentProfile,
         phi_ohm=ohmic_drop(p, I), contact_drop=I * p.R_c)
 
 
+def overpotential(params: CellParameters, fixed: FixedTerms,
+                  electrode: str) -> np.ndarray:
+    """eta_i = R T0 (-J_i I)/(F i0_i) at the params' k_i from the fixed terms.
+
+    Raises ZeroDivisionError where i0_i is zero.
+    """
+    if electrode == "p":
+        i0 = fixed.i0_scale_p * params.k_p * fixed.sqrt_arg_p
+        return _over_f_i0(params, fixed.eta_num_p, i0)
+    if electrode == "n":
+        i0 = fixed.i0_scale_n * params.k_n * fixed.sqrt_arg_n
+        return _over_f_i0(params, fixed.eta_num_n, i0)
+    raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
+
+
+def terminal_voltage(fixed: FixedTerms, eta_p: np.ndarray, eta_n: np.ndarray,
+                     phi_e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """U_p - U_n - (eta_p - eta_n) + phi_e + phi_ohm - I R_c, into ``out``.
+
+    The sum is taken left to right, in place; no finiteness check.
+    """
+    np.subtract(eta_p, eta_n, out=out)
+    np.subtract(fixed.ocv_diff, out, out=out)
+    out += phi_e
+    out += fixed.phi_ohm
+    out -= fixed.contact_drop
+    return out
+
+
 def assemble(model: DiscreteCellModel, fixed: FixedTerms) -> SimulationResult:
     """Terminal voltage at the model's (k_p, k_n, D_e) from its fixed terms.
 
     Raises SimulationDiverged on a non-finite voltage.
     """
     p = model.params
-    i0_p = fixed.i0_scale_p * p.k_p * fixed.sqrt_arg_p
-    i0_n = fixed.i0_scale_n * p.k_n * fixed.sqrt_arg_n
-    eta_p = _over_f_i0(p, fixed.eta_num_p, i0_p)
-    eta_n = _over_f_i0(p, fixed.eta_num_n, i0_n)
+    eta_p = overpotential(p, fixed, "p")
+    eta_n = overpotential(p, fixed, "n")
     phi_e = electrolyte_potential(model, fixed.current)
-
-    volts = (fixed.ocv_diff - (eta_p - eta_n) + phi_e + fixed.phi_ohm
-             - fixed.contact_drop)
+    volts = terminal_voltage(fixed, eta_p, eta_n, phi_e,
+                             np.empty(fixed.current.shape))
     if not np.all(np.isfinite(volts)):
         k = int(np.flatnonzero(~np.isfinite(volts))[0])
         raise SimulationDiverged(f"non-finite terminal voltage at sample {k}", index=k)
 
     return SimulationResult(dt=fixed.dt, current=fixed.current, volts=volts,
-                            c_p=fixed.c_p, c_n=fixed.c_n, eta_p=np.asarray(eta_p),
-                            eta_n=np.asarray(eta_n), phi_e=phi_e,
-                            phi_ohm=fixed.phi_ohm)
+                            c_p=fixed.c_p, c_n=fixed.c_n, eta_p=eta_p,
+                            eta_n=eta_n, phi_e=phi_e, phi_ohm=fixed.phi_ohm)
 
 
 def simulate_detailed(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,

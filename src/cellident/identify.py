@@ -9,19 +9,30 @@ contribute a large finite penalty instead of raising, so every optimizer
 sees a total, bounded function over the box.
 
 The objective builds each profile's theta-free model terms (``ecm.fixed_terms``)
-on its first call and reuses them, so later calls only assemble the voltage.
+on its first call and reuses them.  It also keeps each profile's last
+theta terms: eta_p for its k_p, eta_n for its k_n and phi_e for its D_e.  A
+later call recomputes only the terms whose component changed, so a
+forward-difference probe along one axis costs one term plus the sum.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from ._blas import sum_of_squares
-from .ecm import DiscreteCellModel, FixedTerms, assemble, build_model, fixed_terms
+from .ecm import (
+    FixedTerms,
+    build_model,
+    electrolyte_potential,
+    fixed_terms,
+    overpotential,
+    terminal_voltage,
+)
 from .errors import DataError, DimensionMismatch, OutOfBox, SimulationDiverged
 from .ocv import OcvCurve
 from .params import CellParameters
@@ -79,13 +90,14 @@ class ParameterBox:
         return self.lower.size
 
     def normalize(self, theta) -> np.ndarray:
-        """Physical -> unit cube; OutOfBox outside the box."""
+        """Physical -> unit cube; OutOfBox outside the box or on NaN."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape[-1] != self.n:
             raise DimensionMismatch(
                 f"theta has dimension {theta.shape[-1]}, box has {self.n}")
         eps = 1e-12 * (np.abs(self.lower) + np.abs(self.upper))
-        if np.any(theta < self.lower - eps) or np.any(theta > self.upper + eps):
+        if not (np.all(theta >= self.lower - eps)
+                and np.all(theta <= self.upper + eps)):   # NaN too
             raise OutOfBox(f"theta {theta} outside box")
         work = theta.copy()
         for i, s in enumerate(self.scales):
@@ -94,13 +106,13 @@ class ParameterBox:
         return (work - self._lo) / self._width
 
     def denormalize(self, unit) -> np.ndarray:
-        """Unit cube -> physical; OutOfBox outside [0,1]^n."""
+        """Unit cube -> physical; OutOfBox outside [0,1]^n or on NaN."""
         unit = np.asarray(unit, dtype=float)
         if unit.shape[-1] != self.n:
             raise DimensionMismatch(
                 f"point has dimension {unit.shape[-1]}, box has {self.n}")
-        if np.any(unit < -1e-12) or np.any(unit > 1.0 + 1e-12):
-            raise OutOfBox(f"unit point {unit} outside [0,1]^n")
+        if not (np.all(unit >= -1e-12) and np.all(unit <= 1.0 + 1e-12)):
+            raise OutOfBox(f"unit point {unit} outside [0,1]^n")   # NaN too
         work = self._lo + unit * self._width
         for i, s in enumerate(self.scales):
             if s == "log":
@@ -185,13 +197,28 @@ class ObjectiveEvaluation:
     penalized: bool = False        # true when a divergence penalty was charged
 
 
+class _ProfileTerms:
+    """One profile's fixed terms and the last value of each theta term.
+
+    ``eta_p`` was computed at ``k_p``, ``eta_n`` at ``k_n`` and ``phi_e`` at
+    ``D_e``; a NaN key means not yet computed.  ``volts`` is the buffer the
+    terminal voltage and then the residual are written into.
+    """
+
+    def __init__(self, fixed: FixedTerms):
+        self.fixed = fixed
+        self.k_p = self.k_n = self.D_e = math.nan
+        self.eta_p = self.eta_n = self.phi_e = None
+        self.volts = np.empty(fixed.current.shape)
+
+
 class VoltageFitObjective:
     """Summed squared voltage residual over a dataset, as a callable of theta.
 
     Calling with physical theta returns an ObjectiveEvaluation; the
     ``unit`` method is the float-valued unit-cube view the optimizers use.
     Divergent simulations, and any profile whose squared residual exceeds
-    DIVERGENCE_PENALTY or overflows, charge DIVERGENCE_PENALTY.
+    DIVERGENCE_PENALTY, overflows or is NaN, charge DIVERGENCE_PENALTY.
     A divergence of the theta-free terms is remembered, since no theta can
     cure it; any other error is raised again on every call.  Floating-point
     warnings of a call are silenced: a theta that overflows is penalized.
@@ -206,10 +233,10 @@ class VoltageFitObjective:
         self.ocv_n = ocv_n
         self.box = box
         self.dataset = dataset
-        self._fixed: dict[int, FixedTerms | None] = {}   # None: diverged
+        self._terms: dict[int, _ProfileTerms | None] = {}   # None: diverged
 
     def __call__(self, theta) -> ObjectiveEvaluation:
-        theta = np.asarray(theta, dtype=float)
+        theta = np.array(theta, dtype=float)   # a copy: the caller keeps theirs
         if theta.shape != (self.box.n,):
             raise DimensionMismatch(
                 f"theta has shape {theta.shape}, expected ({self.box.n},)")
@@ -220,8 +247,7 @@ class VoltageFitObjective:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i, (profile, measured) in enumerate(
                     zip(self.dataset.profiles, self.dataset.voltages)):
-                model = build_model(params, self.ocv_p, self.ocv_n, profile.dt)
-                loss = self._profile_loss(i, model, profile, measured)
+                loss = self._profile_loss(i, params, profile, measured)
                 if loss is None:
                     per.append(DIVERGENCE_PENALTY)
                     penalized = True
@@ -230,24 +256,38 @@ class VoltageFitObjective:
         return ObjectiveEvaluation(theta=theta, loss=float(sum(per)),
                                    per_profile=tuple(per), penalized=penalized)
 
-    def _profile_loss(self, i: int, model: DiscreteCellModel,
+    def _profile_loss(self, i: int, params: CellParameters,
                       profile: CurrentProfile,
                       measured: VoltageSeries) -> float | None:
         """Squared residual of profile ``i``; None when the simulation
-        diverges or the residual exceeds DIVERGENCE_PENALTY."""
-        if i not in self._fixed:
+        diverges or the residual exceeds DIVERGENCE_PENALTY.
+
+        The model is built, and its step checked, only when D_e changed.
+        """
+        terms = self._terms.get(i)
+        if terms is None or terms.D_e != params.D_e:
+            model = build_model(params, self.ocv_p, self.ocv_n, profile.dt)
+        if i not in self._terms:
             try:
-                terms = fixed_terms(model, profile)
-                self._fixed[i] = replace(terms, c_p=None, c_n=None)
+                fixed = fixed_terms(model, profile)
+                self._terms[i] = _ProfileTerms(replace(fixed, c_p=None, c_n=None))
             except SimulationDiverged:
-                self._fixed[i] = None
-        terms = self._fixed[i]
+                self._terms[i] = None
+        terms = self._terms[i]
         if terms is None:
             return None
-        try:
-            residual = assemble(model, terms).volts - measured.volts
-        except SimulationDiverged:
-            return None
+        if terms.k_p != params.k_p:
+            terms.eta_p = overpotential(params, terms.fixed, "p")
+            terms.k_p = params.k_p
+        if terms.k_n != params.k_n:
+            terms.eta_n = overpotential(params, terms.fixed, "n")
+            terms.k_n = params.k_n
+        if terms.D_e != params.D_e:
+            terms.phi_e = electrolyte_potential(model, terms.fixed.current)
+            terms.D_e = params.D_e
+        residual = terminal_voltage(terms.fixed, terms.eta_p, terms.eta_n,
+                                    terms.phi_e, terms.volts)
+        residual -= measured.volts
         loss = sum_of_squares(residual)
         return loss if loss <= DIVERGENCE_PENALTY else None   # inf, NaN too
 

@@ -41,6 +41,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             AcquisitionConfig(xi=-1.0)
 
+    @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_rejects_xi_that_is_not_finite_and_non_negative(self, xi):
+        with pytest.raises(ValueError, match="xi must be finite"):
+            AcquisitionConfig(xi=xi)
+
     @pytest.mark.parametrize("field,value", [
         ("refine_top", 0), ("refine_top", -1), ("refine_steps", -1)])
     def test_rejects_refinement_out_of_range(self, field, value):

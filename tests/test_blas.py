@@ -135,3 +135,42 @@ def test_results_do_not_depend_on_the_thread_count():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
+
+
+_GD_RUN = """
+import hashlib
+from cellident.baselines import GdConfig, gradient_descent
+from cellident.bench import generate_profile, generate_synthetic_dataset
+from cellident.identify import VoltageFitObjective, default_box
+from cellident.params import reference_cell
+
+params, ocv_p, ocv_n = reference_cell()
+long = generate_profile("rcid-like", 3600.0, 0.25, 0, params)
+drive = generate_profile("drive-cycle-like", 1200.0, 0.5, 3, params)
+assert long.n > 10_000
+train, _, _ = generate_synthetic_dataset(params, ocv_p, ocv_n, [long, drive],
+                                         [drive], 0.005, 7)
+objective = VoltageFitObjective(params, ocv_p, ocv_n, default_box(), train)
+result = gradient_descent(objective.unit, default_box(), GdConfig(budget=30,
+                                                                  seed=4))
+digest = hashlib.sha256()
+for _, theta, loss in result.trace:
+    digest.update(theta.tobytes() + loss.hex().encode())
+print(digest.hexdigest())
+"""
+
+
+def test_gd_run_with_cached_terms_does_not_depend_on_the_thread_count():
+    """A GD run, whose probes reuse the objective's cached voltage terms, on
+    a two-profile set with one profile of more than 10,000 samples is
+    bit-identical at one and two OpenBLAS threads."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _GD_RUN], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]

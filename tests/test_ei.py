@@ -152,6 +152,12 @@ class TestGuards:
         with pytest.raises(ValueError):
             expected_improvement(0.0, 1.0, 0.0, xi=-0.1)
 
+    @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf])
+    def test_non_finite_xi_rejected(self, xi):
+        """NaN passes an ``xi < 0`` check and would score every point NaN."""
+        with pytest.raises(ValueError, match="xi must be finite"):
+            expected_improvement(np.zeros(3), np.ones(3), 0.0, xi=xi)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
         """A NaN variance used to score as the sigma = 0 hinge (mean -2,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellident import identify
+from cellident import ecm, identify
 from cellident.bench import generate_synthetic_dataset
 from cellident.errors import DataError, DimensionMismatch, OutOfBox, StepTooCoarse
 from cellident.identify import (
@@ -82,6 +82,20 @@ class TestParameterBox:
             box.normalize(box.upper * 1.01)
         with pytest.raises(OutOfBox):
             box.denormalize(np.array([0.5, 0.5, 1.1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_non_finite_points_are_out_of_box(self, box, bad, index):
+        """NaN compares false against both bounds; the range check must still
+        reject it."""
+        theta, unit = box.midpoint(), np.full(3, 0.5)
+        theta[index] = unit[index] = bad
+        with pytest.raises(OutOfBox):
+            box.normalize(theta)
+        with pytest.raises(OutOfBox):
+            box.denormalize(unit)
+        with pytest.raises(OutOfBox):
+            box.normalize(np.stack([box.midpoint(), theta]))
 
     def test_dimension_mismatch(self, box):
         with pytest.raises(DimensionMismatch):
@@ -215,6 +229,24 @@ class TestObjective:
         assert evaluation.penalized
         assert evaluation.per_profile == (DIVERGENCE_PENALTY,)
 
+    def test_unit_rejects_nan_before_the_model(self, cell, box, short_dataset):
+        """A NaN point is rejected at the box, not later as invalid cell
+        parameters."""
+        params, ocv_p, ocv_n = cell
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, short_dataset)
+        for point in ([np.nan, 0.5, 0.5], [0.5, 0.5, np.nan]):
+            with pytest.raises(OutOfBox):
+                objective.unit(np.array(point))
+
+    def test_evaluation_keeps_its_own_theta(self, cell, box, short_dataset):
+        params, ocv_p, ocv_n = cell
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, short_dataset)
+        theta = box.midpoint()
+        evaluation = objective(theta)
+        kept = theta.copy()
+        theta[:] = box.upper
+        assert evaluation.theta.tobytes() == kept.tobytes()
+
     def test_wrong_box_names_rejected(self, cell, short_dataset):
         params, ocv_p, ocv_n = cell
         other = ParameterBox(names=("a", "b", "c"), lower=np.zeros(3),
@@ -321,6 +353,103 @@ class TestFixedTermCache:
             with pytest.raises(DataError, match="outside table range"):
                 objective(box.midpoint())
         assert built == 3 * [pair.profiles[0]]
+
+
+class TestThetaTermCache:
+    """Each profile keeps eta_p for its k_p, eta_n for its k_n and phi_e (and
+    the model) for its D_e; a call recomputes only what its theta changed."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Per-name call counts of the term functions and the lag filter."""
+        counts = {"response": 0, "overpotential": 0, "build_model": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ecm.FirstOrderLag, "response",
+                            counting("response", ecm.FirstOrderLag.response))
+        for name in ("overpotential", "build_model"):
+            monkeypatch.setattr(identify, name,
+                                counting(name, getattr(identify, name)))
+        return counts
+
+    @pytest.fixture()
+    def objective(self, cell, box):
+        params, ocv_p, ocv_n = cell
+        p1 = CurrentProfile(dt=0.5, current=np.full(400, 0.5))
+        p2 = CurrentProfile(dt=1.0, current=-np.full(300, 0.4))
+        pair, _, _ = generate_synthetic_dataset(params, ocv_p, ocv_n,
+                                                [p1, p2], [p1], 0.0, 1)
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, pair)
+        objective(box.midpoint())
+        return objective
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_k_change_never_filters(self, objective, calls, box, index):
+        theta = box.midpoint()
+        theta[index] *= 1.01
+        objective(theta)
+        assert calls == {"response": 0, "overpotential": 2, "build_model": 0}
+
+    def test_d_e_change_recomputes_only_phi_e(self, objective, calls, box):
+        theta = box.midpoint()
+        theta[2] *= 1.01
+        objective(theta)
+        # two electrolyte lags per profile; the solid lags are fixed terms
+        assert calls == {"response": 4, "overpotential": 0, "build_model": 2}
+
+    def test_repeat_recomputes_nothing(self, objective, calls, box):
+        objective(box.midpoint())
+        objective.unit(np.full(3, 0.5))
+        assert calls == {"response": 0, "overpotential": 0, "build_model": 0}
+
+    def test_new_theta_recomputes_every_term(self, objective, calls, box):
+        objective(box.denormalize(np.array([0.1, 0.2, 0.3])))
+        assert calls == {"response": 4, "overpotential": 4, "build_model": 2}
+
+    def test_losses_after_a_raising_call_match_a_fresh_objective(
+            self, cell, objective, box):
+        """A call that raises part-way leaves no term out of step with the
+        component value it is kept for.  At D_e = 9e-10 the fastest
+        electrolyte lag allows dt = 0.5 s but not 1 s, so the first profile
+        takes the new terms and the second raises."""
+        params, ocv_p, ocv_n = cell
+        before = box.denormalize(np.array([0.2, 0.7, 0.4]))
+        objective(before)
+        with pytest.raises(StepTooCoarse):
+            objective(np.array([before[0] * 1.1, before[1], 9.0e-10]))
+        with pytest.raises(ValueError, match="k_n must be strictly positive"):
+            objective(np.array([before[0] * 1.2, -1.0, before[2]]))
+        for theta in (before, box.midpoint(), before):
+            got = objective(theta)
+            want = VoltageFitObjective(params, ocv_p, ocv_n, box,
+                                       objective.dataset)(theta)
+            assert (got.loss, got.per_profile) == (want.loss, want.per_profile)
+
+    def test_a_term_that_raises_is_not_kept(self, cell, objective, box,
+                                            monkeypatch):
+        """The next call at the same k_p computes eta_p again."""
+        params, ocv_p, ocv_n = cell
+        theta = box.midpoint()
+        theta[0] *= 1.05
+        real, fail = identify.overpotential, [True]
+
+        def failing_once(p, fixed, electrode):
+            if fail and electrode == "p":
+                fail.clear()
+                raise ZeroDivisionError("exchange current density is zero")
+            return real(p, fixed, electrode)
+
+        monkeypatch.setattr(identify, "overpotential", failing_once)
+        with pytest.raises(ZeroDivisionError):
+            objective(theta)
+        want = VoltageFitObjective(params, ocv_p, ocv_n, box,
+                                   objective.dataset)(theta)
+        assert objective(theta).per_profile == want.per_profile
 
 
 class TestProfileCsv:

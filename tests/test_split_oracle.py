@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from cellident.baselines import GD_PROBE
 from cellident.bench import generate_profile, generate_synthetic_dataset
 from cellident.ecm import (
     SimulationResult,
@@ -165,3 +168,78 @@ class TestObjectiveSplit:
             assert evaluation.loss == loss
             assert evaluation.per_profile == per
             assert not evaluation.penalized
+
+
+# A theta sequence is a start point and moves, each applied to the last theta
+# in unit coordinates: the patterns the term cache must get right.
+_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_moves = st.one_of(
+    st.tuples(st.just("probe"), st.integers(0, 2), st.sampled_from([1, -1])),
+    st.tuples(st.just("step"), st.lists(_unit, min_size=3, max_size=3)),
+    st.tuples(st.just("edge"), st.integers(0, 2), st.sampled_from([0.0, 1.0])),
+    st.tuples(st.just("repeat")),
+    st.tuples(st.just("revert"), st.integers(0, 20)),
+    st.tuples(st.just("penalize"), st.integers(0, 2),
+              st.sampled_from([1e-9, 1e-300]), st.booleans()),
+)
+
+
+def _theta_sequence(box, start, moves):
+    """Physical thetas: GD probes either way along one axis, clipped at the
+    box edge, steps and edge points, exact repeats, returns to an earlier
+    theta, and a component scaled far below the box or set to 5e-324, which
+    is charged the penalty.  Moves other than ``revert`` start from the last in-box point."""
+    unit = np.array(start)
+    thetas = [box.denormalize(unit)]
+    for move in moves:
+        kind = move[0]
+        if kind == "probe":
+            _, i, sign = move
+            unit = unit.copy()
+            unit[i] += sign * GD_PROBE
+            unit = box.clip_unit(unit)
+        elif kind == "step":
+            unit = np.array(move[1])
+        elif kind == "edge":
+            _, i, side = move
+            unit = unit.copy()
+            unit[i] = side
+        theta = box.denormalize(unit)
+        if kind == "revert":
+            theta = thetas[move[1] % len(thetas)].copy()
+        elif kind == "penalize":   # or the smallest double, which overflows
+            _, i, scale, smallest = move
+            theta[i] = 5e-324 if smallest else theta[i] * scale
+        thetas.append(theta)
+    return thetas
+
+
+class TestThetaTermCache:
+    """The objective keeps each profile's last eta_p, eta_n and phi_e; over
+    any sequence of thetas its losses are those of a fresh objective and of
+    the one-step simulator, bit for bit."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(start=st.lists(_unit, min_size=3, max_size=3),
+           moves=st.lists(_moves, min_size=1, max_size=14))
+    def test_sequence_matches_fresh_objective_and_reference(
+            self, cell, box, noisy_dataset, start, moves):
+        params, ocv_p, ocv_n = cell
+        cached = VoltageFitObjective(params, ocv_p, ocv_n, box, noisy_dataset)
+        for theta in _theta_sequence(box, start, moves):
+            got = cached(theta)
+            fresh = VoltageFitObjective(params, ocv_p, ocv_n, box,
+                                        noisy_dataset)(theta)
+            with np.errstate(all="ignore"):
+                loss, per = reference_loss(params, ocv_p, ocv_n,
+                                           noisy_dataset, theta)
+            # the reference charges only divergence; the objective also
+            # charges a residual beyond the penalty, overflow and NaN
+            per = tuple(v if v <= DIVERGENCE_PENALTY else DIVERGENCE_PENALTY
+                        for v in per)
+            assert got.per_profile == fresh.per_profile == per
+            assert got.loss == fresh.loss == float(sum(per))
+            assert got.penalized == fresh.penalized == (
+                DIVERGENCE_PENALTY in per)
+            assert got.theta.tobytes() == theta.tobytes()
