@@ -37,9 +37,7 @@ from .ecm import (
     bulk_stoichiometry,
     c1_coefficient,
     electrolyte_potential,
-    exchange_current_density,
     fixed_terms,
-    kinetic_overpotential,
     ohmic_drop,
     simulate,
     simulate_detailed,
@@ -74,6 +72,6 @@ from .ocv import OcvCurve, synthetic_anode, synthetic_cathode
 from .params import CellParameters, load_parameter_file, reference_cell
 from .profiles import CurrentProfile, VoltageSeries, noise_cycle_profile, staircase_profile
 from .runs import OptimizationResult, Recorder, export_trace
-from .sampling import HaltonSampler, halton_points
+from .sampling import HaltonSampler
 
 __version__ = "0.1.0"

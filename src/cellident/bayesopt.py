@@ -143,9 +143,12 @@ def maximize_acquisition(state: gp.GPPosterior, box: ParameterBox,
     mean, var = state.posterior(cand)
     scores = expected_improvement(mean, var, best_so_far, config.xi)
 
+    # the refine_top best, ties by descending index at every SIMD level
+    k = max(len(scores) - config.refine_top, 0)
+    top = np.flatnonzero(scores >= np.partition(scores, k)[k])
+    top = top[np.argsort(scores[top], kind="stable")[::-1][:config.refine_top]]
     # refine all kept candidates together, one posterior call per shrinking
     # step; each moves to its first best probe on strict improvement only
-    top = np.argsort(scores)[::-1][:config.refine_top]
     points, score, rows = cand[top], scores[top], np.arange(len(top))
     offsets = np.vstack([np.eye(n), -np.eye(n)])
     steps = np.geomspace(config.step_init, config.step_final,

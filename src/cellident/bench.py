@@ -36,7 +36,13 @@ from .baselines import (
 )
 from .bayesopt import BoRunConfig, run_bo
 from .ecm import build_model, bulk_stoichiometry, simulate
-from .errors import ConfigError, DataError, SocWindowViolation
+from .errors import (
+    ConfigError,
+    DataError,
+    SimulationDiverged,
+    SocWindowViolation,
+    StepTooCoarse,
+)
 from .identify import (
     THETA_NAMES,
     IdentificationDataset,
@@ -328,16 +334,27 @@ def build_dataset(config: ExperimentConfig, params: CellParameters,
 
     The first two children of the master SeedSequence seed the profiles and
     the measurement noise (see the module docstring); returns (train, test,
-    meta) as ``generate_synthetic_dataset`` does.
+    meta) as ``generate_synthetic_dataset`` does.  A profile the cell cannot
+    simulate is a ConfigError that names it.
     """
     profile_ss, noise_ss = np.random.SeedSequence(config.master_seed).spawn(2)
     specs = config.train_profiles + config.test_profiles
     profiles = [generate_profile(s.kind, s.duration_s, s.dt_s, child, params)
                 for s, child in zip(specs, profile_ss.spawn(len(specs)))]
     n_train = len(config.train_profiles)
-    return generate_synthetic_dataset(
-        params, ocv_p, ocv_n, profiles[:n_train], profiles[n_train:],
-        config.noise_sigma_v, noise_ss)
+    try:
+        return generate_synthetic_dataset(
+            params, ocv_p, ocv_n, profiles[:n_train], profiles[n_train:],
+            config.noise_sigma_v, noise_ss)
+    except (StepTooCoarse, SimulationDiverged):
+        for spec, profile in zip(specs, profiles):   # find the one that failed
+            try:
+                simulate(params, ocv_p, ocv_n, profile)
+            except (StepTooCoarse, SimulationDiverged) as exc:
+                raise ConfigError(
+                    f"the cell cannot simulate profile kind {spec.kind!r} at "
+                    f"dt = {spec.dt_s:g} s: {type(exc).__name__}: {exc}") from exc
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,11 @@ class FirstOrderLag:
         a = self.pole(dt)
         return a * y_prev + self.gain * (1.0 - a) * u_prev
 
-    def response(self, u: np.ndarray, dt: float, y0: float = 0.0) -> np.ndarray:
-        """Full output series; y[0] = y0, input enters with one-sample delay."""
+    def response(self, u: np.ndarray, dt: float) -> np.ndarray:
+        """Full output series from rest; input enters with one-sample delay."""
         a = self.pole(dt)
-        b = [0.0, self.gain * (1.0 - a)]
-        # transposed direct form II: with b0 = 0, zi = [y0] makes y[0] = y0
-        y, _ = lfilter(b, [1.0, -a], np.asarray(u, dtype=float), zi=[y0])
-        return y
+        return lfilter([0.0, self.gain * (1.0 - a)], [1.0, -a],
+                       np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -103,14 +101,14 @@ class TrapezoidIntegrator:
             raise NonPositiveStep(f"dt must be positive, got {dt}")
         return q_prev + 0.5 * dt * (u_prev + u_now)
 
-    def response(self, u: np.ndarray, dt: float, q0: float = 0.0) -> np.ndarray:
+    def response(self, u: np.ndarray, dt: float) -> np.ndarray:
+        """Full output series from rest, q[0] = 0."""
         if not dt > 0.0:
             raise NonPositiveStep(f"dt must be positive, got {dt}")
         u = np.asarray(u, dtype=float)
-        q = np.empty_like(u)
-        q[0] = q0
+        q = np.zeros_like(u)
         if u.size > 1:
-            q[1:] = q0 + np.cumsum(0.5 * dt * (u[:-1] + u[1:]))
+            q[1:] = np.cumsum(0.5 * dt * (u[:-1] + u[1:]))
         return q
 
 
@@ -187,7 +185,6 @@ class DiscreteCellModel:
     lag_solid_n: FirstOrderLag = field(init=False)
     lag_elec_pos: FirstOrderLag = field(init=False)
     lag_elec_neg: FirstOrderLag = field(init=False)
-    integrator: TrapezoidIntegrator = field(init=False)
     c1: float = field(init=False)
 
     def __post_init__(self):
@@ -207,16 +204,7 @@ class DiscreteCellModel:
                                          tau=solid_time_constant(p, "n"))
         self.lag_elec_pos = FirstOrderLag(gain=ELEC_GAIN_POS * p.gamma_p, tau=tau_pos)
         self.lag_elec_neg = FirstOrderLag(gain=ELEC_GAIN_NEG * p.gamma_n, tau=tau_neg)
-        self.integrator = TrapezoidIntegrator()
         self.c1 = c1_coefficient(p)
-
-    def lag_blocks(self) -> dict[str, FirstOrderLag]:
-        return {
-            "solid_p": self.lag_solid_p,
-            "solid_n": self.lag_solid_n,
-            "elec_pos": self.lag_elec_pos,
-            "elec_neg": self.lag_elec_neg,
-        }
 
 
 def build_model(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
@@ -240,7 +228,7 @@ def surface_concentration(model: DiscreteCellModel, electrode: str,
     else:
         raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
 
-    q = model.integrator.response(current, model.dt)
+    q = TrapezoidIntegrator().response(current, model.dt)
     # G_b's lag term and G_d share gain R/(5D) and tau: compute once, double
     y = lag.response(current, model.dt)
     c = c0 + concentration_scale(p, electrode) * ((3.0 / R) * q + 2.0 * y)
@@ -276,16 +264,13 @@ def bulk_stoichiometry(params: CellParameters, electrode: str,
     return bulk_concentration(params, electrode, profile) / c_max
 
 
-def exchange_current_factors(params: CellParameters, electrode: str,
-                             c_surf, T: float | None = None):
+def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
     """(Arrhenius(T) * F, sqrt(c (c_max - c) c_e)): i0 without its k_i.
 
     Raises ConcentrationOutOfRange where the square-root argument is not
     positive.
     """
     p = params
-    if T is None:
-        T = p.T
     if electrode == "p":
         c_max, c_e, E_io = p.c_max_p, p.c_e_p, p.E_io_p
     elif electrode == "n":
@@ -303,17 +288,8 @@ def exchange_current_factors(params: CellParameters, electrode: str,
             f"at sample {k_bad} (c = {np.atleast_1d(c)[k_bad]:g} mol/m^3)",
             electrode=electrode, index=k_bad,
         )
-    arrhenius = math.exp((1.0 / p.T_ref - 1.0 / T) * E_io / p.R_gas)
+    arrhenius = math.exp((1.0 / p.T_ref - 1.0 / p.T) * E_io / p.R_gas)
     return arrhenius * p.F, np.sqrt(arg)
-
-
-def exchange_current_density(params: CellParameters, electrode: str,
-                             c_surf, T: float | None = None):
-    """i0 = Arrhenius(T) * F * k_i * sqrt(c (c_max - c) c_e); scalar or array."""
-    scale, root = exchange_current_factors(params, electrode, c_surf, T)
-    k = params.k_p if electrode == "p" else params.k_n
-    i0 = scale * k * root
-    return float(i0) if np.isscalar(c_surf) else i0
 
 
 def overpotential_numerator(params: CellParameters, electrode: str, current):
@@ -323,17 +299,6 @@ def overpotential_numerator(params: CellParameters, electrode: str, current):
     p = params
     J = p.J_p if electrode == "p" else p.J_n
     return p.R_gas * p.T0 * (-J * np.asarray(current, dtype=float))
-
-
-def _over_f_i0(params: CellParameters, numerator, i0):
-    if np.any(np.asarray(i0) == 0.0):
-        raise ZeroDivisionError("exchange current density is zero")
-    return numerator / (params.F * i0)
-
-
-def kinetic_overpotential(params: CellParameters, electrode: str, current, i0):
-    """eta_i = R T0 (-J_i I)/(F i0): linear in I at fixed exchange current."""
-    return _over_f_i0(params, overpotential_numerator(params, electrode, current), i0)
 
 
 def electrolyte_potential(model: DiscreteCellModel, current: np.ndarray) -> np.ndarray:
@@ -385,7 +350,7 @@ class FixedTerms:
     ocv_diff: np.ndarray          # U_p(x_p) - U_n(x_n) [V]
     i0_scale_p: float             # Arrhenius * F
     i0_scale_n: float
-    sqrt_arg_p: np.ndarray        # sqrt(c (c_max - c) c_e); scalar when i0 is frozen
+    sqrt_arg_p: np.ndarray        # sqrt(c (c_max - c) c_e)
     sqrt_arg_n: np.ndarray
     eta_num_p: np.ndarray         # R T0 (-J_p I)
     eta_num_n: np.ndarray
@@ -393,24 +358,19 @@ class FixedTerms:
     contact_drop: np.ndarray      # I R_c [V]
 
 
-def fixed_terms(model: DiscreteCellModel, profile: CurrentProfile,
-                freeze_exchange_current: bool = False) -> FixedTerms:
+def fixed_terms(model: DiscreteCellModel, profile: CurrentProfile) -> FixedTerms:
     """Every term of the voltage that does not depend on (k_p, k_n, D_e).
 
     Raises SimulationDiverged when a surface concentration leaves its valid
-    range; see ``simulate_detailed`` for ``freeze_exchange_current``.
+    range.
     """
     p = model.params
     I = profile.current
     try:
         c_p = surface_concentration(model, "p", I)
         c_n = surface_concentration(model, "n", I)
-        if freeze_exchange_current:
-            scale_p, root_p = exchange_current_factors(p, "p", p.c_p0)
-            scale_n, root_n = exchange_current_factors(p, "n", p.c_n0)
-        else:
-            scale_p, root_p = exchange_current_factors(p, "p", c_p)
-            scale_n, root_n = exchange_current_factors(p, "n", c_n)
+        scale_p, root_p = exchange_current_factors(p, "p", c_p)
+        scale_n, root_n = exchange_current_factors(p, "n", c_n)
         u_p = model.ocv_p(c_p / p.c_max_p)
         u_n = model.ocv_n(c_n / p.c_max_n)
     except ConcentrationOutOfRange as exc:
@@ -433,11 +393,15 @@ def overpotential(params: CellParameters, fixed: FixedTerms,
     """
     if electrode == "p":
         i0 = fixed.i0_scale_p * params.k_p * fixed.sqrt_arg_p
-        return _over_f_i0(params, fixed.eta_num_p, i0)
-    if electrode == "n":
+        numerator = fixed.eta_num_p
+    elif electrode == "n":
         i0 = fixed.i0_scale_n * params.k_n * fixed.sqrt_arg_n
-        return _over_f_i0(params, fixed.eta_num_n, i0)
-    raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
+        numerator = fixed.eta_num_n
+    else:
+        raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
+    if np.any(np.asarray(i0) == 0.0):
+        raise ZeroDivisionError("exchange current density is zero")
+    return numerator / (params.F * i0)
 
 
 def terminal_voltage(fixed: FixedTerms, eta_p: np.ndarray, eta_n: np.ndarray,
@@ -475,22 +439,13 @@ def assemble(model: DiscreteCellModel, fixed: FixedTerms) -> SimulationResult:
 
 
 def simulate_detailed(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
-                      profile: CurrentProfile,
-                      freeze_exchange_current: bool = False) -> SimulationResult:
-    """Run the model over a profile, returning every voltage contribution.
-
-    ``freeze_exchange_current`` pins i0 at the initial concentrations, which
-    makes every dynamic term exactly linear in the applied current (used by
-    superposition checks); the default recomputes i0 from the instantaneous
-    surface concentrations.
-    """
+                      profile: CurrentProfile) -> SimulationResult:
+    """Run the model over a profile, returning every voltage contribution."""
     model = build_model(params, ocv_p, ocv_n, profile.dt)
-    return assemble(model, fixed_terms(model, profile, freeze_exchange_current))
+    return assemble(model, fixed_terms(model, profile))
 
 
 def simulate(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
-             profile: CurrentProfile,
-             freeze_exchange_current: bool = False) -> VoltageSeries:
+             profile: CurrentProfile) -> VoltageSeries:
     """Terminal-voltage series for a current profile (discharge positive)."""
-    return simulate_detailed(params, ocv_p, ocv_n, profile,
-                             freeze_exchange_current=freeze_exchange_current).voltage_series
+    return simulate_detailed(params, ocv_p, ocv_n, profile).voltage_series

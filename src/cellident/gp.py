@@ -4,8 +4,7 @@ The kernel is k(x, x') = exp(-||x - x'||^2 / 2) on normalized (unit-cube)
 coordinates: unit lengthscale, unit prior variance, zero prior mean.  To
 make that fixed prior usable on raw losses (which are many orders of
 magnitude away from O(1)), observed values are standardized internally to
-zero mean and unit scale, and posterior moments are mapped back on output;
-the switch is exposed for tests that want the raw prior.
+zero mean and unit scale, and posterior moments are mapped back on output.
 """
 
 from __future__ import annotations
@@ -54,12 +53,11 @@ class GPPosterior:
 
     points: np.ndarray        # (s, d) inputs, normalized coordinates
     sq_norms: np.ndarray      # (s,) squared row norms of points
-    values_std: np.ndarray    # (s,) standardized observed values
     chol: np.ndarray          # lower-triangular L with L L^T = K + jitter I
     chol_inv: np.ndarray      # L^{-1}, lower-triangular
-    alpha: np.ndarray         # (K + jitter I)^{-1} values_std
+    alpha: np.ndarray         # (K + jitter I)^{-1} standardized values
     mean_shift: float         # standardization offset
-    scale: float              # standardization scale (1 when disabled)
+    scale: float              # standardization scale (1 for constant values)
     jitter: float             # jitter actually used
 
     @property
@@ -97,14 +95,13 @@ class GPPosterior:
         return mean, var
 
 
-def fit(points, values, jitter: float = JITTER_LADDER[0],
-        standardize: bool = True) -> GPPosterior:
+def fit(points, values) -> GPPosterior:
     """Factorize K + jitter I and cache everything posterior queries need.
 
-    The jitter escalates through JITTER_LADDER on factorization failure;
-    SingularKernel is raised only when the whole ladder fails.  Two inputs
-    closer than DUPLICATE_TOL raise DuplicatePoint; a non-finite point or
-    value raises ValueError.
+    The jitter starts at JITTER_LADDER[0] and escalates through the ladder
+    on factorization failure; SingularKernel is raised only when the whole
+    ladder fails.  Two inputs closer than DUPLICATE_TOL raise
+    DuplicatePoint; a non-finite point or value raises ValueError.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float).ravel()
@@ -115,8 +112,6 @@ def fit(points, values, jitter: float = JITTER_LADDER[0],
         raise ValueError("need at least one observation")
     if not (np.isfinite(points).all() and np.isfinite(values).all()):
         raise ValueError("points and values must be finite")
-    if jitter < 0.0:
-        raise ValueError(f"jitter must be non-negative, got {jitter}")
 
     if points.shape[0] > 1:
         # direct differences: the Gram expansion's squared distances carry
@@ -129,13 +124,9 @@ def fit(points, values, jitter: float = JITTER_LADDER[0],
                 f"observations {i} and {j} coincide within {DUPLICATE_TOL:g} "
                 f"(distance {dist[k]:g})")
 
-    if standardize:
-        mean_shift = float(np.mean(values))
-        scale = float(np.std(values))
-        if scale <= 0.0 or not np.isfinite(scale):
-            scale = 1.0
-    else:
-        mean_shift = 0.0
+    mean_shift = float(np.mean(values))
+    scale = float(np.std(values))
+    if scale <= 0.0 or not np.isfinite(scale):
         scale = 1.0
     values_std = (values - mean_shift) / scale
     if not np.isfinite(values_std).all():
@@ -144,20 +135,16 @@ def fit(points, values, jitter: float = JITTER_LADDER[0],
     sq_norms = _sq_norms(points)
     gram = _kernel(points, sq_norms, points, sq_norms)
     diag = gram.diagonal().copy()
-    ladder = [jitter] + [j for j in JITTER_LADDER if j > jitter]
-    chol = None
-    used = None
-    for jit in ladder:
-        gram.flat[::len(values) + 1] = diag + jit    # K + jit I, in place
+    for jitter in JITTER_LADDER:
+        gram.flat[::len(values) + 1] = diag + jitter    # K + jitter I, in place
         try:
             chol = cholesky(gram, lower=True)
-            used = jit
             break
         except LinAlgError:
             continue
-    if chol is None:
+    else:
         raise SingularKernel(
-            f"kernel matrix is singular even at jitter {ladder[-1]:g} "
+            f"kernel matrix is singular even at jitter {JITTER_LADDER[-1]:g} "
             f"({len(values)} points)")
 
     # cholesky checked the Gram matrix, so its factor is finite too
@@ -165,7 +152,6 @@ def fit(points, values, jitter: float = JITTER_LADDER[0],
     alpha = solve_triangular(chol.T, rhs, lower=False)
     # the factor's diagonal is positive, so its inverse exists
     chol_inv, _ = dtrtri(chol, lower=1)
-    return GPPosterior(points=points, sq_norms=sq_norms,
-                       values_std=values_std, chol=chol,
+    return GPPosterior(points=points, sq_norms=sq_norms, chol=chol,
                        chol_inv=chol_inv, alpha=alpha, mean_shift=mean_shift,
-                       scale=scale, jitter=used)
+                       scale=scale, jitter=jitter)

@@ -35,42 +35,46 @@ class OptimizationResult:
 class Recorder:
     """Budget guard and trace around a unit-cube objective.
 
-    Each call evaluates ``objective`` at a unit point and records
-    ``(index, theta_physical, loss)`` and the unit point; a call past
-    ``budget`` raises RuntimeError before the objective runs.
+    Each call evaluates ``objective`` at a unit point and keeps the point
+    and its loss; a call past ``budget`` raises RuntimeError before the
+    objective runs.
     """
 
     def __init__(self, objective, box: ParameterBox, budget: int):
         self.objective = objective
         self.box = box
         self.budget = budget
-        self.trace: list[tuple[int, np.ndarray, float]] = []
         self.points: list[np.ndarray] = []   # unit-cube points, in order
+        self._losses: list[float] = []
         self._t0 = time.perf_counter()
 
     @property
     def remaining(self) -> int:
-        return self.budget - len(self.trace)
+        return self.budget - len(self._losses)
 
     def __call__(self, unit_point) -> float:
         if self.remaining <= 0:
             raise RuntimeError(
                 f"objective evaluation budget ({self.budget}) exceeded")
         loss = float(self.objective(unit_point))
-        self.trace.append((len(self.trace), self.box.denormalize(unit_point),
-                           loss))
         self.points.append(np.array(unit_point, dtype=float))
+        self._losses.append(loss)
         return loss
 
     def losses(self) -> np.ndarray:
-        return np.array([loss for _, _, loss in self.trace])
+        return np.array(self._losses)
 
     def result(self, method: str, **notes) -> OptimizationResult:
-        """The run so far; the first minimum of the trace is the best."""
-        _, theta, loss = self.trace[int(np.argmin(self.losses()))]
+        """The run so far, its points denormalized in one call (OutOfBox if
+        one lies outside the cube); the first minimum of the trace is the
+        best."""
+        thetas = self.box.denormalize(np.vstack(self.points))
+        best = int(np.argmin(self._losses))
         return OptimizationResult(
-            method=method, best_theta=theta, best_loss=loss,
-            trace=tuple(self.trace), evaluations_used=len(self.trace),
+            method=method, best_theta=thetas[best],
+            best_loss=self._losses[best],
+            trace=tuple(zip(range(len(thetas)), thetas, self._losses)),
+            evaluations_used=len(thetas),
             wall_time_s=time.perf_counter() - self._t0, notes=notes)
 
 

@@ -95,8 +95,3 @@ class HaltonSampler:
             np.subtract(col, 1.0, out=col, where=col >= 1.0)
             out[:, j] = col
         return out
-
-
-def halton_points(n: int, dim: int, seed) -> np.ndarray:
-    """One-shot rotated Halton design, shape (n, dim)."""
-    return HaltonSampler(dim, seed).draw(n)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cellident.bench import generate_profile, generate_synthetic_dataset, one_c_current
+from cellident.ecm import assemble, build_model, exchange_current_factors, fixed_terms
 from cellident.identify import default_box
 from cellident.params import reference_cell
 
@@ -54,6 +57,21 @@ def short_dataset(cell):
     train, _, _ = generate_synthetic_dataset(
         params, ocv_p, ocv_n, [profile], [profile], 0.0, 42)
     return train
+
+
+@pytest.fixture(scope="session")
+def simulate_pinned():
+    """``simulate_pinned(params, ocv_p, ocv_n, profile)``: simulate_detailed
+    with each exchange current pinned at its electrode's initial
+    concentration, which makes every dynamic term exactly linear in the
+    applied current."""
+    def run(params, ocv_p, ocv_n, profile):
+        model = build_model(params, ocv_p, ocv_n, profile.dt)
+        return assemble(model, dataclasses.replace(
+            fixed_terms(model, profile),
+            sqrt_arg_p=exchange_current_factors(params, "p", params.c_p0)[1],
+            sqrt_arg_n=exchange_current_factors(params, "n", params.c_n0)[1]))
+    return run
 
 
 @pytest.fixture()

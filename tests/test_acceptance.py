@@ -118,7 +118,8 @@ def test_3_simulator_invariants(cell, i_1c, capsys):
     constant = np.full(600, i_1c)
     worst_gain = max(
         abs(float(block.response(constant, 1.0)[-1]) / (block.gain * i_1c) - 1.0)
-        for block in model.lag_blocks().values())
+        for block in (model.lag_solid_p, model.lag_solid_n,
+                      model.lag_elec_pos, model.lag_elec_neg))
     ok_gains = worst_gain <= 1e-3
 
     # integrated charge matches an independent trapezoid rule

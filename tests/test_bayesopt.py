@@ -1,5 +1,10 @@
 """Bayesian-optimization loop: budget discipline, determinism, seeding."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,8 @@ from cellident.gp import fit
 from cellident.identify import ParameterBox
 from cellident.runs import export_trace
 from cellident.sampling import HaltonSampler
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -174,7 +181,9 @@ def _reference_maximize_acquisition(state, box, config, rng, sampler,
     mean, var = state.posterior(cand)
     scores = bayesopt.expected_improvement(mean, var, best_so_far, config.xi)
 
-    top = np.argsort(scores)[::-1][:min(config.refine_top, len(scores))]
+    # highest score first; among tied scores, the largest index first
+    top = sorted(range(len(scores)), key=lambda i: (scores[i], i),
+                 reverse=True)[:config.refine_top]
     steps = np.geomspace(config.step_init, config.step_final,
                          config.refine_steps)
     best_point = cand[top[0]].copy()
@@ -278,7 +287,7 @@ class TestBatchedRefinementOracle:
                           best, lambda: HaltonSampler(3, 6))
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("standardize,value,best,cand,steps", [
+    @pytest.mark.parametrize("single,value,best,cand,steps", [
         # every probe ties; the first best one (+x) wins
         (True, 3.0, 3.0, [[0.5, 0.5, 0.5]], 1),
         # the best probe only ties the candidate, which must not move
@@ -286,10 +295,17 @@ class TestBatchedRefinementOracle:
         # two candidates tie; the first in score order wins
         (True, 3.0, 3.0, [[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]], 0),
     ])
-    def test_exact_ties(self, cube, standardize, value, best, cand, steps):
+    def test_exact_ties(self, cube, single, value, best, cand, steps):
         """Dyadic points around one observation give bit-equal EI, so these
-        cases pin the strict-improvement, first-maximum tie-breaking."""
-        state = fit([[0.5, 0.5, 0.5]], [value], standardize=standardize)
+        cases pin the strict-improvement, first-maximum tie-breaking.
+
+        One observation standardizes to 0: a constant posterior mean.  A
+        second, of value -value at z = 50, has kernel exactly 0 in the cube;
+        the pair standardizes to (-1, 1) at value -1, so the mean in the
+        cube is -k(x, centre) / (1 + jitter)."""
+        points = [[0.5, 0.5, 0.5], [0.5, 0.5, 50.0]]
+        values = [value, -value]
+        state = fit(points[:1], values[:1]) if single else fit(points, values)
         config = AcquisitionConfig(n_candidates=len(cand), refine_steps=steps,
                                    step_init=0.5, step_final=0.5)
         got, want = _both(state, cube, config, best,
@@ -371,3 +387,49 @@ class TestTraceExport:
         table = np.genfromtxt(path, delimiter=",", names=True)
         assert np.all(np.diff(table["cum_best_V2"]) <= 0.0)
         np.testing.assert_array_equal(table["eval_index"], np.arange(12))
+
+
+_REP8_BO_RUN = """
+import hashlib
+import numpy as np
+from cellident.bench import build_dataset, default_config, resolve_cell, run_method
+from cellident.identify import VoltageFitObjective
+
+config = default_config()
+params, ocv_p, ocv_n, _ = resolve_cell(config)
+train, _, _ = build_dataset(config, params, ocv_p, ocv_n)
+objective = VoltageFitObjective(params, ocv_p, ocv_n, config.box, train)
+rep_8 = np.random.SeedSequence(config.master_seed).spawn(
+    2 + config.repetitions)[2 + 8]
+result = run_method("bo", objective.unit, config.box, config.budget, rep_8,
+                    config.s0)
+digest = hashlib.sha256()
+for _, theta, loss in result.trace:
+    digest.update(theta.tobytes() + loss.hex().encode())
+print(digest.hexdigest())
+"""
+
+
+def _dispatched_cpu_features() -> str:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:   # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return " ".join(__cpu_dispatch__)
+
+
+def test_proposals_do_not_depend_on_the_simd_numpy_dispatches():
+    """The BO run of the default bench's repetition 8 ranks candidates with
+    exactly tied EI; its trace is bit-identical with every dispatchable CPU
+    feature of numpy switched off.  Where numpy dispatches none of them,
+    both runs take the same code and the test cannot fail."""
+    digests = []
+    for disabled in ("", _dispatched_cpu_features()):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _REP8_BO_RUN], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from cellident.cli import main
+from cellident.params import reference_cell_path
 
 
 @pytest.fixture()
@@ -467,6 +468,37 @@ class TestConfigShapes:
                                       *extra.get(verb, []), "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert not out.exists()
+
+
+_UNSIMULATABLE_CELLS = {
+    "fast electrolyte": ({"D_e": 1e-8}, "StepTooCoarse: dt = 1 s exceeds"),
+    "slow anode diffusion": ({"D_n": 1e-15}, "SimulationDiverged: electrode n"),
+}
+
+
+class TestUnsimulatableCell:
+    """A config whose own cell cannot simulate its profiles is a config
+    error that names the profile, before anything is written."""
+
+    @pytest.mark.parametrize("case", sorted(_UNSIMULATABLE_CELLS))
+    @pytest.mark.parametrize("verb", ["bench", "gen-data"])
+    def test_exit_2_naming_the_profile(self, runner, tmp_path, verb, case):
+        change, message = _UNSIMULATABLE_CELLS[case]
+        source = reference_cell_path()
+        raw = json.loads(source.read_text())
+        for key in ("ocv_cathode", "ocv_anode"):
+            raw[key] = str(source.parent / raw[key])
+        cell = tmp_path / "cell.json"
+        cell.write_text(json.dumps({**raw, **change}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"parameter_file": str(cell)}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [verb, "--config", str(config),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert ("config error: the cell cannot simulate profile kind "
+                "'rcid-like' at dt = 1 s: " + message) in result.output
         assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Voltage-model blocks and end-to-end simulator invariants."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -18,9 +19,10 @@ from cellident.ecm import (
     c1_coefficient,
     concentration_scale,
     electrolyte_time_constants,
-    exchange_current_density,
-    kinetic_overpotential,
+    exchange_current_factors,
+    fixed_terms,
     min_time_constant,
+    overpotential,
     simulate,
     simulate_detailed,
     solid_time_constant,
@@ -56,9 +58,8 @@ class TestFirstOrderLag:
         lag = FirstOrderLag(gain=1.7, tau=4.0)
         u = rng.standard_normal(50)
         dt = 0.3
-        y = lag.response(u, dt, y0=0.25)
-        expected = np.empty_like(u)
-        expected[0] = 0.25
+        y = lag.response(u, dt)
+        expected = np.zeros_like(u)
         for k in range(1, u.size):
             expected[k] = lag.step(expected[k - 1], u[k - 1], dt)
         np.testing.assert_allclose(y, expected, atol=1e-13)
@@ -90,12 +91,12 @@ class TestTrapezoidIntegrator:
         integ = TrapezoidIntegrator()
         u = rng.standard_normal(30)
         dt = 0.7
-        q = integ.response(u, dt, q0=1.5)
-        walked = 1.5
+        q = integ.response(u, dt)
+        walked = 0.0
         for k in range(1, u.size):
             walked = integ.step(walked, u[k - 1], u[k], dt)
         assert q[-1] == pytest.approx(walked, rel=1e-12)
-        assert q[0] == 1.5
+        assert q[0] == 0.0
 
     def test_dt_validation(self):
         with pytest.raises(NonPositiveStep):
@@ -185,23 +186,23 @@ class TestDcGains:
         model = build_model(params, ocv_p, ocv_n, dt=1.0)
         n = 400   # > 8x the slowest time constant
         u = np.full(n, i_1c)
-        for name, lag in model.lag_blocks().items():
+        for lag in (model.lag_solid_p, model.lag_solid_n, model.lag_elec_pos,
+                    model.lag_elec_neg):
             y = lag.response(u, model.dt)
-            assert y[-1] == pytest.approx(lag.gain * i_1c, rel=1e-3), name
+            assert y[-1] == pytest.approx(lag.gain * i_1c, rel=1e-3), lag
 
     def test_block_wiring(self, cell):
         params, ocv_p, ocv_n = cell
         model = build_model(params, ocv_p, ocv_n, dt=1.0)
-        blocks = model.lag_blocks()
-        assert blocks["solid_p"].gain == pytest.approx(
+        assert model.lag_solid_p.gain == pytest.approx(
             params.R_p / (5.0 * params.D_p))
-        assert blocks["elec_pos"].gain == pytest.approx(
+        assert model.lag_elec_pos.gain == pytest.approx(
             ELEC_GAIN_POS * params.gamma_p)
-        assert blocks["elec_neg"].gain == pytest.approx(
+        assert model.lag_elec_neg.gain == pytest.approx(
             ELEC_GAIN_NEG * params.gamma_n)
         tau_pos, tau_neg = electrolyte_time_constants(params)
-        assert blocks["elec_pos"].tau == pytest.approx(tau_pos)
-        assert blocks["elec_neg"].tau == pytest.approx(tau_neg)
+        assert model.lag_elec_pos.tau == pytest.approx(tau_pos)
+        assert model.lag_elec_neg.tau == pytest.approx(tau_neg)
 
 
 class TestChargeBookkeeping:
@@ -274,7 +275,7 @@ class TestLinearity:
         flat_n = OcvCurve(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         return flat_p, flat_n
 
-    def test_superposition(self, params, i_1c, rng):
+    def test_superposition(self, params, i_1c, rng, simulate_pinned):
         flat_p, flat_n = self._flat_cell(params)
         n = 300
         u1 = 0.5 * i_1c * np.sin(np.linspace(0, 6 * np.pi, n))
@@ -282,22 +283,20 @@ class TestLinearity:
 
         def response(current):
             profile = CurrentProfile(dt=1.0, current=current)
-            v = simulate(params, flat_p, flat_n, profile,
-                         freeze_exchange_current=True)
+            v = simulate_pinned(params, flat_p, flat_n, profile)
             return v.volts - 3.0   # flat open-circuit level
 
         lhs = response(0.6 * u1 + 1.7 * u2)
         rhs = 0.6 * response(u1) + 1.7 * response(u2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_sign_symmetry(self, params, i_1c):
+    def test_sign_symmetry(self, params, i_1c, simulate_pinned):
         flat_p, flat_n = self._flat_cell(params)
         current = 0.5 * i_1c * np.sin(np.linspace(0, 4 * np.pi, 200))
 
         def response(c):
-            v = simulate(params, flat_p, flat_n,
-                         CurrentProfile(dt=1.0, current=c),
-                         freeze_exchange_current=True)
+            v = simulate_pinned(params, flat_p, flat_n,
+                                CurrentProfile(dt=1.0, current=c))
             return v.volts - 3.0
 
         np.testing.assert_allclose(response(-current), -response(current),
@@ -306,40 +305,50 @@ class TestLinearity:
 
 class TestKinetics:
     def test_exchange_current_hand_value(self, params):
+        """At T = T_ref the Arrhenius factor is 1."""
+        assert params.T == params.T_ref
         c = 0.5 * params.c_max_p
-        i0 = exchange_current_density(params, "p", c)
+        scale, root = exchange_current_factors(params, "p", c)
         expected = (params.F * params.k_p
                     * math.sqrt(c * (params.c_max_p - c) * params.c_e_p))
-        assert i0 == pytest.approx(expected, rel=1e-12)
-        assert isinstance(i0, float)
+        assert scale * params.k_p * root == pytest.approx(expected, rel=1e-12)
 
     def test_arrhenius_factor(self, params):
         c = 0.5 * params.c_max_n
-        base = exchange_current_density(params, "n", c)
-        hot = exchange_current_density(params, "n", c, T=params.T_ref + 10.0)
+        base, root = exchange_current_factors(params, "n", c)
+        hot, hot_root = exchange_current_factors(
+            params.replace(T=params.T_ref + 10.0), "n", c)
         expected = math.exp(
             (1.0 / params.T_ref - 1.0 / (params.T_ref + 10.0))
             * params.E_io_n / params.R_gas)
         assert hot / base == pytest.approx(expected, rel=1e-12)
+        assert hot_root == root
 
     def test_out_of_range_concentration(self, params):
         with pytest.raises(ConcentrationOutOfRange):
-            exchange_current_density(params, "p", 0.0)
+            exchange_current_factors(params, "p", 0.0)
         with pytest.raises(ConcentrationOutOfRange) as err:
-            exchange_current_density(params, "p",
+            exchange_current_factors(params, "p",
                                      np.array([100.0, params.c_max_p]))
         assert err.value.index == 1
         assert err.value.electrode == "p"
 
-    def test_overpotential_linear_in_current(self, params):
-        i0 = exchange_current_density(params, "p", params.c_p0)
-        eta1 = kinetic_overpotential(params, "p", 1.0, i0)
-        eta3 = kinetic_overpotential(params, "p", 3.0, i0)
-        assert eta3 == pytest.approx(3.0 * eta1, rel=1e-12)
+    def test_overpotential_linear_in_current(self, cell, i_1c,
+                                             simulate_pinned):
+        params, ocv_p, ocv_n = cell
+        pulse = constant_pulse(i_1c)
+        tripled = CurrentProfile(dt=pulse.dt, current=3.0 * pulse.current)
+        eta1 = simulate_pinned(params, ocv_p, ocv_n, pulse).eta_p
+        eta3 = simulate_pinned(params, ocv_p, ocv_n, tripled).eta_p
+        np.testing.assert_allclose(eta3, 3.0 * eta1, rtol=1e-12, atol=0.0)
 
-    def test_zero_exchange_current_is_an_error(self, params):
+    def test_zero_exchange_current_is_an_error(self, cell, i_1c):
+        params, ocv_p, ocv_n = cell
+        model = build_model(params, ocv_p, ocv_n, dt=1.0)
+        fixed = fixed_terms(model, constant_pulse(i_1c))
         with pytest.raises(ZeroDivisionError):
-            kinetic_overpotential(params, "p", 1.0, 0.0)
+            overpotential(params, dataclasses.replace(fixed, sqrt_arg_p=0.0),
+                          "p")
 
 
 class TestDivergence:

@@ -2,24 +2,21 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, cholesky
 
 import cellident.gp as gp
 from cellident.errors import DimensionMismatch, DuplicatePoint, SingularKernel
 from cellident.gp import DUPLICATE_TOL, JITTER_LADDER, GPPosterior, fit, se_kernel
 
 
-def dense_oracle(points, values, queries, jitter, standardize):
+def dense_oracle(points, values, queries, jitter):
     """Independent posterior via one dense solve (no Cholesky, no caching)."""
     points = np.atleast_2d(points)
     values = np.asarray(values, dtype=float)
-    if standardize:
-        mu = float(np.mean(values))
-        sd = float(np.std(values))
-        if sd <= 0.0:
-            sd = 1.0
-    else:
-        mu, sd = 0.0, 1.0
+    mu = float(np.mean(values))
+    sd = float(np.std(values))
+    if sd <= 0.0:
+        sd = 1.0
     y = (values - mu) / sd
     K = np.exp(-0.5 * ((points[:, None, :] - points[None, :, :]) ** 2).sum(-1))
     K_inv = np.linalg.inv(K + jitter * np.eye(len(values)))
@@ -104,20 +101,26 @@ class TestKernel:
 
 
 class TestFitAgainstOracle:
-    @pytest.mark.parametrize("standardize", [True, False])
-    def test_posterior_matches_dense_solve(self, rng, standardize):
-        # jitter 1e-4 keeps the kernel matrix well conditioned so that two
-        # independent solvers (Cholesky here, dense inverse in the oracle)
-        # must agree to tight absolute tolerance; near-singular behavior is
-        # covered separately by the jitter-ladder tests
-        points = rng.uniform(size=(40, 3))
-        values = 5.0 + 2.0 * np.sin(points.sum(axis=1) * 5.0)
+    @pytest.mark.parametrize("spread", [True, False])
+    def test_posterior_matches_dense_solve(self, rng, spread):
+        """spread values standardize by their mean and std; constant ones
+        fall back to unit scale.  Points spaced well apart keep the kernel
+        matrix well conditioned at the first jitter, so two independent
+        solvers (Cholesky here, dense inverse in the oracle) must agree to
+        tight absolute tolerance; near-singular behavior is covered
+        separately by the jitter-ladder tests."""
+        grid = np.linspace(0.0, 1.0, 3)
+        points = np.stack(np.meshgrid(grid, grid, grid), -1).reshape(-1, 3)
+        points = points + rng.uniform(-0.05, 0.05, size=points.shape)
+        values = 5.0 + (2.0 * np.sin(points.sum(axis=1) * 5.0) if spread
+                        else np.zeros(len(points)))
         queries = rng.uniform(size=(120, 3))
-        state = fit(points, values, jitter=1e-4, standardize=standardize)
-        assert state.jitter == 1e-4
+        state = fit(points, values)
+        assert state.jitter == JITTER_LADDER[0]
+        assert (state.scale == 1.0) != spread
         mean, var = state.posterior(queries)
         oracle_mean, oracle_var = dense_oracle(points, values, queries,
-                                               state.jitter, standardize)
+                                               state.jitter)
         np.testing.assert_allclose(mean, oracle_mean, atol=1e-8)
         np.testing.assert_allclose(var, oracle_var, atol=1e-8)
 
@@ -138,11 +141,13 @@ class TestLeanPosteriorOracle:
 
     @pytest.mark.parametrize("s", [1, 2, 40])
     @pytest.mark.parametrize("d", [1, 3])
-    @pytest.mark.parametrize("standardize", [True, False])
-    def test_bytes_equal_the_formula(self, s, d, standardize):
+    @pytest.mark.parametrize("spread", [True, False])
+    def test_bytes_equal_the_formula(self, s, d, spread):
+        """Spread values standardize by their mean and std; constant ones,
+        and one value alone, fall back to unit scale."""
         rng = np.random.default_rng(10 * s + d)
-        state = fit(rng.uniform(size=(s, d)), rng.normal(size=s),
-                    standardize=standardize)
+        values = rng.normal(size=s) if spread else np.full(s, 7.5)
+        state = fit(rng.uniform(size=(s, d)), values)
         queries = rng.uniform(size=(37, d))
         queries[:min(s, 37)] = state.points[:37]   # distance 0 to the data
         for theta in (queries, queries[:1], queries[3], queries[:0]):
@@ -229,7 +234,7 @@ class TestPosteriorBehavior:
     def test_far_query_reverts_to_prior(self, rng):
         points = rng.uniform(size=(12, 2))
         values = 100.0 + rng.standard_normal(12)
-        state = fit(points, values, standardize=True)
+        state = fit(points, values)
         mean, var = state.posterior(np.array([40.0, 40.0]))
         # standardized prior mean 0 maps back to the value average
         assert mean == pytest.approx(np.mean(values), abs=1e-6)
@@ -272,12 +277,28 @@ class TestRobustness:
         state = fit(points, np.array([1.0, 2.0]))
         assert isinstance(state, GPPosterior)
 
-    def test_jitter_ladder_escalates(self):
-        """Starting at jitter 0 on a rank-deficient Gram forces the ladder up."""
-        offset = 10.0 * DUPLICATE_TOL   # collapses to 1.0 in the kernel
-        points = np.array([[0.3, 0.3], [0.3 + offset, 0.3], [0.7, 0.1]])
-        state = fit(points, np.array([1.0, 2.0, 3.0]), jitter=0.0)
-        assert state.jitter in JITTER_LADDER
+    def test_jitter_ladder_escalates(self, monkeypatch):
+        """A factorization that fails once is retried at the next jitter,
+        on the same Gram matrix with the larger jitter on its diagonal."""
+        gram = []
+
+        def fail_once(a, **kwargs):
+            gram.append(a.copy())
+            if len(gram) == 1:
+                raise LinAlgError("forced failure")
+            return cholesky(a, **kwargs)
+
+        monkeypatch.setattr(gp, "cholesky", fail_once)
+        points = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.1]])
+        state = fit(points, np.array([1.0, 2.0, 3.0]))
+        assert state.jitter == JITTER_LADDER[1]
+        off_diagonal = ~np.eye(3, dtype=bool)
+        assert np.array_equal(gram[1][off_diagonal], gram[0][off_diagonal])
+        np.testing.assert_allclose(np.diag(gram[1]) - np.diag(gram[0]),
+                                   JITTER_LADDER[1] - JITTER_LADDER[0],
+                                   rtol=1e-9)
+        np.testing.assert_allclose(state.chol @ state.chol.T, gram[1],
+                                   atol=1e-15)
 
     def test_singular_kernel_when_every_jitter_fails(self, monkeypatch):
         def always_fail(*args, **kwargs):
@@ -296,9 +317,8 @@ class TestRobustness:
         bad_values = values.copy()
         bad_values[2] = bad
         for p, v in ((bad_points, values), (points, bad_values)):
-            for standardize in (True, False):
-                with pytest.raises(ValueError, match="finite"):
-                    fit(p, v, standardize=standardize)
+            with pytest.raises(ValueError, match="finite"):
+                fit(p, v)
 
     @pytest.mark.parametrize("query", [
         np.zeros(3),              # one point of the wrong dimension
@@ -317,6 +337,3 @@ class TestRobustness:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="values"):
             fit(np.zeros((3, 2)), np.zeros(4))
-        with pytest.raises(ValueError, match="jitter"):
-            fit(np.zeros((2, 2)) + np.arange(2)[:, None], np.zeros(2),
-                jitter=-1e-9)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cellident.errors import OutOfBox
 from cellident.identify import ParameterBox
 from cellident.runs import Recorder
 
@@ -26,7 +27,7 @@ class TestRecorder:
                            match=r"evaluation budget \(3\) exceeded"):
             record(np.zeros(2))
         assert objective.count == 3   # refused before the objective ran
-        assert len(record.trace) == 3
+        assert record.result("x").evaluations_used == 3
 
     def test_large_budget_counts_every_call(self, box, counted):
         objective = counted(lambda u: 1.0)
@@ -34,14 +35,15 @@ class TestRecorder:
         for _ in range(100):
             record(np.zeros(2))
         assert objective.count == 100
-        assert [index for index, _, _ in record.trace] == list(range(100))
+        trace = record.result("x").trace
+        assert [index for index, _, _ in trace] == list(range(100))
 
     def test_records_physical_theta_and_unit_point(self, box):
         record = Recorder(lambda u: float(np.sum(u)), box, budget=2)
         unit = np.array([0.5, 0.5])
         assert record(unit) == 1.0
         unit[:] = 0.0                   # the recorder keeps its own copy
-        index, theta, loss = record.trace[0]
+        index, theta, loss = record.result("x").trace[0]
         assert (index, loss) == (0, 1.0)
         np.testing.assert_allclose(theta, [2.0, 100.0])
         np.testing.assert_array_equal(record.points[0], [0.5, 0.5])
@@ -53,10 +55,30 @@ class TestRecorder:
             record(np.array(u))
         result = record.result("gd", alpha=0.1)
         assert result.best_loss == 1.0
-        np.testing.assert_array_equal(result.best_theta, record.trace[1][1])
+        np.testing.assert_array_equal(result.best_theta, result.trace[1][1])
         assert result.evaluations_used == 4
-        assert result.trace == tuple(record.trace)
+        assert [loss for _, _, loss in result.trace] == [3.0, 1.0, 2.0, 1.0]
         assert result.method == "gd" and result.notes == {"alpha": 0.1}
         np.testing.assert_array_equal(result.cumulative_best(),
                                       [3.0, 1.0, 1.0, 1.0])
         np.testing.assert_array_equal(record.losses(), [3.0, 1.0, 2.0, 1.0])
+
+    def test_trace_theta_is_the_per_point_denormalize(self, box):
+        """One denormalize over every point gives each point's own bytes,
+        on a log-scaled dimension and at the cube's faces."""
+        points = np.random.default_rng(0).uniform(size=(500, 2))
+        points[:4] = [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
+        record = Recorder(lambda u: 0.0, box, budget=len(points))
+        for point in points:
+            record(point)
+        for (_, theta, _), point in zip(record.result("x").trace, points):
+            assert theta.tobytes() == box.denormalize(point).tobytes()
+
+    @pytest.mark.parametrize("outside", [[0.5, 1.0 + 1e-9], [-1e-9, 0.5],
+                                         [np.nan, 0.5]])
+    def test_point_outside_the_cube_fails_the_run(self, box, outside):
+        record = Recorder(lambda u: 0.0, box, budget=3)
+        for point in ([0.5, 0.5], outside, [0.25, 0.75]):
+            record(np.array(point))
+        with pytest.raises(OutOfBox):
+            record.result("x")

@@ -10,7 +10,6 @@ from cellident.sampling import (
     HaltonSampler,
     _low_digit_sums,
     _van_der_corput,
-    halton_points,
 )
 
 
@@ -25,7 +24,7 @@ class TestStream:
         np.testing.assert_allclose((pts - rotation) % 1.0, expected, atol=1e-12)
 
     def test_stateful_batching(self):
-        whole = halton_points(10, dim=3, seed=5)
+        whole = HaltonSampler(dim=3, seed=5).draw(10)
         sampler = HaltonSampler(dim=3, seed=5)
         parts = np.vstack([sampler.draw(4), sampler.draw(6)])
         np.testing.assert_array_equal(parts, whole)
@@ -40,7 +39,7 @@ class TestStream:
         edges = [0, *sorted(cuts), n]
         sampler = HaltonSampler(dim=dim, seed=seed)
         parts = np.vstack([sampler.draw(b - a) for a, b in zip(edges, edges[1:])])
-        assert parts.tobytes() == halton_points(n, dim, seed).tobytes()
+        assert parts.tobytes() == HaltonSampler(dim, seed).draw(n).tobytes()
 
     @pytest.mark.parametrize("split,n", [
         (1023, 1030),   # draw indices run from 1: index 1023|1024, base 2
@@ -55,17 +54,17 @@ class TestStream:
         batch that ends just below or on b^k must match the one-shot draw."""
         sampler = HaltonSampler(dim=5, seed=8)
         parts = np.vstack([sampler.draw(split), sampler.draw(n - split)])
-        assert parts.tobytes() == halton_points(n, 5, 8).tobytes()
+        assert parts.tobytes() == HaltonSampler(5, 8).draw(n).tobytes()
 
     def test_seed_determinism(self):
-        a = halton_points(20, dim=2, seed=11)
-        b = halton_points(20, dim=2, seed=11)
-        c = halton_points(20, dim=2, seed=12)
+        a = HaltonSampler(dim=2, seed=11).draw(20)
+        b = HaltonSampler(dim=2, seed=11).draw(20)
+        c = HaltonSampler(dim=2, seed=12).draw(20)
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
 
     def test_all_points_in_unit_cube(self):
-        pts = halton_points(500, dim=5, seed=3)
+        pts = HaltonSampler(dim=5, seed=3).draw(500)
         assert pts.shape == (500, 5)
         assert np.all(pts >= 0.0) and np.all(pts < 1.0)
 
@@ -84,12 +83,12 @@ class TestStream:
 class TestSpread:
     def test_low_discrepancy_in_one_dimension(self):
         """Gaps of the base-2 stream stay near 1/n, far below random gaps."""
-        pts = np.sort(halton_points(128, dim=1, seed=9)[:, 0])
+        pts = np.sort(HaltonSampler(dim=1, seed=9).draw(128)[:, 0])
         gaps = np.diff(np.concatenate([pts, [pts[0] + 1.0]]))   # wrap around
         assert np.max(gaps) <= 2.5 / 128
 
     def test_dimensions_use_distinct_bases(self):
-        pts = halton_points(64, dim=2, seed=1)
+        pts = HaltonSampler(dim=2, seed=1).draw(64)
         # base-2 and base-3 streams never coincide after unrotation
         assert np.max(np.abs(np.diff(pts, axis=1))) > 0.01
 

@@ -129,13 +129,16 @@ class TestSimulatorSplit:
     @pytest.mark.parametrize("kind", ["staircase", "drive"])
     @pytest.mark.parametrize("scale", [(1.0, 1.0, 1.0), (1.7, 0.6, 1.4),
                                        (0.55, 1.9, 0.7)])
-    def test_every_field_matches(self, cell, profiles, freeze, kind, scale):
+    def test_every_field_matches(self, cell, profiles, simulate_pinned,
+                                 freeze, kind, scale):
+        """freeze pins i0 at the initial concentrations: scalar square roots
+        in the fixed terms, broadcast by assemble."""
         params, ocv_p, ocv_n = cell
         theta = params.replace(k_p=params.k_p * scale[0],
                                k_n=params.k_n * scale[1],
                                D_e=params.D_e * scale[2])
-        got = simulate_detailed(theta, ocv_p, ocv_n, profiles[kind],
-                                freeze_exchange_current=freeze)
+        run = simulate_pinned if freeze else simulate_detailed
+        got = run(theta, ocv_p, ocv_n, profiles[kind])
         want = reference_simulate_detailed(theta, ocv_p, ocv_n, profiles[kind],
                                            freeze_exchange_current=freeze)
         for name in FIELDS:
