@@ -30,9 +30,7 @@ from .ecm import (
     DiscreteCellModel,
     FirstOrderLag,
     FixedTerms,
-    SimulationResult,
     TrapezoidIntegrator,
-    assemble,
     build_model,
     bulk_stoichiometry,
     c1_coefficient,
@@ -40,7 +38,6 @@ from .ecm import (
     fixed_terms,
     ohmic_drop,
     simulate,
-    simulate_detailed,
     surface_concentration,
 )
 from .errors import (
@@ -68,8 +65,8 @@ from .identify import (
     load_dataset,
     save_dataset,
 )
-from .ocv import OcvCurve, synthetic_anode, synthetic_cathode
-from .params import CellParameters, load_parameter_file, reference_cell
+from .ocv import OcvCurve
+from .params import CellParameters, load_parameter_file
 from .profiles import CurrentProfile, VoltageSeries, noise_cycle_profile, staircase_profile
 from .runs import OptimizationResult, Recorder, export_trace
 from .sampling import HaltonSampler

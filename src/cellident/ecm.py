@@ -25,22 +25,22 @@ rule, so DC behavior is preserved exactly.
 
 The identified parameters theta = (k_p, k_n, D_e) enter V only through the
 overpotentials, eta_i = R T0 (-J_i I)/(F i0_i) with i0_i proportional to
-k_i, and through phi_e, whose gain C1/D_e and lag poles depend on D_e.  A
-simulation is therefore two steps:
+k_i, and through phi_e, whose gain C1/D_e and lag poles depend on D_e.  The
+voltage is therefore built in two steps:
 
 - ``fixed_terms``: everything theta-free -- surface concentrations and their
   range checks, U_p - U_n, the square roots and Arrhenius*F factors of i0,
   the overpotential numerators R T0 (-J_i I), phi_ohm and I*R_c;
-- ``assemble``: the three theta terms, then their sum.  Each term has its
-  own function and reads one component: ``overpotential`` gives eta_i from
-  k_i, ``electrolyte_potential`` gives phi_e from a model built at D_e, and
-  ``terminal_voltage`` writes the sum above into a caller's buffer.
+- the three theta terms, each from its own function reading one component:
+  ``overpotential`` gives eta_i from k_i, ``electrolyte_potential`` gives
+  phi_e from a model built at D_e, and ``terminal_voltage`` writes the sum
+  above into a caller's buffer.
 
-``simulate_detailed`` is ``build_model`` followed by both steps; a fit that
-evaluates many theta on one profile builds the fixed terms once and may
-keep a term whose component did not change.  The float operations and their
-order are those of the one-step formula, so results do not depend on how the
-steps are scheduled.
+``simulate`` is ``build_model`` followed by both steps; a fit that evaluates
+many theta on one profile builds the fixed terms once and may keep a term
+whose component did not change.  The float operations and their order are
+those of the one-step formula, so results do not depend on how the steps
+are scheduled.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ class DiscreteCellModel:
 
 def build_model(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
                 dt: float) -> DiscreteCellModel:
-    """Validate the step against the fastest time constant and assemble blocks."""
+    """Validate the step against the fastest time constant and build blocks."""
     return DiscreteCellModel(params=params, ocv_p=ocv_p, ocv_n=ocv_n, dt=dt)
 
 
@@ -316,37 +316,15 @@ def ohmic_drop(params: CellParameters, current):
 
 
 @dataclass(frozen=True)
-class SimulationResult:
-    """Full per-sample breakdown of one simulation."""
-
-    dt: float
-    current: np.ndarray
-    volts: np.ndarray
-    c_p: np.ndarray       # cathode surface concentration [mol/m^3]
-    c_n: np.ndarray       # anode surface concentration [mol/m^3]
-    eta_p: np.ndarray     # cathode kinetic overpotential [V]
-    eta_n: np.ndarray     # anode kinetic overpotential [V]
-    phi_e: np.ndarray     # electrolyte potential drop [V]
-    phi_ohm: np.ndarray   # ohmic drop [V]
-
-    @property
-    def voltage_series(self) -> VoltageSeries:
-        return VoltageSeries(dt=self.dt, volts=self.volts)
-
-
-@dataclass(frozen=True)
 class FixedTerms:
     """The theta-free part of one simulation (see the module docstring).
 
     Per electrode, ``i0_scale * k * sqrt_arg`` is the exchange current
-    density and ``eta_num / (F i0)`` the overpotential.  ``c_p`` and ``c_n``
-    only feed the SimulationResult, so a cache may drop them (None).
+    density and ``eta_num / (F i0)`` the overpotential.
     """
 
     dt: float
     current: np.ndarray
-    c_p: np.ndarray | None
-    c_n: np.ndarray | None
     ocv_diff: np.ndarray          # U_p(x_p) - U_n(x_n) [V]
     i0_scale_p: float             # Arrhenius * F
     i0_scale_n: float
@@ -377,7 +355,7 @@ def fixed_terms(model: DiscreteCellModel, profile: CurrentProfile) -> FixedTerms
         raise SimulationDiverged(str(exc), index=exc.index) from exc
 
     return FixedTerms(
-        dt=profile.dt, current=I, c_p=c_p, c_n=c_n, ocv_diff=u_p - u_n,
+        dt=profile.dt, current=I, ocv_diff=u_p - u_n,
         i0_scale_p=scale_p, i0_scale_n=scale_n,
         sqrt_arg_p=root_p, sqrt_arg_n=root_n,
         eta_num_p=overpotential_numerator(p, "p", I),
@@ -418,34 +396,20 @@ def terminal_voltage(fixed: FixedTerms, eta_p: np.ndarray, eta_n: np.ndarray,
     return out
 
 
-def assemble(model: DiscreteCellModel, fixed: FixedTerms) -> SimulationResult:
-    """Terminal voltage at the model's (k_p, k_n, D_e) from its fixed terms.
+def simulate(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
+             profile: CurrentProfile) -> VoltageSeries:
+    """Terminal-voltage series for a current profile (discharge positive).
 
-    Raises SimulationDiverged on a non-finite voltage.
+    Raises SimulationDiverged when a surface concentration leaves its range
+    or the voltage is not finite.
     """
-    p = model.params
-    eta_p = overpotential(p, fixed, "p")
-    eta_n = overpotential(p, fixed, "n")
-    phi_e = electrolyte_potential(model, fixed.current)
-    volts = terminal_voltage(fixed, eta_p, eta_n, phi_e,
+    model = build_model(params, ocv_p, ocv_n, profile.dt)
+    fixed = fixed_terms(model, profile)
+    volts = terminal_voltage(fixed, overpotential(params, fixed, "p"),
+                             overpotential(params, fixed, "n"),
+                             electrolyte_potential(model, fixed.current),
                              np.empty(fixed.current.shape))
     if not np.all(np.isfinite(volts)):
         k = int(np.flatnonzero(~np.isfinite(volts))[0])
         raise SimulationDiverged(f"non-finite terminal voltage at sample {k}", index=k)
-
-    return SimulationResult(dt=fixed.dt, current=fixed.current, volts=volts,
-                            c_p=fixed.c_p, c_n=fixed.c_n, eta_p=eta_p,
-                            eta_n=eta_n, phi_e=phi_e, phi_ohm=fixed.phi_ohm)
-
-
-def simulate_detailed(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
-                      profile: CurrentProfile) -> SimulationResult:
-    """Run the model over a profile, returning every voltage contribution."""
-    model = build_model(params, ocv_p, ocv_n, profile.dt)
-    return assemble(model, fixed_terms(model, profile))
-
-
-def simulate(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
-             profile: CurrentProfile) -> VoltageSeries:
-    """Terminal-voltage series for a current profile (discharge positive)."""
-    return simulate_detailed(params, ocv_p, ocv_n, profile).voltage_series
+    return VoltageSeries(dt=profile.dt, volts=volts)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -269,8 +269,7 @@ class VoltageFitObjective:
             model = build_model(params, self.ocv_p, self.ocv_n, profile.dt)
         if i not in self._terms:
             try:
-                fixed = fixed_terms(model, profile)
-                self._terms[i] = _ProfileTerms(replace(fixed, c_p=None, c_n=None))
+                self._terms[i] = _ProfileTerms(fixed_terms(model, profile))
             except SimulationDiverged:
                 self._terms[i] = None
         terms = self._terms[i]

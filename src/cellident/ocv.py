@@ -59,22 +59,3 @@ class OcvCurve:
         if table.dtype.names is None or set(table.dtype.names) != {"x", "U_volts"}:
             raise DataError(f"OCV table {path} must have columns 'x,U_volts'")
         return cls(np.atleast_1d(table["x"]), np.atleast_1d(table["U_volts"]))
-
-    def to_csv(self, path) -> None:
-        rows = np.column_stack([self.x, self.u])
-        header = "x,U_volts"
-        np.savetxt(path, rows, delimiter=",", header=header, comments="", fmt="%.10g")
-
-
-def synthetic_cathode(n: int = 201) -> OcvCurve:
-    """Smooth strictly decreasing cathode potential, 4.40 V down to ~3.90 V."""
-    x = np.linspace(0.0, 1.0, n)
-    u = 4.40 - 0.45 * x + 0.10 * x**2 - 0.15 * x**3
-    return OcvCurve(x, u)
-
-
-def synthetic_anode(n: int = 201) -> OcvCurve:
-    """Smooth strictly decreasing anode potential, 1.40 V down to 0.30 V."""
-    x = np.linspace(0.0, 1.0, n)
-    u = 1.40 - 3.2 * x + 3.3 * x**2 - 1.2 * x**3
-    return OcvCurve(x, u)

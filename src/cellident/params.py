@@ -182,24 +182,6 @@ def load_parameter_file(path) -> tuple[CellParameters, Path, Path]:
     return params, ocv_p, ocv_n
 
 
-def save_parameter_file(path, params: CellParameters, ocv_cathode: str, ocv_anode: str) -> None:
-    """Write a parameter file next to its OCV tables (paths stored relative)."""
-    doc = params.to_dict()
-    doc["ocv_cathode"] = ocv_cathode
-    doc["ocv_anode"] = ocv_anode
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def reference_cell_path() -> Path:
     """Path of the packaged reference parameter file."""
     return Path(__file__).parent / "data" / "reference_cell.json"
-
-
-def reference_cell():
-    """Load the packaged synthetic reference cell.
-
-    Returns (CellParameters, cathode OcvCurve, anode OcvCurve).
-    """
-    from .ocv import OcvCurve  # local import: ocv depends only on errors
-    params, ocv_p_path, ocv_n_path = load_parameter_file(reference_cell_path())
-    return params, OcvCurve.from_csv(ocv_p_path), OcvCurve.from_csv(ocv_n_path)

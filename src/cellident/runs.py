@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import OutOfBox
 from .identify import ParameterBox
 
 
@@ -65,10 +66,19 @@ class Recorder:
         return np.array(self._losses)
 
     def result(self, method: str, **notes) -> OptimizationResult:
-        """The run so far, its points denormalized in one call (OutOfBox if
-        one lies outside the cube); the first minimum of the trace is the
-        best."""
-        thetas = self.box.denormalize(np.vstack(self.points))
+        """The run so far, its points denormalized in one call (OutOfBox
+        naming the first evaluation outside the cube); the first minimum of
+        the trace is the best."""
+        units = np.vstack(self.points)
+        try:
+            thetas = self.box.denormalize(units)
+        except OutOfBox:
+            for i, unit in enumerate(units):
+                try:
+                    self.box.denormalize(unit)
+                except OutOfBox:
+                    raise OutOfBox(f"evaluation {i}: unit point {unit} "
+                                   "outside [0,1]^n") from None
         best = int(np.argmin(self._losses))
         return OptimizationResult(
             method=method, best_theta=thetas[best],

@@ -3,20 +3,33 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cellident.bench import generate_profile, generate_synthetic_dataset, one_c_current
-from cellident.ecm import assemble, build_model, exchange_current_factors, fixed_terms
+from cellident.bench import (
+    default_config,
+    generate_profile,
+    generate_synthetic_dataset,
+    one_c_current,
+    resolve_cell,
+)
+from cellident.ecm import (
+    build_model,
+    electrolyte_potential,
+    exchange_current_factors,
+    fixed_terms,
+    overpotential,
+    terminal_voltage,
+)
 from cellident.identify import default_box
-from cellident.params import reference_cell
 
 
 @pytest.fixture(scope="session")
 def cell():
     """(CellParameters, cathode OCV, anode OCV) of the packaged reference cell."""
-    return reference_cell()
+    return resolve_cell(default_config())[:3]
 
 
 @pytest.fixture(scope="session")
@@ -61,16 +74,22 @@ def short_dataset(cell):
 
 @pytest.fixture(scope="session")
 def simulate_pinned():
-    """``simulate_pinned(params, ocv_p, ocv_n, profile)``: simulate_detailed
-    with each exchange current pinned at its electrode's initial
-    concentration, which makes every dynamic term exactly linear in the
-    applied current."""
+    """``simulate_pinned(params, ocv_p, ocv_n, profile)``: the ``volts``,
+    ``eta_p`` and ``eta_n`` of ``simulate``'s term functions with each
+    exchange current pinned at its electrode's initial concentration, which
+    makes every dynamic term exactly linear in the applied current."""
     def run(params, ocv_p, ocv_n, profile):
         model = build_model(params, ocv_p, ocv_n, profile.dt)
-        return assemble(model, dataclasses.replace(
+        fixed = dataclasses.replace(
             fixed_terms(model, profile),
             sqrt_arg_p=exchange_current_factors(params, "p", params.c_p0)[1],
-            sqrt_arg_n=exchange_current_factors(params, "n", params.c_n0)[1]))
+            sqrt_arg_n=exchange_current_factors(params, "n", params.c_n0)[1])
+        eta_p = overpotential(params, fixed, "p")
+        eta_n = overpotential(params, fixed, "n")
+        volts = terminal_voltage(fixed, eta_p, eta_n,
+                                 electrolyte_potential(model, fixed.current),
+                                 np.empty(profile.n))
+        return SimpleNamespace(volts=volts, eta_p=eta_p, eta_n=eta_n)
     return run
 
 

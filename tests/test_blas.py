@@ -100,11 +100,11 @@ import hashlib
 import numpy as np
 from cellident._blas import _DDOT_SERIAL_MAX
 from cellident.bayesopt import BoRunConfig, run_bo
-from cellident.bench import generate_profile, generate_synthetic_dataset
+from cellident.bench import (default_config, generate_profile,
+                             generate_synthetic_dataset, resolve_cell)
 from cellident.identify import VoltageFitObjective, default_box
-from cellident.params import reference_cell
 
-params, ocv_p, ocv_n = reference_cell()
+params, ocv_p, ocv_n = resolve_cell(default_config())[:3]
 profile = generate_profile("rcid-like", 3600.0, 0.25, 0, params)
 assert profile.n > 10_000
 train, _, _ = generate_synthetic_dataset(params, ocv_p, ocv_n, [profile],
@@ -140,11 +140,11 @@ def test_results_do_not_depend_on_the_thread_count():
 _GD_RUN = """
 import hashlib
 from cellident.baselines import GdConfig, gradient_descent
-from cellident.bench import generate_profile, generate_synthetic_dataset
+from cellident.bench import (default_config, generate_profile,
+                             generate_synthetic_dataset, resolve_cell)
 from cellident.identify import VoltageFitObjective, default_box
-from cellident.params import reference_cell
 
-params, ocv_p, ocv_n = reference_cell()
+params, ocv_p, ocv_n = resolve_cell(default_config())[:3]
 long = generate_profile("rcid-like", 3600.0, 0.25, 0, params)
 drive = generate_profile("drive-cycle-like", 1200.0, 0.5, 3, params)
 assert long.n > 10_000

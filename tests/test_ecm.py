@@ -18,14 +18,15 @@ from cellident.ecm import (
     bulk_concentration,
     c1_coefficient,
     concentration_scale,
+    electrolyte_potential,
     electrolyte_time_constants,
     exchange_current_factors,
     fixed_terms,
     min_time_constant,
     overpotential,
     simulate,
-    simulate_detailed,
     solid_time_constant,
+    surface_concentration,
 )
 from cellident.errors import (
     ConcentrationOutOfRange,
@@ -167,16 +168,19 @@ class TestZeroCurrent:
     def test_voltage_is_exactly_open_circuit(self, cell):
         params, ocv_p, ocv_n = cell
         profile = CurrentProfile(dt=1.0, current=np.zeros(500))
-        detail = simulate_detailed(params, ocv_p, ocv_n, profile)
         v_oc = float(ocv_p(params.c_p0 / params.c_max_p)
                      - ocv_n(params.c_n0 / params.c_max_n))
-        assert np.all(detail.volts == v_oc)
-        assert np.all(detail.c_p == params.c_p0)
-        assert np.all(detail.c_n == params.c_n0)
-        assert np.all(detail.eta_p == 0.0)
-        assert np.all(detail.eta_n == 0.0)
-        assert np.all(detail.phi_e == 0.0)
-        assert np.all(detail.phi_ohm == 0.0)
+        assert np.all(simulate(params, ocv_p, ocv_n, profile).volts == v_oc)
+        model = build_model(params, ocv_p, ocv_n, profile.dt)
+        fixed = fixed_terms(model, profile)
+        assert np.all(surface_concentration(model, "p", profile.current)
+                      == params.c_p0)
+        assert np.all(surface_concentration(model, "n", profile.current)
+                      == params.c_n0)
+        assert np.all(overpotential(params, fixed, "p") == 0.0)
+        assert np.all(overpotential(params, fixed, "n") == 0.0)
+        assert np.all(electrolyte_potential(model, profile.current) == 0.0)
+        assert np.all(fixed.phi_ohm == 0.0)
 
 
 class TestDcGains:
@@ -236,9 +240,10 @@ class TestChargeBookkeeping:
     def test_surface_relaxes_to_bulk(self, cell, i_1c):
         params, ocv_p, ocv_n = cell
         profile = constant_pulse(i_1c, dt=1.0, on_s=60.0, total_s=700.0)
-        detail = simulate_detailed(params, ocv_p, ocv_n, profile)
+        model = build_model(params, ocv_p, ocv_n, profile.dt)
+        c_n = surface_concentration(model, "n", profile.current)
         c_bulk = bulk_concentration(params, "n", profile)
-        assert detail.c_n[-1] == pytest.approx(c_bulk[-1], abs=1e-3)
+        assert c_n[-1] == pytest.approx(c_bulk[-1], abs=1e-3)
 
 
 class TestStepRefinement:
@@ -364,3 +369,14 @@ class TestDivergence:
         params, ocv_p, ocv_n = cell
         v = simulate(params, ocv_p, ocv_n, constant_pulse(i_1c))
         assert np.all(np.isfinite(v.volts))
+
+    def test_non_finite_voltage_raises_at_its_first_sample(self, cell, i_1c):
+        """At k_p = 5e-324 eta_p overflows to infinity once current flows:
+        the concentrations stay in range and only the voltage check fires."""
+        params, ocv_p, ocv_n = cell
+        current = np.concatenate([np.zeros(10), np.full(50, i_1c)])
+        with np.errstate(over="ignore"), pytest.raises(SimulationDiverged,
+                                                       match="sample 10") as err:
+            simulate(params.replace(k_p=5e-324), ocv_p, ocv_n,
+                     CurrentProfile(dt=1.0, current=current))
+        assert err.value.index == 10

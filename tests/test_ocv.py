@@ -1,10 +1,11 @@
-"""Open-circuit potential tables: interpolation, validation, CSV round trip."""
+"""Open-circuit potential tables: interpolation, validation, CSV round trip
+and the packaged curves."""
 
 import numpy as np
 import pytest
 
 from cellident.errors import DataError
-from cellident.ocv import OcvCurve, synthetic_anode, synthetic_cathode
+from cellident.ocv import OcvCurve
 
 
 class TestInterpolation:
@@ -63,16 +64,15 @@ class TestValidation:
             OcvCurve(np.array([0.0]), np.array([4.0]))
 
 
-class TestSyntheticCurves:
-    @pytest.mark.parametrize("factory", [synthetic_cathode, synthetic_anode])
-    def test_strictly_decreasing_and_covering(self, factory):
-        curve = factory()
+class TestPackagedCurves:
+    @pytest.mark.parametrize("electrode", ["cathode", "anode"])
+    def test_strictly_decreasing_and_covering(self, ocv_pair, electrode):
+        curve = dict(zip(("cathode", "anode"), ocv_pair))[electrode]
         assert curve.x[0] == 0.0 and curve.x[-1] == 1.0
         assert np.all(np.diff(curve.u) < 0.0)
 
-    def test_endpoint_values(self):
-        cath = synthetic_cathode()
-        an = synthetic_anode()
+    def test_endpoint_values(self, ocv_pair):
+        cath, an = ocv_pair
         assert cath(0.0) == pytest.approx(4.40)
         assert cath(1.0) == pytest.approx(3.90)
         assert an(0.0) == pytest.approx(1.40)
@@ -80,13 +80,14 @@ class TestSyntheticCurves:
 
 
 class TestCsv:
-    def test_round_trip(self, tmp_path):
-        curve = synthetic_cathode(51)
+    def test_round_trip(self, tmp_path, ocv_pair):
+        curve = ocv_pair[0]
         path = tmp_path / "ocv.csv"
-        curve.to_csv(path)
+        np.savetxt(path, np.column_stack([curve.x, curve.u]), delimiter=",",
+                   header="x,U_volts", comments="", fmt="%.17g")
         loaded = OcvCurve.from_csv(path)
-        np.testing.assert_allclose(loaded.x, curve.x, atol=1e-9)
-        np.testing.assert_allclose(loaded.u, curve.u, atol=1e-9)
+        np.testing.assert_array_equal(loaded.x, curve.x)
+        np.testing.assert_array_equal(loaded.u, curve.u)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

@@ -1,18 +1,13 @@
 """Parameter container: loading, validation, and the J sign convention."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from cellident.errors import DataError
-from cellident.params import (
-    CellParameters,
-    load_parameter_file,
-    reference_cell,
-    reference_cell_path,
-    save_parameter_file,
-)
+from cellident.params import CellParameters, load_parameter_file, reference_cell_path
 
 
 class TestReferenceCell:
@@ -94,11 +89,12 @@ class TestValidation:
 
 
 class TestParameterFile:
-    def test_reference_file_round_trip(self, tmp_path, cell):
-        params, ocv_p, ocv_n = cell
-        ocv_p.to_csv(tmp_path / "cath.csv")
-        ocv_n.to_csv(tmp_path / "an.csv")
-        save_parameter_file(tmp_path / "cell.json", params, "cath.csv", "an.csv")
+    def test_reference_file_round_trip(self, tmp_path, params):
+        packaged = reference_cell_path().parent
+        shutil.copy(packaged / "ocv_cathode.csv", tmp_path / "cath.csv")
+        shutil.copy(packaged / "ocv_anode.csv", tmp_path / "an.csv")
+        (tmp_path / "cell.json").write_text(json.dumps(
+            {**params.to_dict(), "ocv_cathode": "cath.csv", "ocv_anode": "an.csv"}))
         loaded, p_path, n_path = load_parameter_file(tmp_path / "cell.json")
         assert loaded == params
         assert p_path == (tmp_path / "cath.csv").resolve()
@@ -128,8 +124,8 @@ class TestParameterFile:
         with pytest.raises(DataError, match="ocv_anode"):
             load_parameter_file(path)
 
-    def test_packaged_file_is_loadable(self):
-        params, ocv_p, ocv_n = reference_cell()
+    def test_packaged_file_is_loadable(self, cell):
+        params, ocv_p, ocv_n = cell
         assert reference_cell_path().exists()
         assert np.isfinite(ocv_p(0.5))
         assert np.isfinite(ocv_n(0.5))

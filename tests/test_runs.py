@@ -80,5 +80,5 @@ class TestRecorder:
         record = Recorder(lambda u: 0.0, box, budget=3)
         for point in ([0.5, 0.5], outside, [0.25, 0.75]):
             record(np.array(point))
-        with pytest.raises(OutOfBox):
+        with pytest.raises(OutOfBox, match="evaluation 1: "):
             record.result("x")

@@ -1,12 +1,14 @@
-"""The two-step simulator (fixed_terms + assemble) and the caching objective
-against the one-step simulator they replaced, compared with ``==``.
+"""The two-step simulator (``fixed_terms``, then the term functions summed
+by ``simulate``) and the caching objective against the one-step simulator
+they replaced, compared with ``==``.
 
-``reference_simulate_detailed`` is a copy of the one-step ``simulate_detailed``
-with its exchange-current and overpotential helpers inlined, so the oracle
-does not change when the split does.
+``reference_simulate_detailed`` is a copy of the one-step simulator with its
+exchange-current and overpotential helpers inlined, so the oracle does not
+change when the split does; it returns every voltage contribution.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +18,12 @@ from hypothesis import strategies as st
 from cellident.baselines import GD_PROBE
 from cellident.bench import generate_profile, generate_synthetic_dataset
 from cellident.ecm import (
-    SimulationResult,
     build_model,
     electrolyte_potential,
+    fixed_terms,
     ohmic_drop,
-    simulate_detailed,
+    overpotential,
+    simulate,
     surface_concentration,
 )
 from cellident.errors import ConcentrationOutOfRange, SimulationDiverged
@@ -82,9 +85,9 @@ def reference_simulate_detailed(params, ocv_p, ocv_n, profile,
         k = int(np.flatnonzero(~np.isfinite(volts))[0])
         raise SimulationDiverged(f"non-finite terminal voltage at sample {k}", index=k)
 
-    return SimulationResult(dt=profile.dt, current=I, volts=volts,
-                            c_p=c_p, c_n=c_n, eta_p=np.asarray(eta_p),
-                            eta_n=np.asarray(eta_n), phi_e=phi_e, phi_ohm=phi_ohm)
+    return SimpleNamespace(volts=volts, c_p=c_p, c_n=c_n,
+                           eta_p=np.asarray(eta_p), eta_n=np.asarray(eta_n),
+                           phi_e=phi_e, phi_ohm=phi_ohm)
 
 
 def reference_loss(base, ocv_p, ocv_n, dataset, theta):
@@ -102,8 +105,7 @@ def reference_loss(base, ocv_p, ocv_n, dataset, theta):
     return float(sum(per)), tuple(per)
 
 
-FIELDS = ("dt", "current", "volts", "c_p", "c_n", "eta_p", "eta_n", "phi_e",
-          "phi_ohm")
+FIELDS = ("volts", "c_p", "c_n", "eta_p", "eta_n", "phi_e", "phi_ohm")
 
 
 @pytest.fixture(scope="module")
@@ -131,18 +133,32 @@ class TestSimulatorSplit:
                                        (0.55, 1.9, 0.7)])
     def test_every_field_matches(self, cell, profiles, simulate_pinned,
                                  freeze, kind, scale):
-        """freeze pins i0 at the initial concentrations: scalar square roots
-        in the fixed terms, broadcast by assemble."""
+        """``simulate``'s voltage and each term function's output.  freeze
+        pins i0 at the initial concentrations: scalar square roots in the
+        fixed terms, broadcast by ``overpotential``."""
         params, ocv_p, ocv_n = cell
         theta = params.replace(k_p=params.k_p * scale[0],
                                k_n=params.k_n * scale[1],
                                D_e=params.D_e * scale[2])
-        run = simulate_pinned if freeze else simulate_detailed
-        got = run(theta, ocv_p, ocv_n, profiles[kind])
-        want = reference_simulate_detailed(theta, ocv_p, ocv_n, profiles[kind],
+        profile = profiles[kind]
+        model = build_model(theta, ocv_p, ocv_n, profile.dt)
+        fixed = fixed_terms(model, profile)
+        got = {"c_p": surface_concentration(model, "p", profile.current),
+               "c_n": surface_concentration(model, "n", profile.current),
+               "phi_e": electrolyte_potential(model, profile.current),
+               "phi_ohm": fixed.phi_ohm}
+        if freeze:
+            pinned = simulate_pinned(theta, ocv_p, ocv_n, profile)
+            got.update(volts=pinned.volts, eta_p=pinned.eta_p,
+                       eta_n=pinned.eta_n)
+        else:
+            got.update(volts=simulate(theta, ocv_p, ocv_n, profile).volts,
+                       eta_p=overpotential(theta, fixed, "p"),
+                       eta_n=overpotential(theta, fixed, "n"))
+        want = reference_simulate_detailed(theta, ocv_p, ocv_n, profile,
                                            freeze_exchange_current=freeze)
         for name in FIELDS:
-            a, b = getattr(got, name), getattr(want, name)
+            a, b = got[name], getattr(want, name)
             assert np.shape(a) == np.shape(b), name
             assert np.array_equal(a, b), name
 
@@ -150,7 +166,7 @@ class TestSimulatorSplit:
         params, ocv_p, ocv_n = cell
         harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
         with pytest.raises(SimulationDiverged) as got:
-            simulate_detailed(params, ocv_p, ocv_n, harsh)
+            simulate(params, ocv_p, ocv_n, harsh)
         with pytest.raises(SimulationDiverged) as want:
             reference_simulate_detailed(params, ocv_p, ocv_n, harsh)
         assert got.value.index == want.value.index
