@@ -32,7 +32,6 @@ from .ecm import (
     FixedTerms,
     TrapezoidIntegrator,
     build_model,
-    bulk_stoichiometry,
     c1_coefficient,
     electrolyte_potential,
     fixed_terms,

@@ -35,7 +35,7 @@ from .baselines import (
     random_search,
 )
 from .bayesopt import BoRunConfig, run_bo
-from .ecm import build_model, bulk_stoichiometry, simulate
+from .ecm import build_model, bulk_concentration, simulate
 from .errors import (
     ConfigError,
     DataError,
@@ -49,11 +49,18 @@ from .identify import (
     ParameterBox,
     VoltageFitObjective,
     default_box,
-    is_number,
     save_dataset,
 )
 from .ocv import OcvCurve
-from .params import CellParameters, load_parameter_file, reference_cell_path
+from .params import (
+    ELECTRODES,
+    CellParameters,
+    electrode_fields,
+    is_number,
+    load_parameter_file,
+    read_json_object,
+    reference_cell_path,
+)
 from .profiles import CurrentProfile, VoltageSeries, noise_cycle_profile, staircase_profile
 from .runs import OptimizationResult, export_trace
 
@@ -63,9 +70,11 @@ METHODS = ("bo", "gd", "pso")
 
 def one_c_current(params: CellParameters) -> float:
     """1C in amps: limiting-electrode capacity over one hour."""
-    q_p = params.F * params.eps_am_p * params.L_p * params.A * params.c_max_p
-    q_n = params.F * params.eps_am_n * params.L_n * params.A * params.c_max_n
-    return min(q_p, q_n) / 3600.0
+    capacities = []
+    for electrode in ELECTRODES:
+        eps_am, L, c_max = electrode_fields(electrode, "eps_am", "L", "c_max")(params)
+        capacities.append(params.F * eps_am * L * params.A * c_max)
+    return min(capacities) / 3600.0
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +212,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        path = Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json_object(Path(path), "config file",
+                                              ConfigError))
 
 
 def default_config(**overrides) -> ExperimentConfig:
@@ -286,8 +287,9 @@ def generate_profile(kind: str, duration: float, dt: float, seed,
         profile = noise_cycle_profile(i_1c, seed, dt=dt, duration=duration)
 
     lo, hi = SOC_HARD_WINDOW
-    for electrode in ("p", "n"):
-        x = bulk_stoichiometry(params, electrode, profile)
+    for electrode in ELECTRODES:
+        x = (bulk_concentration(params, electrode, profile)
+             / electrode_fields(electrode, "c_max")(params))
         if np.any(x <= lo) or np.any(x >= hi):
             raise SocWindowViolation(
                 f"profile kind {kind!r} drives electrode {electrode} bulk "
@@ -379,20 +381,18 @@ class BenchmarkReport:
     @classmethod
     def load(cls, path) -> "BenchmarkReport":
         path = Path(path)
-        try:
-            doc = json.loads(path.read_text())
-        except FileNotFoundError as exc:
-            raise DataError(f"report not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"report {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "results" not in doc:
-            raise DataError(f"report {path} lacks a results section")
+        doc = read_json_object(path, "report")
+        if not isinstance(doc.get("results"), dict):
+            raise DataError(f"report {path} lacks a results section (an object)")
         report = cls(results=doc["results"], meta=doc.get("meta", {}))
         stored = report.meta.get("body_sha256")
         if stored and stored != hashlib.sha256(report.body_bytes()).hexdigest():
             raise DataError(f"report {path}: meta.body_sha256 does not match "
                             "the results section")
-        report.validate()
+        try:
+            report.validate()
+        except DataError as exc:
+            raise DataError(f"report {path}: {exc}") from exc
         return report
 
     def validate(self) -> None:
@@ -401,6 +401,10 @@ class BenchmarkReport:
         aggregates = self.results.get("aggregates")
         if rows is None or aggregates is None:
             raise DataError("report lacks rows or aggregates")
+        if not (isinstance(rows, list) and isinstance(aggregates, dict) and all(
+                isinstance(row, dict) and _ROW_KEYS <= row.keys() for row in rows)):
+            raise DataError("rows must be a list of objects with keys "
+                            f"{sorted(_ROW_KEYS)} and aggregates an object")
         recomputed = _aggregate_rows(rows)
         for method, stats in recomputed.items():
             stored = aggregates.get(method)
@@ -417,6 +421,10 @@ class BenchmarkReport:
                         f"rows (expected {value})")
         if set(aggregates) != set(recomputed):
             raise DataError("aggregates list methods not present in rows")
+
+
+_ROW_KEYS = frozenset({"method", "rep", "failed", "train_loss_V2",
+                       "test_loss_V2", "evaluations", "theta"})
 
 
 def _aggregate_rows(rows) -> dict:

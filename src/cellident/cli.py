@@ -86,7 +86,7 @@ def _apply_overrides(config: ExperimentConfig, seed, budget, reps,
     return dataclasses.replace(config, **changes) if changes else config
 
 
-@main.command()
+@main.command("simulate")
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Experiment config JSON (for the cell/parameter file).")
 @click.option("--profile", "profile_path", type=click.Path(), default=None,
@@ -95,7 +95,7 @@ def _apply_overrides(config: ExperimentConfig, seed, budget, reps,
               default=None, help="Generate the excitation instead of reading it.")
 @click.option("--duration", type=float, default=3600.0, show_default=True)
 @click.option("--dt", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True,
               help="Output voltage CSV.")
 @_exit_codes
@@ -112,9 +112,6 @@ def simulate_cmd(config_path, profile_path, kind, duration, dt, seed, out_path):
     volts = simulate(params, ocv_p, ocv_n, profile)
     save_profile_csv(out_path, profile, volts)
     click.echo(f"wrote {profile.n} samples to {out_path}")
-
-
-main.add_command(simulate_cmd, name="simulate")
 
 
 @main.command("gen-data")

@@ -36,6 +36,9 @@ voltage is therefore built in two steps:
   phi_e from a model built at D_e, and ``terminal_voltage`` writes the sum
   above into a caller's buffer.
 
+Per-electrode functions take "p" or "n" and read that electrode's fields only
+through ``params.electrode_fields``.
+
 ``simulate`` is ``build_model`` followed by both steps; a fit that evaluates
 many theta on one profile builds the fixed terms once and may keep a term
 whose component did not change.  The float operations and their order are
@@ -58,7 +61,7 @@ from .errors import (
     StepTooCoarse,
 )
 from .ocv import OcvCurve
-from .params import CellParameters
+from .params import ELECTRODES, CellParameters, electrode_fields
 from .profiles import CurrentProfile, VoltageSeries
 
 # electrolyte transfer-function constants
@@ -114,11 +117,8 @@ class TrapezoidIntegrator:
 
 def solid_time_constant(params: CellParameters, electrode: str) -> float:
     """R_i^2 / (35 D_i)."""
-    if electrode == "p":
-        return params.R_p ** 2 / (35.0 * params.D_p)
-    if electrode == "n":
-        return params.R_n ** 2 / (35.0 * params.D_n)
-    raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
+    R, D = electrode_fields(electrode, "R", "D")(params)
+    return R ** 2 / (35.0 * D)
 
 
 def electrolyte_time_constants(params: CellParameters) -> tuple[float, float]:
@@ -128,13 +128,8 @@ def electrolyte_time_constants(params: CellParameters) -> tuple[float, float]:
 
 
 def min_time_constant(params: CellParameters) -> float:
-    tau_pos, tau_neg = electrolyte_time_constants(params)
-    return min(
-        solid_time_constant(params, "p"),
-        solid_time_constant(params, "n"),
-        tau_pos,
-        tau_neg,
-    )
+    return min(*(solid_time_constant(params, e) for e in ELECTRODES),
+               *electrolyte_time_constants(params))
 
 
 def c1_coefficient(params: CellParameters) -> float:
@@ -160,12 +155,8 @@ def c1_coefficient(params: CellParameters) -> float:
 
 def concentration_scale(params: CellParameters, electrode: str) -> float:
     """Current-to-concentration factor -R_i/(3 F eps_am_i L_i A)."""
-    p = params
-    if electrode == "p":
-        return -p.R_p / (3.0 * p.F * p.eps_am_p * p.L_p * p.A)
-    if electrode == "n":
-        return -p.R_n / (3.0 * p.F * p.eps_am_n * p.L_n * p.A)
-    raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
+    R, eps_am, L = electrode_fields(electrode, "R", "eps_am", "L")(params)
+    return -R / (3.0 * params.F * eps_am * L * params.A)
 
 
 @dataclass
@@ -221,12 +212,8 @@ def surface_concentration(model: DiscreteCellModel, electrode: str,
     """
     p = model.params
     current = np.asarray(current, dtype=float)
-    if electrode == "p":
-        c0, c_max, R, lag = p.c_p0, p.c_max_p, p.R_p, model.lag_solid_p
-    elif electrode == "n":
-        c0, c_max, R, lag = p.c_n0, p.c_max_n, p.R_n, model.lag_solid_n
-    else:
-        raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
+    c0, c_max, R = electrode_fields(electrode, "c0", "c_max", "R")(p)
+    lag = electrode_fields(electrode, "lag_solid")(model)
 
     q = TrapezoidIntegrator().response(current, model.dt)
     # G_b's lag term and G_d share gain R/(5D) and tau: compute once, double
@@ -247,21 +234,9 @@ def surface_concentration(model: DiscreteCellModel, electrode: str,
 def bulk_concentration(params: CellParameters, electrode: str,
                        profile: CurrentProfile) -> np.ndarray:
     """Integrator-only (volume-averaged) concentration: c0 - q/(F eps L A)."""
-    p = params
-    if electrode == "p":
-        c0, denom = p.c_p0, p.F * p.eps_am_p * p.L_p * p.A
-    elif electrode == "n":
-        c0, denom = p.c_n0, p.F * p.eps_am_n * p.L_n * p.A
-    else:
-        raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
+    c0, eps_am, L = electrode_fields(electrode, "c0", "eps_am", "L")(params)
     q = TrapezoidIntegrator().response(profile.current, profile.dt)
-    return c0 - q / denom
-
-
-def bulk_stoichiometry(params: CellParameters, electrode: str,
-                       profile: CurrentProfile) -> np.ndarray:
-    c_max = params.c_max_p if electrode == "p" else params.c_max_n
-    return bulk_concentration(params, electrode, profile) / c_max
+    return c0 - q / (params.F * eps_am * L * params.A)
 
 
 def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
@@ -271,13 +246,7 @@ def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
     positive.
     """
     p = params
-    if electrode == "p":
-        c_max, c_e, E_io = p.c_max_p, p.c_e_p, p.E_io_p
-    elif electrode == "n":
-        c_max, c_e, E_io = p.c_max_n, p.c_e_n, p.E_io_n
-    else:
-        raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
-
+    c_max, c_e, E_io = electrode_fields(electrode, "c_max", "c_e", "E_io")(p)
     c = np.asarray(c_surf, dtype=float)
     arg = c * (c_max - c) * c_e
     bad = np.flatnonzero(np.atleast_1d(arg) <= 0.0)
@@ -290,15 +259,6 @@ def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
         )
     arrhenius = math.exp((1.0 / p.T_ref - 1.0 / p.T) * E_io / p.R_gas)
     return arrhenius * p.F, np.sqrt(arg)
-
-
-def overpotential_numerator(params: CellParameters, electrode: str, current):
-    """R T0 (-J_i I): the overpotential eta_i times F i0."""
-    if electrode not in ("p", "n"):
-        raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
-    p = params
-    J = p.J_p if electrode == "p" else p.J_n
-    return p.R_gas * p.T0 * (-J * np.asarray(current, dtype=float))
 
 
 def electrolyte_potential(model: DiscreteCellModel, current: np.ndarray) -> np.ndarray:
@@ -358,8 +318,8 @@ def fixed_terms(model: DiscreteCellModel, profile: CurrentProfile) -> FixedTerms
         dt=profile.dt, current=I, ocv_diff=u_p - u_n,
         i0_scale_p=scale_p, i0_scale_n=scale_n,
         sqrt_arg_p=root_p, sqrt_arg_n=root_n,
-        eta_num_p=overpotential_numerator(p, "p", I),
-        eta_num_n=overpotential_numerator(p, "n", I),
+        eta_num_p=p.R_gas * p.T0 * (-p.J_p * I),
+        eta_num_n=p.R_gas * p.T0 * (-p.J_n * I),
         phi_ohm=ohmic_drop(p, I), contact_drop=I * p.R_c)
 
 
@@ -369,14 +329,9 @@ def overpotential(params: CellParameters, fixed: FixedTerms,
 
     Raises ZeroDivisionError where i0_i is zero.
     """
-    if electrode == "p":
-        i0 = fixed.i0_scale_p * params.k_p * fixed.sqrt_arg_p
-        numerator = fixed.eta_num_p
-    elif electrode == "n":
-        i0 = fixed.i0_scale_n * params.k_n * fixed.sqrt_arg_n
-        numerator = fixed.eta_num_n
-    else:
-        raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
+    i0_scale, sqrt_arg, numerator = electrode_fields(
+        electrode, "i0_scale", "sqrt_arg", "eta_num")(fixed)
+    i0 = i0_scale * electrode_fields(electrode, "k")(params) * sqrt_arg
     if np.any(np.asarray(i0) == 0.0):
         raise ZeroDivisionError("exchange current density is zero")
     return numerator / (params.F * i0)

@@ -35,17 +35,12 @@ from .ecm import (
 )
 from .errors import DataError, DimensionMismatch, OutOfBox, SimulationDiverged
 from .ocv import OcvCurve
-from .params import CellParameters
+from .params import CellParameters, is_number, read_json_object
 from .profiles import CurrentProfile, VoltageSeries
 
 DIVERGENCE_PENALTY = 1.0e6   # V^2, charged when a proposed theta breaks the model
 
 THETA_NAMES = ("k_p", "k_n", "D_e")
-
-
-def is_number(value) -> bool:
-    """True for an int or float that JSON would hold as a number (no bool)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -372,14 +367,7 @@ def save_dataset(out_dir, train: IdentificationDataset,
 def load_dataset(manifest_path) -> tuple[IdentificationDataset, IdentificationDataset, dict]:
     """Read a manifest and its profile CSVs; returns (train, test, meta)."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except FileNotFoundError as exc:
-        raise DataError(f"manifest not found: {manifest_path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise DataError(f"manifest {manifest_path} must hold a JSON object")
+    manifest = read_json_object(manifest_path, "manifest")
     unknown = set(manifest) - {"train", "test", "meta"}
     if unknown:
         raise DataError(f"manifest has unknown keys: {sorted(unknown)}")
@@ -389,6 +377,9 @@ def load_dataset(manifest_path) -> tuple[IdentificationDataset, IdentificationDa
         names = manifest.get(role, [])
         if not names:
             raise DataError(f"manifest lists no {role} profiles")
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise DataError(f"manifest {manifest_path}: {role} must be a list "
+                            f"of file names, got {names!r}")
         profiles, volts = [], []
         for name in names:
             u, v = load_profile_csv(manifest_path.parent / name)

@@ -8,7 +8,9 @@ as a known constant of the reference cell.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +18,39 @@ from .errors import DataError
 
 FARADAY = 96485.33212        # C/mol
 GAS_CONSTANT = 8.314462618   # J/(mol K)
+ELECTRODES = ("p", "n")      # cathode, anode
+
+
+def is_number(value) -> bool:
+    """True for an int or float that JSON would hold as a number (no bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_json_object(path: Path, what: str, error=DataError) -> dict:
+    """The JSON object in ``path``; ``error`` naming ``what`` (e.g. "config
+    file") when the file is missing, not JSON or not an object."""
+    try:
+        raw = json.loads(path.read_text())
+    except FileNotFoundError as exc:
+        raise error(f"{what} not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return raw
+
+
+@functools.cache
+def electrode_fields(electrode: str, *names: str) -> operator.attrgetter:
+    """The one electrode-to-field map: an attrgetter of ``<name>_p`` (or
+    ``_n``) per name, ``c0`` reading ``c_p0``; it gives a tuple for several
+    names, the bare value for one.  ``electrode_fields("p", "R", "c0")(cell)``
+    is ``(cell.R_p, cell.c_p0)``.  ValueError for an electrode but "p" or "n"."""
+    if electrode not in ELECTRODES:
+        raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
+    return operator.attrgetter(*(
+        f"c_{electrode}0" if name == "c0" else f"{name}_{electrode}"
+        for name in names))
 
 
 @dataclass(frozen=True)
@@ -82,47 +117,37 @@ class CellParameters:
     R_gas: float = GAS_CONSTANT  # universal gas constant [J/(mol K)]
 
     def __post_init__(self):
-        if self.J_p is None:
-            object.__setattr__(self, "J_p", 1.0 / (self.a_s("p") * self.L_p * self.A))
-        if self.J_n is None:
-            object.__setattr__(self, "J_n", 1.0 / (self.a_s("n") * self.L_n * self.A))
         self.validate()
+        for electrode in ELECTRODES:
+            J, L = electrode_fields(electrode, "J", "L")(self)
+            if J is None:
+                object.__setattr__(self, f"J_{electrode}",
+                                   1.0 / (self.a_s(electrode) * L * self.A))
 
     def a_s(self, electrode: str) -> float:
         """Specific interfacial surface area 3*eps_am/R [1/m]."""
-        if electrode == "p":
-            return 3.0 * self.eps_am_p / self.R_p
-        if electrode == "n":
-            return 3.0 * self.eps_am_n / self.R_n
-        raise ValueError(f"electrode must be 'p' or 'n', got {electrode!r}")
+        eps_am, R = electrode_fields(electrode, "eps_am", "R")(self)
+        return 3.0 * eps_am / R
 
     def validate(self) -> None:
         """Raise ValueError listing every violated invariant."""
         problems = []
-
-        positive = {
-            "R_p": self.R_p, "R_n": self.R_n, "L_p": self.L_p, "L_n": self.L_n,
-            "L_cell": self.L_cell, "A": self.A, "A_s": self.A_s,
-            "c_max_p": self.c_max_p, "c_max_n": self.c_max_n,
-            "c_e0": self.c_e0, "c_e_p": self.c_e_p, "c_e_n": self.c_e_n,
-            "T0": self.T0, "T_ref": self.T_ref, "T": self.T,
-            "D_e": self.D_e, "D_p": self.D_p, "D_n": self.D_n,
-            "kappa": self.kappa, "k_p": self.k_p, "k_n": self.k_n,
-        }
-        for name, value in positive.items():
+        for name in ("R_p", "R_n", "L_p", "L_n", "L_cell", "A", "A_s",
+                     "c_max_p", "c_max_n", "c_e0", "c_e_p", "c_e_n",
+                     "T0", "T_ref", "T", "D_e", "D_p", "D_n",
+                     "kappa", "k_p", "k_n"):
+            value = getattr(self, name)
             if not value > 0.0:
                 problems.append(f"{name} must be strictly positive, got {value}")
-
-        if not 0.0 < self.c_p0 < self.c_max_p:
-            problems.append(f"c_p0 must lie in (0, c_max_p), got {self.c_p0}")
-        if not 0.0 < self.c_n0 < self.c_max_n:
-            problems.append(f"c_n0 must lie in (0, c_max_n), got {self.c_n0}")
-        if not 0.0 < self.t_plus < 1.0:
-            problems.append(f"t_plus must lie in (0, 1), got {self.t_plus}")
-        if not 0.0 < self.eps_am_p < 1.0:
-            problems.append(f"eps_am_p must lie in (0, 1), got {self.eps_am_p}")
-        if not 0.0 < self.eps_am_n < 1.0:
-            problems.append(f"eps_am_n must lie in (0, 1), got {self.eps_am_n}")
+        for electrode in ELECTRODES:
+            c0, c_max = electrode_fields(electrode, "c0", "c_max")(self)
+            if not 0.0 < c0 < c_max:
+                problems.append(f"c_{electrode}0 must lie in "
+                                f"(0, c_max_{electrode}), got {c0}")
+        for name in ("t_plus", "eps_am_p", "eps_am_n"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                problems.append(f"{name} must lie in (0, 1), got {value}")
 
         if problems:
             raise ValueError("invalid cell parameters: " + "; ".join(problems))
@@ -140,21 +165,22 @@ class CellParameters:
         unknown = set(raw) - known
         if unknown:
             raise DataError(f"unknown cell parameter keys: {sorted(unknown)}")
+        optional = ("J_p", "J_n")   # None: computed from geometry
         required = {
             f.name for f in dataclasses.fields(cls)
-            if f.default is dataclasses.MISSING and f.name not in ("J_p", "J_n")
+            if f.default is dataclasses.MISSING and f.name not in optional
         }
         missing = required - set(raw)
         if missing:
             raise DataError(f"missing cell parameter keys: {sorted(missing)}")
+        for name, value in raw.items():
+            if not (is_number(value) or (value is None and name in optional)):
+                raise DataError(f"cell parameter {name} must be a number, "
+                                f"got {value!r}")
         try:
             return cls(**raw)
         except (TypeError, ValueError) as exc:
             raise DataError(f"invalid cell parameters: {exc}") from exc
-
-
-# Keys of the parameter file that are not CellParameters fields.
-_FILE_EXTRA_KEYS = ("ocv_cathode", "ocv_anode")
 
 
 def load_parameter_file(path) -> tuple[CellParameters, Path, Path]:
@@ -164,22 +190,16 @@ def load_parameter_file(path) -> tuple[CellParameters, Path, Path]:
     relative to the file's directory.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise DataError(f"parameter file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"parameter file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DataError(f"parameter file {path} must hold a JSON object")
-
-    for key in _FILE_EXTRA_KEYS:
+    raw = read_json_object(path, "parameter file")
+    ocv_paths = []
+    for key in ("ocv_cathode", "ocv_anode"):   # the keys that are not fields
         if key not in raw:
             raise DataError(f"parameter file {path} lacks required key {key!r}")
-    ocv_p = (path.parent / raw.pop("ocv_cathode")).resolve()
-    ocv_n = (path.parent / raw.pop("ocv_anode")).resolve()
-    params = CellParameters.from_dict(raw)
-    return params, ocv_p, ocv_n
+        if not isinstance(raw[key], str):
+            raise DataError(f"parameter file {path}: {key} must be a file name, "
+                            f"got {raw[key]!r}")
+        ocv_paths.append((path.parent / raw.pop(key)).resolve())
+    return CellParameters.from_dict(raw), *ocv_paths
 
 
 def reference_cell_path() -> Path:

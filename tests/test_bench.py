@@ -651,6 +651,31 @@ class TestReportValidation:
         with pytest.raises(DataError, match="rows"):
             BenchmarkReport(results={}).validate()
 
+    @pytest.mark.parametrize("edit", [
+        "results list", "rows string", "rows of numbers", "rows lack failed",
+        "aggregates list"])
+    def test_malformed_structure_rejected_on_load(self, tiny_run, tmp_path,
+                                                  edit):
+        _, out_dir = tiny_run
+        doc = json.loads((out_dir / "report.json").read_text())
+        del doc["meta"]["body_sha256"]
+        results = doc["results"]
+        if edit == "results list":
+            doc["results"] = [results]
+        elif edit == "rows string":
+            results["rows"] = "rows"
+        elif edit == "rows of numbers":
+            results["rows"] = [1]
+        elif edit == "rows lack failed":
+            for row in results["rows"]:
+                del row["failed"]
+        else:
+            results["aggregates"] = []
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed.json"):
+            BenchmarkReport.load(bad)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             BenchmarkReport.load(tmp_path / "nowhere.json")

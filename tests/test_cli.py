@@ -341,6 +341,53 @@ class TestRejectedUpFront:
         assert "body_sha256" in result.output
 
 
+class TestMalformedInputFiles:
+    """A report, manifest or parameter file of the wrong shape exits 3."""
+
+    @pytest.mark.parametrize("rows", ["rows", [1], [{"method": "bo"}]])
+    def test_report_rows(self, runner, bench_dir, tmp_path, rows):
+        doc = json.loads((bench_dir / "report.json").read_text())
+        doc["results"]["rows"] = rows
+        del doc["meta"]["body_sha256"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [
+            "report", "--report", str(path), "--out", str(tmp_path / "re")])
+        assert result.exit_code == 3, result.output
+        assert "data error: report" in result.output
+
+    @pytest.mark.parametrize("train", [1, [1], "train_0.csv"])
+    def test_manifest_entries(self, runner, config_path, dataset_dir, tmp_path,
+                              train):
+        doc = json.loads((dataset_dir / "manifest.json").read_text())
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**doc, "train": train}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "identify", "--config", str(config_path), "--data", str(path),
+            "--method", "gd", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "must be a list of file names" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"ocv_cathode": 5}, {"R_c": True}, {"R_c": "0.01"}])
+    def test_parameter_file_values(self, runner, tmp_path, change):
+        packaged = json.loads(reference_cell_path().read_text())
+        cell = reference_cell_path().parent
+        for key in ("ocv_cathode", "ocv_anode"):
+            packaged[key] = str(cell / packaged[key])
+        (tmp_path / "cell.json").write_text(json.dumps({**packaged, **change}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"parameter_file": str(tmp_path / "cell.json")}))
+        result = runner.invoke(main, [
+            "simulate", "--config", str(config), "--kind", "rcid-like",
+            "--duration", "200", "--out", str(tmp_path / "v.csv")])
+        assert result.exit_code == 3, result.output
+        assert "data error" in result.output
+
+
 _DEFAULT_BOX = {"names": ["k_p", "k_n", "D_e"],
                 "lower": [2.0e-11, 2.8e-11, 1.6e-10],
                 "upper": [4.5e-11, 5.6e-11, 4.0e-10]}
@@ -388,6 +435,14 @@ class TestConfigValues:
                                       str(out)])
         assert result.exit_code == 2, result.output
         assert "master_seed must be >= 0" in result.output
+        assert not out.exists()
+
+    def test_negative_simulate_seed(self, runner, tmp_path):
+        out = tmp_path / "v.csv"
+        result = runner.invoke(main, ["simulate", "--kind", "drive-cycle-like",
+                                      "--seed", "-1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--seed" in result.output
         assert not out.exists()
 
     def test_bench_saves_the_report_once(self, runner, config_path, tmp_path,

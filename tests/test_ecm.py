@@ -380,3 +380,31 @@ class TestDivergence:
             simulate(params.replace(k_p=5e-324), ocv_p, ocv_n,
                      CurrentProfile(dt=1.0, current=current))
         assert err.value.index == 10
+
+
+_PER_ELECTRODE = {
+    "a_s": lambda p, model, fixed, e: p.a_s(e),
+    "solid_time_constant": lambda p, model, fixed, e: solid_time_constant(p, e),
+    "concentration_scale": lambda p, model, fixed, e: concentration_scale(p, e),
+    "surface_concentration":
+        lambda p, model, fixed, e: surface_concentration(model, e, fixed.current),
+    "bulk_concentration": lambda p, model, fixed, e: bulk_concentration(
+        p, e, CurrentProfile(dt=model.dt, current=fixed.current)),
+    "exchange_current_factors":
+        lambda p, model, fixed, e: exchange_current_factors(
+            p, e, min(p.c_p0, p.c_n0)),
+    "overpotential": lambda p, model, fixed, e: overpotential(p, fixed, e),
+}
+
+
+class TestElectrodeNames:
+    @pytest.mark.parametrize("name", sorted(_PER_ELECTRODE))
+    def test_unknown_electrode_rejected(self, cell, i_1c, name):
+        params, ocv_p, ocv_n = cell
+        model = build_model(params, ocv_p, ocv_n, dt=1.0)
+        fixed = fixed_terms(model, constant_pulse(i_1c))
+        call = _PER_ELECTRODE[name]
+        for electrode in ("p", "n"):
+            call(params, model, fixed, electrode)
+        with pytest.raises(ValueError, match="electrode must be 'p' or 'n'"):
+            call(params, model, fixed, "x")

@@ -542,3 +542,11 @@ class TestDatasetIo:
         path.write_text(json.dumps({"train": ["a.csv"], "test": ["b.csv"]}))
         with pytest.raises(DataError, match="not found"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("train", [1, True, "a.csv", [1], ["a.csv", None],
+                                       {"a.csv": 1}])
+    def test_profile_lists_must_be_lists_of_names(self, tmp_path, train):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"train": train, "test": ["a.csv"]}))
+        with pytest.raises(DataError, match="train must be a list of file names"):
+            load_dataset(path)

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from cellident.errors import DataError
-from cellident.params import CellParameters, load_parameter_file, reference_cell_path
+from cellident.params import (
+    CellParameters,
+    electrode_fields,
+    load_parameter_file,
+    reference_cell_path,
+)
 
 
 class TestReferenceCell:
@@ -48,6 +53,22 @@ class TestReferenceCell:
             1.0 / (rebuilt.a_s("n") * rebuilt.L_n * rebuilt.A), rel=1e-12)
 
 
+class TestElectrodeFields:
+    def test_names_map_to_the_electrode_fields(self, params):
+        assert electrode_fields("p", "R", "c0", "c_max")(params) == (
+            params.R_p, params.c_p0, params.c_max_p)
+        assert electrode_fields("n", "c_e", "E_io", "J")(params) == (
+            params.c_e_n, params.E_io_n, params.J_n)
+        # one name: the bare value
+        assert electrode_fields("n", "k")(params) == params.k_n
+
+    def test_unknown_electrode_or_field(self, params):
+        with pytest.raises(ValueError, match="electrode must be 'p' or 'n'"):
+            electrode_fields("cathode", "R")
+        with pytest.raises(AttributeError):
+            electrode_fields("p", "radius")(params)
+
+
 class TestValidation:
     def test_replace_revalidates(self, params):
         with pytest.raises(ValueError, match="k_p"):
@@ -75,6 +96,24 @@ class TestValidation:
         raw = params.to_dict()
         raw.pop("kappa")
         with pytest.raises(DataError, match="kappa"):
+            CellParameters.from_dict(raw)
+
+    @pytest.mark.parametrize("key, value", [
+        ("R_c", True), ("R_c", "0.01"), ("k_p", None), ("F", None),
+        ("c_p0", [1.0])])
+    def test_non_number_rejected(self, params, key, value):
+        raw = {**params.to_dict(), key: value}
+        with pytest.raises(DataError, match=f"{key} must be a number"):
+            CellParameters.from_dict(raw)
+
+    def test_null_j_is_computed(self, params):
+        rebuilt = CellParameters.from_dict({**params.to_dict(), "J_n": None})
+        assert rebuilt.J_n == params.J_n
+
+    @pytest.mark.parametrize("key", ["R_n", "eps_am_n"])
+    def test_zero_under_a_computed_j_is_a_data_error(self, params, key):
+        raw = {**params.to_dict(), key: 0.0, "J_n": None}
+        with pytest.raises(DataError, match=f"{key} must"):
             CellParameters.from_dict(raw)
 
     def test_round_trip(self, params):
@@ -122,6 +161,14 @@ class TestParameterFile:
         path = tmp_path / "cell.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="ocv_anode"):
+            load_parameter_file(path)
+
+    @pytest.mark.parametrize("value", [5, None, ["cath.csv"]])
+    def test_ocv_key_must_name_a_file(self, tmp_path, params, value):
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps({**params.to_dict(), "ocv_cathode": value,
+                                    "ocv_anode": "an.csv"}))
+        with pytest.raises(DataError, match="ocv_cathode must be a file name"):
             load_parameter_file(path)
 
     def test_packaged_file_is_loadable(self, cell):
