@@ -382,9 +382,15 @@ class BenchmarkReport:
     def load(cls, path) -> "BenchmarkReport":
         path = Path(path)
         doc = read_json_object(path, "report")
-        if not isinstance(doc.get("results"), dict):
-            raise DataError(f"report {path} lacks a results section (an object)")
+        if not (isinstance(doc.get("results"), dict)
+                and isinstance(doc.get("meta", {}), dict)):
+            raise DataError(f"report {path}: results and meta must be objects")
         report = cls(results=doc["results"], meta=doc.get("meta", {}))
+        times = report.meta.get("time_stats", {})
+        if not (isinstance(times, dict) and all(isinstance(t, dict) and is_number(
+                t.get("mean")) and is_number(t.get("var")) for t in times.values())):
+            raise DataError(f"report {path}: meta.time_stats must be an object "
+                            "holding per method an object of numbers mean and var")
         stored = report.meta.get("body_sha256")
         if stored and stored != hashlib.sha256(report.body_bytes()).hexdigest():
             raise DataError(f"report {path}: meta.body_sha256 does not match "
@@ -396,35 +402,52 @@ class BenchmarkReport:
         return report
 
     def validate(self) -> None:
-        """Recompute aggregates from raw rows; DataError on any mismatch."""
+        """Check the config echo and the row values the exports read, then
+        recompute aggregates from raw rows; DataError naming the field."""
         rows = self.results.get("rows")
         aggregates = self.results.get("aggregates")
-        if rows is None or aggregates is None:
-            raise DataError("report lacks rows or aggregates")
         if not (isinstance(rows, list) and isinstance(aggregates, dict) and all(
-                isinstance(row, dict) and _ROW_KEYS <= row.keys() for row in rows)):
+                isinstance(row, dict) and _ROW_VALUES.keys() <= row.keys() for row in rows)):
             raise DataError("rows must be a list of objects with keys "
-                            f"{sorted(_ROW_KEYS)} and aggregates an object")
+                            f"{sorted(_ROW_VALUES)} and aggregates an object")
+        for i, row in enumerate(rows):
+            for key, (ok, what) in _ROW_VALUES.items():
+                if not ok(row[key]):
+                    raise DataError(f"rows[{i}].{key} must be {what}, got {row[key]!r}")
+        try:
+            methods = ExperimentConfig.from_dict(self.results.get("config")).methods
+        except (ConfigError, TypeError) as exc:   # TypeError: not an object
+            raise DataError(f"config must be a valid config object: {exc}") from exc
         recomputed = _aggregate_rows(rows)
         for method, stats in recomputed.items():
             stored = aggregates.get(method)
-            if stored is None:
-                raise DataError(f"aggregates missing method {method!r}")
+            if not isinstance(stored, dict):
+                raise DataError(f"aggregates.{method} must be an object, got {stored!r}")
             for key, value in stats.items():
                 got = stored.get(key)
                 ok = (got is None and value is None) or (
-                    got is not None and value is not None
+                    is_number(got) and value is not None
                     and np.isclose(got, value, rtol=1e-12, atol=1e-15))
                 if not ok:
                     raise DataError(
                         f"aggregate {method}.{key} = {got} does not match "
                         f"rows (expected {value})")
-        if set(aggregates) != set(recomputed):
-            raise DataError("aggregates list methods not present in rows")
+        if not set(aggregates) == set(recomputed) == set(methods):
+            raise DataError("aggregates, rows and config.methods list "
+                            "different methods")
 
 
-_ROW_KEYS = frozenset({"method", "rep", "failed", "train_loss_V2",
-                       "test_loss_V2", "evaluations", "theta"})
+_NUMBER_OR_NULL = (lambda v: v is None or is_number(v), "a number or null")
+_ROW_VALUES = {   # every row key: the check of its value, and its wording
+    "method": (lambda v: isinstance(v, str), "a string"),
+    "rep": (lambda v: type(v) is int, "an integer"),   # a JSON integer, no bool
+    "failed": (lambda v: isinstance(v, bool), "true or false"),
+    "train_loss_V2": _NUMBER_OR_NULL, "test_loss_V2": _NUMBER_OR_NULL,
+    "evaluations": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "theta": (lambda v: v is None or (isinstance(v, dict) and all(
+        is_number(v.get(n)) and v[n] > 0.0 for n in THETA_NAMES)),
+        f"null or an object of positive numbers {', '.join(THETA_NAMES)}"),
+}
 
 
 def _aggregate_rows(rows) -> dict:

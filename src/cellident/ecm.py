@@ -48,6 +48,7 @@ are scheduled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -83,26 +84,16 @@ class FirstOrderLag:
             raise NonPositiveStep(f"dt must be positive, got {dt}")
         return math.exp(-dt / self.tau)
 
-    def step(self, y_prev: float, u_prev: float, dt: float) -> float:
-        """One update y[k] = a*y[k-1] + K*(1-a)*u[k-1]."""
-        a = self.pole(dt)
-        return a * y_prev + self.gain * (1.0 - a) * u_prev
-
     def response(self, u: np.ndarray, dt: float) -> np.ndarray:
         """Full output series from rest; input enters with one-sample delay."""
-        a = self.pole(dt)
-        return lfilter([0.0, self.gain * (1.0 - a)], [1.0, -a],
+        a = self.pole(dt)   # arrays, not lists: lfilter converts lists slowly
+        return lfilter(np.array([0.0, self.gain * (1.0 - a)]), np.array([1.0, -a]),
                        np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True)
 class TrapezoidIntegrator:
     """Running integral q[k] = q[k-1] + dt/2*(u[k-1] + u[k]); discrete pole at 1."""
-
-    def step(self, q_prev: float, u_prev: float, u_now: float, dt: float) -> float:
-        if not dt > 0.0:
-            raise NonPositiveStep(f"dt must be positive, got {dt}")
-        return q_prev + 0.5 * dt * (u_prev + u_now)
 
     def response(self, u: np.ndarray, dt: float) -> np.ndarray:
         """Full output series from rest, q[0] = 0."""
@@ -119,6 +110,12 @@ def solid_time_constant(params: CellParameters, electrode: str) -> float:
     """R_i^2 / (35 D_i)."""
     R, D = electrode_fields(electrode, "R", "D")(params)
     return R ** 2 / (35.0 * D)
+
+
+def solid_lag(params: CellParameters, electrode: str) -> FirstOrderLag:
+    """The theta-free doubled diffusion lag (R_i/(5 D_i))/(tau_i s + 1)."""
+    R, D = electrode_fields(electrode, "R", "D")(params)
+    return FirstOrderLag(gain=R / (5.0 * D), tau=solid_time_constant(params, electrode))
 
 
 def electrolyte_time_constants(params: CellParameters) -> tuple[float, float]:
@@ -172,8 +169,6 @@ class DiscreteCellModel:
     ocv_p: OcvCurve
     ocv_n: OcvCurve
     dt: float
-    lag_solid_p: FirstOrderLag = field(init=False)
-    lag_solid_n: FirstOrderLag = field(init=False)
     lag_elec_pos: FirstOrderLag = field(init=False)
     lag_elec_neg: FirstOrderLag = field(init=False)
     c1: float = field(init=False)
@@ -189,10 +184,6 @@ class DiscreteCellModel:
             )
         p = self.params
         tau_pos, tau_neg = electrolyte_time_constants(p)
-        self.lag_solid_p = FirstOrderLag(gain=p.R_p / (5.0 * p.D_p),
-                                         tau=solid_time_constant(p, "p"))
-        self.lag_solid_n = FirstOrderLag(gain=p.R_n / (5.0 * p.D_n),
-                                         tau=solid_time_constant(p, "n"))
         self.lag_elec_pos = FirstOrderLag(gain=ELEC_GAIN_POS * p.gamma_p, tau=tau_pos)
         self.lag_elec_neg = FirstOrderLag(gain=ELEC_GAIN_NEG * p.gamma_n, tau=tau_neg)
         self.c1 = c1_coefficient(p)
@@ -213,7 +204,7 @@ def surface_concentration(model: DiscreteCellModel, electrode: str,
     p = model.params
     current = np.asarray(current, dtype=float)
     c0, c_max, R = electrode_fields(electrode, "c0", "c_max", "R")(p)
-    lag = electrode_fields(electrode, "lag_solid")(model)
+    lag = solid_lag(p, electrode)
 
     q = TrapezoidIntegrator().response(current, model.dt)
     # G_b's lag term and G_d share gain R/(5D) and tau: compute once, double
@@ -280,7 +271,9 @@ class FixedTerms:
     """The theta-free part of one simulation (see the module docstring).
 
     Per electrode, ``i0_scale * k * sqrt_arg`` is the exchange current
-    density and ``eta_num / (F i0)`` the overpotential.
+    density and ``eta_num / (F i0)`` the overpotential.  ``sqrt_arg_min`` is
+    the least |sqrt_arg| (NaN skipped, inf for none): rounding is monotone,
+    so ``scale * sqrt_arg`` holds a zero iff ``scale * sqrt_arg_min`` is zero.
     """
 
     dt: float
@@ -294,6 +287,13 @@ class FixedTerms:
     eta_num_n: np.ndarray
     phi_ohm: np.ndarray           # ohmic drop [V]
     contact_drop: np.ndarray      # I R_c [V]
+
+    sqrt_arg_min_p = functools.cached_property(lambda self: _least_magnitude(self.sqrt_arg_p))
+    sqrt_arg_min_n = functools.cached_property(lambda self: _least_magnitude(self.sqrt_arg_n))
+
+
+def _least_magnitude(x) -> float:
+    return float(np.fmin.reduce(np.abs(x), axis=None, initial=np.inf))
 
 
 def fixed_terms(model: DiscreteCellModel, profile: CurrentProfile) -> FixedTerms:
@@ -329,12 +329,14 @@ def overpotential(params: CellParameters, fixed: FixedTerms,
 
     Raises ZeroDivisionError where i0_i is zero.
     """
-    i0_scale, sqrt_arg, numerator = electrode_fields(
-        electrode, "i0_scale", "sqrt_arg", "eta_num")(fixed)
-    i0 = i0_scale * electrode_fields(electrode, "k")(params) * sqrt_arg
-    if np.any(np.asarray(i0) == 0.0):
+    i0_scale, sqrt_arg, numerator, least = electrode_fields(
+        electrode, "i0_scale", "sqrt_arg", "eta_num", "sqrt_arg_min")(fixed)
+    scale = i0_scale * electrode_fields(electrode, "k")(params)
+    if scale * least == 0.0:
         raise ZeroDivisionError("exchange current density is zero")
-    return numerator / (params.F * i0)
+    eta = np.multiply(scale, sqrt_arg, out=np.empty_like(numerator))   # i0
+    eta *= params.F
+    return np.divide(numerator, eta, out=eta)
 
 
 def terminal_voltage(fixed: FixedTerms, eta_p: np.ndarray, eta_n: np.ndarray,

@@ -106,16 +106,16 @@ class ParameterBox:
         if unit.shape[-1] != self.n:
             raise DimensionMismatch(
                 f"point has dimension {unit.shape[-1]}, box has {self.n}")
-        if not (np.all(unit >= -1e-12) and np.all(unit <= 1.0 + 1e-12)):
-            raise OutOfBox(f"unit point {unit} outside [0,1]^n")   # NaN too
+        # one reduction per bound: cheaper than np.all on the few values of
+        # an objective call; NaN fails the test
+        if not (np.minimum.reduce(unit, axis=None, initial=np.inf) >= -1e-12
+                and np.maximum.reduce(unit, axis=None, initial=-np.inf) <= 1.0 + 1e-12):
+            raise OutOfBox(f"unit point {unit} outside [0,1]^n")
         work = self._lo + unit * self._width
         for i, s in enumerate(self.scales):
             if s == "log":
                 work[..., i] = 10.0 ** work[..., i]
         return work
-
-    def clip_unit(self, unit) -> np.ndarray:
-        return np.clip(np.asarray(unit, dtype=float), 0.0, 1.0)
 
     def midpoint(self) -> np.ndarray:
         return self.denormalize(np.full(self.n, 0.5))
@@ -178,9 +178,6 @@ class IdentificationDataset:
             if u.n != v.n or u.dt != v.dt:
                 raise DataError(f"pair {i}: profile and voltage grids disagree")
 
-    def __len__(self) -> int:
-        return len(self.profiles)
-
 
 @dataclass(frozen=True)
 class ObjectiveEvaluation:
@@ -235,8 +232,8 @@ class VoltageFitObjective:
         if theta.shape != (self.box.n,):
             raise DimensionMismatch(
                 f"theta has shape {theta.shape}, expected ({self.box.n},)")
-        params = self.base.replace(k_p=float(theta[0]), k_n=float(theta[1]),
-                                   D_e=float(theta[2]))
+        params = self.base.with_theta(float(theta[0]), float(theta[1]),
+                                      float(theta[2]))
         per = []
         penalized = False
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -286,8 +283,9 @@ class VoltageFitObjective:
         return loss if loss <= DIVERGENCE_PENALTY else None   # inf, NaN too
 
     def unit(self, point) -> float:
-        """Loss at a unit-cube point (the optimizer-facing view)."""
-        theta = self.box.denormalize(self.box.clip_unit(point))
+        """Loss at a unit-cube point clipped into the cube (optimizer view)."""
+        theta = self.box.denormalize(np.clip(np.asarray(point, dtype=float),
+                                             0.0, 1.0))
         return self(theta).loss
 
 

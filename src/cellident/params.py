@@ -156,6 +156,15 @@ class CellParameters:
         """Copy with the given fields replaced (re-validates)."""
         return dataclasses.replace(self, **changes)
 
+    def with_theta(self, k_p: float, k_n: float, D_e: float) -> "CellParameters":
+        """``replace(k_p=k_p, k_n=k_n, D_e=D_e)``; when all three are positive
+        it skips ``validate``, which the other fields passed already."""
+        if not (k_p > 0.0 and k_n > 0.0 and D_e > 0.0):
+            return self.replace(k_p=k_p, k_n=k_n, D_e=D_e)   # validate's error
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, k_p=k_p, k_n=k_n, D_e=D_e)
+        return copy
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 

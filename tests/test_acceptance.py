@@ -21,6 +21,7 @@ from cellident.ecm import (
     build_model,
     bulk_concentration,
     simulate,
+    solid_lag,
 )
 from cellident.identify import ParameterBox, VoltageFitObjective
 from cellident.profiles import CurrentProfile, staircase_profile
@@ -118,7 +119,7 @@ def test_3_simulator_invariants(cell, i_1c, capsys):
     constant = np.full(600, i_1c)
     worst_gain = max(
         abs(float(block.response(constant, 1.0)[-1]) / (block.gain * i_1c) - 1.0)
-        for block in (model.lag_solid_p, model.lag_solid_n,
+        for block in (solid_lag(params, "p"), solid_lag(params, "n"),
                       model.lag_elec_pos, model.lag_elec_neg))
     ok_gains = worst_gain <= 1e-3
 

@@ -653,7 +653,7 @@ class TestReportValidation:
 
     @pytest.mark.parametrize("edit", [
         "results list", "rows string", "rows of numbers", "rows lack failed",
-        "aggregates list"])
+        "aggregates list", "aggregate string", "config methods differ"])
     def test_malformed_structure_rejected_on_load(self, tiny_run, tmp_path,
                                                   edit):
         _, out_dir = tiny_run
@@ -669,6 +669,10 @@ class TestReportValidation:
         elif edit == "rows lack failed":
             for row in results["rows"]:
                 del row["failed"]
+        elif edit == "aggregate string":
+            results["aggregates"]["bo"]["train_mean"] = "abc"
+        elif edit == "config methods differ":
+            results["config"]["methods"] = ["bo", "gd"]
         else:
             results["aggregates"] = []
         bad = tmp_path / "malformed.json"

@@ -356,6 +356,31 @@ class TestMalformedInputFiles:
         assert result.exit_code == 3, result.output
         assert "data error: report" in result.output
 
+    @pytest.mark.parametrize("field, edit", [
+        ("rows[0].train_loss_V2",
+         lambda doc: doc["results"]["rows"][0].update(train_loss_V2="abc")),
+        ("aggregates.bo", lambda doc: doc["results"]["aggregates"].update(bo=[1])),
+        ("config", lambda doc: doc["results"].update(config=5)),
+        ("rows[0].theta", lambda doc: doc["results"]["rows"][0].update(theta=7)),
+        ("results and meta", lambda doc: doc.update(meta=5)),
+        ("meta.time_stats",
+         lambda doc: doc["meta"]["time_stats"]["bo"].update(mean="x")),
+    ], ids=["train_loss_string", "aggregate_list", "config_number",
+            "theta_number", "meta_number", "time_stats_string"])
+    def test_report_value_types(self, runner, bench_dir, tmp_path, field,
+                                edit):
+        """A well-shaped report holding a value of the wrong type exits 3
+        with a message naming the report and the field."""
+        doc = json.loads((bench_dir / "report.json").read_text())
+        del doc["meta"]["body_sha256"]
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [
+            "report", "--report", str(path), "--out", str(tmp_path / "re")])
+        assert result.exit_code == 3, result.output
+        assert f"data error: report {path}: {field} must be" in result.output
+
     @pytest.mark.parametrize("train", [1, [1], "train_0.csv"])
     def test_manifest_entries(self, runner, config_path, dataset_dir, tmp_path,
                               train):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cellident.ecm import (
     ELEC_GAIN_NEG,
@@ -13,6 +15,7 @@ from cellident.ecm import (
     ELEC_TAU_NEG,
     ELEC_TAU_POS,
     FirstOrderLag,
+    FixedTerms,
     TrapezoidIntegrator,
     build_model,
     bulk_concentration,
@@ -25,6 +28,7 @@ from cellident.ecm import (
     min_time_constant,
     overpotential,
     simulate,
+    solid_lag,
     solid_time_constant,
     surface_concentration,
 )
@@ -60,9 +64,10 @@ class TestFirstOrderLag:
         u = rng.standard_normal(50)
         dt = 0.3
         y = lag.response(u, dt)
+        a = math.exp(-dt / lag.tau)
         expected = np.zeros_like(u)
         for k in range(1, u.size):
-            expected[k] = lag.step(expected[k - 1], u[k - 1], dt)
+            expected[k] = a * expected[k - 1] + lag.gain * (1.0 - a) * u[k - 1]
         np.testing.assert_allclose(y, expected, atol=1e-13)
 
     def test_step_response_closed_form(self):
@@ -95,7 +100,7 @@ class TestTrapezoidIntegrator:
         q = integ.response(u, dt)
         walked = 0.0
         for k in range(1, u.size):
-            walked = integ.step(walked, u[k - 1], u[k], dt)
+            walked += 0.5 * dt * (u[k - 1] + u[k])
         assert q[-1] == pytest.approx(walked, rel=1e-12)
         assert q[0] == 0.0
 
@@ -190,16 +195,17 @@ class TestDcGains:
         model = build_model(params, ocv_p, ocv_n, dt=1.0)
         n = 400   # > 8x the slowest time constant
         u = np.full(n, i_1c)
-        for lag in (model.lag_solid_p, model.lag_solid_n, model.lag_elec_pos,
-                    model.lag_elec_neg):
+        for lag in (solid_lag(params, "p"), solid_lag(params, "n"),
+                    model.lag_elec_pos, model.lag_elec_neg):
             y = lag.response(u, model.dt)
             assert y[-1] == pytest.approx(lag.gain * i_1c, rel=1e-3), lag
 
     def test_block_wiring(self, cell):
         params, ocv_p, ocv_n = cell
         model = build_model(params, ocv_p, ocv_n, dt=1.0)
-        assert model.lag_solid_p.gain == pytest.approx(
+        assert solid_lag(params, "p").gain == pytest.approx(
             params.R_p / (5.0 * params.D_p))
+        assert solid_lag(params, "n").tau == solid_time_constant(params, "n")
         assert model.lag_elec_pos.gain == pytest.approx(
             ELEC_GAIN_POS * params.gamma_p)
         assert model.lag_elec_neg.gain == pytest.approx(
@@ -354,6 +360,51 @@ class TestKinetics:
         with pytest.raises(ZeroDivisionError):
             overpotential(params, dataclasses.replace(fixed, sqrt_arg_p=0.0),
                           "p")
+
+
+# square roots of any sign, with zeros, NaN, infinities and subnormals
+_roots = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-6, math.nan,
+                                    math.inf, -math.inf]), st.floats())
+
+
+class TestZeroExchangeCurrent:
+    """``overpotential`` tests i0 for zero from the least |sqrt_arg| alone;
+    it raises exactly when the whole i0 array holds a zero, and otherwise
+    returns the bits of R T0 (-J I) / (F i0)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(roots=st.one_of(_roots, st.lists(_roots, min_size=1, max_size=8)),
+           i0_scale=st.one_of(st.sampled_from([0.0, 5e-324, 96485.33212]),
+                              st.floats(min_value=0.0, max_value=1e300)),
+           k=st.one_of(st.sampled_from([5e-324, 1e-300, 3e-11]),
+                       st.floats(min_value=5e-324, max_value=1e300)))
+    @example(roots=[1e-6, 50.0], i0_scale=96485.33212, k=5e-324)   # underflow
+    @example(roots=[math.nan, 0.0, math.nan], i0_scale=1.0, k=3e-11)
+    @example(roots=[math.nan, math.inf], i0_scale=0.0, k=3e-11)    # 0 * inf
+    @example(roots=-2e-300, i0_scale=1e-20, k=1e-10)
+    def test_raises_exactly_where_any_i0_is_zero(self, params, roots,
+                                                  i0_scale, k):
+        if isinstance(roots, list):
+            sqrt_arg, numerator = np.array(roots), np.linspace(-1.0, 1.0, len(roots))
+        else:   # a scalar root broadcasts, as in pinned fixed terms
+            sqrt_arg, numerator = np.float64(roots), np.linspace(-1.0, 1.0, 3)
+        fixed = FixedTerms(dt=1.0, current=numerator, ocv_diff=numerator,
+                           i0_scale_p=i0_scale, i0_scale_n=i0_scale,
+                           sqrt_arg_p=sqrt_arg, sqrt_arg_n=sqrt_arg,
+                           eta_num_p=numerator, eta_num_n=numerator,
+                           phi_ohm=numerator, contact_drop=numerator)
+        theta = params.with_theta(k, k, params.D_e)
+        with np.errstate(all="ignore"):
+            i0 = i0_scale * k * sqrt_arg
+            for electrode in ("p", "n"):
+                if np.any(i0 == 0.0):
+                    with pytest.raises(ZeroDivisionError):
+                        overpotential(theta, fixed, electrode)
+                    continue
+                eta = overpotential(theta, fixed, electrode)
+                want = numerator / (theta.F * i0)
+                assert eta.shape == want.shape
+                assert eta.tobytes() == want.tobytes()
 
 
 class TestDivergence:

@@ -25,6 +25,7 @@ from cellident.identify import (
     save_dataset,
     save_profile_csv,
 )
+from cellident.params import CellParameters
 from cellident.profiles import CurrentProfile, VoltageSeries
 
 unit_points = st.lists(
@@ -103,10 +104,6 @@ class TestParameterBox:
         with pytest.raises(DimensionMismatch):
             box.denormalize(np.zeros(4))
 
-    def test_clip_unit(self, box):
-        clipped = box.clip_unit(np.array([-0.2, 0.5, 1.7]))
-        np.testing.assert_array_equal(clipped, [0.0, 0.5, 1.0])
-
     def test_invalid_definitions(self):
         with pytest.raises(DataError):
             ParameterBox(names=("a",), lower=np.array([1.0]), upper=np.array([1.0]))
@@ -147,7 +144,7 @@ class TestDataset:
         bad = VoltageSeries(dt=1.0, volts=np.ones(4))
         with pytest.raises(DataError):
             IdentificationDataset(profiles=(profile,), voltages=(bad,), role="train")
-        assert len(IdentificationDataset(profiles=(profile,), voltages=(volts,))) == 1
+        assert IdentificationDataset(profiles=(profile,), voltages=(volts,)).profiles == (profile,)
 
 
 class TestObjective:
@@ -185,6 +182,8 @@ class TestObjective:
         outside = objective.unit(np.array([1.4, 1.0, 1.0]))
         assert isinstance(inside, float)
         assert outside == inside
+        assert (objective.unit(np.array([-0.2, 0.5, 1.7]))
+                == objective.unit(np.array([0.0, 0.5, 1.0])))
 
     def test_divergence_penalty(self, cell, box, i_1c):
         """A dataset whose excitation breaks the model charges the penalty."""
@@ -357,12 +356,16 @@ class TestFixedTermCache:
 
 class TestThetaTermCache:
     """Each profile keeps eta_p for its k_p, eta_n for its k_n and phi_e (and
-    the model) for its D_e; a call recomputes only what its theta changed."""
+    the model) for its D_e; a call recomputes only what its theta changed.
+    No call runs ``CellParameters.validate``, and a model built for a new
+    D_e makes only its two electrolyte lags, not the theta-free solid ones."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        """Per-name call counts of the term functions and the lag filter."""
-        counts = {"response": 0, "overpotential": 0, "build_model": 0}
+        """Per-name call counts of the term functions, the lag filter, the
+        cell check and the lag constructor."""
+        counts = {"response": 0, "overpotential": 0, "build_model": 0,
+                  "validate": 0, "lags": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -375,6 +378,10 @@ class TestThetaTermCache:
         for name in ("overpotential", "build_model"):
             monkeypatch.setattr(identify, name,
                                 counting(name, getattr(identify, name)))
+        monkeypatch.setattr(CellParameters, "validate",
+                            counting("validate", CellParameters.validate))
+        monkeypatch.setattr(ecm.FirstOrderLag, "__init__",
+                            counting("lags", ecm.FirstOrderLag.__init__))
         return counts
 
     @pytest.fixture()
@@ -393,23 +400,27 @@ class TestThetaTermCache:
         theta = box.midpoint()
         theta[index] *= 1.01
         objective(theta)
-        assert calls == {"response": 0, "overpotential": 2, "build_model": 0}
+        assert calls == {"response": 0, "overpotential": 2, "build_model": 0,
+                         "validate": 0, "lags": 0}
 
     def test_d_e_change_recomputes_only_phi_e(self, objective, calls, box):
         theta = box.midpoint()
         theta[2] *= 1.01
         objective(theta)
         # two electrolyte lags per profile; the solid lags are fixed terms
-        assert calls == {"response": 4, "overpotential": 0, "build_model": 2}
+        assert calls == {"response": 4, "overpotential": 0, "build_model": 2,
+                         "validate": 0, "lags": 4}
 
     def test_repeat_recomputes_nothing(self, objective, calls, box):
         objective(box.midpoint())
         objective.unit(np.full(3, 0.5))
-        assert calls == {"response": 0, "overpotential": 0, "build_model": 0}
+        assert calls == {"response": 0, "overpotential": 0, "build_model": 0,
+                         "validate": 0, "lags": 0}
 
     def test_new_theta_recomputes_every_term(self, objective, calls, box):
         objective(box.denormalize(np.array([0.1, 0.2, 0.3])))
-        assert calls == {"response": 4, "overpotential": 4, "build_model": 2}
+        assert calls == {"response": 4, "overpotential": 4, "build_model": 2,
+                         "validate": 0, "lags": 4}
 
     def test_losses_after_a_raising_call_match_a_fresh_objective(
             self, cell, objective, box):
@@ -519,7 +530,7 @@ class TestDatasetIo:
                                 extra_meta={"noise_sigma_v": 0.001})
         loaded_train, loaded_test, meta = load_dataset(manifest)
         assert meta == {"noise_sigma_v": 0.001}
-        assert len(loaded_train) == 2 and len(loaded_test) == 1
+        assert len(loaded_train.profiles) == 2 and len(loaded_test.profiles) == 1
         assert loaded_train.role == "train" and loaded_test.role == "test"
         for orig, back in zip(train.profiles, loaded_train.profiles):
             np.testing.assert_allclose(back.current, orig.current, atol=1e-9)

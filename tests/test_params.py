@@ -1,10 +1,14 @@
 """Parameter container: loading, validation, and the J sign convention."""
 
+import dataclasses
 import json
+import math
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellident.errors import DataError
 from cellident.params import (
@@ -125,6 +129,30 @@ class TestValidation:
         assert changed.k_p == 5e-11
         assert changed.k_n == params.k_n
         assert changed.J_p == params.J_p
+
+    _theta_values = st.one_of(
+        st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
+                         5e-324]),
+        st.floats(min_value=5e-324, max_value=1e300), st.floats())
+
+    @settings(max_examples=300, deadline=None)
+    @given(k_p=_theta_values, k_n=_theta_values, D_e=_theta_values)
+    def test_with_theta_is_replace(self, params, k_p, k_n, D_e):
+        """Field for field the copy ``replace`` makes, and for an invalid
+        theta (zero, negative, NaN, several at once) its exact message."""
+        try:
+            want = params.replace(k_p=k_p, k_n=k_n, D_e=D_e)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                params.with_theta(k_p, k_n, D_e)
+            assert str(got.value) == str(exc)
+            return
+        got = params.with_theta(k_p, k_n, D_e)
+        assert type(got) is CellParameters and got is not params
+        for f in dataclasses.fields(CellParameters):
+            assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+        assert got == want
+        assert (params.k_p, params.k_n, params.D_e) == (3e-11, 4e-11, 2.5e-10)
 
 
 class TestParameterFile:

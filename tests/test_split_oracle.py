@@ -216,7 +216,7 @@ def _theta_sequence(box, start, moves):
             _, i, sign = move
             unit = unit.copy()
             unit[i] += sign * GD_PROBE
-            unit = box.clip_unit(unit)
+            unit = np.clip(unit, 0.0, 1.0)
         elif kind == "step":
             unit = np.array(move[1])
         elif kind == "edge":
