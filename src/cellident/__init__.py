@@ -27,12 +27,9 @@ from .bench import (
     run_method,
 )
 from .ecm import (
-    DiscreteCellModel,
-    FirstOrderLag,
     FixedTerms,
-    TrapezoidIntegrator,
-    build_model,
     c1_coefficient,
+    check_step,
     electrolyte_potential,
     fixed_terms,
     ohmic_drop,

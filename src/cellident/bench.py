@@ -35,7 +35,7 @@ from .baselines import (
     random_search,
 )
 from .bayesopt import BoRunConfig, run_bo
-from .ecm import build_model, bulk_concentration, simulate
+from .ecm import bulk_concentration, check_step, simulate
 from .errors import (
     ConfigError,
     DataError,
@@ -249,8 +249,7 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def check_step_resolution(box: ParameterBox, dts, params: CellParameters,
-                          ocv_p: OcvCurve, ocv_n: OcvCurve) -> None:
+def check_step_resolution(box: ParameterBox, dts, params: CellParameters) -> None:
     """ConfigError unless every profile step in ``dts`` (s) can be simulated
     over the box.
 
@@ -261,7 +260,7 @@ def check_step_resolution(box: ParameterBox, dts, params: CellParameters,
     d_e = float(box.upper[box.names.index("D_e")])
     for dt in dts:
         try:
-            build_model(params.replace(D_e=d_e), ocv_p, ocv_n, dt)
+            check_step(params.replace(D_e=d_e), dt)
         except ValueError as exc:   # StepTooCoarse, or an invalid D_e
             raise ConfigError(
                 f"search box upper D_e = {d_e:g} m^2/s cannot be simulated on "
@@ -524,7 +523,7 @@ def run_benchmark(config: ExperimentConfig,
     params, ocv_p, ocv_n, provenance = resolve_cell(config)
     check_step_resolution(
         config.box, [spec.dt_s for spec in config.train_profiles
-                     + config.test_profiles], params, ocv_p, ocv_n)
+                     + config.test_profiles], params)
     check_budget(config.methods, config.budget, config.box)
 
     train_ds, test_ds, data_meta = build_dataset(config, params, ocv_p, ocv_n)

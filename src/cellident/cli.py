@@ -145,7 +145,7 @@ def identify_cmd(config_path, manifest_path, method, budget, seed, out_dir):
     train, test, _ = load_dataset(manifest_path)
     box = config.box
     check_step_resolution(box, [p.dt for p in train.profiles + test.profiles],
-                          params, ocv_p, ocv_n)
+                          params)
     check_budget((method,), config.budget, box)
 
     best, result = fit_and_score(

@@ -33,13 +33,15 @@ voltage is therefore built in two steps:
   the overpotential numerators R T0 (-J_i I), phi_ohm and I*R_c;
 - the three theta terms, each from its own function reading one component:
   ``overpotential`` gives eta_i from k_i, ``electrolyte_potential`` gives
-  phi_e from a model built at D_e, and ``terminal_voltage`` writes the sum
-  above into a caller's buffer.
+  phi_e at D_e, and ``terminal_voltage`` writes the sum above into a
+  caller's buffer.
 
-Per-electrode functions take "p" or "n" and read that electrode's fields only
-through ``params.electrode_fields``.
+Every function takes the cell parameters and the profile it runs over, and
+reads the step only from the profile.  Per-electrode functions take "p" or
+"n" and read that electrode's fields only through
+``params.electrode_fields``.
 
-``simulate`` is ``build_model`` followed by both steps; a fit that evaluates
+``simulate`` is ``check_step`` followed by both steps; a fit that evaluates
 many theta on one profile builds the fixed terms once and may keep a term
 whose component did not change.  The float operations and their order are
 those of the one-step formula, so results do not depend on how the steps
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -72,50 +74,27 @@ ELEC_TAU_POS = 0.1052   # multiplies L_cell^2 / D_e
 ELEC_TAU_NEG = 0.0997   # multiplies L_cell^2 / D_e
 
 
-@dataclass(frozen=True)
-class FirstOrderLag:
-    """K/(tau s + 1), discretized exactly under a zero-order hold."""
-
-    gain: float   # DC gain K
-    tau: float    # time constant [s]
-
-    def pole(self, dt: float) -> float:
-        if not dt > 0.0:
-            raise NonPositiveStep(f"dt must be positive, got {dt}")
-        return math.exp(-dt / self.tau)
-
-    def response(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """Full output series from rest; input enters with one-sample delay."""
-        a = self.pole(dt)   # arrays, not lists: lfilter converts lists slowly
-        return lfilter(np.array([0.0, self.gain * (1.0 - a)]), np.array([1.0, -a]),
-                       np.asarray(u, dtype=float))
+def lag_response(gain: float, tau: float, u: np.ndarray, dt: float) -> np.ndarray:
+    """gain/(tau s + 1) from rest under a zero-order hold: pole e^(-dt/tau),
+    input entering with one-sample delay."""
+    a = math.exp(-dt / tau)   # arrays, not lists: lfilter converts lists slowly
+    return lfilter(np.array([0.0, gain * (1.0 - a)]), np.array([1.0, -a]),
+                   np.asarray(u, dtype=float))
 
 
-@dataclass(frozen=True)
-class TrapezoidIntegrator:
-    """Running integral q[k] = q[k-1] + dt/2*(u[k-1] + u[k]); discrete pole at 1."""
-
-    def response(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """Full output series from rest, q[0] = 0."""
-        if not dt > 0.0:
-            raise NonPositiveStep(f"dt must be positive, got {dt}")
-        u = np.asarray(u, dtype=float)
-        q = np.zeros_like(u)
-        if u.size > 1:
-            q[1:] = np.cumsum(0.5 * dt * (u[:-1] + u[1:]))
-        return q
+def trapezoid_integral(u: np.ndarray, dt: float) -> np.ndarray:
+    """Running integral q[k] = q[k-1] + dt/2*(u[k-1] + u[k]) from q[0] = 0."""
+    u = np.asarray(u, dtype=float)
+    q = np.zeros_like(u)
+    if u.size > 1:
+        q[1:] = np.cumsum(0.5 * dt * (u[:-1] + u[1:]))
+    return q
 
 
 def solid_time_constant(params: CellParameters, electrode: str) -> float:
     """R_i^2 / (35 D_i)."""
     R, D = electrode_fields(electrode, "R", "D")(params)
     return R ** 2 / (35.0 * D)
-
-
-def solid_lag(params: CellParameters, electrode: str) -> FirstOrderLag:
-    """The theta-free doubled diffusion lag (R_i/(5 D_i))/(tau_i s + 1)."""
-    R, D = electrode_fields(electrode, "R", "D")(params)
-    return FirstOrderLag(gain=R / (5.0 * D), tau=solid_time_constant(params, electrode))
 
 
 def electrolyte_time_constants(params: CellParameters) -> tuple[float, float]:
@@ -127,6 +106,19 @@ def electrolyte_time_constants(params: CellParameters) -> tuple[float, float]:
 def min_time_constant(params: CellParameters) -> float:
     return min(*(solid_time_constant(params, e) for e in ELECTRODES),
                *electrolyte_time_constants(params))
+
+
+def check_step(params: CellParameters, dt: float) -> None:
+    """NonPositiveStep unless ``dt`` > 0; StepTooCoarse when ``dt`` exceeds
+    a tenth of the fastest time constant, which falls as D_e grows."""
+    if not dt > 0.0:
+        raise NonPositiveStep(f"dt must be positive, got {dt}")
+    tau_min = min_time_constant(params)
+    if dt > tau_min / 10.0:
+        raise StepTooCoarse(
+            f"dt = {dt:g} s exceeds one tenth of the fastest time "
+            f"constant ({tau_min:g} s); discretization would be inaccurate"
+        )
 
 
 def c1_coefficient(params: CellParameters) -> float:
@@ -156,59 +148,19 @@ def concentration_scale(params: CellParameters, electrode: str) -> float:
     return -R / (3.0 * params.F * eps_am * L * params.A)
 
 
-@dataclass
-class DiscreteCellModel:
-    """Discretized dynamic blocks of one cell at a fixed step.
-
-    Blocks are pure value objects; the per-electrode surface-concentration
-    state is (integrator charge, lag output) and is advanced functionally,
-    so one built model may be reused across simulations.
-    """
-
-    params: CellParameters
-    ocv_p: OcvCurve
-    ocv_n: OcvCurve
-    dt: float
-    lag_elec_pos: FirstOrderLag = field(init=False)
-    lag_elec_neg: FirstOrderLag = field(init=False)
-    c1: float = field(init=False)
-
-    def __post_init__(self):
-        if not self.dt > 0.0:
-            raise NonPositiveStep(f"dt must be positive, got {self.dt}")
-        tau_min = min_time_constant(self.params)
-        if self.dt > tau_min / 10.0:
-            raise StepTooCoarse(
-                f"dt = {self.dt:g} s exceeds one tenth of the fastest time "
-                f"constant ({tau_min:g} s); discretization would be inaccurate"
-            )
-        p = self.params
-        tau_pos, tau_neg = electrolyte_time_constants(p)
-        self.lag_elec_pos = FirstOrderLag(gain=ELEC_GAIN_POS * p.gamma_p, tau=tau_pos)
-        self.lag_elec_neg = FirstOrderLag(gain=ELEC_GAIN_NEG * p.gamma_n, tau=tau_neg)
-        self.c1 = c1_coefficient(p)
-
-
-def build_model(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
-                dt: float) -> DiscreteCellModel:
-    """Validate the step against the fastest time constant and build blocks."""
-    return DiscreteCellModel(params=params, ocv_p=ocv_p, ocv_n=ocv_n, dt=dt)
-
-
-def surface_concentration(model: DiscreteCellModel, electrode: str,
-                          current: np.ndarray) -> np.ndarray:
+def surface_concentration(params: CellParameters, electrode: str,
+                          profile: CurrentProfile) -> np.ndarray:
     """c_i(t) = c_i0 + (integrator + doubled lag applied to I) * scale_i.
 
     Raises ConcentrationOutOfRange at the first sample leaving (0, c_max_i).
     """
-    p = model.params
-    current = np.asarray(current, dtype=float)
-    c0, c_max, R = electrode_fields(electrode, "c0", "c_max", "R")(p)
-    lag = solid_lag(p, electrode)
+    p = params
+    c0, c_max, R, D = electrode_fields(electrode, "c0", "c_max", "R", "D")(p)
 
-    q = TrapezoidIntegrator().response(current, model.dt)
+    q = trapezoid_integral(profile.current, profile.dt)
     # G_b's lag term and G_d share gain R/(5D) and tau: compute once, double
-    y = lag.response(current, model.dt)
+    y = lag_response(R / (5.0 * D), solid_time_constant(p, electrode),
+                     profile.current, profile.dt)
     c = c0 + concentration_scale(p, electrode) * ((3.0 / R) * q + 2.0 * y)
 
     bad = np.flatnonzero((c <= 0.0) | (c >= c_max))
@@ -226,7 +178,7 @@ def bulk_concentration(params: CellParameters, electrode: str,
                        profile: CurrentProfile) -> np.ndarray:
     """Integrator-only (volume-averaged) concentration: c0 - q/(F eps L A)."""
     c0, eps_am, L = electrode_fields(electrode, "c0", "eps_am", "L")(params)
-    q = TrapezoidIntegrator().response(profile.current, profile.dt)
+    q = trapezoid_integral(profile.current, profile.dt)
     return c0 - q / (params.F * eps_am * L * params.A)
 
 
@@ -252,12 +204,14 @@ def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
     return arrhenius * p.F, np.sqrt(arg)
 
 
-def electrolyte_potential(model: DiscreteCellModel, current: np.ndarray) -> np.ndarray:
+def electrolyte_potential(params: CellParameters,
+                          profile: CurrentProfile) -> np.ndarray:
     """phi_e(t): sum of the two discretized electrolyte lags, scaled by C1/D_e."""
-    current = np.asarray(current, dtype=float)
-    y = model.lag_elec_pos.response(current, model.dt)
-    y += model.lag_elec_neg.response(current, model.dt)
-    y *= model.c1 / model.params.D_e
+    p = params
+    tau_pos, tau_neg = electrolyte_time_constants(p)
+    y = lag_response(ELEC_GAIN_POS * p.gamma_p, tau_pos, profile.current, profile.dt)
+    y += lag_response(ELEC_GAIN_NEG * p.gamma_n, tau_neg, profile.current, profile.dt)
+    y *= c1_coefficient(p) / p.D_e
     return y
 
 
@@ -276,7 +230,6 @@ class FixedTerms:
     so ``scale * sqrt_arg`` holds a zero iff ``scale * sqrt_arg_min`` is zero.
     """
 
-    dt: float
     current: np.ndarray
     ocv_diff: np.ndarray          # U_p(x_p) - U_n(x_n) [V]
     i0_scale_p: float             # Arrhenius * F
@@ -296,26 +249,27 @@ def _least_magnitude(x) -> float:
     return float(np.fmin.reduce(np.abs(x), axis=None, initial=np.inf))
 
 
-def fixed_terms(model: DiscreteCellModel, profile: CurrentProfile) -> FixedTerms:
+def fixed_terms(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
+                profile: CurrentProfile) -> FixedTerms:
     """Every term of the voltage that does not depend on (k_p, k_n, D_e).
 
     Raises SimulationDiverged when a surface concentration leaves its valid
     range.
     """
-    p = model.params
+    p = params
     I = profile.current
     try:
-        c_p = surface_concentration(model, "p", I)
-        c_n = surface_concentration(model, "n", I)
+        c_p = surface_concentration(p, "p", profile)
+        c_n = surface_concentration(p, "n", profile)
         scale_p, root_p = exchange_current_factors(p, "p", c_p)
         scale_n, root_n = exchange_current_factors(p, "n", c_n)
-        u_p = model.ocv_p(c_p / p.c_max_p)
-        u_n = model.ocv_n(c_n / p.c_max_n)
+        u_p = ocv_p(c_p / p.c_max_p)
+        u_n = ocv_n(c_n / p.c_max_n)
     except ConcentrationOutOfRange as exc:
         raise SimulationDiverged(str(exc), index=exc.index) from exc
 
     return FixedTerms(
-        dt=profile.dt, current=I, ocv_diff=u_p - u_n,
+        current=I, ocv_diff=u_p - u_n,
         i0_scale_p=scale_p, i0_scale_n=scale_n,
         sqrt_arg_p=root_p, sqrt_arg_n=root_n,
         eta_num_p=p.R_gas * p.T0 * (-p.J_p * I),
@@ -360,11 +314,11 @@ def simulate(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
     Raises SimulationDiverged when a surface concentration leaves its range
     or the voltage is not finite.
     """
-    model = build_model(params, ocv_p, ocv_n, profile.dt)
-    fixed = fixed_terms(model, profile)
+    check_step(params, profile.dt)
+    fixed = fixed_terms(params, ocv_p, ocv_n, profile)
     volts = terminal_voltage(fixed, overpotential(params, fixed, "p"),
                              overpotential(params, fixed, "n"),
-                             electrolyte_potential(model, fixed.current),
+                             electrolyte_potential(params, profile),
                              np.empty(fixed.current.shape))
     if not np.all(np.isfinite(volts)):
         k = int(np.flatnonzero(~np.isfinite(volts))[0])

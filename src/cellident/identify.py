@@ -27,7 +27,7 @@ import numpy as np
 from ._blas import sum_of_squares
 from .ecm import (
     FixedTerms,
-    build_model,
+    check_step,
     electrolyte_potential,
     fixed_terms,
     overpotential,
@@ -254,14 +254,15 @@ class VoltageFitObjective:
         """Squared residual of profile ``i``; None when the simulation
         diverges or the residual exceeds DIVERGENCE_PENALTY.
 
-        The model is built, and its step checked, only when D_e changed.
+        The step is checked only when D_e changed.
         """
         terms = self._terms.get(i)
         if terms is None or terms.D_e != params.D_e:
-            model = build_model(params, self.ocv_p, self.ocv_n, profile.dt)
+            check_step(params, profile.dt)
         if i not in self._terms:
             try:
-                self._terms[i] = _ProfileTerms(fixed_terms(model, profile))
+                self._terms[i] = _ProfileTerms(
+                    fixed_terms(params, self.ocv_p, self.ocv_n, profile))
             except SimulationDiverged:
                 self._terms[i] = None
         terms = self._terms[i]
@@ -274,7 +275,7 @@ class VoltageFitObjective:
             terms.eta_n = overpotential(params, terms.fixed, "n")
             terms.k_n = params.k_n
         if terms.D_e != params.D_e:
-            terms.phi_e = electrolyte_potential(model, terms.fixed.current)
+            terms.phi_e = electrolyte_potential(params, profile)
             terms.D_e = params.D_e
         residual = terminal_voltage(terms.fixed, terms.eta_p, terms.eta_n,
                                     terms.phi_e, terms.volts)
@@ -305,7 +306,8 @@ def _read_profile_table(path, columns_ok, columns: str):
 
     DataError when the file is missing or malformed, when its column names
     fail ``columns_ok`` (the message asks for ``columns``), or when it has
-    fewer than two samples or an uneven ``time_s`` grid.
+    fewer than two samples or a ``time_s`` grid that does not increase
+    evenly.
     """
     path = Path(path)
     try:
@@ -321,18 +323,29 @@ def _read_profile_table(path, columns_ok, columns: str):
         raise DataError(f"profile file {path} needs at least two samples")
     steps = np.diff(t)
     dt = float(steps[0])
+    if not dt > 0.0:
+        raise DataError(f"profile file {path} needs an increasing time_s "
+                        f"column, got a first step of {dt:g} s")
     if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
         raise DataError(f"profile file {path} is not uniformly sampled")
     return table, dt
 
 
 def load_profile_csv(path) -> tuple[CurrentProfile, VoltageSeries]:
-    """A dataset file: exactly the columns time_s,current_A,voltage_V."""
+    """A dataset file: exactly the columns time_s,current_A,voltage_V.
+
+    DataError also when a voltage is blank or not finite.
+    """
     expected = {"time_s", "current_A", "voltage_V"}
     table, dt = _read_profile_table(path, lambda names: names == expected,
                                     "time_s,current_A,voltage_V")
+    voltage = np.atleast_1d(table["voltage_V"])
+    bad = np.flatnonzero(~np.isfinite(voltage))
+    if bad.size:
+        raise DataError(f"profile file {path} has a blank or non-finite "
+                        f"voltage_V in data row {bad[0] + 1}")
     profile = CurrentProfile(dt=dt, current=np.atleast_1d(table["current_A"]))
-    volts = VoltageSeries(dt=dt, volts=np.atleast_1d(table["voltage_V"]))
+    volts = VoltageSeries(dt=dt, volts=voltage)
     return profile, volts
 
 

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import DataError, NonPositiveStep
 
+NOISE_BASE_PERIOD_S = 300.0   # the tile noise_cycle_profile repeats [s]
+
 
 @dataclass(frozen=True)
 class CurrentProfile:
@@ -120,7 +122,6 @@ def noise_cycle_profile(
     seed: int,
     dt: float = 1.0,
     duration: float = 1800.0,
-    base_period: float = 300.0,
 ) -> CurrentProfile:
     """Seeded smoothed zero-mean noise, tiled from one base period.
 
@@ -129,7 +130,7 @@ def noise_cycle_profile(
     charge returns to its start each tile.
     """
     rng = np.random.default_rng(seed)
-    n_base = int(round(base_period / dt))
+    n_base = int(round(NOISE_BASE_PERIOD_S / dt))
     raw = rng.standard_normal(n_base)
     kernel = np.ones(9) / 9.0
     smooth = np.convolve(raw, kernel, mode="same")

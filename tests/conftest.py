@@ -16,7 +16,7 @@ from cellident.bench import (
     resolve_cell,
 )
 from cellident.ecm import (
-    build_model,
+    check_step,
     electrolyte_potential,
     exchange_current_factors,
     fixed_terms,
@@ -79,15 +79,15 @@ def simulate_pinned():
     exchange current pinned at its electrode's initial concentration, which
     makes every dynamic term exactly linear in the applied current."""
     def run(params, ocv_p, ocv_n, profile):
-        model = build_model(params, ocv_p, ocv_n, profile.dt)
+        check_step(params, profile.dt)
         fixed = dataclasses.replace(
-            fixed_terms(model, profile),
+            fixed_terms(params, ocv_p, ocv_n, profile),
             sqrt_arg_p=exchange_current_factors(params, "p", params.c_p0)[1],
             sqrt_arg_n=exchange_current_factors(params, "n", params.c_n0)[1])
         eta_p = overpotential(params, fixed, "p")
         eta_n = overpotential(params, fixed, "n")
         volts = terminal_voltage(fixed, eta_p, eta_n,
-                                 electrolyte_potential(model, fixed.current),
+                                 electrolyte_potential(params, profile),
                                  np.empty(profile.n))
         return SimpleNamespace(volts=volts, eta_p=eta_p, eta_n=eta_n)
     return run

@@ -17,11 +17,14 @@ from cellident.baselines import random_search
 from cellident.bayesopt import BoRunConfig, expected_improvement, run_bo
 from cellident.bench import default_config, run_benchmark
 from cellident.ecm import (
-    TrapezoidIntegrator,
-    build_model,
+    ELEC_GAIN_NEG,
+    ELEC_GAIN_POS,
     bulk_concentration,
+    electrolyte_time_constants,
+    lag_response,
     simulate,
-    solid_lag,
+    solid_time_constant,
+    trapezoid_integral,
 )
 from cellident.identify import ParameterBox, VoltageFitObjective
 from cellident.profiles import CurrentProfile, staircase_profile
@@ -115,18 +118,21 @@ def test_3_simulator_invariants(cell, i_1c, capsys):
     ok_rest = bool(np.all(v_rest == v_oc))
 
     # every first-order block settles to gain * input under constant current
-    model = build_model(params, ocv_p, ocv_n, 1.0)
     constant = np.full(600, i_1c)
+    tau_pos, tau_neg = electrolyte_time_constants(params)
     worst_gain = max(
-        abs(float(block.response(constant, 1.0)[-1]) / (block.gain * i_1c) - 1.0)
-        for block in (solid_lag(params, "p"), solid_lag(params, "n"),
-                      model.lag_elec_pos, model.lag_elec_neg))
+        abs(float(lag_response(gain, tau, constant, 1.0)[-1]) / (gain * i_1c) - 1.0)
+        for gain, tau in (
+            (params.R_p / (5.0 * params.D_p), solid_time_constant(params, "p")),
+            (params.R_n / (5.0 * params.D_n), solid_time_constant(params, "n")),
+            (ELEC_GAIN_POS * params.gamma_p, tau_pos),
+            (ELEC_GAIN_NEG * params.gamma_n, tau_neg)))
     ok_gains = worst_gain <= 1e-3
 
     # integrated charge matches an independent trapezoid rule
     t = np.arange(1201.0)
     wave = i_1c * np.sin(2.0 * np.pi * t / 300.0)
-    q_model = TrapezoidIntegrator().response(wave, 1.0)
+    q_model = trapezoid_integral(wave, 1.0)
     q_ref = cumulative_trapezoid(wave, dx=1.0, initial=0.0)
     rel_charge = float(np.max(np.abs(q_model - q_ref))
                        / np.max(np.abs(q_ref)))

@@ -286,7 +286,7 @@ class TestStepResolution:
         config = default_config()
         dts = [spec.dt_s for spec in config.train_profiles
                + config.test_profiles]
-        check_step_resolution(config.box, dts, *cell)
+        check_step_resolution(config.box, dts, cell[0])
 
     def test_large_d_e_rejected_before_any_run(self, tmp_path, monkeypatch):
         box = default_box().to_dict()

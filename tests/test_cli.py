@@ -395,6 +395,57 @@ class TestMalformedInputFiles:
         assert "must be a list of file names" in result.output
         assert not out.exists()
 
+    @staticmethod
+    def _edited_dataset(dataset_dir, tmp_path, edit):
+        """A copy of the dataset whose train_0.csv lines pass through ``edit``."""
+        copy = tmp_path / "data"
+        copy.mkdir()
+        for path in dataset_dir.iterdir():
+            (copy / path.name).write_bytes(path.read_bytes())
+        train = copy / "train_0.csv"
+        train.write_text("\n".join(edit(train.read_text().splitlines())) + "\n")
+        return copy
+
+    @pytest.mark.parametrize("cell", ["", "nan"], ids=["blank", "nan"])
+    def test_non_finite_voltage(self, runner, config_path, dataset_dir,
+                                tmp_path, cell):
+        """A blank voltage cell is a data error, not a fit whose every
+        evaluation is penalized."""
+        def blank(lines):
+            time_s, current, _ = lines[3].split(",")
+            lines[3] = f"{time_s},{current},{cell}"
+            return lines
+
+        data = self._edited_dataset(dataset_dir, tmp_path, blank)
+        result = runner.invoke(main, [
+            "identify", "--config", str(config_path),
+            "--data", str(data / "manifest.json"), "--method", "random",
+            "--budget", "5", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        assert f"{data / 'train_0.csv'} has a blank or non-finite voltage_V " \
+               "in data row 3" in result.output
+
+    def test_decreasing_time(self, runner, config_path, dataset_dir,
+                             tmp_path):
+        """Negating time_s gives an even grid with a negative step; both
+        the dataset and the excitation loader reject it."""
+        def negate(lines):
+            for i, line in enumerate(lines[1:], start=1):
+                time_s, rest = line.split(",", 1)
+                lines[i] = f"{-float(time_s):g},{rest}"
+            return lines
+
+        data = self._edited_dataset(dataset_dir, tmp_path, negate)
+        for args in (["identify", "--config", str(config_path),
+                      "--data", str(data / "manifest.json"), "--method", "gd",
+                      "--out", str(tmp_path / "out")],
+                     ["simulate", "--profile", str(data / "train_0.csv"),
+                      "--out", str(tmp_path / "v.csv")]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 3, result.output
+            assert "needs an increasing time_s column, got a first step " \
+                   "of -1 s" in result.output
+
     @pytest.mark.parametrize("change", [
         {"ocv_cathode": 5}, {"R_c": True}, {"R_c": "0.01"}])
     def test_parameter_file_values(self, runner, tmp_path, change):

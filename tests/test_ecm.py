@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,23 +15,23 @@ from cellident.ecm import (
     ELEC_GAIN_POS,
     ELEC_TAU_NEG,
     ELEC_TAU_POS,
-    FirstOrderLag,
     FixedTerms,
-    TrapezoidIntegrator,
-    build_model,
     bulk_concentration,
     c1_coefficient,
+    check_step,
     concentration_scale,
     electrolyte_potential,
     electrolyte_time_constants,
     exchange_current_factors,
     fixed_terms,
+    lag_response,
     min_time_constant,
     overpotential,
     simulate,
-    solid_lag,
     solid_time_constant,
     surface_concentration,
+    terminal_voltage,
+    trapezoid_integral,
 )
 from cellident.errors import (
     ConcentrationOutOfRange,
@@ -42,6 +43,7 @@ from cellident.ocv import OcvCurve
 from cellident.profiles import CurrentProfile
 
 GOLDEN = Path(__file__).parent / "data" / "golden_pulse.csv"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def constant_pulse(amps: float, dt: float = 1.0, on_s: float = 60.0,
@@ -53,60 +55,67 @@ def constant_pulse(amps: float, dt: float = 1.0, on_s: float = 60.0,
 
 
 class TestFirstOrderLag:
+    """``lag_response``: K/(tau s + 1) under a zero-order hold."""
+
     def test_pole(self):
-        lag = FirstOrderLag(gain=2.0, tau=10.0)
-        assert lag.pole(1.0) == pytest.approx(math.exp(-0.1), rel=1e-15)
-        with pytest.raises(NonPositiveStep):
-            lag.pole(0.0)
+        """An impulse decays by the pole e^(-dt/tau)."""
+        y = lag_response(2.0, 10.0, np.array([1.0, 0.0, 0.0]), 1.0)
+        assert y[0] == 0.0
+        assert y[2] / y[1] == pytest.approx(math.exp(-0.1), rel=1e-15)
 
     def test_response_matches_recursion(self, rng):
-        lag = FirstOrderLag(gain=1.7, tau=4.0)
+        gain, tau = 1.7, 4.0
         u = rng.standard_normal(50)
         dt = 0.3
-        y = lag.response(u, dt)
-        a = math.exp(-dt / lag.tau)
+        y = lag_response(gain, tau, u, dt)
+        a = math.exp(-dt / tau)
         expected = np.zeros_like(u)
         for k in range(1, u.size):
-            expected[k] = a * expected[k - 1] + lag.gain * (1.0 - a) * u[k - 1]
+            expected[k] = a * expected[k - 1] + gain * (1.0 - a) * u[k - 1]
         np.testing.assert_allclose(y, expected, atol=1e-13)
 
     def test_step_response_closed_form(self):
-        lag = FirstOrderLag(gain=3.0, tau=5.0)
+        gain, tau = 3.0, 5.0
         dt = 0.5
         n = 200
-        y = lag.response(np.ones(n), dt)
-        a = math.exp(-dt / lag.tau)
+        y = lag_response(gain, tau, np.ones(n), dt)
+        a = math.exp(-dt / tau)
         k = np.arange(n)
-        np.testing.assert_allclose(y, lag.gain * (1.0 - a**k), atol=1e-12)
+        np.testing.assert_allclose(y, gain * (1.0 - a**k), atol=1e-12)
 
     def test_dc_gain(self):
-        lag = FirstOrderLag(gain=-4.2, tau=2.0)
-        y = lag.response(np.ones(400), dt=0.5)
+        y = lag_response(-4.2, 2.0, np.ones(400), dt=0.5)
         assert y[-1] == pytest.approx(-4.2, rel=1e-9)
 
 
 class TestTrapezoidIntegrator:
+    """``trapezoid_integral``: the running trapezoid-rule integral."""
+
     def test_exact_for_linear_input(self):
-        integ = TrapezoidIntegrator()
         dt = 0.25
         t = dt * np.arange(100)
-        q = integ.response(t, dt)
+        q = trapezoid_integral(t, dt)
         np.testing.assert_allclose(q, 0.5 * t**2, atol=1e-12)
 
     def test_step_matches_response(self, rng):
-        integ = TrapezoidIntegrator()
         u = rng.standard_normal(30)
         dt = 0.7
-        q = integ.response(u, dt)
+        q = trapezoid_integral(u, dt)
         walked = 0.0
         for k in range(1, u.size):
             walked += 0.5 * dt * (u[k - 1] + u[k])
         assert q[-1] == pytest.approx(walked, rel=1e-12)
         assert q[0] == 0.0
 
-    def test_dt_validation(self):
+    def test_single_sample(self):
+        assert trapezoid_integral(np.array([3.0]), 1.0).tolist() == [0.0]
+
+    def test_dt_validation(self, params):
+        """A zero step is refused before any filter runs."""
         with pytest.raises(NonPositiveStep):
-            TrapezoidIntegrator().response(np.ones(3), dt=0.0)
+            check_step(params, 0.0)
+        with pytest.raises(NonPositiveStep):
+            CurrentProfile(dt=0.0, current=np.ones(3))
 
 
 class TestTimeConstants:
@@ -127,12 +136,25 @@ class TestTimeConstants:
                 *electrolyte_time_constants(params)]
         assert min_time_constant(params) == min(taus)
 
-    def test_step_guard(self, cell):
-        params, ocv_p, ocv_n = cell
+    def test_step_guard(self, params):
         limit = min_time_constant(params) / 10.0
-        build_model(params, ocv_p, ocv_n, dt=limit * 0.99)   # fine
+        check_step(params, limit * 0.99)   # fine
+        check_step(params, limit)
+        with pytest.raises(StepTooCoarse,
+                           match="exceeds one tenth of the fastest time constant"):
+            check_step(params, limit * 1.01)
+
+    @pytest.mark.parametrize("dt", [-1.0, math.nan])
+    def test_non_positive_step(self, params, dt):
+        with pytest.raises(NonPositiveStep, match=f"dt must be positive, got {dt}"):
+            check_step(params, dt)
+
+    def test_step_guard_follows_d_e(self, params):
+        """The electrolyte time constants fall as D_e grows."""
+        dt = min_time_constant(params) / 10.0
+        check_step(params, dt)
         with pytest.raises(StepTooCoarse):
-            build_model(params, ocv_p, ocv_n, dt=limit * 1.01)
+            check_step(params.replace(D_e=2.0 * params.D_e), dt)
 
 
 class TestCoefficients:
@@ -176,43 +198,52 @@ class TestZeroCurrent:
         v_oc = float(ocv_p(params.c_p0 / params.c_max_p)
                      - ocv_n(params.c_n0 / params.c_max_n))
         assert np.all(simulate(params, ocv_p, ocv_n, profile).volts == v_oc)
-        model = build_model(params, ocv_p, ocv_n, profile.dt)
-        fixed = fixed_terms(model, profile)
-        assert np.all(surface_concentration(model, "p", profile.current)
+        fixed = fixed_terms(params, ocv_p, ocv_n, profile)
+        assert np.all(surface_concentration(params, "p", profile)
                       == params.c_p0)
-        assert np.all(surface_concentration(model, "n", profile.current)
+        assert np.all(surface_concentration(params, "n", profile)
                       == params.c_n0)
         assert np.all(overpotential(params, fixed, "p") == 0.0)
         assert np.all(overpotential(params, fixed, "n") == 0.0)
-        assert np.all(electrolyte_potential(model, profile.current) == 0.0)
+        assert np.all(electrolyte_potential(params, profile) == 0.0)
         assert np.all(fixed.phi_ohm == 0.0)
 
 
+def _lags(params):
+    """(gain, tau) of the solid lags of p and n and the two electrolyte lags."""
+    tau_pos, tau_neg = electrolyte_time_constants(params)
+    return [(params.R_p / (5.0 * params.D_p), solid_time_constant(params, "p")),
+            (params.R_n / (5.0 * params.D_n), solid_time_constant(params, "n")),
+            (ELEC_GAIN_POS * params.gamma_p, tau_pos),
+            (ELEC_GAIN_NEG * params.gamma_n, tau_neg)]
+
+
 class TestDcGains:
-    def test_all_four_lag_blocks(self, cell, i_1c):
+    def test_all_four_lag_blocks(self, params, i_1c):
         """Constant input long enough that every lag settles to gain*input."""
-        params, ocv_p, ocv_n = cell
-        model = build_model(params, ocv_p, ocv_n, dt=1.0)
         n = 400   # > 8x the slowest time constant
         u = np.full(n, i_1c)
-        for lag in (solid_lag(params, "p"), solid_lag(params, "n"),
-                    model.lag_elec_pos, model.lag_elec_neg):
-            y = lag.response(u, model.dt)
-            assert y[-1] == pytest.approx(lag.gain * i_1c, rel=1e-3), lag
+        for gain, tau in _lags(params):
+            y = lag_response(gain, tau, u, 1.0)
+            assert y[-1] == pytest.approx(gain * i_1c, rel=1e-3), (gain, tau)
 
-    def test_block_wiring(self, cell):
-        params, ocv_p, ocv_n = cell
-        model = build_model(params, ocv_p, ocv_n, dt=1.0)
-        assert solid_lag(params, "p").gain == pytest.approx(
-            params.R_p / (5.0 * params.D_p))
-        assert solid_lag(params, "n").tau == solid_time_constant(params, "n")
-        assert model.lag_elec_pos.gain == pytest.approx(
-            ELEC_GAIN_POS * params.gamma_p)
-        assert model.lag_elec_neg.gain == pytest.approx(
-            ELEC_GAIN_NEG * params.gamma_n)
-        tau_pos, tau_neg = electrolyte_time_constants(params)
-        assert model.lag_elec_pos.tau == pytest.approx(tau_pos)
-        assert model.lag_elec_neg.tau == pytest.approx(tau_neg)
+    def test_block_wiring(self, params, i_1c):
+        """Each concentration is its integrator plus doubled solid lag, and
+        phi_e is the sum of the two electrolyte lags times C1/D_e, bit for bit."""
+        profile = constant_pulse(i_1c, dt=0.5)
+        I, dt = profile.current, profile.dt
+        solid_p, solid_n, elec_pos, elec_neg = _lags(params)
+        for electrode, (gain, tau), c0, R in (
+                ("p", solid_p, params.c_p0, params.R_p),
+                ("n", solid_n, params.c_n0, params.R_n)):
+            want = c0 + concentration_scale(params, electrode) * (
+                (3.0 / R) * trapezoid_integral(I, dt)
+                + 2.0 * lag_response(gain, tau, I, dt))
+            assert np.array_equal(
+                surface_concentration(params, electrode, profile), want)
+        want = ((lag_response(*elec_pos, I, dt) + lag_response(*elec_neg, I, dt))
+                * (c1_coefficient(params) / params.D_e))
+        assert np.array_equal(electrolyte_potential(params, profile), want)
 
 
 class TestChargeBookkeeping:
@@ -246,8 +277,7 @@ class TestChargeBookkeeping:
     def test_surface_relaxes_to_bulk(self, cell, i_1c):
         params, ocv_p, ocv_n = cell
         profile = constant_pulse(i_1c, dt=1.0, on_s=60.0, total_s=700.0)
-        model = build_model(params, ocv_p, ocv_n, profile.dt)
-        c_n = surface_concentration(model, "n", profile.current)
+        c_n = surface_concentration(params, "n", profile)
         c_bulk = bulk_concentration(params, "n", profile)
         assert c_n[-1] == pytest.approx(c_bulk[-1], abs=1e-3)
 
@@ -355,8 +385,7 @@ class TestKinetics:
 
     def test_zero_exchange_current_is_an_error(self, cell, i_1c):
         params, ocv_p, ocv_n = cell
-        model = build_model(params, ocv_p, ocv_n, dt=1.0)
-        fixed = fixed_terms(model, constant_pulse(i_1c))
+        fixed = fixed_terms(params, ocv_p, ocv_n, constant_pulse(i_1c))
         with pytest.raises(ZeroDivisionError):
             overpotential(params, dataclasses.replace(fixed, sqrt_arg_p=0.0),
                           "p")
@@ -388,7 +417,7 @@ class TestZeroExchangeCurrent:
             sqrt_arg, numerator = np.array(roots), np.linspace(-1.0, 1.0, len(roots))
         else:   # a scalar root broadcasts, as in pinned fixed terms
             sqrt_arg, numerator = np.float64(roots), np.linspace(-1.0, 1.0, 3)
-        fixed = FixedTerms(dt=1.0, current=numerator, ocv_diff=numerator,
+        fixed = FixedTerms(current=numerator, ocv_diff=numerator,
                            i0_scale_p=i0_scale, i0_scale_n=i0_scale,
                            sqrt_arg_p=sqrt_arg, sqrt_arg_n=sqrt_arg,
                            eta_num_p=numerator, eta_num_n=numerator,
@@ -434,17 +463,17 @@ class TestDivergence:
 
 
 _PER_ELECTRODE = {
-    "a_s": lambda p, model, fixed, e: p.a_s(e),
-    "solid_time_constant": lambda p, model, fixed, e: solid_time_constant(p, e),
-    "concentration_scale": lambda p, model, fixed, e: concentration_scale(p, e),
+    "a_s": lambda p, profile, fixed, e: p.a_s(e),
+    "solid_time_constant": lambda p, profile, fixed, e: solid_time_constant(p, e),
+    "concentration_scale": lambda p, profile, fixed, e: concentration_scale(p, e),
     "surface_concentration":
-        lambda p, model, fixed, e: surface_concentration(model, e, fixed.current),
-    "bulk_concentration": lambda p, model, fixed, e: bulk_concentration(
-        p, e, CurrentProfile(dt=model.dt, current=fixed.current)),
+        lambda p, profile, fixed, e: surface_concentration(p, e, profile),
+    "bulk_concentration":
+        lambda p, profile, fixed, e: bulk_concentration(p, e, profile),
     "exchange_current_factors":
-        lambda p, model, fixed, e: exchange_current_factors(
+        lambda p, profile, fixed, e: exchange_current_factors(
             p, e, min(p.c_p0, p.c_n0)),
-    "overpotential": lambda p, model, fixed, e: overpotential(p, fixed, e),
+    "overpotential": lambda p, profile, fixed, e: overpotential(p, fixed, e),
 }
 
 
@@ -452,10 +481,26 @@ class TestElectrodeNames:
     @pytest.mark.parametrize("name", sorted(_PER_ELECTRODE))
     def test_unknown_electrode_rejected(self, cell, i_1c, name):
         params, ocv_p, ocv_n = cell
-        model = build_model(params, ocv_p, ocv_n, dt=1.0)
-        fixed = fixed_terms(model, constant_pulse(i_1c))
+        profile = constant_pulse(i_1c)
+        fixed = fixed_terms(params, ocv_p, ocv_n, profile)
         call = _PER_ELECTRODE[name]
         for electrode in ("p", "n"):
-            call(params, model, fixed, electrode)
+            call(params, profile, fixed, electrode)
         with pytest.raises(ValueError, match="electrode must be 'p' or 'n'"):
-            call(params, model, fixed, "x")
+            call(params, profile, fixed, "x")
+
+
+class TestReadmeExample:
+    def test_library_use_snippet_runs(self, tmp_path, monkeypatch):
+        """README's ``cellident.ecm`` example runs as written, and the
+        contributions it computes add up to its simulated voltage."""
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        (snippet,) = [b for b in blocks if "from cellident.ecm import" in b]
+        monkeypatch.chdir(tmp_path)
+        ns = {}
+        exec(snippet, ns)
+        eta_n = overpotential(ns["cell"], ns["fixed"], "n")
+        summed = terminal_voltage(ns["fixed"], ns["eta_p"], eta_n, ns["phi_e"],
+                                  np.empty(ns["profile"].n))
+        assert np.array_equal(ns["volts"], summed)
+        assert ns["c_p"].shape == (ns["profile"].n,)

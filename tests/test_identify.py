@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -286,9 +287,9 @@ class TestFixedTermCache:
         profiles = []
         real = identify.fixed_terms
 
-        def counting(model, profile, *args, **kwargs):
+        def counting(params, ocv_p, ocv_n, profile):
             profiles.append(profile)
-            return real(model, profile, *args, **kwargs)
+            return real(params, ocv_p, ocv_n, profile)
 
         monkeypatch.setattr(identify, "fixed_terms", counting)
         return profiles
@@ -341,6 +342,25 @@ class TestFixedTermCache:
         assert objective(truth).loss == 0.0
         assert len(built) == len(pair.profiles)
 
+    def test_step_checked_for_a_diverged_profile(self, cell, pair, built,
+                                                  i_1c):
+        """A profile whose fixed terms diverged keeps no D_e, so every call
+        checks its step: a too-large D_e raises, not a cached penalty."""
+        params, ocv_p, ocv_n = cell
+        wide = ParameterBox(names=THETA_NAMES,
+                            lower=np.array([2.0e-11, 2.8e-11, 1.6e-10]),
+                            upper=np.array([4.5e-11, 5.6e-11, 1.0e-8]))
+        harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
+        fake_volts = VoltageSeries(dt=1.0, volts=np.full(600, 3.0))
+        dataset = IdentificationDataset(profiles=(harsh,), voltages=(fake_volts,))
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, wide, dataset)
+        truth = np.array([params.k_p, params.k_n, params.D_e])
+        assert objective(truth).per_profile == (DIVERGENCE_PENALTY,)
+        with pytest.raises(StepTooCoarse):
+            objective(wide.upper.copy())
+        assert objective(truth).per_profile == (DIVERGENCE_PENALTY,)
+        assert built == [harsh]
+
     def test_ocv_table_error_raised_on_every_call(self, cell, box, pair,
                                                   built):
         """An out-of-table OCV query is an error, never cached or penalized."""
@@ -355,17 +375,18 @@ class TestFixedTermCache:
 
 
 class TestThetaTermCache:
-    """Each profile keeps eta_p for its k_p, eta_n for its k_n and phi_e (and
-    the model) for its D_e; a call recomputes only what its theta changed.
-    No call runs ``CellParameters.validate``, and a model built for a new
-    D_e makes only its two electrolyte lags, not the theta-free solid ones."""
+    """Each profile keeps eta_p for its k_p, eta_n for its k_n and phi_e for
+    its D_e, and checks the step only when D_e changed; a call recomputes
+    only what its theta changed.  No call runs ``CellParameters.validate``,
+    and a new D_e filters only its two electrolyte lags, not the theta-free
+    solid ones."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        """Per-name call counts of the term functions, the lag filter, the
-        cell check and the lag constructor."""
-        counts = {"response": 0, "overpotential": 0, "build_model": 0,
-                  "validate": 0, "lags": 0}
+        """Per-name call counts of the term functions, the step check, the
+        lag filter and the cell check."""
+        counts = {"lag_response": 0, "overpotential": 0,
+                  "electrolyte_potential": 0, "check_step": 0, "validate": 0}
 
         def counting(name, real):
             def wrapper(*args, **kwargs):
@@ -373,15 +394,13 @@ class TestThetaTermCache:
                 return real(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ecm.FirstOrderLag, "response",
-                            counting("response", ecm.FirstOrderLag.response))
-        for name in ("overpotential", "build_model"):
+        monkeypatch.setattr(ecm, "lag_response",
+                            counting("lag_response", ecm.lag_response))
+        for name in ("overpotential", "electrolyte_potential", "check_step"):
             monkeypatch.setattr(identify, name,
                                 counting(name, getattr(identify, name)))
         monkeypatch.setattr(CellParameters, "validate",
                             counting("validate", CellParameters.validate))
-        monkeypatch.setattr(ecm.FirstOrderLag, "__init__",
-                            counting("lags", ecm.FirstOrderLag.__init__))
         return counts
 
     @pytest.fixture()
@@ -400,27 +419,31 @@ class TestThetaTermCache:
         theta = box.midpoint()
         theta[index] *= 1.01
         objective(theta)
-        assert calls == {"response": 0, "overpotential": 2, "build_model": 0,
-                         "validate": 0, "lags": 0}
+        assert calls == {"lag_response": 0, "overpotential": 2,
+                         "electrolyte_potential": 0, "check_step": 0,
+                         "validate": 0}
 
     def test_d_e_change_recomputes_only_phi_e(self, objective, calls, box):
         theta = box.midpoint()
         theta[2] *= 1.01
         objective(theta)
         # two electrolyte lags per profile; the solid lags are fixed terms
-        assert calls == {"response": 4, "overpotential": 0, "build_model": 2,
-                         "validate": 0, "lags": 4}
+        assert calls == {"lag_response": 4, "overpotential": 0,
+                         "electrolyte_potential": 2, "check_step": 2,
+                         "validate": 0}
 
     def test_repeat_recomputes_nothing(self, objective, calls, box):
         objective(box.midpoint())
         objective.unit(np.full(3, 0.5))
-        assert calls == {"response": 0, "overpotential": 0, "build_model": 0,
-                         "validate": 0, "lags": 0}
+        assert calls == {"lag_response": 0, "overpotential": 0,
+                         "electrolyte_potential": 0, "check_step": 0,
+                         "validate": 0}
 
     def test_new_theta_recomputes_every_term(self, objective, calls, box):
         objective(box.denormalize(np.array([0.1, 0.2, 0.3])))
-        assert calls == {"response": 4, "overpotential": 4, "build_model": 2,
-                         "validate": 0, "lags": 4}
+        assert calls == {"lag_response": 4, "overpotential": 4,
+                         "electrolyte_potential": 2, "check_step": 2,
+                         "validate": 0}
 
     def test_losses_after_a_raising_call_match_a_fresh_objective(
             self, cell, objective, box):
@@ -491,6 +514,30 @@ class TestProfileCsv:
         uneven.write_text("time_s,current_A,voltage_V\n0,1,3\n1,1,3\n3,1,3\n")
         with pytest.raises(DataError, match="uniformly"):
             load_profile_csv(uneven)
+
+    @pytest.mark.parametrize("cell", ["", "nan", "inf"],
+                             ids=["blank", "nan", "inf"])
+    def test_non_finite_voltage_rejected(self, tmp_path, cell):
+        path = tmp_path / "run.csv"
+        path.write_text(f"time_s,current_A,voltage_V\n0,1,3\n1,1,{cell}\n"
+                        "2,1,3\n3,1,\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path} has a blank or non-finite voltage_V in data row 2")):
+            load_profile_csv(path)
+
+    @pytest.mark.parametrize("times", [(0, -1, -2), (0, 0, 0), (2, 1, 0)])
+    def test_time_must_increase(self, tmp_path, times):
+        rows = "".join(f"{t},1,3\n" for t in times)
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_text("time_s,current_A,voltage_V\n" + rows)
+        excitation = tmp_path / "excitation.csv"
+        excitation.write_text("time_s,current_A,temp_C\n" + rows)
+        for load, path in ((load_profile_csv, dataset),
+                           (load_current_csv, excitation)):
+            with pytest.raises(DataError, match=re.escape(str(path))
+                               + " needs an increasing time_s column, got a "
+                               "first step of -?[01] s"):
+                load(path)
 
     def test_column_rules(self, tmp_path):
         """Dataset files need exactly three columns; an excitation file needs

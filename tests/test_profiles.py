@@ -106,8 +106,7 @@ class TestNoiseCycle:
         assert abs(np.mean(profile.current[:300])) < 1e-9 * i1c
 
     def test_tiling(self):
-        profile = noise_cycle_profile(1.0, seed=3, dt=1.0, duration=1800.0,
-                                      base_period=300.0)
+        profile = noise_cycle_profile(1.0, seed=3, dt=1.0, duration=1800.0)
         c = profile.current
         np.testing.assert_array_equal(c[:300], c[300:600])
         np.testing.assert_array_equal(c[:300], c[1500:1800])

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cellident.baselines import GD_PROBE
 from cellident.bench import generate_profile, generate_synthetic_dataset
 from cellident.ecm import (
-    build_model,
+    check_step,
     electrolyte_potential,
     fixed_terms,
     ohmic_drop,
@@ -58,12 +58,12 @@ def _reference_eta(params, electrode, current, i0):
 
 def reference_simulate_detailed(params, ocv_p, ocv_n, profile,
                                 freeze_exchange_current=False):
-    model = build_model(params, ocv_p, ocv_n, profile.dt)
+    check_step(params, profile.dt)
     I = profile.current
     p = params
     try:
-        c_p = surface_concentration(model, "p", I)
-        c_n = surface_concentration(model, "n", I)
+        c_p = surface_concentration(p, "p", profile)
+        c_n = surface_concentration(p, "n", profile)
         if freeze_exchange_current:
             i0_p = _reference_i0(p, "p", p.c_p0)
             i0_n = _reference_i0(p, "n", p.c_n0)
@@ -77,7 +77,7 @@ def reference_simulate_detailed(params, ocv_p, ocv_n, profile,
 
     eta_p = _reference_eta(p, "p", I, i0_p)
     eta_n = _reference_eta(p, "n", I, i0_n)
-    phi_e = electrolyte_potential(model, I)
+    phi_e = electrolyte_potential(p, profile)
     phi_ohm = ohmic_drop(p, I)
 
     volts = u_p - u_n - (eta_p - eta_n) + phi_e + phi_ohm - I * p.R_c
@@ -141,11 +141,10 @@ class TestSimulatorSplit:
                                k_n=params.k_n * scale[1],
                                D_e=params.D_e * scale[2])
         profile = profiles[kind]
-        model = build_model(theta, ocv_p, ocv_n, profile.dt)
-        fixed = fixed_terms(model, profile)
-        got = {"c_p": surface_concentration(model, "p", profile.current),
-               "c_n": surface_concentration(model, "n", profile.current),
-               "phi_e": electrolyte_potential(model, profile.current),
+        fixed = fixed_terms(theta, ocv_p, ocv_n, profile)
+        got = {"c_p": surface_concentration(theta, "p", profile),
+               "c_n": surface_concentration(theta, "n", profile),
+               "phi_e": electrolyte_potential(theta, profile),
                "phi_ohm": fixed.phi_ohm}
         if freeze:
             pinned = simulate_pinned(theta, ocv_p, ocv_n, profile)
