@@ -9,6 +9,7 @@ its trace bit for bit.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -48,38 +49,46 @@ def expected_improvement(mean, variance, best_so_far: float, xi: float = 0.0):
                          f"{variance.shape}")
     if not (np.isfinite(mean).all() and np.isfinite(variance).all()):
         raise ValueError("mean and variance must be finite")
-    single = mean.ndim == 0
-    if single:
-        mean = mean.reshape(1)
-        variance = variance.reshape(1)
-    # one reduction serves the tolerance check and the sigma = 0 test below
     lowest = variance.min(initial=np.inf)
     if lowest < -1e-12:
         raise NegativeVariance(
             f"variance {lowest:g} below clamping tolerance")
-    sigma = np.maximum(variance, 0.0)
-    np.sqrt(sigma, out=sigma)
-    diff = best_so_far - mean
-    diff -= xi
-
-    # |z| can overflow z*z when sigma is denormal-small; exp(-inf) = 0 is
-    # exactly the degenerate limit.  sigma = 0 gives 0/0 here, replaced below.
-    # Each in-place step is one operation of diff*Phi(z) + sigma*phi(z).
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        z = diff / sigma
-        out = ndtr(z)
-        out *= diff
-        pdf = np.multiply(-0.5, z)
-        pdf *= z
-        np.exp(pdf, out=pdf)
-        pdf /= _SQRT_2PI
-        pdf *= sigma
-        out += pdf
+        # copies, at least 1-D: the core writes over its arguments
+        out = _ei_core(np.array(mean, ndmin=1), np.array(variance, ndmin=1),
+                       best_so_far, xi)
+    return float(out[0]) if mean.ndim == 0 else out
+
+
+def _ei_core(mean, variance, best_so_far: float, xi: float) -> np.ndarray:
+    """expected_improvement of 1-D float arrays that passed its checks.
+
+    Writes over ``mean`` and ``variance``.  Call it under
+    np.errstate(over="ignore", divide="ignore", invalid="ignore"): |z| can
+    overflow z*z when sigma is denormal-small, and exp(-inf) = 0 is exactly
+    the degenerate limit; sigma = 0 gives 0/0, replaced below.  Each
+    in-place step is one operation of diff*Phi(z) + sigma*phi(z).
+    """
+    lowest = variance.min(initial=np.inf)
+    sigma = np.maximum(variance, 0.0, out=variance)
+    np.sqrt(sigma, out=sigma)
+    diff = np.subtract(best_so_far, mean, out=mean)
+    if xi:                                 # x - 0.0 is x
+        diff -= xi
+    z = diff / sigma
+    out = ndtr(z)
+    out *= diff
+    pdf = np.multiply(-0.5, z)
+    pdf *= z
+    np.exp(pdf, out=pdf)
+    pdf /= _SQRT_2PI
+    pdf *= sigma
+    out += pdf
     if lowest <= 0.0:                      # some sigma is exactly 0
         degenerate = sigma == 0.0
         out = np.where(degenerate, np.maximum(diff, 0.0), out)
     np.maximum(out, 0.0, out=out)          # guard tiny negative roundoff
-    return float(out[0]) if single else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,18 @@ class AcquisitionConfig:
 
 
 ACQUISITION = AcquisitionConfig()   # the settings every BO run uses
+
+
+@functools.cache
+def _moves(config: AcquisitionConfig, n: int) -> np.ndarray:
+    """Every refinement step's probe offsets, shape (refine_steps, 2n, n):
+    the step times +e_i, then times -e_i.  Read-only."""
+    offsets = np.vstack([np.eye(n), -np.eye(n)])
+    steps = np.geomspace(config.step_init, config.step_final,
+                         config.refine_steps)
+    moves = steps[:, None, None] * offsets
+    moves.flags.writeable = False
+    return moves
 
 
 @dataclass(frozen=True)
@@ -148,24 +169,24 @@ def maximize_acquisition(state: gp.GPPosterior, box: ParameterBox,
     top = np.flatnonzero(scores >= np.partition(scores, k)[k])
     top = top[np.argsort(scores[top], kind="stable")[::-1][:config.refine_top]]
     # refine all kept candidates together, one posterior call per shrinking
-    # step; each moves to its first best probe on strict improvement only
+    # step; each moves to its first best probe on strict improvement only.
+    # The posterior's moments are finite and its variance is clamped at 0,
+    # so the probes' EI needs none of expected_improvement's checks.
     points, score, rows = cand[top], scores[top], np.arange(len(top))
-    offsets = np.vstack([np.eye(n), -np.eye(n)])
-    steps = np.geomspace(config.step_init, config.step_final,
-                         config.refine_steps)
     probes = np.empty((len(top), 2 * n, n))
-    for move in steps[:, None, None] * offsets:     # move = step * offsets
-        np.add(points[:, None, :], move, out=probes)
-        np.maximum(probes, 0.0, out=probes)       # np.clip, without its
-        np.minimum(probes, 1.0, out=probes)       # wrapper's overhead
-        m, v = state.posterior(probes.reshape(-1, n))
-        s = expected_improvement(m, v, best_so_far, config.xi)
-        s = s.reshape(len(top), -1)
-        j = s.argmax(axis=1)
-        best = s[rows, j]
-        better = best > score
-        np.copyto(score, best, where=better)
-        np.copyto(points, probes[rows, j], where=better[:, None])
+    flat, base = probes.reshape(-1, n), points[:, None, :]   # views
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for move in _moves(config, n):           # move = step * offsets
+            np.add(base, move, out=probes)
+            np.maximum(probes, 0.0, out=probes)   # np.clip, without its
+            np.minimum(probes, 1.0, out=probes)   # wrapper's overhead
+            m, v = state.posterior(flat)
+            s = _ei_core(m, v, best_so_far, config.xi).reshape(len(top), -1)
+            j = s.argmax(axis=1)
+            best = s[rows, j]
+            better = best > score
+            np.copyto(score, best, where=better)
+            np.copyto(points, probes[rows, j], where=better[:, None])
     best_point = points[np.argmax(score)]   # first maximum, in top order
 
     # keep the proposal distinct from everything already observed

@@ -26,35 +26,39 @@ def se_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram matrix exp(-||a_i - b_j||^2/2), shape (len(a), len(b))."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    return _kernel(a, _sq_norms(a), b, _sq_norms(b))
+    return _kernel(a, _neg_half_sq_norms(a), b, _neg_half_sq_norms(b))
 
 
-def _sq_norms(a: np.ndarray) -> np.ndarray:
-    """Row norms ||a_i||^2: np.sum's reduction, without its wrapper."""
-    return np.add.reduce(a * a, axis=1)
+def _neg_half_sq_norms(a: np.ndarray) -> np.ndarray:
+    """-||a_i||^2/2: np.sum's reduction, without its wrapper, scaled."""
+    out = np.add.reduce(a * a, axis=1)
+    out *= -0.5
+    return out
 
 
-def _kernel(a, a_sq, b, b_sq) -> np.ndarray:
-    """se_kernel of 2-D float arrays whose row norms are a_sq and b_sq."""
-    # squared distances via the expansion ||a||^2 + ||b||^2 - 2 a.b, computed
-    # in place: the only (len(a), len(b)) arrays are a.b and the result
-    ab = a @ b.T
-    ab *= 2.0
-    sq = np.add.outer(a_sq, b_sq)
-    sq -= ab
-    np.maximum(sq, 0.0, out=sq)
-    sq *= -0.5
+def _kernel(a, a_half, b, b_half) -> np.ndarray:
+    """se_kernel of 2-D float arrays with -||a_i||^2/2 in a_half and
+    -||b_j||^2/2 in b_half.
+
+    The exponent is (-||a||^2/2 - ||b||^2/2) + a.b.  Scaling by -1/2 and by
+    2 is exact above the subnormal range, so this is the bits of
+    -1/2 (||a||^2 + ||b||^2 - 2 a.b); an exponent that small exponentiates
+    to 1.0 either way.  One that rounds above zero is clamped to 0, whose
+    sign exp drops.
+    """
+    sq = np.add.outer(a_half, b_half)
+    sq += a @ b.T
+    np.minimum(sq, 0.0, out=sq)
     return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True)
 class GPPosterior:
-    """Immutable fitted state: training set, Cholesky factor, scaling."""
+    """Immutable fitted state: training set, inverse factor, scaling."""
 
     points: np.ndarray        # (s, d) inputs, normalized coordinates
-    sq_norms: np.ndarray      # (s,) squared row norms of points
-    chol: np.ndarray          # lower-triangular L with L L^T = K + jitter I
-    chol_inv: np.ndarray      # L^{-1}, lower-triangular
+    neg_half_sq_norms: np.ndarray  # (s,) -||points_i||^2 / 2
+    chol_inv: np.ndarray      # L^{-1}, lower-triangular, L L^T = K + jitter I
     alpha: np.ndarray         # (K + jitter I)^{-1} standardized values
     mean_shift: float         # standardization offset
     scale: float              # standardization scale (1 for constant values)
@@ -70,17 +74,23 @@ class GPPosterior:
         Variance is clamped to [0, inf) before de-standardization.  It is
         1 - ||L^{-1} k*||^2, one matrix product against the inverse factor
         that fit cached.  The kernel reuses the training points' cached
-        squared norms; every result is computed in place.
+        halved norms; every result is computed in place.  A 2-D float
+        array is used as it is.
         """
-        theta = np.asarray(theta, dtype=float)
-        single = theta.ndim == 1
-        query = np.atleast_2d(theta)
+        if (isinstance(theta, np.ndarray) and theta.ndim == 2
+                and theta.dtype == np.float64):
+            query = theta
+            single = False
+        else:
+            theta = np.asarray(theta, dtype=float)
+            single = theta.ndim == 1
+            query = np.atleast_2d(theta)
         if query.ndim > 2 or query.shape[1] != self.points.shape[1]:
             raise DimensionMismatch(
                 f"query of shape {theta.shape} against training points of "
                 f"shape {self.points.shape}")
-        k_star = _kernel(self.points, self.sq_norms, query,
-                         _sq_norms(query))              # (s, m)
+        k_star = _kernel(self.points, self.neg_half_sq_norms, query,
+                         _neg_half_sq_norms(query))     # (s, m)
         mean = k_star.T @ self.alpha                    # (m,)
         v = self.chol_inv @ k_star
         v *= v
@@ -132,8 +142,8 @@ def fit(points, values) -> GPPosterior:
     if not np.isfinite(values_std).all():
         raise ValueError("standardized values overflow")
 
-    sq_norms = _sq_norms(points)
-    gram = _kernel(points, sq_norms, points, sq_norms)
+    neg_half_sq_norms = _neg_half_sq_norms(points)
+    gram = _kernel(points, neg_half_sq_norms, points, neg_half_sq_norms)
     diag = gram.diagonal().copy()
     for jitter in JITTER_LADDER:
         gram.flat[::len(values) + 1] = diag + jitter    # K + jitter I, in place
@@ -152,6 +162,6 @@ def fit(points, values) -> GPPosterior:
     alpha = solve_triangular(chol.T, rhs, lower=False)
     # the factor's diagonal is positive, so its inverse exists
     chol_inv, _ = dtrtri(chol, lower=1)
-    return GPPosterior(points=points, sq_norms=sq_norms, chol=chol,
+    return GPPosterior(points=points, neg_half_sq_norms=neg_half_sq_norms,
                        chol_inv=chol_inv, alpha=alpha, mean_shift=mean_shift,
                        scale=scale, jitter=jitter)

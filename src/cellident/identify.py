@@ -301,11 +301,23 @@ def save_profile_csv(path, profile: CurrentProfile, volts: VoltageSeries) -> Non
                header="time_s,current_A,voltage_V", fmt="%.12g")
 
 
+def _finite_column(path, table, name: str) -> np.ndarray:
+    """Column ``name`` of ``table``; DataError naming the file and the first
+    data row whose cell is blank or not finite."""
+    column = np.atleast_1d(table[name])
+    bad = np.flatnonzero(~np.isfinite(column))
+    if bad.size:
+        raise DataError(f"profile file {path} has a blank or non-finite "
+                        f"{name} in data row {bad[0] + 1}")
+    return column
+
+
 def _read_profile_table(path, columns_ok, columns: str):
     """(table, dt) of a uniformly sampled CSV with a header row.
 
     DataError when the file is missing or malformed, when its column names
-    fail ``columns_ok`` (the message asks for ``columns``), or when it has
+    fail ``columns_ok`` (the message asks for ``columns``), when a
+    ``time_s`` or ``current_A`` cell is blank or not finite, or when it has
     fewer than two samples or a ``time_s`` grid that does not increase
     evenly.
     """
@@ -318,7 +330,8 @@ def _read_profile_table(path, columns_ok, columns: str):
         raise DataError(f"profile file {path} is malformed: {exc}") from exc
     if not columns_ok(set(table.dtype.names or ())):
         raise DataError(f"profile file {path} must have columns {columns}")
-    t = np.atleast_1d(table["time_s"])
+    t = _finite_column(path, table, "time_s")
+    _finite_column(path, table, "current_A")
     if t.size < 2:
         raise DataError(f"profile file {path} needs at least two samples")
     steps = np.diff(t)
@@ -339,11 +352,7 @@ def load_profile_csv(path) -> tuple[CurrentProfile, VoltageSeries]:
     expected = {"time_s", "current_A", "voltage_V"}
     table, dt = _read_profile_table(path, lambda names: names == expected,
                                     "time_s,current_A,voltage_V")
-    voltage = np.atleast_1d(table["voltage_V"])
-    bad = np.flatnonzero(~np.isfinite(voltage))
-    if bad.size:
-        raise DataError(f"profile file {path} has a blank or non-finite "
-                        f"voltage_V in data row {bad[0] + 1}")
+    voltage = _finite_column(path, table, "voltage_V")
     profile = CurrentProfile(dt=dt, current=np.atleast_1d(table["current_A"]))
     volts = VoltageSeries(dt=dt, volts=voltage)
     return profile, volts

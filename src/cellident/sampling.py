@@ -66,6 +66,33 @@ def _van_der_corput(indices: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
+def _consecutive_van_der_corput(start: int, n: int, base: int) -> np.ndarray:
+    """_van_der_corput of the indices start, ..., start + n - 1, bit for bit.
+
+    Indices that share their digits above the low-digit table form runs of
+    consecutive table entries.  Each run is a slice of the table plus, lowest
+    first, those shared digits' terms as Python-float scalars, the same sums
+    in the same order as the digit loop; a zero digit adds an exact 0 there
+    and is skipped here.
+    """
+    table, _ = _low_digit_sums(base)
+    size = len(table)
+    out = np.empty(n)
+    at = 0
+    while at < n:
+        high, low = divmod(start + at, size)
+        run = out[at:at + size - low]
+        run[:] = table[low:low + len(run)]
+        denom = float(size)
+        while high:
+            denom *= base
+            high, digit = divmod(high, base)
+            if digit:
+                run += digit / denom
+        at += len(run)
+    return out
+
+
 class HaltonSampler:
     """Stateful rotated-Halton stream over [0,1)^dim.
 
@@ -85,11 +112,11 @@ class HaltonSampler:
         """Next n points, shape (n, dim)."""
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
-        idx = np.arange(self._count + 1, self._count + n + 1)  # skip index 0
+        start = self._count + 1                      # skip index 0
         self._count += n
         out = np.empty((n, self.dim))
         for j, b in enumerate(self._bases):
-            col = _van_der_corput(idx, b)
+            col = _consecutive_van_der_corput(start, n, b)
             col += self._rotation[j]
             # (x + u) mod 1 on [0, 2): y - 1 is exact there, as fmod is
             np.subtract(col, 1.0, out=col, where=col >= 1.0)

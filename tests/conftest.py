@@ -122,8 +122,9 @@ def bo_like_data():
 @pytest.fixture(scope="session")
 def solve_posterior():
     """Reference GP posterior: the triangular solve v = L^{-1} k* of GPML
-    Algorithm 2.1 in place of the cached inverse factor."""
-    from scipy.linalg import solve_triangular
+    Algorithm 2.1 in place of the cached inverse factor, with L factored
+    here from the Gram matrix plus the state's jitter."""
+    from scipy.linalg import cholesky, solve_triangular
 
     from cellident.gp import se_kernel
 
@@ -132,8 +133,9 @@ def solve_posterior():
         query = np.atleast_2d(theta)
         k_star = se_kernel(state.points, query)
         mean_std = k_star.T @ state.alpha
-        v = solve_triangular(state.chol, k_star, lower=True,
-                             check_finite=False)
+        gram = se_kernel(state.points, state.points)
+        chol = cholesky(gram + state.jitter * np.eye(len(gram)), lower=True)
+        v = solve_triangular(chol, k_star, lower=True, check_finite=False)
         var_std = np.maximum(1.0 - np.sum(v * v, axis=0), 0.0)
         mean = mean_std * state.scale + state.mean_shift
         var = var_std * state.scale ** 2

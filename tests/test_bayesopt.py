@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,52 @@ class TestPosteriorCallCount:
                              HaltonSampler(3, 8), best)
         assert len(calls) == 1 + refine_steps
         assert calls[1:] == [config.refine_top * 2 * cube.n] * refine_steps
+
+
+class TestSweepScores:
+    @pytest.mark.parametrize("xi", [0.0, 0.01])
+    @pytest.mark.parametrize("s", [1, 12, 60])
+    def test_bytes_equal_the_checked_ei(self, cube, monkeypatch, s, xi):
+        """Every step's scores are the bytes of expected_improvement on the
+        posterior of that step's probes."""
+        scored = []
+        original = bayesopt._ei_core
+
+        def recording(mean, variance, best_so_far, xi):
+            moments = (mean.copy(), variance.copy())
+            out = original(mean, variance, best_so_far, xi)
+            scored.append((moments, best_so_far, xi, out.copy()))
+            return out
+
+        monkeypatch.setattr(bayesopt, "_ei_core", recording)
+        state, best = _sphere_state(s, s)
+        maximize_acquisition(state, cube, AcquisitionConfig(xi=xi),
+                             np.random.default_rng(0), HaltonSampler(3, s),
+                             best)
+        monkeypatch.undo()
+        assert len(scored) == 1 + AcquisitionConfig().refine_steps
+        for (mean, var), best_so_far, xi_used, out in scored:
+            assert (best_so_far, xi_used) == (best, xi)
+            want = bayesopt.expected_improvement(mean, var, best, xi)
+            assert out.tobytes() == want.tobytes()
+
+    def test_zero_variance_probes_warn_nothing(self, cube, monkeypatch):
+        """Probes of zero variance score 0/0 in z before the degenerate
+        branch replaces it; the sweep stays silent and proposes what the
+        per-candidate loop proposes."""
+        original = gp.GPPosterior.posterior
+
+        def zero_variance(self, theta):
+            mean, var = original(self, theta)
+            return mean, var * 0.0
+
+        monkeypatch.setattr(gp.GPPosterior, "posterior", zero_variance)
+        state, best = _sphere_state(12, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = _both(state, cube, AcquisitionConfig(), best,
+                              lambda: HaltonSampler(3, 9))
+        np.testing.assert_array_equal(got, want)
 
 
 class TestSphereBehavior:

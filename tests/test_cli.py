@@ -425,6 +425,27 @@ class TestMalformedInputFiles:
         assert f"{data / 'train_0.csv'} has a blank or non-finite voltage_V " \
                "in data row 3" in result.output
 
+    @pytest.mark.parametrize("column", [0, 1], ids=["time_s", "current_A"])
+    def test_blank_time_or_current(self, runner, config_path, dataset_dir,
+                                   tmp_path, column):
+        """A blank time or current cell exits 3 naming the file and row."""
+        def blank(lines):
+            cells = lines[3].split(",")
+            cells[column] = ""
+            lines[3] = ",".join(cells)
+            return lines
+
+        data = self._edited_dataset(dataset_dir, tmp_path, blank)
+        result = runner.invoke(main, [
+            "identify", "--config", str(config_path),
+            "--data", str(data / "manifest.json"), "--method", "random",
+            "--budget", "5", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3, result.output
+        name = ("time_s", "current_A")[column]
+        assert f"{data / 'train_0.csv'} has a blank or non-finite {name} " \
+               "in data row 3" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_decreasing_time(self, runner, config_path, dataset_dir,
                              tmp_path):
         """Negating time_s gives an even grid with a negative step; both

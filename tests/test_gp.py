@@ -54,6 +54,13 @@ def inverse_factor_posterior(state, theta):
     return mean, var
 
 
+def rebuilt_factor(state):
+    """The Cholesky factor fit used, rebuilt from the Gram matrix plus the
+    jitter fit settled on."""
+    gram = se_kernel(state.points, state.points)
+    return cholesky(gram + state.jitter * np.eye(state.n_points), lower=True)
+
+
 def pairwise_duplicate(points):
     """The duplicate check as a loop over pairs i < j: the message for the
     first closest pair below DUPLICATE_TOL, else None."""
@@ -90,13 +97,22 @@ class TestKernel:
     @pytest.mark.parametrize("seed", range(12))
     def test_bytes_equal_the_expanded_expression(self, seed):
         """Random shapes, with rows of b copied from a (distance 0, where
-        the expansion can round below zero) and a 1-D query."""
+        the expansion can round below zero) and a 1-D query; rows at the
+        origin; exact duplicate rows; and coordinates near 1e-160, where
+        ||x||^2 is subnormal and halving it is not exact, but exp of an
+        exponent that small is 1.0 either way."""
         rng = np.random.default_rng(seed)
         s, m, d = rng.integers(1, 200), rng.integers(1, 3000), rng.integers(1, 6)
         a = rng.uniform(-2.0, 2.0, size=(s, d))
         b = rng.uniform(-2.0, 2.0, size=(m, d))
         b[rng.integers(0, m, size=min(s, m))] = a[:min(s, m)]
-        for x, y in ((a, b), (a, a), (a, b[0])):
+        origin = a.copy()
+        origin[::2] = 0.0
+        twice = np.repeat(a, 2, axis=0)
+        tiny_a, tiny_b = 1e-160 * a, 1e-160 * b
+        for x, y in ((a, b), (a, a), (a, b[0]), (origin, b), (origin, origin),
+                     (twice, b), (twice, twice), (tiny_a, tiny_b),
+                     (tiny_a, tiny_a), (tiny_a, b)):
             assert se_kernel(x, y).tobytes() == expanded_kernel(x, y).tobytes()
 
 
@@ -195,7 +211,8 @@ class TestInverseFactor:
         points, values = bo_like_data(50, 0)
         state = fit(points, values)
         assert np.all(np.triu(state.chol_inv, 1) == 0.0)
-        np.testing.assert_allclose(state.chol_inv @ state.chol, np.eye(50),
+        np.testing.assert_allclose(state.chol_inv @ rebuilt_factor(state),
+                                   np.eye(50),
                                    atol=1e-9)
 
     @pytest.mark.parametrize("s", [10, 50, 99, 199])
@@ -297,8 +314,8 @@ class TestRobustness:
         np.testing.assert_allclose(np.diag(gram[1]) - np.diag(gram[0]),
                                    JITTER_LADDER[1] - JITTER_LADDER[0],
                                    rtol=1e-9)
-        np.testing.assert_allclose(state.chol @ state.chol.T, gram[1],
-                                   atol=1e-15)
+        chol = rebuilt_factor(state)
+        np.testing.assert_allclose(chol @ chol.T, gram[1], atol=1e-15)
 
     def test_singular_kernel_when_every_jitter_fails(self, monkeypatch):
         def always_fail(*args, **kwargs):

@@ -525,6 +525,28 @@ class TestProfileCsv:
                 f"{path} has a blank or non-finite voltage_V in data row 2")):
             load_profile_csv(path)
 
+    @pytest.mark.parametrize("cell", ["", "nan", "-inf"],
+                             ids=["blank", "nan", "inf"])
+    @pytest.mark.parametrize("column", ["time_s", "current_A"])
+    def test_non_finite_time_or_current_rejected(self, tmp_path, column,
+                                                 cell):
+        """Both loaders name the file and the first bad data row, not a
+        grid that is not uniform or a current without a file."""
+        rows = [[0, 1, 3], [1, 1, 3], [2, 1, 3], [3, 1, 3]]
+        col = 0 if column == "time_s" else 1
+        rows[2][col] = rows[3][col] = cell
+        body = "".join(",".join(map(str, row)) + "\n" for row in rows)
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_text("time_s,current_A,voltage_V\n" + body)
+        excitation = tmp_path / "excitation.csv"
+        excitation.write_text("time_s,current_A,temp_C\n" + body)
+        for load, path in ((load_profile_csv, dataset),
+                           (load_current_csv, excitation)):
+            with pytest.raises(DataError, match=re.escape(
+                    f"{path} has a blank or non-finite {column} in data "
+                    "row 3")):
+                load(path)
+
     @pytest.mark.parametrize("times", [(0, -1, -2), (0, 0, 0), (2, 1, 0)])
     def test_time_must_increase(self, tmp_path, times):
         rows = "".join(f"{t},1,3\n" for t in times)

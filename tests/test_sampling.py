@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cellident.sampling import (
     _PRIMES,
     HaltonSampler,
+    _consecutive_van_der_corput,
     _low_digit_sums,
     _van_der_corput,
 )
@@ -159,6 +160,42 @@ class TestRadicalInverseOracle:
                     rng.integers(2**20, 2**62, size=500)):
             assert (_van_der_corput(idx, base).tobytes()
                     == _reference_van_der_corput(idx, base).tobytes())
+
+
+class TestConsecutiveRuns:
+    """Draws add the digits above the low-digit table once per run of
+    consecutive indices; runs meet at multiples of the table size (4096,
+    2187, 3125, 2401, 1331, 2197 and 289 for the first seven bases)."""
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_draws_straddling_table_boundaries(self, dim):
+        sizes = [len(_low_digit_sums(b)[0]) for b in _PRIMES[:dim]]
+        # each draw runs from just below a multiple of a table size to past
+        # the next one, or the one after; draw indices start at 1
+        edges = sorted({m * size - 3 for size in sizes for m in (1, 2, 45)})
+        sampler = HaltonSampler(dim, seed=dim)
+        parts, at = [], 0
+        for edge in edges:
+            if edge <= at:          # inside the last straddling draw
+                continue
+            parts.append(sampler.draw(edge - at))
+            parts.append(sampler.draw(sizes[0] + 7))
+            at = edge + sizes[0] + 7
+        one_shot = HaltonSampler(dim, seed=dim).draw(at)
+        assert np.vstack(parts).tobytes() == one_shot.tobytes()
+
+    @pytest.mark.parametrize("base", _PRIMES[:7])
+    def test_matches_the_digit_loop_on_single_indices(self, base):
+        size = len(_low_digit_sums(base)[0])
+        for start in (1, size - 2, 2 * size - 1, 45 * size - 5,
+                      base ** 6 * size - 4):
+            n = size + 9
+            got = _consecutive_van_der_corput(start, n, base)
+            single = np.concatenate([_van_der_corput([i], base)
+                                     for i in range(start, start + n)])
+            assert got.tobytes() == single.tobytes()
+            assert got.tobytes() == _van_der_corput(
+                np.arange(start, start + n), base).tobytes()
 
 
 class TestRotationWrap:
