@@ -94,7 +94,7 @@ def gradient_descent(objective, box: ParameterBox,
             f_theta = evaluate(theta)
         # norm == 0: hold position; probes above were still charged
 
-    return evaluate.result("gd")
+    return evaluate.result()
 
 
 def pso(objective, box: ParameterBox, config: PsoConfig) -> OptimizationResult:
@@ -128,7 +128,7 @@ def pso(objective, box: ParameterBox, config: PsoConfig) -> OptimizationResult:
         np.clip(vel, -PSO_V_MAX, PSO_V_MAX, out=vel)
         pos = np.clip(pos + vel, 0.0, 1.0)
 
-    return evaluate.result("pso")
+    return evaluate.result()
 
 
 def random_search(objective, box: ParameterBox, budget: int,
@@ -140,4 +140,4 @@ def random_search(objective, box: ParameterBox, budget: int,
     evaluate = Recorder(objective, box, budget)
     for _ in range(budget):
         evaluate(rng.uniform(size=box.n))
-    return evaluate.result("random")
+    return evaluate.result()

@@ -29,17 +29,14 @@ log = logging.getLogger(__name__)
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
-def expected_improvement(mean, variance, best_so_far: float, xi: float = 0.0):
-    """Closed-form EI for minimization: E[max(0, best - f(theta) - xi)].
+def expected_improvement(mean, variance, best_so_far: float):
+    """Closed-form EI for minimization: E[max(0, best - f(theta))].
 
-    With sigma = sqrt(variance) and z = (best - mean - xi)/sigma this is
-    (best - mean - xi)*Phi(z) + sigma*phi(z); at sigma = 0 it degenerates to
-    max(0, best - mean - xi).  Result is >= 0 everywhere.  ``mean`` and
-    ``variance`` must be finite and of one shape, ``best_so_far`` finite and
-    ``xi`` finite and non-negative.
+    With sigma = sqrt(variance) and z = (best - mean)/sigma this is
+    (best - mean)*Phi(z) + sigma*phi(z); at sigma = 0 it degenerates to
+    max(0, best - mean).  Result is >= 0 everywhere.  ``mean`` and
+    ``variance`` must be finite and of one shape, ``best_so_far`` finite.
     """
-    if not (math.isfinite(xi) and xi >= 0.0):
-        raise ValueError(f"xi must be finite and non-negative, got {xi}")
     if not math.isfinite(best_so_far):
         raise ValueError(f"best_so_far must be finite, got {best_so_far}")
     mean = np.asarray(mean, dtype=float)
@@ -56,11 +53,11 @@ def expected_improvement(mean, variance, best_so_far: float, xi: float = 0.0):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # copies, at least 1-D: the core writes over its arguments
         out = _ei_core(np.array(mean, ndmin=1), np.array(variance, ndmin=1),
-                       best_so_far, xi)
+                       best_so_far)
     return float(out[0]) if mean.ndim == 0 else out
 
 
-def _ei_core(mean, variance, best_so_far: float, xi: float) -> np.ndarray:
+def _ei_core(mean, variance, best_so_far: float) -> np.ndarray:
     """expected_improvement of 1-D float arrays that passed its checks.
 
     Writes over ``mean`` and ``variance``.  Call it under
@@ -73,8 +70,6 @@ def _ei_core(mean, variance, best_so_far: float, xi: float) -> np.ndarray:
     sigma = np.maximum(variance, 0.0, out=variance)
     np.sqrt(sigma, out=sigma)
     diff = np.subtract(best_so_far, mean, out=mean)
-    if xi:                                 # x - 0.0 is x
-        diff -= xi
     z = diff / sigma
     out = ndtr(z)
     out *= diff
@@ -91,40 +86,20 @@ def _ei_core(mean, variance, best_so_far: float, xi: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class AcquisitionConfig:
-    """Proxy-optimizer settings for the inner EI maximization."""
-
-    n_candidates: int = 2048   # quasi-random candidates per iteration
-    refine_top: int = 5        # candidates kept for local refinement
-    refine_steps: int = 20     # shrinking-step sweeps per kept candidate
-    step_init: float = 0.05    # initial refinement step, unit coordinates
-    step_final: float = 0.001  # final refinement step
-    xi: float = 0.0            # improvement threshold
-
-    def __post_init__(self):
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
-        if self.refine_top < 1:
-            raise ValueError("refine_top must be >= 1")
-        if self.refine_steps < 0:
-            raise ValueError("refine_steps must be >= 0")
-        if not (math.isfinite(self.xi) and self.xi >= 0.0):
-            raise ValueError(f"xi must be finite and >= 0, got {self.xi}")
-        if not 0.0 < self.step_final <= self.step_init:
-            raise ValueError("need 0 < step_final <= step_init")
-
-
-ACQUISITION = AcquisitionConfig()   # the settings every BO run uses
+# the inner EI maximization, the same in every BO run
+N_CANDIDATES = 2048   # quasi-random candidates per iteration
+REFINE_TOP = 5        # candidates kept for local refinement
+REFINE_STEPS = 20     # shrinking-step sweeps per kept candidate
+STEP_INIT = 0.05      # initial refinement step, unit coordinates
+STEP_FINAL = 0.001    # final refinement step
 
 
 @functools.cache
-def _moves(config: AcquisitionConfig, n: int) -> np.ndarray:
-    """Every refinement step's probe offsets, shape (refine_steps, 2n, n):
+def _moves(n: int) -> np.ndarray:
+    """Every refinement step's probe offsets, shape (REFINE_STEPS, 2n, n):
     the step times +e_i, then times -e_i.  Read-only."""
     offsets = np.vstack([np.eye(n), -np.eye(n)])
-    steps = np.geomspace(config.step_init, config.step_final,
-                         config.refine_steps)
+    steps = np.geomspace(STEP_INIT, STEP_FINAL, REFINE_STEPS)
     moves = steps[:, None, None] * offsets
     moves.flags.writeable = False
     return moves
@@ -150,8 +125,8 @@ class BoRunConfig:
 
 
 def maximize_acquisition(state: gp.GPPosterior, box: ParameterBox,
-                         config: AcquisitionConfig, rng: np.random.Generator,
-                         sampler: HaltonSampler, best_so_far: float) -> np.ndarray:
+                         rng: np.random.Generator, sampler: HaltonSampler,
+                         best_so_far: float) -> np.ndarray:
     """Approximate argmax of EI over the unit cube.
 
     Scores a quasi-random candidate set, then refines the best few by
@@ -160,14 +135,14 @@ def maximize_acquisition(state: gp.GPPosterior, box: ParameterBox,
     observed point, so the next GP fit never sees duplicates.
     """
     n = box.n
-    cand = sampler.draw(config.n_candidates)
+    cand = sampler.draw(N_CANDIDATES)
     mean, var = state.posterior(cand)
-    scores = expected_improvement(mean, var, best_so_far, config.xi)
+    scores = expected_improvement(mean, var, best_so_far)
 
-    # the refine_top best, ties by descending index at every SIMD level
-    k = max(len(scores) - config.refine_top, 0)
+    # the REFINE_TOP best, ties by descending index at every SIMD level
+    k = len(scores) - REFINE_TOP
     top = np.flatnonzero(scores >= np.partition(scores, k)[k])
-    top = top[np.argsort(scores[top], kind="stable")[::-1][:config.refine_top]]
+    top = top[np.argsort(scores[top], kind="stable")[::-1][:REFINE_TOP]]
     # refine all kept candidates together, one posterior call per shrinking
     # step; each moves to its first best probe on strict improvement only.
     # The posterior's moments are finite and its variance is clamped at 0,
@@ -176,12 +151,12 @@ def maximize_acquisition(state: gp.GPPosterior, box: ParameterBox,
     probes = np.empty((len(top), 2 * n, n))
     flat, base = probes.reshape(-1, n), points[:, None, :]   # views
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for move in _moves(config, n):           # move = step * offsets
+        for move in _moves(n):                # move = step * offsets
             np.add(base, move, out=probes)
             np.maximum(probes, 0.0, out=probes)   # np.clip, without its
             np.minimum(probes, 1.0, out=probes)   # wrapper's overhead
             m, v = state.posterior(flat)
-            s = _ei_core(m, v, best_so_far, config.xi).reshape(len(top), -1)
+            s = _ei_core(m, v, best_so_far).reshape(len(top), -1)
             j = s.argmax(axis=1)
             best = s[rows, j]
             better = best > score
@@ -223,8 +198,8 @@ def run_bo(objective, config: BoRunConfig) -> OptimizationResult:
         try:
             with one_blas_thread():   # small matrices: one thread is faster
                 state = gp.fit(np.vstack(evaluate.points), losses)
-                nxt = maximize_acquisition(state, box, ACQUISITION, rng,
-                                           sampler, float(np.min(losses)))
+                nxt = maximize_acquisition(state, box, rng, sampler,
+                                           float(np.min(losses)))
         except (SingularKernel, DuplicatePoint) as exc:
             fallbacks += 1
             log.warning("surrogate fit failed (%s); falling back to a "
@@ -232,4 +207,4 @@ def run_bo(objective, config: BoRunConfig) -> OptimizationResult:
             nxt = rng.uniform(size=box.n)
         evaluate(nxt)
 
-    return evaluate.result("bo", s0=config.s0, surrogate_fallbacks=fallbacks)
+    return evaluate.result(s0=config.s0, surrogate_fallbacks=fallbacks)

@@ -319,8 +319,8 @@ def generate_synthetic_dataset(
                                                     size=clean.n)
         voltages.append(VoltageSeries(dt=profile.dt, volts=clean.volts + noise))
     n = len(train_profiles)
-    train = IdentificationDataset(profiles[:n], tuple(voltages[:n]), "train")
-    test = IdentificationDataset(profiles[n:], tuple(voltages[n:]), "test")
+    train = IdentificationDataset(profiles[:n], tuple(voltages[:n]))
+    test = IdentificationDataset(profiles[n:], tuple(voltages[n:]))
     meta = {
         "truth": {"k_p": truth.k_p, "k_n": truth.k_n, "D_e": truth.D_e},
         "noise_sigma_v": noise_sigma_v,
@@ -498,9 +498,14 @@ def fit_and_score(method: str, train_objective: VoltageFitObjective,
                   test_objective: VoltageFitObjective, budget: int, seed,
                   s0: int) -> tuple[dict, OptimizationResult]:
     """Run ``method`` on ``train_objective``, score its best theta on
-    ``test_objective``; returns a benchmark row's result fields and the run."""
+    ``test_objective``; returns a benchmark row's result fields and the run.
+
+    A training profile the model cannot simulate at any theta is a
+    DataError (``VoltageFitObjective.check_diverged``).
+    """
     box = train_objective.box
     result = run_method(method, train_objective.unit, box, budget, seed, s0)
+    train_objective.check_diverged()
     return {"train_loss_V2": result.best_loss,
             "test_loss_V2": test_objective(result.best_theta).loss,
             "evaluations": result.evaluations_used,

@@ -22,13 +22,6 @@ JITTER_LADDER = (1e-8, 1e-6, 1e-4)
 DUPLICATE_TOL = 1e-10
 
 
-def se_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gram matrix exp(-||a_i - b_j||^2/2), shape (len(a), len(b))."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    return _kernel(a, _neg_half_sq_norms(a), b, _neg_half_sq_norms(b))
-
-
 def _neg_half_sq_norms(a: np.ndarray) -> np.ndarray:
     """-||a_i||^2/2: np.sum's reduction, without its wrapper, scaled."""
     out = np.add.reduce(a * a, axis=1)
@@ -37,8 +30,8 @@ def _neg_half_sq_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _kernel(a, a_half, b, b_half) -> np.ndarray:
-    """se_kernel of 2-D float arrays with -||a_i||^2/2 in a_half and
-    -||b_j||^2/2 in b_half.
+    """Gram matrix exp(-||a_i - b_j||^2/2), shape (len(a), len(b)), of 2-D
+    float arrays with -||a_i||^2/2 in a_half and -||b_j||^2/2 in b_half.
 
     The exponent is (-||a||^2/2 - ||b||^2/2) + a.b.  Scaling by -1/2 and by
     2 is exact above the subnormal range, so this is the bits of
@@ -69,25 +62,19 @@ class GPPosterior:
         return self.points.shape[0]
 
     def posterior(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior (mean, variance) at one point (d,) or a batch (m, d).
+        """Posterior (mean, variance) at a batch of points, shape (m, d).
 
         Variance is clamped to [0, inf) before de-standardization.  It is
         1 - ||L^{-1} k*||^2, one matrix product against the inverse factor
         that fit cached.  The kernel reuses the training points' cached
         halved norms; every result is computed in place.  A 2-D float
-        array is used as it is.
+        array is used as it is; a query of any other shape raises
+        DimensionMismatch.
         """
-        if (isinstance(theta, np.ndarray) and theta.ndim == 2
-                and theta.dtype == np.float64):
-            query = theta
-            single = False
-        else:
-            theta = np.asarray(theta, dtype=float)
-            single = theta.ndim == 1
-            query = np.atleast_2d(theta)
-        if query.ndim > 2 or query.shape[1] != self.points.shape[1]:
+        query = np.asarray(theta, dtype=float)   # no copy of a float array
+        if query.ndim != 2 or query.shape[1] != self.points.shape[1]:
             raise DimensionMismatch(
-                f"query of shape {theta.shape} against training points of "
+                f"query of shape {query.shape} against training points of "
                 f"shape {self.points.shape}")
         k_star = _kernel(self.points, self.neg_half_sq_norms, query,
                          _neg_half_sq_norms(query))     # (s, m)
@@ -100,8 +87,6 @@ class GPPosterior:
         mean *= self.scale
         mean += self.mean_shift
         var *= self.scale ** 2
-        if single:
-            return float(mean[0]), float(var[0])
         return mean, var
 
 

@@ -117,9 +117,6 @@ class ParameterBox:
                 work[..., i] = 10.0 ** work[..., i]
         return work
 
-    def midpoint(self) -> np.ndarray:
-        return self.denormalize(np.full(self.n, 0.5))
-
     def to_dict(self) -> dict:
         return {
             "names": list(self.names),
@@ -161,17 +158,20 @@ def default_box() -> ParameterBox:
 
 @dataclass(frozen=True)
 class IdentificationDataset:
-    """Paired excitation/response records with a train/test role tag."""
+    """Paired excitation/response records, each with the name that messages
+    give it: its file, or ``profile <i>`` by default."""
 
     profiles: tuple[CurrentProfile, ...]
     voltages: tuple[VoltageSeries, ...]
-    role: str = "train"
+    names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.role not in ("train", "test"):
-            raise DataError(f"role must be 'train' or 'test', got {self.role!r}")
-        if len(self.profiles) != len(self.voltages):
-            raise DataError("dataset needs one voltage series per profile")
+        names = self.names or tuple(f"profile {i}"
+                                    for i in range(len(self.profiles)))
+        object.__setattr__(self, "names", names)
+        if not len(self.profiles) == len(self.voltages) == len(names):
+            raise DataError("dataset needs one voltage series and one name "
+                            "per profile")
         if not self.profiles:
             raise DataError("dataset is empty")
         for i, (u, v) in enumerate(zip(self.profiles, self.voltages)):
@@ -183,7 +183,6 @@ class IdentificationDataset:
 class ObjectiveEvaluation:
     """One scored objective call."""
 
-    theta: np.ndarray              # physical units
     loss: float                    # V^2, sum over profiles
     per_profile: tuple[float, ...]
     penalized: bool = False        # true when a divergence penalty was charged
@@ -212,8 +211,9 @@ class VoltageFitObjective:
     Divergent simulations, and any profile whose squared residual exceeds
     DIVERGENCE_PENALTY, overflows or is NaN, charge DIVERGENCE_PENALTY.
     A divergence of the theta-free terms is remembered, since no theta can
-    cure it; any other error is raised again on every call.  Floating-point
-    warnings of a call are silenced: a theta that overflows is penalized.
+    cure it, and ``check_diverged`` names it; any other error is raised
+    again on every call.  Floating-point warnings of a call are silenced: a
+    theta that overflows is penalized.
     """
 
     def __init__(self, base: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
@@ -225,10 +225,10 @@ class VoltageFitObjective:
         self.ocv_n = ocv_n
         self.box = box
         self.dataset = dataset
-        self._terms: dict[int, _ProfileTerms | None] = {}   # None: diverged
+        self._terms: dict[int, _ProfileTerms | SimulationDiverged] = {}
 
     def __call__(self, theta) -> ObjectiveEvaluation:
-        theta = np.array(theta, dtype=float)   # a copy: the caller keeps theirs
+        theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.box.n,):
             raise DimensionMismatch(
                 f"theta has shape {theta.shape}, expected ({self.box.n},)")
@@ -245,7 +245,7 @@ class VoltageFitObjective:
                     penalized = True
                 else:
                     per.append(loss)
-        return ObjectiveEvaluation(theta=theta, loss=float(sum(per)),
+        return ObjectiveEvaluation(loss=float(sum(per)),
                                    per_profile=tuple(per), penalized=penalized)
 
     def _profile_loss(self, i: int, params: CellParameters,
@@ -257,16 +257,16 @@ class VoltageFitObjective:
         The step is checked only when D_e changed.
         """
         terms = self._terms.get(i)
-        if terms is None or terms.D_e != params.D_e:
+        if not isinstance(terms, _ProfileTerms) or terms.D_e != params.D_e:
             check_step(params, profile.dt)
-        if i not in self._terms:
-            try:
-                self._terms[i] = _ProfileTerms(
-                    fixed_terms(params, self.ocv_p, self.ocv_n, profile))
-            except SimulationDiverged:
-                self._terms[i] = None
-        terms = self._terms[i]
         if terms is None:
+            try:
+                terms = _ProfileTerms(
+                    fixed_terms(params, self.ocv_p, self.ocv_n, profile))
+            except SimulationDiverged as exc:
+                terms = exc
+            self._terms[i] = terms
+        if isinstance(terms, SimulationDiverged):
             return None
         if terms.k_p != params.k_p:
             terms.eta_p = overpotential(params, terms.fixed, "p")
@@ -288,6 +288,18 @@ class VoltageFitObjective:
         theta = self.box.denormalize(np.clip(np.asarray(point, dtype=float),
                                              0.0, 1.0))
         return self(theta).loss
+
+    def check_diverged(self) -> None:
+        """DataError naming each profile whose theta-free terms diverged in a
+        call so far, with the sample where they did: every loss since has
+        carried its penalty, so no theta fits that data."""
+        causes = [f"{self.dataset.names[i]}: {terms}"
+                  for i, terms in sorted(self._terms.items())
+                  if isinstance(terms, SimulationDiverged)]
+        if causes:
+            raise DataError("no theta can fit data the model cannot simulate "
+                            "(every loss carries the divergence penalty): "
+                            + "; ".join(causes))
 
 
 # ---------------------------------------------------------------------------
@@ -406,5 +418,6 @@ def load_dataset(manifest_path) -> tuple[IdentificationDataset, IdentificationDa
             profiles.append(u)
             volts.append(v)
         out[role] = IdentificationDataset(profiles=tuple(profiles),
-                                          voltages=tuple(volts), role=role)
+                                          voltages=tuple(volts),
+                                          names=tuple(names))
     return out["train"], out["test"], manifest.get("meta", {})

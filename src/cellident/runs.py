@@ -8,7 +8,6 @@ same way for every method.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,16 +20,11 @@ from .identify import ParameterBox
 class OptimizationResult:
     """Outcome of one optimizer run (shared by BO and the baselines)."""
 
-    method: str
     best_theta: np.ndarray          # physical units
     best_loss: float
     trace: tuple                    # ((index, theta_physical, loss), ...)
     evaluations_used: int
-    wall_time_s: float
     notes: dict = field(default_factory=dict)
-
-    def cumulative_best(self) -> np.ndarray:
-        return np.minimum.accumulate([loss for _, _, loss in self.trace])
 
 
 class Recorder:
@@ -47,7 +41,6 @@ class Recorder:
         self.budget = budget
         self.points: list[np.ndarray] = []   # unit-cube points, in order
         self._losses: list[float] = []
-        self._t0 = time.perf_counter()
 
     @property
     def remaining(self) -> int:
@@ -65,7 +58,7 @@ class Recorder:
     def losses(self) -> np.ndarray:
         return np.array(self._losses)
 
-    def result(self, method: str, **notes) -> OptimizationResult:
+    def result(self, **notes) -> OptimizationResult:
         """The run so far, its points denormalized in one call (OutOfBox
         naming the first evaluation outside the cube); the first minimum of
         the trace is the best."""
@@ -81,17 +74,15 @@ class Recorder:
                                    "outside [0,1]^n") from None
         best = int(np.argmin(self._losses))
         return OptimizationResult(
-            method=method, best_theta=thetas[best],
-            best_loss=self._losses[best],
+            best_theta=thetas[best], best_loss=self._losses[best],
             trace=tuple(zip(range(len(thetas)), thetas, self._losses)),
-            evaluations_used=len(thetas),
-            wall_time_s=time.perf_counter() - self._t0, notes=notes)
+            evaluations_used=len(thetas), notes=notes)
 
 
 def export_trace(result: OptimizationResult, box: ParameterBox, path) -> None:
     """Trace CSV: eval_index,<dim names>,loss_V2,cum_best_V2."""
     names = ",".join(box.names)
-    cum = result.cumulative_best()
+    cum = np.minimum.accumulate([loss for _, _, loss in result.trace])
     with open(path, "w") as fh:
         fh.write(f"eval_index,{names},loss_V2,cum_best_V2\n")
         for (idx, theta, loss), best in zip(result.trace, cum):

@@ -32,8 +32,8 @@ def _low_digit_sums(base: int) -> tuple[np.ndarray, int]:
     """Radical inverse of every index below base**k, the largest power of
     base with at most _TABLE_MAX entries, and k.
 
-    Entries come from the same digit loop as _van_der_corput, so looking
-    one up replaces the loop's first k steps without changing a bit.
+    Entries come from the radical inverse's digit loop, so looking one up
+    replaces the loop's first k steps without changing a bit.
     """
     k = 1
     while base ** (k + 1) <= _TABLE_MAX:
@@ -44,30 +44,9 @@ def _low_digit_sums(base: int) -> tuple[np.ndarray, int]:
     return table, k
 
 
-def _van_der_corput(indices: np.ndarray, base: int) -> np.ndarray:
-    """Radical inverse in the given base of a 1-D array of indices >= 0.
-
-    The sum runs over the digits of the largest index, lowest first.  Its
-    first k terms come from _low_digit_sums: an index with fewer digits only
-    adds exact zeros there.
-    """
-    work = np.asarray(indices, dtype=np.int64)
-    top = int(work.max()) if work.size else 0
-    n_digits = 0
-    while top > 0:                 # digits of the largest index
-        top //= base
-        n_digits += 1
-    table, k = _low_digit_sums(base)
-    if n_digits <= k:
-        return table[work]
-    work, low = np.divmod(work, len(table))
-    out = table[low]
-    _add_digits(out, work, base, float(len(table)), n_digits - k)
-    return out
-
-
 def _consecutive_van_der_corput(start: int, n: int, base: int) -> np.ndarray:
-    """_van_der_corput of the indices start, ..., start + n - 1, bit for bit.
+    """Radical inverse in the given base of the indices start, ...,
+    start + n - 1: the sum over each index's digits, lowest first.
 
     Indices that share their digits above the low-digit table form runs of
     consecutive table entries.  Each run is a slice of the table plus, lowest

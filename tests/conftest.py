@@ -126,21 +126,20 @@ def solve_posterior():
     here from the Gram matrix plus the state's jitter."""
     from scipy.linalg import cholesky, solve_triangular
 
-    from cellident.gp import se_kernel
+    from cellident.gp import _kernel, _neg_half_sq_norms
 
-    def posterior(state, theta):
-        theta = np.asarray(theta, dtype=float)
-        query = np.atleast_2d(theta)
-        k_star = se_kernel(state.points, query)
+    def kernel(a, b):
+        return _kernel(a, _neg_half_sq_norms(a), b, _neg_half_sq_norms(b))
+
+    def posterior(state, queries):
+        k_star = kernel(state.points, queries)
         mean_std = k_star.T @ state.alpha
-        gram = se_kernel(state.points, state.points)
+        gram = kernel(state.points, state.points)
         chol = cholesky(gram + state.jitter * np.eye(len(gram)), lower=True)
         v = solve_triangular(chol, k_star, lower=True, check_finite=False)
         var_std = np.maximum(1.0 - np.sum(v * v, axis=0), 0.0)
         mean = mean_std * state.scale + state.mean_shift
         var = var_std * state.scale ** 2
-        if theta.ndim == 1:
-            return float(mean[0]), float(var[0])
         return mean, var
     return posterior
 

@@ -14,6 +14,7 @@ from cellident.baselines import (
     random_search,
 )
 from cellident.identify import ParameterBox
+from cellident.runs import export_trace
 
 
 @pytest.fixture()
@@ -157,9 +158,12 @@ class TestPso:
         moves = np.abs(np.diff(generations, axis=0))
         assert np.max(moves) <= PSO_V_MAX + 1e-12
 
-    def test_cumulative_best_non_increasing(self, cube3):
+    def test_cumulative_best_non_increasing(self, cube3, tmp_path):
+        """The trace file's cum_best_V2 column."""
         result = pso(bowl, cube3, PsoConfig(budget=60, seed=2))
-        assert np.all(np.diff(result.cumulative_best()) <= 0.0)
+        export_trace(result, cube3, tmp_path / "trace.csv")
+        table = np.genfromtxt(tmp_path / "trace.csv", delimiter=",", names=True)
+        assert np.all(np.diff(table["cum_best_V2"]) <= 0.0)
 
     def test_deterministic(self, cube3):
         r1 = pso(bowl, cube3, PsoConfig(budget=30, seed=9))

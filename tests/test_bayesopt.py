@@ -11,12 +11,7 @@ import pytest
 
 import cellident.bayesopt as bayesopt
 import cellident.gp as gp
-from cellident.bayesopt import (
-    AcquisitionConfig,
-    BoRunConfig,
-    maximize_acquisition,
-    run_bo,
-)
+from cellident.bayesopt import BoRunConfig, maximize_acquisition, run_bo
 from cellident.errors import SingularKernel
 from cellident.gp import fit
 from cellident.identify import ParameterBox
@@ -32,6 +27,19 @@ def cube():
                         upper=np.ones(3))
 
 
+@pytest.fixture()
+def acquisition(monkeypatch):
+    """Sets bayesopt's acquisition constants for one test, by name: the
+    cached refinement moves are rebuilt with the values set and again with
+    the module's own after the test."""
+    def set_constants(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(bayesopt, name, value)
+        bayesopt._moves.cache_clear()
+    yield set_constants
+    bayesopt._moves.cache_clear()
+
+
 def sphere(u):
     return float(np.sum((np.asarray(u) - np.array([0.3, 0.6, 0.2])) ** 2))
 
@@ -44,21 +52,6 @@ class TestConfig:
             BoRunConfig(box=cube, budget=0, seed=0)
         with pytest.raises(ValueError):
             BoRunConfig(box=cube, budget=5, seed=0, s0=0)
-        with pytest.raises(ValueError):
-            AcquisitionConfig(step_init=0.01, step_final=0.05)
-        with pytest.raises(ValueError):
-            AcquisitionConfig(xi=-1.0)
-
-    @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf, -1e-300])
-    def test_rejects_xi_that_is_not_finite_and_non_negative(self, xi):
-        with pytest.raises(ValueError, match="xi must be finite"):
-            AcquisitionConfig(xi=xi)
-
-    @pytest.mark.parametrize("field,value", [
-        ("refine_top", 0), ("refine_top", -1), ("refine_steps", -1)])
-    def test_rejects_refinement_out_of_range(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            AcquisitionConfig(**{field: value})
 
 
 class TestBudget:
@@ -79,11 +72,14 @@ class TestBudget:
         np.testing.assert_array_equal(result.best_theta,
                                       result.trace[best_idx][1])
 
-    def test_cumulative_best_non_increasing(self, cube):
+    def test_cumulative_best_non_increasing(self, cube, tmp_path):
+        """The trace file's cum_best_V2 column."""
         result = run_bo(sphere, BoRunConfig(box=cube, budget=25, seed=7))
-        cum = result.cumulative_best()
+        export_trace(result, cube, tmp_path / "trace.csv")
+        cum = np.genfromtxt(tmp_path / "trace.csv", delimiter=",",
+                            names=True)["cum_best_V2"]
         assert np.all(np.diff(cum) <= 0.0)
-        assert cum[-1] == result.best_loss
+        assert cum[-1] == float(f"{result.best_loss:.12g}")
 
 
 class TestDeterminism:
@@ -126,8 +122,6 @@ class TestNotesAndFallback:
         result = run_bo(sphere, BoRunConfig(box=cube, budget=15, seed=2))
         assert result.notes["s0"] == 10
         assert result.notes["surrogate_fallbacks"] == 0
-        assert result.method == "bo"
-        assert result.wall_time_s > 0.0
 
     def test_singular_surrogate_falls_back_to_random(self, cube, monkeypatch,
                                                      counted):
@@ -147,46 +141,45 @@ class TestAcquisition:
         values = np.array([sphere(p) for p in points])
         state = fit(points, values)
         sampler = HaltonSampler(3, 0)
-        proposal = maximize_acquisition(state, cube, AcquisitionConfig(),
-                                        rng, sampler, float(values.min()))
+        proposal = maximize_acquisition(state, cube, rng, sampler,
+                                        float(values.min()))
         assert proposal.shape == (3,)
         assert np.all(proposal >= 0.0) and np.all(proposal <= 1.0)
         dist = np.sqrt(np.sum((points - proposal) ** 2, axis=1))
         assert np.min(dist) >= 1e-9
 
-    def test_refinement_improves_over_candidates(self, cube, rng):
+    def test_refinement_improves_over_candidates(self, cube, rng,
+                                                 acquisition):
         """The refined winner scores at least as high as every raw candidate."""
+        acquisition(N_CANDIDATES=256)
         points = rng.uniform(size=(15, 3))
         values = np.array([sphere(p) for p in points])
         state = fit(points, values)
         best = float(values.min())
-        config = AcquisitionConfig(n_candidates=256)
         sampler_a = HaltonSampler(3, 7)
-        cand = sampler_a.draw(config.n_candidates)
+        cand = sampler_a.draw(256)
         mean, var = state.posterior(cand)
         raw_best = np.max(bayesopt.expected_improvement(mean, var, best))
         sampler_b = HaltonSampler(3, 7)
-        proposal = maximize_acquisition(state, cube, config,
-                                        np.random.default_rng(0), sampler_b,
-                                        best)
-        m, v = state.posterior(proposal)
-        assert bayesopt.expected_improvement(float(m), float(v), best) \
-            >= raw_best - 1e-12
+        proposal = maximize_acquisition(state, cube, np.random.default_rng(0),
+                                        sampler_b, best)
+        (m,), (v,) = state.posterior(proposal[None, :])
+        assert bayesopt.expected_improvement(m, v, best) >= raw_best - 1e-12
 
 
-def _reference_maximize_acquisition(state, box, config, rng, sampler,
-                                    best_so_far):
-    """The per-candidate refinement loop, one posterior call per probe set."""
+def _reference_maximize_acquisition(state, box, rng, sampler, best_so_far):
+    """The per-candidate refinement loop, one posterior call per probe set,
+    with bayesopt's acquisition constants as they are at the call."""
     n = box.n
-    cand = sampler.draw(config.n_candidates)
+    cand = sampler.draw(bayesopt.N_CANDIDATES)
     mean, var = state.posterior(cand)
-    scores = bayesopt.expected_improvement(mean, var, best_so_far, config.xi)
+    scores = bayesopt.expected_improvement(mean, var, best_so_far)
 
     # highest score first; among tied scores, the largest index first
     top = sorted(range(len(scores)), key=lambda i: (scores[i], i),
-                 reverse=True)[:config.refine_top]
-    steps = np.geomspace(config.step_init, config.step_final,
-                         config.refine_steps)
+                 reverse=True)[:bayesopt.REFINE_TOP]
+    steps = np.geomspace(bayesopt.STEP_INIT, bayesopt.STEP_FINAL,
+                         bayesopt.REFINE_STEPS)
     best_point = cand[top[0]].copy()
     best_score = float(scores[top[0]])
 
@@ -198,7 +191,7 @@ def _reference_maximize_acquisition(state, box, config, rng, sampler,
             probes = np.clip(
                 np.vstack([point + step * eye, point - step * eye]), 0.0, 1.0)
             m, v = state.posterior(probes)
-            s = bayesopt.expected_improvement(m, v, best_so_far, config.xi)
+            s = bayesopt.expected_improvement(m, v, best_so_far)
             j = int(np.argmax(s))
             if s[j] > score:
                 score = float(s[j])
@@ -232,12 +225,11 @@ def _sphere_state(s, seed, center=(0.3, 0.6, 0.2)):
     return fit(points, values), float(values.min())
 
 
-def _both(state, cube, config, best, make_sampler, seed=0):
+def _both(state, cube, best, make_sampler, seed=0):
     """Proposals of the batched and the reference search from equal inputs."""
-    got = maximize_acquisition(state, cube, config,
-                               np.random.default_rng(seed), make_sampler(),
-                               best)
-    want = _reference_maximize_acquisition(state, cube, config,
+    got = maximize_acquisition(state, cube, np.random.default_rng(seed),
+                               make_sampler(), best)
+    want = _reference_maximize_acquisition(state, cube,
                                            np.random.default_rng(seed),
                                            make_sampler(), best)
     return got, want
@@ -251,18 +243,10 @@ class TestBatchedRefinementOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference(self, cube, s, seed):
         state, best = _sphere_state(s, seed)
-        got, want = _both(state, cube, AcquisitionConfig(), best,
-                          lambda: HaltonSampler(3, seed))
+        got, want = _both(state, cube, best, lambda: HaltonSampler(3, seed))
         np.testing.assert_array_equal(got, want)
 
-    def test_fewer_candidates_than_refine_top(self, cube):
-        state, best = _sphere_state(10, 3)
-        config = AcquisitionConfig(n_candidates=3, refine_top=5)
-        got, want = _both(state, cube, config, best,
-                          lambda: HaltonSampler(3, 3))
-        np.testing.assert_array_equal(got, want)
-
-    def test_clipped_probes_on_cube_faces(self, cube):
+    def test_clipped_probes_on_cube_faces(self, cube, acquisition):
         """Low losses in a corner favour candidates on the cube faces, so
         probes stepping off those faces are clipped back into the cube."""
         state, best = _sphere_state(15, 4, center=(0.0, 1.0, 0.0))
@@ -270,22 +254,15 @@ class TestBatchedRefinementOracle:
         face[::2, 0] = 0.0
         face[1::2, 1] = 1.0
         face[::3, 2] = 0.0
-        config = AcquisitionConfig(n_candidates=256)
-        got, want = _both(state, cube, config, best,
-                          lambda: _FixedSampler(face))
+        acquisition(N_CANDIDATES=256)
+        got, want = _both(state, cube, best, lambda: _FixedSampler(face))
         np.testing.assert_array_equal(got, want)
         assert np.any((got == 0.0) | (got == 1.0))
 
-    def test_positive_xi(self, cube):
-        state, best = _sphere_state(20, 5)
-        got, want = _both(state, cube, AcquisitionConfig(xi=0.01), best,
-                          lambda: HaltonSampler(3, 5))
-        np.testing.assert_array_equal(got, want)
-
-    def test_no_refinement_steps(self, cube):
+    def test_no_refinement_steps(self, cube, acquisition):
         state, best = _sphere_state(20, 6)
-        got, want = _both(state, cube, AcquisitionConfig(refine_steps=0),
-                          best, lambda: HaltonSampler(3, 6))
+        acquisition(REFINE_STEPS=0)
+        got, want = _both(state, cube, best, lambda: HaltonSampler(3, 6))
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("single,value,best,cand,steps", [
@@ -296,28 +273,28 @@ class TestBatchedRefinementOracle:
         # two candidates tie; the first in score order wins
         (True, 3.0, 3.0, [[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]], 0),
     ])
-    def test_exact_ties(self, cube, single, value, best, cand, steps):
+    def test_exact_ties(self, cube, acquisition, single, value, best, cand,
+                        steps):
         """Dyadic points around one observation give bit-equal EI, so these
         cases pin the strict-improvement, first-maximum tie-breaking.
 
         One observation standardizes to 0: a constant posterior mean.  A
         second, of value -value at z = 50, has kernel exactly 0 in the cube;
         the pair standardizes to (-1, 1) at value -1, so the mean in the
-        cube is -k(x, centre) / (1 + jitter)."""
+        cube is -k(x, centre) / (1 + jitter).  Every candidate is refined."""
         points = [[0.5, 0.5, 0.5], [0.5, 0.5, 50.0]]
         values = [value, -value]
         state = fit(points[:1], values[:1]) if single else fit(points, values)
-        config = AcquisitionConfig(n_candidates=len(cand), refine_steps=steps,
-                                   step_init=0.5, step_final=0.5)
-        got, want = _both(state, cube, config, best,
-                          lambda: _FixedSampler(cand))
+        acquisition(N_CANDIDATES=len(cand), REFINE_TOP=len(cand),
+                    REFINE_STEPS=steps, STEP_INIT=0.5, STEP_FINAL=0.5)
+        got, want = _both(state, cube, best, lambda: _FixedSampler(cand))
         np.testing.assert_array_equal(got, want)
 
-    def test_duplicate_nudge(self, cube):
+    def test_duplicate_nudge(self, cube, acquisition):
         """A winner on an observed point is nudged by the same RNG draws."""
         state, best = _sphere_state(10, 7)
-        config = AcquisitionConfig(n_candidates=1, refine_steps=0)
-        got, want = _both(state, cube, config, best,
+        acquisition(N_CANDIDATES=1, REFINE_TOP=1, REFINE_STEPS=0)
+        got, want = _both(state, cube, best,
                           lambda: _FixedSampler(state.points[:1]), seed=11)
         np.testing.assert_array_equal(got, want)
         assert np.min(np.linalg.norm(state.points - got, axis=1)) >= 1e-9
@@ -336,7 +313,7 @@ class TestInverseFactorProposals:
         best = float(values.min())
 
         def propose():
-            return maximize_acquisition(state, cube, AcquisitionConfig(),
+            return maximize_acquisition(state, cube,
                                         np.random.default_rng(seed),
                                         HaltonSampler(3, seed), best)
 
@@ -347,7 +324,7 @@ class TestInverseFactorProposals:
 
 class TestPosteriorCallCount:
     @pytest.mark.parametrize("refine_steps", [0, 1, 20])
-    def test_one_posterior_call_per_step(self, cube, monkeypatch,
+    def test_one_posterior_call_per_step(self, cube, monkeypatch, acquisition,
                                          refine_steps):
         calls = []
         original = gp.GPPosterior.posterior
@@ -358,38 +335,38 @@ class TestPosteriorCallCount:
 
         monkeypatch.setattr(gp.GPPosterior, "posterior", counting)
         state, best = _sphere_state(12, 8)
-        config = AcquisitionConfig(refine_steps=refine_steps)
-        maximize_acquisition(state, cube, config, np.random.default_rng(0),
+        acquisition(REFINE_STEPS=refine_steps)
+        maximize_acquisition(state, cube, np.random.default_rng(0),
                              HaltonSampler(3, 8), best)
         assert len(calls) == 1 + refine_steps
-        assert calls[1:] == [config.refine_top * 2 * cube.n] * refine_steps
+        assert calls[1:] == [bayesopt.REFINE_TOP * 2 * cube.n] * refine_steps
 
 
 class TestSweepScores:
-    @pytest.mark.parametrize("xi", [0.0, 0.01])
+    @pytest.mark.parametrize("shift", [0.0, 0.01])
     @pytest.mark.parametrize("s", [1, 12, 60])
-    def test_bytes_equal_the_checked_ei(self, cube, monkeypatch, s, xi):
+    def test_bytes_equal_the_checked_ei(self, cube, monkeypatch, s, shift):
         """Every step's scores are the bytes of expected_improvement on the
-        posterior of that step's probes."""
+        posterior of that step's probes, at the best loss and below it."""
         scored = []
         original = bayesopt._ei_core
 
-        def recording(mean, variance, best_so_far, xi):
+        def recording(mean, variance, best_so_far):
             moments = (mean.copy(), variance.copy())
-            out = original(mean, variance, best_so_far, xi)
-            scored.append((moments, best_so_far, xi, out.copy()))
+            out = original(mean, variance, best_so_far)
+            scored.append((moments, best_so_far, out.copy()))
             return out
 
         monkeypatch.setattr(bayesopt, "_ei_core", recording)
         state, best = _sphere_state(s, s)
-        maximize_acquisition(state, cube, AcquisitionConfig(xi=xi),
-                             np.random.default_rng(0), HaltonSampler(3, s),
-                             best)
+        best -= shift
+        maximize_acquisition(state, cube, np.random.default_rng(0),
+                             HaltonSampler(3, s), best)
         monkeypatch.undo()
-        assert len(scored) == 1 + AcquisitionConfig().refine_steps
-        for (mean, var), best_so_far, xi_used, out in scored:
-            assert (best_so_far, xi_used) == (best, xi)
-            want = bayesopt.expected_improvement(mean, var, best, xi)
+        assert len(scored) == 1 + bayesopt.REFINE_STEPS
+        for (mean, var), best_so_far, out in scored:
+            assert best_so_far == best
+            want = bayesopt.expected_improvement(mean, var, best)
             assert out.tobytes() == want.tobytes()
 
     def test_zero_variance_probes_warn_nothing(self, cube, monkeypatch):
@@ -406,8 +383,7 @@ class TestSweepScores:
         state, best = _sphere_state(12, 9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, want = _both(state, cube, AcquisitionConfig(), best,
-                              lambda: HaltonSampler(3, 9))
+            got, want = _both(state, cube, best, lambda: HaltonSampler(3, 9))
         np.testing.assert_array_equal(got, want)
 
 

@@ -25,7 +25,13 @@ from cellident.bench import (
 )
 from cellident.ecm import simulate
 from cellident.errors import ConfigError, DataError, SocWindowViolation, StepTooCoarse
-from cellident.identify import THETA_NAMES, ParameterBox, default_box
+from cellident.identify import (
+    THETA_NAMES,
+    IdentificationDataset,
+    ParameterBox,
+    default_box,
+)
+from cellident.profiles import CurrentProfile
 from cellident.params import reference_cell_path
 
 
@@ -340,7 +346,6 @@ class TestGenerateSyntheticDataset:
         clean = simulate(params, ocv_p, ocv_n, profile)
         np.testing.assert_array_equal(train.voltages[0].volts, clean.volts)
         np.testing.assert_array_equal(test.voltages[0].volts, clean.volts)
-        assert train.role == "train" and test.role == "test"
 
     def test_noise_level_matches_sigma(self, cell):
         params, ocv_p, ocv_n = cell
@@ -503,6 +508,36 @@ class TestRunBenchmark:
         assert agg["n_ok"] == 0
         assert agg["train_mean"] is None
         report.validate()  # aggregates with no surviving rows still check out
+
+
+    def test_profile_the_model_cannot_simulate_fails_the_row(
+            self, monkeypatch, i_1c):
+        """A training profile whose theta-free terms diverge fails every
+        row with the message naming it; the sweep goes on."""
+        real = bench.build_dataset
+
+        def harsh_train(*args):
+            train, test, meta = real(*args)
+            n = test.profiles[0].n
+            harsh = CurrentProfile(dt=1.0, current=np.full(n, 20.0 * i_1c))
+            train = IdentificationDataset(profiles=(harsh,),
+                                          voltages=test.voltages[:1])
+            return train, test, meta
+
+        monkeypatch.setattr(bench, "build_dataset", harsh_train)
+        config = default_config(
+            methods=("random", "gd"), budget=6, s0=2, repetitions=1,
+            train_profiles=(ProfileSpec(kind="rcid-like", duration_s=600.0,
+                                        dt_s=1.0),),
+            test_profiles=(ProfileSpec(kind="rcid-like", duration_s=600.0,
+                                       dt_s=1.0),))
+        rows = run_benchmark(config).results["rows"]
+        assert [(r["method"], r["failed"]) for r in rows] == [
+            ("random", True), ("gd", True)]
+        for row in rows:
+            assert row["error"].startswith("DataError: ")
+            assert "profile 0: electrode" in row["error"]
+            assert row["train_loss_V2"] is None
 
 
 class TestBudgetMinimums:

@@ -10,7 +10,7 @@ import pytest
 
 from cellident import _blas, gp
 from cellident._blas import one_blas_thread, sum_of_squares
-from cellident.bayesopt import AcquisitionConfig, maximize_acquisition
+from cellident.bayesopt import maximize_acquisition
 from cellident.identify import default_box
 from cellident.sampling import HaltonSampler
 
@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _propose(state, best):
-    return maximize_acquisition(state, default_box(), AcquisitionConfig(),
+    return maximize_acquisition(state, default_box(),
                                 np.random.default_rng(3), HaltonSampler(3, 4),
                                 best)
 

@@ -446,6 +446,28 @@ class TestMalformedInputFiles:
                "in data row 3" in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_profile_the_model_cannot_simulate(self, runner, config_path,
+                                               dataset_dir, tmp_path):
+        """Twenty times the current drives a surface concentration out of
+        range at every theta: a data error naming the file and the sample,
+        not a fit at the divergence penalty."""
+        def scale_current(lines):
+            for i, line in enumerate(lines[1:], start=1):
+                time_s, current, volts = line.split(",")
+                lines[i] = f"{time_s},{20.0 * float(current)!r},{volts}"
+            return lines
+
+        data = self._edited_dataset(dataset_dir, tmp_path, scale_current)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "identify", "--config", str(config_path),
+            "--data", str(data / "manifest.json"), "--method", "random",
+            "--budget", "5", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "train_0.csv: electrode" in result.output
+        assert "at sample " in result.output
+        assert not (out / "best_theta.json").exists()
+
     def test_decreasing_time(self, runner, config_path, dataset_dir,
                              tmp_path):
         """Negating time_s gives an even grid with a negative step; both

@@ -1,6 +1,8 @@
 """Voltage-model blocks and end-to-end simulator invariants."""
 
+import ast
 import dataclasses
+import importlib
 import math
 import re
 from pathlib import Path
@@ -504,3 +506,17 @@ class TestReadmeExample:
                                   np.empty(ns["profile"].n))
         assert np.array_equal(ns["volts"], summed)
         assert ns["c_p"].shape == (ns["profile"].n,)
+
+    def test_library_use_imports_resolve(self):
+        """Every name the "Library use" section imports exists where it
+        says, so deleting a documented name fails here."""
+        section = README.read_text().split("## Library use", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+        names = [(node.module, alias.name)
+                 for node in ast.walk(ast.parse("\n".join(blocks)))
+                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+        assert ("cellident.bench", "run_benchmark") in names
+        assert ("cellident.ecm", "simulate") in names
+        for module, name in names:
+            assert hasattr(importlib.import_module(module), name), (module, name)

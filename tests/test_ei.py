@@ -12,12 +12,12 @@ from cellident.errors import NegativeVariance
 PHI_AT_ZERO = 0.3989422804014327   # standard normal density at 0
 
 
-def masked_ei(mean, variance, best_so_far, xi=0.0):
+def masked_ei(mean, variance, best_so_far):
     """EI on the sigma > 0 entries only, gathered and scattered back by a
     boolean mask: the form the whole-array computation must match."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     sigma = np.sqrt(np.maximum(np.atleast_1d(variance), 0.0))
-    diff = best_so_far - mean - xi
+    diff = best_so_far - mean
     out = np.maximum(diff, 0.0)
     pos = sigma > 0.0
     if np.any(pos):
@@ -46,7 +46,6 @@ class TestClosedForm:
     def test_zero_variance_degenerates_to_hinge(self):
         assert expected_improvement(1.0, 0.0, 3.0) == 2.0
         assert expected_improvement(5.0, 0.0, 3.0) == 0.0
-        assert expected_improvement(1.0, 0.0, 3.0, xi=0.5) == 1.5
 
     def test_vector_and_scalar_interfaces(self):
         means = np.array([0.0, 1.0, 2.0])
@@ -90,17 +89,17 @@ class TestMaskedForm:
         if zero_share:
             var[rng.uniform(size=m) < zero_share] = 0.0
             var[2] = -1e-13
-        for xi in (0.0, 0.01):
-            got = expected_improvement(mean, var, 0.1, xi)
-            assert got.tobytes() == masked_ei(mean, var, 0.1, xi).tobytes()
+        for best in (0.1, 0.09):
+            got = expected_improvement(mean, var, best)
+            assert got.tobytes() == masked_ei(mean, var, best).tobytes()
 
 
-def expression_ei(mean, variance, best_so_far, xi=0.0):
+def expression_ei(mean, variance, best_so_far):
     """EI as whole-array expressions with an np.where at sigma = 0: the
     form the in-place computation must match bit for bit."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     sigma = np.sqrt(np.maximum(np.atleast_1d(variance), 0.0))
-    diff = best_so_far - mean - xi
+    diff = best_so_far - mean
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         z = diff / sigma
         out = diff * ndtr(z) + sigma * (np.exp(-0.5 * z * z)
@@ -115,18 +114,20 @@ class TestExpressionOracle:
     _VARIANCES = [0.0, -0.0, -1e-13, -1e-12, 5e-324, 1e-310, 2.3e-308,
                   1e-300, 1e-20, 1.0]       # sigma = 0 and denormal sigma
 
-    @pytest.mark.parametrize("xi", [0.0, 0.01])
+    @pytest.mark.parametrize("shift", [0.0, 0.01])
     @pytest.mark.parametrize("variance", _VARIANCES)
-    def test_zero_and_denormal_sigma(self, variance, xi):
-        mean = np.array([-1.0, 0.0, 0.1 - xi, 0.1, 0.5, 1e-300, -1e-300])
+    def test_zero_and_denormal_sigma(self, variance, shift):
+        """At the incumbents 0.1 and 0.09, with a mean equal to each."""
+        best = 0.1 - shift
+        mean = np.array([-1.0, 0.0, best, 0.1, 0.5, 1e-300, -1e-300])
         var = np.full(mean.shape, variance)
-        got = expected_improvement(mean, var, 0.1, xi)
-        assert got.tobytes() == expression_ei(mean, var, 0.1, xi).tobytes()
+        got = expected_improvement(mean, var, best)
+        assert got.tobytes() == expression_ei(mean, var, best).tobytes()
         for m in mean:                                  # 0-d inputs
-            one = expected_improvement(np.float64(m), variance, 0.1, xi)
+            one = expected_improvement(np.float64(m), variance, best)
             assert type(one) is float
             assert (np.float64(one).tobytes()
-                    == expression_ei(m, variance, 0.1, xi).tobytes())
+                    == expression_ei(m, variance, best).tobytes())
 
     def test_mixed_array(self):
         mean = np.linspace(-1.0, 1.0, len(self._VARIANCES))
@@ -147,16 +148,6 @@ class TestGuards:
 
     def test_tiny_negative_variance_clamped(self):
         assert expected_improvement(0.0, -1e-13, 1.0) == pytest.approx(1.0)
-
-    def test_negative_xi_rejected(self):
-        with pytest.raises(ValueError):
-            expected_improvement(0.0, 1.0, 0.0, xi=-0.1)
-
-    @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf])
-    def test_non_finite_xi_rejected(self, xi):
-        """NaN passes an ``xi < 0`` check and would score every point NaN."""
-        with pytest.raises(ValueError, match="xi must be finite"):
-            expected_improvement(np.zeros(3), np.ones(3), 0.0, xi=xi)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
@@ -184,18 +175,19 @@ class TestGuards:
 
 
 class TestMonteCarlo:
-    @pytest.mark.parametrize("mean,var,best,xi", [
+    @pytest.mark.parametrize("mean,var,best,shift", [
         (0.0, 1.0, 0.0, 0.0),
         (-1.0, 0.25, 0.0, 0.0),
         (0.5, 4.0, 0.0, 0.0),
         (2.0, 1.0, 1.0, 0.1),
         (-0.3, 0.04, 0.0, 0.0),
     ])
-    def test_matches_sampled_expectation(self, mean, var, best, xi):
+    def test_matches_sampled_expectation(self, mean, var, best, shift):
+        """The incumbent is best - shift."""
         rng = np.random.default_rng(12345)
         draws = rng.normal(mean, np.sqrt(var), size=200_000)
-        improvements = np.maximum(best - draws - xi, 0.0)
+        improvements = np.maximum(best - shift - draws, 0.0)
         mc = improvements.mean()
         se = improvements.std(ddof=1) / np.sqrt(improvements.size)
-        ei = expected_improvement(mean, var, best, xi)
+        ei = expected_improvement(mean, var, best - shift)
         assert abs(ei - mc) <= 4.0 * se

@@ -6,7 +6,12 @@ from scipy.linalg import LinAlgError, cholesky
 
 import cellident.gp as gp
 from cellident.errors import DimensionMismatch, DuplicatePoint, SingularKernel
-from cellident.gp import DUPLICATE_TOL, JITTER_LADDER, GPPosterior, fit, se_kernel
+from cellident.gp import DUPLICATE_TOL, JITTER_LADDER, GPPosterior, fit
+
+
+def se_kernel(a, b):
+    """The package's kernel of two 2-D arrays, norms computed here."""
+    return gp._kernel(a, gp._neg_half_sq_norms(a), b, gp._neg_half_sq_norms(b))
 
 
 def dense_oracle(points, values, queries, jitter):
@@ -39,18 +44,15 @@ def expanded_kernel(a, b):
     return np.exp(-0.5 * sq)
 
 
-def inverse_factor_posterior(state, theta):
-    """The posterior spelled out from the public kernel and the cached
-    L^{-1}, recomputing the training points' norms on every call."""
-    theta = np.asarray(theta, dtype=float)
-    k_star = se_kernel(state.points, np.atleast_2d(theta))
+def inverse_factor_posterior(state, queries):
+    """The posterior spelled out from the kernel and the cached L^{-1},
+    recomputing the training points' norms on every call."""
+    k_star = se_kernel(state.points, queries)
     mean_std = k_star.T @ state.alpha
     v = state.chol_inv @ k_star
     var_std = np.maximum(1.0 - np.sum(v * v, axis=0), 0.0)
     mean = mean_std * state.scale + state.mean_shift
     var = var_std * state.scale ** 2
-    if theta.ndim == 1:
-        return float(mean[0]), float(var[0])
     return mean, var
 
 
@@ -97,7 +99,7 @@ class TestKernel:
     @pytest.mark.parametrize("seed", range(12))
     def test_bytes_equal_the_expanded_expression(self, seed):
         """Random shapes, with rows of b copied from a (distance 0, where
-        the expansion can round below zero) and a 1-D query; rows at the
+        the expansion can round below zero) and a one-row query; rows at the
         origin; exact duplicate rows; and coordinates near 1e-160, where
         ||x||^2 is subnormal and halving it is not exact, but exp of an
         exponent that small is 1.0 either way."""
@@ -110,7 +112,7 @@ class TestKernel:
         origin[::2] = 0.0
         twice = np.repeat(a, 2, axis=0)
         tiny_a, tiny_b = 1e-160 * a, 1e-160 * b
-        for x, y in ((a, b), (a, a), (a, b[0]), (origin, b), (origin, origin),
+        for x, y in ((a, b), (a, a), (a, b[:1]), (origin, b), (origin, origin),
                      (twice, b), (twice, twice), (tiny_a, tiny_b),
                      (tiny_a, tiny_a), (tiny_a, b)):
             assert se_kernel(x, y).tobytes() == expanded_kernel(x, y).tobytes()
@@ -140,17 +142,6 @@ class TestFitAgainstOracle:
         np.testing.assert_allclose(mean, oracle_mean, atol=1e-8)
         np.testing.assert_allclose(var, oracle_var, atol=1e-8)
 
-    def test_single_point_query_matches_batch(self, rng):
-        points = rng.uniform(size=(10, 2))
-        values = points.sum(axis=1)
-        state = fit(points, values)
-        q = rng.uniform(size=2)
-        m_single, v_single = state.posterior(q)
-        m_batch, v_batch = state.posterior(q[None, :])
-        assert m_single == pytest.approx(m_batch[0], abs=1e-14)
-        assert v_single == pytest.approx(v_batch[0], abs=1e-14)
-        assert isinstance(m_single, float)
-
 
 class TestLeanPosteriorOracle:
     """posterior keeps every bit of the kernel plus inverse-factor formula."""
@@ -166,16 +157,12 @@ class TestLeanPosteriorOracle:
         state = fit(rng.uniform(size=(s, d)), values)
         queries = rng.uniform(size=(37, d))
         queries[:min(s, 37)] = state.points[:37]   # distance 0 to the data
-        for theta in (queries, queries[:1], queries[3], queries[:0]):
+        for theta in (queries, queries[:1], queries[3:4], queries[:0]):
             got = state.posterior(theta)
             ref = inverse_factor_posterior(state, theta)
-            if theta.ndim == 1:
-                assert all(type(x) is float for x in got)
-                assert np.array(got).tobytes() == np.array(ref).tobytes()
-            else:
-                for x, y in zip(got, ref):
-                    assert x.shape == y.shape == (len(theta),)
-                    assert x.tobytes() == y.tobytes()
+            for x, y in zip(got, ref):
+                assert x.shape == y.shape == (len(theta),)
+                assert x.tobytes() == y.tobytes()
 
 
 class TestDuplicateOracle:
@@ -252,7 +239,7 @@ class TestPosteriorBehavior:
         points = rng.uniform(size=(12, 2))
         values = 100.0 + rng.standard_normal(12)
         state = fit(points, values)
-        mean, var = state.posterior(np.array([40.0, 40.0]))
+        (mean,), (var,) = state.posterior(np.array([[40.0, 40.0]]))
         # standardized prior mean 0 maps back to the value average
         assert mean == pytest.approx(np.mean(values), abs=1e-6)
         assert var == pytest.approx(state.scale**2, rel=1e-6)
@@ -260,8 +247,8 @@ class TestPosteriorBehavior:
     def test_variance_shrinks_near_data(self, rng):
         points = rng.uniform(size=(8, 2))
         state = fit(points, rng.standard_normal(8))
-        _, v_near = state.posterior(points[0] + 0.01)
-        _, v_far = state.posterior(points[0] + 3.0)
+        _, v_near = state.posterior(points[:1] + 0.01)
+        _, v_far = state.posterior(points[:1] + 3.0)
         assert v_near < v_far
 
     def test_permutation_invariance(self, rng):
@@ -278,7 +265,7 @@ class TestPosteriorBehavior:
         points = np.array([[0.1, 0.1], [0.9, 0.9]])
         state = fit(points, np.array([5.0, 5.0]))
         assert state.scale == 1.0
-        mean, _ = state.posterior(np.array([0.5, 0.5]))
+        (mean,), _ = state.posterior(np.array([[0.5, 0.5]]))
         assert mean == pytest.approx(5.0, abs=1e-6)
 
 
@@ -342,6 +329,7 @@ class TestRobustness:
         np.zeros((4, 1)),         # a batch of the wrong dimension
         np.zeros((2, 4, 2)),      # a stack of batches
         np.zeros((1, 1, 2)),
+        np.zeros(2),              # one point, not a batch of one
     ])
     def test_mis_shaped_query_rejected(self, rng, query):
         state = fit(rng.uniform(size=(5, 2)), rng.standard_normal(5))

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from cellident import ecm, identify
 from cellident.bench import generate_synthetic_dataset
-from cellident.errors import DataError, DimensionMismatch, OutOfBox, StepTooCoarse
+from cellident.errors import (
+    DataError,
+    DimensionMismatch,
+    OutOfBox,
+    SimulationDiverged,
+    StepTooCoarse,
+)
 from cellident.identify import (
     DIVERGENCE_PENALTY,
     THETA_NAMES,
@@ -60,7 +66,8 @@ class TestParameterBox:
     def test_log_midpoint_is_geometric(self):
         box = ParameterBox(names=("a",), lower=np.array([1e-12]),
                            upper=np.array([1e-8]), scales=("log",))
-        assert box.midpoint()[0] == pytest.approx(1e-10, rel=1e-9)
+        middle = box.denormalize(np.full(box.n, 0.5))
+        assert middle[0] == pytest.approx(1e-10, rel=1e-9)
 
     def test_maps_match_per_dimension_formula(self):
         """The edges are the bounds, log10-mapped per log dimension, bit for
@@ -90,14 +97,15 @@ class TestParameterBox:
     def test_non_finite_points_are_out_of_box(self, box, bad, index):
         """NaN compares false against both bounds; the range check must still
         reject it."""
-        theta, unit = box.midpoint(), np.full(3, 0.5)
+        middle = box.denormalize(np.full(box.n, 0.5))
+        theta, unit = middle.copy(), np.full(3, 0.5)
         theta[index] = unit[index] = bad
         with pytest.raises(OutOfBox):
             box.normalize(theta)
         with pytest.raises(OutOfBox):
             box.denormalize(unit)
         with pytest.raises(OutOfBox):
-            box.normalize(np.stack([box.midpoint(), theta]))
+            box.normalize(np.stack([middle, theta]))
 
     def test_dimension_mismatch(self, box):
         with pytest.raises(DimensionMismatch):
@@ -134,18 +142,20 @@ class TestParameterBox:
 
 
 class TestDataset:
-    def test_role_and_pairing_validation(self):
+    def test_name_and_pairing_validation(self):
         profile = CurrentProfile(dt=1.0, current=np.ones(5))
         volts = VoltageSeries(dt=1.0, volts=np.ones(5))
         with pytest.raises(DataError):
             IdentificationDataset(profiles=(profile,), voltages=(volts,),
-                                  role="validation")
+                                  names=("a.csv", "b.csv"))
         with pytest.raises(DataError):
-            IdentificationDataset(profiles=(profile,), voltages=(), role="train")
+            IdentificationDataset(profiles=(profile,), voltages=())
         bad = VoltageSeries(dt=1.0, volts=np.ones(4))
         with pytest.raises(DataError):
-            IdentificationDataset(profiles=(profile,), voltages=(bad,), role="train")
-        assert IdentificationDataset(profiles=(profile,), voltages=(volts,)).profiles == (profile,)
+            IdentificationDataset(profiles=(profile,), voltages=(bad,))
+        dataset = IdentificationDataset(profiles=(profile,), voltages=(volts,))
+        assert dataset.profiles == (profile,)
+        assert dataset.names == ("profile 0",)
 
 
 class TestObjective:
@@ -194,7 +204,7 @@ class TestObjective:
         dataset = IdentificationDataset(profiles=(harsh, harsh),
                                         voltages=(fake_volts, fake_volts))
         objective = VoltageFitObjective(params, ocv_p, ocv_n, box, dataset)
-        evaluation = objective(box.midpoint())
+        evaluation = objective(box.denormalize(np.full(box.n, 0.5)))
         assert evaluation.penalized
         assert evaluation.loss == 2.0 * DIVERGENCE_PENALTY
 
@@ -237,15 +247,6 @@ class TestObjective:
         for point in ([np.nan, 0.5, 0.5], [0.5, 0.5, np.nan]):
             with pytest.raises(OutOfBox):
                 objective.unit(np.array(point))
-
-    def test_evaluation_keeps_its_own_theta(self, cell, box, short_dataset):
-        params, ocv_p, ocv_n = cell
-        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, short_dataset)
-        theta = box.midpoint()
-        evaluation = objective(theta)
-        kept = theta.copy()
-        theta[:] = box.upper
-        assert evaluation.theta.tobytes() == kept.tobytes()
 
     def test_wrong_box_names_rejected(self, cell, short_dataset):
         params, ocv_p, ocv_n = cell
@@ -361,6 +362,33 @@ class TestFixedTermCache:
         assert objective(truth).per_profile == (DIVERGENCE_PENALTY,)
         assert built == [harsh]
 
+    def test_check_diverged_names_the_profile_and_sample(self, cell, box,
+                                                         pair, i_1c):
+        """check_diverged is silent until a profile's theta-free terms
+        diverge, then names that profile with fixed_terms' own message."""
+        params, ocv_p, ocv_n = cell
+        harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
+        fake_volts = VoltageSeries(dt=1.0, volts=np.full(600, 3.0))
+        dataset = IdentificationDataset(
+            profiles=(pair.profiles[0], harsh),
+            voltages=(pair.voltages[0], fake_volts),
+            names=("good.csv", "harsh.csv"))
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, dataset)
+        objective.check_diverged()
+        healthy = VoltageFitObjective(params, ocv_p, ocv_n, box, pair)
+        truth = np.array([params.k_p, params.k_n, params.D_e])
+        for _ in range(2):
+            objective(truth)
+            healthy(truth)
+            healthy.check_diverged()
+            with pytest.raises(DataError) as info:
+                objective.check_diverged()
+        with pytest.raises(SimulationDiverged) as direct:
+            ecm.fixed_terms(params, ocv_p, ocv_n, harsh)
+        assert f"harsh.csv: {direct.value}" in str(info.value)
+        assert f"at sample {direct.value.index}" in str(info.value)
+        assert "good.csv" not in str(info.value)
+
     def test_ocv_table_error_raised_on_every_call(self, cell, box, pair,
                                                   built):
         """An out-of-table OCV query is an error, never cached or penalized."""
@@ -370,7 +398,7 @@ class TestFixedTermCache:
         objective = VoltageFitObjective(params, narrow, ocv_n, box, pair)
         for _ in range(3):
             with pytest.raises(DataError, match="outside table range"):
-                objective(box.midpoint())
+                objective(box.denormalize(np.full(box.n, 0.5)))
         assert built == 3 * [pair.profiles[0]]
 
 
@@ -411,12 +439,12 @@ class TestThetaTermCache:
         pair, _, _ = generate_synthetic_dataset(params, ocv_p, ocv_n,
                                                 [p1, p2], [p1], 0.0, 1)
         objective = VoltageFitObjective(params, ocv_p, ocv_n, box, pair)
-        objective(box.midpoint())
+        objective(box.denormalize(np.full(box.n, 0.5)))
         return objective
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_k_change_never_filters(self, objective, calls, box, index):
-        theta = box.midpoint()
+        theta = box.denormalize(np.full(box.n, 0.5))
         theta[index] *= 1.01
         objective(theta)
         assert calls == {"lag_response": 0, "overpotential": 2,
@@ -424,7 +452,7 @@ class TestThetaTermCache:
                          "validate": 0}
 
     def test_d_e_change_recomputes_only_phi_e(self, objective, calls, box):
-        theta = box.midpoint()
+        theta = box.denormalize(np.full(box.n, 0.5))
         theta[2] *= 1.01
         objective(theta)
         # two electrolyte lags per profile; the solid lags are fixed terms
@@ -433,7 +461,7 @@ class TestThetaTermCache:
                          "validate": 0}
 
     def test_repeat_recomputes_nothing(self, objective, calls, box):
-        objective(box.midpoint())
+        objective(box.denormalize(np.full(box.n, 0.5)))
         objective.unit(np.full(3, 0.5))
         assert calls == {"lag_response": 0, "overpotential": 0,
                          "electrolyte_potential": 0, "check_step": 0,
@@ -458,7 +486,7 @@ class TestThetaTermCache:
             objective(np.array([before[0] * 1.1, before[1], 9.0e-10]))
         with pytest.raises(ValueError, match="k_n must be strictly positive"):
             objective(np.array([before[0] * 1.2, -1.0, before[2]]))
-        for theta in (before, box.midpoint(), before):
+        for theta in (before, box.denormalize(np.full(box.n, 0.5)), before):
             got = objective(theta)
             want = VoltageFitObjective(params, ocv_p, ocv_n, box,
                                        objective.dataset)(theta)
@@ -468,7 +496,7 @@ class TestThetaTermCache:
                                             monkeypatch):
         """The next call at the same k_p computes eta_p again."""
         params, ocv_p, ocv_n = cell
-        theta = box.midpoint()
+        theta = box.denormalize(np.full(box.n, 0.5))
         theta[0] *= 1.05
         real, fail = identify.overpotential, [True]
 
@@ -590,7 +618,7 @@ class TestDatasetIo:
         p2 = CurrentProfile(dt=2.0, current=np.array([0.5, 0.5, 0.0]))
         v2 = VoltageSeries(dt=2.0, volts=np.array([3.0, 2.9, 3.0]))
         train = IdentificationDataset(profiles=(p1, p2), voltages=(v1, v2))
-        test = IdentificationDataset(profiles=(p1,), voltages=(v1,), role="test")
+        test = IdentificationDataset(profiles=(p1,), voltages=(v1,))
         return train, test
 
     def test_round_trip_with_meta(self, tmp_path):
@@ -600,7 +628,8 @@ class TestDatasetIo:
         loaded_train, loaded_test, meta = load_dataset(manifest)
         assert meta == {"noise_sigma_v": 0.001}
         assert len(loaded_train.profiles) == 2 and len(loaded_test.profiles) == 1
-        assert loaded_train.role == "train" and loaded_test.role == "test"
+        assert loaded_train.names == ("train_0.csv", "train_1.csv")
+        assert loaded_test.names == ("test_0.csv",)
         for orig, back in zip(train.profiles, loaded_train.profiles):
             np.testing.assert_allclose(back.current, orig.current, atol=1e-9)
 

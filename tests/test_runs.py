@@ -5,7 +5,7 @@ import pytest
 
 from cellident.errors import OutOfBox
 from cellident.identify import ParameterBox
-from cellident.runs import Recorder
+from cellident.runs import Recorder, export_trace
 
 
 @pytest.fixture()
@@ -27,7 +27,7 @@ class TestRecorder:
                            match=r"evaluation budget \(3\) exceeded"):
             record(np.zeros(2))
         assert objective.count == 3   # refused before the objective ran
-        assert record.result("x").evaluations_used == 3
+        assert record.result().evaluations_used == 3
 
     def test_large_budget_counts_every_call(self, box, counted):
         objective = counted(lambda u: 1.0)
@@ -35,7 +35,7 @@ class TestRecorder:
         for _ in range(100):
             record(np.zeros(2))
         assert objective.count == 100
-        trace = record.result("x").trace
+        trace = record.result().trace
         assert [index for index, _, _ in trace] == list(range(100))
 
     def test_records_physical_theta_and_unit_point(self, box):
@@ -43,24 +43,25 @@ class TestRecorder:
         unit = np.array([0.5, 0.5])
         assert record(unit) == 1.0
         unit[:] = 0.0                   # the recorder keeps its own copy
-        index, theta, loss = record.result("x").trace[0]
+        index, theta, loss = record.result().trace[0]
         assert (index, loss) == (0, 1.0)
         np.testing.assert_allclose(theta, [2.0, 100.0])
         np.testing.assert_array_equal(record.points[0], [0.5, 0.5])
 
-    def test_result_takes_the_first_minimum(self, box):
+    def test_result_takes_the_first_minimum(self, box, tmp_path):
         losses = iter([3.0, 1.0, 2.0, 1.0])
         record = Recorder(lambda u: next(losses), box, budget=4)
         for u in ([0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [0.75, 0.0]):
             record(np.array(u))
-        result = record.result("gd", alpha=0.1)
+        result = record.result(alpha=0.1)
         assert result.best_loss == 1.0
         np.testing.assert_array_equal(result.best_theta, result.trace[1][1])
         assert result.evaluations_used == 4
         assert [loss for _, _, loss in result.trace] == [3.0, 1.0, 2.0, 1.0]
-        assert result.method == "gd" and result.notes == {"alpha": 0.1}
-        np.testing.assert_array_equal(result.cumulative_best(),
-                                      [3.0, 1.0, 1.0, 1.0])
+        assert result.notes == {"alpha": 0.1}
+        export_trace(result, box, tmp_path / "trace.csv")
+        table = np.genfromtxt(tmp_path / "trace.csv", delimiter=",", names=True)
+        np.testing.assert_array_equal(table["cum_best_V2"], [3.0, 1.0, 1.0, 1.0])
         np.testing.assert_array_equal(record.losses(), [3.0, 1.0, 2.0, 1.0])
 
     def test_trace_theta_is_the_per_point_denormalize(self, box):
@@ -71,7 +72,7 @@ class TestRecorder:
         record = Recorder(lambda u: 0.0, box, budget=len(points))
         for point in points:
             record(point)
-        for (_, theta, _), point in zip(record.result("x").trace, points):
+        for (_, theta, _), point in zip(record.result().trace, points):
             assert theta.tobytes() == box.denormalize(point).tobytes()
 
     @pytest.mark.parametrize("outside", [[0.5, 1.0 + 1e-9], [-1e-9, 0.5],
@@ -81,4 +82,4 @@ class TestRecorder:
         for point in ([0.5, 0.5], outside, [0.25, 0.75]):
             record(np.array(point))
         with pytest.raises(OutOfBox, match="evaluation 1: "):
-            record.result("x")
+            record.result()

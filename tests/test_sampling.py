@@ -10,7 +10,6 @@ from cellident.sampling import (
     HaltonSampler,
     _consecutive_van_der_corput,
     _low_digit_sums,
-    _van_der_corput,
 )
 
 
@@ -106,13 +105,19 @@ def _reference_van_der_corput(indices, base):
     return out
 
 
+def at_indices(indices, base):
+    """The package's radical inverse of each index in turn, as a run of one."""
+    return np.array([_consecutive_van_der_corput(int(i), 1, base)[0]
+                     for i in indices], dtype=float)
+
+
 class TestRadicalInverseOracle:
     """The radical inverse must keep its exact bits: traces depend on them."""
 
     @pytest.mark.parametrize("base", _PRIMES)
     def test_matches_reference_up_to_3e5(self, base):
         idx = np.arange(300_001)
-        assert (_van_der_corput(idx, base).tobytes()
+        assert (_consecutive_van_der_corput(0, idx.size, base).tobytes()
                 == _reference_van_der_corput(idx, base).tobytes())
 
     @pytest.mark.parametrize("start", [1, 100_000, 200_000])
@@ -130,7 +135,7 @@ class TestRadicalInverseOracle:
     @pytest.mark.parametrize("indices", [[], [0], [0, 0], [7, 0, 3]])
     def test_edge_inputs(self, indices):
         for base in (2, 3, 97):
-            assert (_van_der_corput(indices, base).tobytes()
+            assert (at_indices(indices, base).tobytes()
                     == _reference_van_der_corput(indices, base).tobytes())
 
     @pytest.mark.parametrize("base", _PRIMES)
@@ -140,9 +145,9 @@ class TestRadicalInverseOracle:
         powers = [base ** k for k in range(1, 62) if base ** k < 2 ** 62]
         around = [p + e for p in powers for e in (-1, 0, 1)]
         for i in around:
-            assert (_van_der_corput([i], base).tobytes()
+            assert (_consecutive_van_der_corput(i, 1, base).tobytes()
                     == _reference_van_der_corput([i], base).tobytes())
-        assert (_van_der_corput(around, base).tobytes()
+        assert (at_indices(around, base).tobytes()
                 == _reference_van_der_corput(around, base).tobytes())
 
     def test_digit_tables_stay_small(self):
@@ -156,10 +161,12 @@ class TestRadicalInverseOracle:
     @pytest.mark.parametrize("base", _PRIMES)
     def test_indices_above_2_to_the_20(self, base):
         rng = np.random.default_rng(base)
-        for idx in (np.arange(2**20 - 3, 2**20 + 4096),
-                    rng.integers(2**20, 2**62, size=500)):
-            assert (_van_der_corput(idx, base).tobytes()
-                    == _reference_van_der_corput(idx, base).tobytes())
+        run = np.arange(2**20 - 3, 2**20 + 4096)
+        assert (_consecutive_van_der_corput(2**20 - 3, run.size, base).tobytes()
+                == _reference_van_der_corput(run, base).tobytes())
+        idx = rng.integers(2**20, 2**62, size=500)
+        assert (at_indices(idx, base).tobytes()
+                == _reference_van_der_corput(idx, base).tobytes())
 
 
 class TestConsecutiveRuns:
@@ -191,11 +198,10 @@ class TestConsecutiveRuns:
                       base ** 6 * size - 4):
             n = size + 9
             got = _consecutive_van_der_corput(start, n, base)
-            single = np.concatenate([_van_der_corput([i], base)
-                                     for i in range(start, start + n)])
-            assert got.tobytes() == single.tobytes()
-            assert got.tobytes() == _van_der_corput(
-                np.arange(start, start + n), base).tobytes()
+            indices = np.arange(start, start + n)
+            assert got.tobytes() == at_indices(indices, base).tobytes()
+            assert got.tobytes() == _reference_van_der_corput(
+                indices, base).tobytes()
 
 
 class TestRotationWrap:

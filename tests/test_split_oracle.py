@@ -260,4 +260,3 @@ class TestThetaTermCache:
             assert got.loss == fresh.loss == float(sum(per))
             assert got.penalized == fresh.penalized == (
                 DIVERGENCE_PENALTY in per)
-            assert got.theta.tobytes() == theta.tobytes()
