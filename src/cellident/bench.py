@@ -61,7 +61,7 @@ from .params import (
     read_json_object,
     reference_cell_path,
 )
-from .profiles import CurrentProfile, VoltageSeries, noise_cycle_profile, staircase_profile
+from .profiles import CurrentProfile, noise_cycle_profile, staircase_profile
 from .runs import OptimizationResult, export_trace
 
 SOC_HARD_WINDOW = (0.05, 0.95)   # violation is an error
@@ -316,8 +316,8 @@ def generate_synthetic_dataset(
     for profile, child in zip(profiles, ss.spawn(len(profiles))):
         clean = simulate(truth, ocv_p, ocv_n, profile)
         noise = np.random.default_rng(child).normal(0.0, noise_sigma_v,
-                                                    size=clean.n)
-        voltages.append(VoltageSeries(dt=profile.dt, volts=clean.volts + noise))
+                                                    size=clean.size)
+        voltages.append(clean + noise)
     n = len(train_profiles)
     train = IdentificationDataset(profiles[:n], tuple(voltages[:n]))
     test = IdentificationDataset(profiles[n:], tuple(voltages[n:]))
@@ -449,6 +449,12 @@ _ROW_VALUES = {   # every row key: the check of its value, and its wording
 }
 
 
+def _mean_var(values: np.ndarray) -> tuple[float, float]:
+    """Mean and unbiased variance, 0.0 for one value."""
+    return (float(np.mean(values)),
+            float(np.var(values, ddof=1)) if values.size > 1 else 0.0)
+
+
 def _aggregate_rows(rows) -> dict:
     methods = sorted({row["method"] for row in rows})
     out = {}
@@ -457,13 +463,8 @@ def _aggregate_rows(rows) -> dict:
         stats = {}
         for col, key in (("train_loss_V2", "train"), ("test_loss_V2", "test")):
             vals = np.array([r[col] for r in ok_rows], dtype=float)
-            if vals.size == 0:
-                stats[f"{key}_mean"] = None
-                stats[f"{key}_var"] = None
-            else:
-                stats[f"{key}_mean"] = float(np.mean(vals))
-                stats[f"{key}_var"] = (float(np.var(vals, ddof=1))
-                                       if vals.size > 1 else 0.0)
+            stats[f"{key}_mean"], stats[f"{key}_var"] = (
+                _mean_var(vals) if vals.size else (None, None))
         stats["n_ok"] = len(ok_rows)
         out[method] = stats
     return out
@@ -581,10 +582,8 @@ def run_benchmark(config: ExperimentConfig,
     for method in config.methods:
         secs = np.array([w["seconds"] for w in wall_rows
                          if w["method"] == method])
-        time_stats[method] = {
-            "mean": float(np.mean(secs)),
-            "var": float(np.var(secs, ddof=1)) if secs.size > 1 else 0.0,
-        }
+        mean, var = _mean_var(secs)
+        time_stats[method] = {"mean": mean, "var": var}
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "total_seconds": time.perf_counter() - t_start,
@@ -684,8 +683,7 @@ def _write_voltage_traces(rows, test_ds: IdentificationDataset,
             path = trace_dir / (f"voltage_{row['method']}_rep{row['rep']}"
                                 f"_test{i}.csv")
             table = np.column_stack([profile.t, profile.current,
-                                     measured.volts, sim.volts,
-                                     sim.volts - measured.volts])
+                                     measured, sim, sim - measured])
             np.savetxt(path, table, delimiter=",", comments="",
                        header="time_s,current_A,voltage_meas_V,"
                               "voltage_model_V,error_V", fmt="%.9g")

@@ -28,7 +28,7 @@ from .bench import (
     run_benchmark,
 )
 from .ecm import simulate
-from .errors import CellIdentError, ConfigError, DataError
+from .errors import ConfigError, DataError
 from .identify import (
     VoltageFitObjective,
     load_current_csv,
@@ -54,7 +54,7 @@ def _exit_codes(fn):
         except DataError as exc:
             click.echo(f"data error: {exc}", err=True)
             sys.exit(3)
-        except (CellIdentError, Exception) as exc:  # noqa: BLE001
+        except Exception as exc:  # noqa: BLE001
             click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(4)
 

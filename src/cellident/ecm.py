@@ -57,15 +57,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import (
-    ConcentrationOutOfRange,
-    NonPositiveStep,
-    SimulationDiverged,
-    StepTooCoarse,
-)
+from .errors import NonPositiveStep, SimulationDiverged, StepTooCoarse
 from .ocv import OcvCurve
 from .params import ELECTRODES, CellParameters, electrode_fields
-from .profiles import CurrentProfile, VoltageSeries
+from .profiles import CurrentProfile
 
 # electrolyte transfer-function constants
 ELEC_GAIN_POS = 0.124   # multiplies gamma_p
@@ -152,7 +147,7 @@ def surface_concentration(params: CellParameters, electrode: str,
                           profile: CurrentProfile) -> np.ndarray:
     """c_i(t) = c_i0 + (integrator + doubled lag applied to I) * scale_i.
 
-    Raises ConcentrationOutOfRange at the first sample leaving (0, c_max_i).
+    Raises SimulationDiverged at the first sample leaving (0, c_max_i).
     """
     p = params
     c0, c_max, R, D = electrode_fields(electrode, "c0", "c_max", "R", "D")(p)
@@ -166,11 +161,9 @@ def surface_concentration(params: CellParameters, electrode: str,
     bad = np.flatnonzero((c <= 0.0) | (c >= c_max))
     if bad.size:
         k = int(bad[0])
-        raise ConcentrationOutOfRange(
+        raise SimulationDiverged(
             f"electrode {electrode} surface concentration {c[k]:g} mol/m^3 "
-            f"left (0, {c_max:g}) at sample {k}",
-            electrode=electrode, index=k,
-        )
+            f"left (0, {c_max:g}) at sample {k}", index=k)
     return c
 
 
@@ -185,7 +178,7 @@ def bulk_concentration(params: CellParameters, electrode: str,
 def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
     """(Arrhenius(T) * F, sqrt(c (c_max - c) c_e)): i0 without its k_i.
 
-    Raises ConcentrationOutOfRange where the square-root argument is not
+    Raises SimulationDiverged where the square-root argument is not
     positive.
     """
     p = params
@@ -195,11 +188,10 @@ def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
     bad = np.flatnonzero(np.atleast_1d(arg) <= 0.0)
     if bad.size:
         k_bad = int(bad[0])
-        raise ConcentrationOutOfRange(
+        raise SimulationDiverged(
             f"electrode {electrode} exchange-current argument is non-positive "
             f"at sample {k_bad} (c = {np.atleast_1d(c)[k_bad]:g} mol/m^3)",
-            electrode=electrode, index=k_bad,
-        )
+            index=k_bad)
     arrhenius = math.exp((1.0 / p.T_ref - 1.0 / p.T) * E_io / p.R_gas)
     return arrhenius * p.F, np.sqrt(arg)
 
@@ -258,18 +250,12 @@ def fixed_terms(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
     """
     p = params
     I = profile.current
-    try:
-        c_p = surface_concentration(p, "p", profile)
-        c_n = surface_concentration(p, "n", profile)
-        scale_p, root_p = exchange_current_factors(p, "p", c_p)
-        scale_n, root_n = exchange_current_factors(p, "n", c_n)
-        u_p = ocv_p(c_p / p.c_max_p)
-        u_n = ocv_n(c_n / p.c_max_n)
-    except ConcentrationOutOfRange as exc:
-        raise SimulationDiverged(str(exc), index=exc.index) from exc
-
+    c_p = surface_concentration(p, "p", profile)
+    c_n = surface_concentration(p, "n", profile)
+    scale_p, root_p = exchange_current_factors(p, "p", c_p)
+    scale_n, root_n = exchange_current_factors(p, "n", c_n)
     return FixedTerms(
-        current=I, ocv_diff=u_p - u_n,
+        current=I, ocv_diff=ocv_p(c_p / p.c_max_p) - ocv_n(c_n / p.c_max_n),
         i0_scale_p=scale_p, i0_scale_n=scale_n,
         sqrt_arg_p=root_p, sqrt_arg_n=root_n,
         eta_num_p=p.R_gas * p.T0 * (-p.J_p * I),
@@ -308,8 +294,9 @@ def terminal_voltage(fixed: FixedTerms, eta_p: np.ndarray, eta_n: np.ndarray,
 
 
 def simulate(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
-             profile: CurrentProfile) -> VoltageSeries:
-    """Terminal-voltage series for a current profile (discharge positive).
+             profile: CurrentProfile) -> np.ndarray:
+    """Terminal voltage at each sample of a current profile (discharge
+    positive).
 
     Raises SimulationDiverged when a surface concentration leaves its range
     or the voltage is not finite.
@@ -323,4 +310,4 @@ def simulate(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
     if not np.all(np.isfinite(volts)):
         k = int(np.flatnonzero(~np.isfinite(volts))[0])
         raise SimulationDiverged(f"non-finite terminal voltage at sample {k}", index=k)
-    return VoltageSeries(dt=profile.dt, volts=volts)
+    return volts

@@ -22,15 +22,6 @@ class StepTooCoarse(CellIdentError, ValueError):
     so the discretization would be inaccurate."""
 
 
-class ConcentrationOutOfRange(CellIdentError):
-    """A surface concentration left the open interval (0, c_max)."""
-
-    def __init__(self, message, electrode=None, index=None):
-        super().__init__(message)
-        self.electrode = electrode
-        self.index = index
-
-
 class SimulationDiverged(CellIdentError):
     """A sub-model failed during simulation; carries the failing time index."""
 

@@ -36,7 +36,7 @@ from .ecm import (
 from .errors import DataError, DimensionMismatch, OutOfBox, SimulationDiverged
 from .ocv import OcvCurve
 from .params import CellParameters, is_number, read_json_object
-from .profiles import CurrentProfile, VoltageSeries
+from .profiles import CurrentProfile
 
 DIVERGENCE_PENALTY = 1.0e6   # V^2, charged when a proposed theta breaks the model
 
@@ -162,20 +162,22 @@ class IdentificationDataset:
     give it: its file, or ``profile <i>`` by default."""
 
     profiles: tuple[CurrentProfile, ...]
-    voltages: tuple[VoltageSeries, ...]
+    voltages: tuple[np.ndarray, ...]
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
         names = self.names or tuple(f"profile {i}"
                                     for i in range(len(self.profiles)))
         object.__setattr__(self, "names", names)
-        if not len(self.profiles) == len(self.voltages) == len(names):
+        voltages = tuple(np.asarray(v, dtype=float) for v in self.voltages)
+        object.__setattr__(self, "voltages", voltages)
+        if not len(self.profiles) == len(voltages) == len(names):
             raise DataError("dataset needs one voltage series and one name "
                             "per profile")
         if not self.profiles:
             raise DataError("dataset is empty")
-        for i, (u, v) in enumerate(zip(self.profiles, self.voltages)):
-            if u.n != v.n or u.dt != v.dt:
+        for i, (u, v) in enumerate(zip(self.profiles, voltages)):
+            if v.shape != (u.n,):
                 raise DataError(f"pair {i}: profile and voltage grids disagree")
 
 
@@ -250,7 +252,7 @@ class VoltageFitObjective:
 
     def _profile_loss(self, i: int, params: CellParameters,
                       profile: CurrentProfile,
-                      measured: VoltageSeries) -> float | None:
+                      measured: np.ndarray) -> float | None:
         """Squared residual of profile ``i``; None when the simulation
         diverges or the residual exceeds DIVERGENCE_PENALTY.
 
@@ -279,7 +281,7 @@ class VoltageFitObjective:
             terms.D_e = params.D_e
         residual = terminal_voltage(terms.fixed, terms.eta_p, terms.eta_n,
                                     terms.phi_e, terms.volts)
-        residual -= measured.volts
+        residual -= measured
         loss = sum_of_squares(residual)
         return loss if loss <= DIVERGENCE_PENALTY else None   # inf, NaN too
 
@@ -305,10 +307,10 @@ class VoltageFitObjective:
 # ---------------------------------------------------------------------------
 # dataset files: one CSV per profile plus a manifest listing roles
 
-def save_profile_csv(path, profile: CurrentProfile, volts: VoltageSeries) -> None:
-    if profile.n != volts.n or profile.dt != volts.dt:
+def save_profile_csv(path, profile: CurrentProfile, volts: np.ndarray) -> None:
+    if np.shape(volts) != (profile.n,):
         raise DataError("profile and voltage grids disagree")
-    rows = np.column_stack([profile.t, profile.current, volts.volts])
+    rows = np.column_stack([profile.t, profile.current, volts])
     np.savetxt(path, rows, delimiter=",", comments="",
                header="time_s,current_A,voltage_V", fmt="%.12g")
 
@@ -356,7 +358,7 @@ def _read_profile_table(path, columns_ok, columns: str):
     return table, dt
 
 
-def load_profile_csv(path) -> tuple[CurrentProfile, VoltageSeries]:
+def load_profile_csv(path) -> tuple[CurrentProfile, np.ndarray]:
     """A dataset file: exactly the columns time_s,current_A,voltage_V.
 
     DataError also when a voltage is blank or not finite.
@@ -366,8 +368,7 @@ def load_profile_csv(path) -> tuple[CurrentProfile, VoltageSeries]:
                                     "time_s,current_A,voltage_V")
     voltage = _finite_column(path, table, "voltage_V")
     profile = CurrentProfile(dt=dt, current=np.atleast_1d(table["current_A"]))
-    volts = VoltageSeries(dt=dt, volts=voltage)
-    return profile, volts
+    return profile, voltage
 
 
 def load_current_csv(path) -> CurrentProfile:

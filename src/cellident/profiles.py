@@ -1,4 +1,4 @@
-"""Applied-current profiles and measured-voltage series.
+"""Applied-current profiles.
 
 A profile is a uniformly sampled current waveform I[k] on t[k] = k*dt.
 Positive current is discharge.  Waveform builders produce the two kinds of
@@ -43,10 +43,6 @@ class CurrentProfile:
     def t(self) -> np.ndarray:
         return self.dt * np.arange(self.n)
 
-    @property
-    def duration(self) -> float:
-        return self.dt * (self.n - 1)
-
     def refine(self, factor: int) -> "CurrentProfile":
         """Zero-order-hold resample onto a grid factor x finer."""
         if factor < 1 or int(factor) != factor:
@@ -58,26 +54,6 @@ class CurrentProfile:
         fine = np.repeat(self.current[:-1], factor)
         fine = np.concatenate([fine, [self.current[-1]]])
         return CurrentProfile(dt=self.dt / factor, current=fine)
-
-
-@dataclass(frozen=True)
-class VoltageSeries:
-    """Measured (or simulated) terminal voltage aligned with a profile."""
-
-    dt: float
-    volts: np.ndarray
-
-    def __post_init__(self):
-        if not self.dt > 0.0:
-            raise NonPositiveStep(f"dt must be positive, got {self.dt}")
-        volts = np.asarray(self.volts, dtype=float)
-        if volts.ndim != 1 or volts.size < 1:
-            raise DataError("volts must be a non-empty 1-D array")
-        object.__setattr__(self, "volts", volts)
-
-    @property
-    def n(self) -> int:
-        return self.volts.size
 
 
 def staircase_profile(i_1c: float, dt: float = 1.0, duration: float = 3600.0) -> CurrentProfile:

@@ -18,30 +18,27 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 _TABLE_MAX = 4096   # most entries in one base's table of low-digit sums
 
 
-def _add_digits(out, work, base, denom, n_digits):
-    """Add the lowest n_digits digits of work to out in place, lowest first,
-    the first at weight 1/(denom * base): the radical inverse's digit loop."""
-    for _ in range(n_digits):
-        denom *= base
-        work, digit = np.divmod(work, base)
-        out += digit / denom
-
-
 @cache
-def _low_digit_sums(base: int) -> tuple[np.ndarray, int]:
+def _low_digit_sums(base: int) -> np.ndarray:
     """Radical inverse of every index below base**k, the largest power of
-    base with at most _TABLE_MAX entries, and k.
+    base with at most _TABLE_MAX entries.
 
-    Entries come from the radical inverse's digit loop, so looking one up
-    replaces the loop's first k steps without changing a bit.
+    Entries come from the radical inverse's digit loop, each index's digits
+    added lowest first, so looking one up replaces the loop's first k steps
+    without changing a bit.
     """
     k = 1
     while base ** (k + 1) <= _TABLE_MAX:
         k += 1
     table = np.zeros(base ** k)
-    _add_digits(table, np.arange(base ** k, dtype=np.int64), base, 1.0, k)
+    work = np.arange(base ** k, dtype=np.int64)
+    denom = 1.0
+    for _ in range(k):
+        denom *= base
+        work, digit = np.divmod(work, base)
+        table += digit / denom
     table.flags.writeable = False
-    return table, k
+    return table
 
 
 def _consecutive_van_der_corput(start: int, n: int, base: int) -> np.ndarray:
@@ -54,7 +51,7 @@ def _consecutive_van_der_corput(start: int, n: int, base: int) -> np.ndarray:
     in the same order as the digit loop; a zero digit adds an exact 0 there
     and is skipped here.
     """
-    table, _ = _low_digit_sums(base)
+    table = _low_digit_sums(base)
     size = len(table)
     out = np.empty(n)
     at = 0

@@ -119,7 +119,7 @@ def test_3_simulator_invariants(cell, i_1c, capsys):
 
     # zero current: terminal voltage is exactly the open-circuit difference
     rest = CurrentProfile(dt=1.0, current=np.zeros(201))
-    v_rest = simulate(params, ocv_p, ocv_n, rest).volts
+    v_rest = simulate(params, ocv_p, ocv_n, rest)
     v_oc = float(ocv_p(params.c_p0 / params.c_max_p)
                  - ocv_n(params.c_n0 / params.c_max_n))
     ok_rest = bool(np.all(v_rest == v_oc))
@@ -154,10 +154,10 @@ def test_3_simulator_invariants(cell, i_1c, capsys):
 
     # halving the step shrinks the voltage error at least first-order
     base = staircase_profile(i_1c, dt=1.0, duration=600.0)
-    v_ref = simulate(params, ocv_p, ocv_n, base.refine(100)).volts[::100]
+    v_ref = simulate(params, ocv_p, ocv_n, base.refine(100))[::100]
     errors = []
     for factor in (1, 2, 4):
-        v = simulate(params, ocv_p, ocv_n, base.refine(factor)).volts[::factor]
+        v = simulate(params, ocv_p, ocv_n, base.refine(factor))[::factor]
         errors.append(float(np.max(np.abs(v - v_ref))))
     orders = [np.log2(errors[0] / errors[1]), np.log2(errors[1] / errors[2])]
     ok_order = min(orders) >= 1.0

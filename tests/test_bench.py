@@ -344,8 +344,8 @@ class TestGenerateSyntheticDataset:
         train, test, meta = generate_synthetic_dataset(
             params, ocv_p, ocv_n, [profile], [profile], 0.0, seed=5)
         clean = simulate(params, ocv_p, ocv_n, profile)
-        np.testing.assert_array_equal(train.voltages[0].volts, clean.volts)
-        np.testing.assert_array_equal(test.voltages[0].volts, clean.volts)
+        np.testing.assert_array_equal(train.voltages[0], clean)
+        np.testing.assert_array_equal(test.voltages[0], clean)
 
     def test_noise_level_matches_sigma(self, cell):
         params, ocv_p, ocv_n = cell
@@ -354,7 +354,7 @@ class TestGenerateSyntheticDataset:
         train, _, _ = generate_synthetic_dataset(
             params, ocv_p, ocv_n, [profile], [profile], sigma, seed=5)
         clean = simulate(params, ocv_p, ocv_n, profile)
-        residual = train.voltages[0].volts - clean.volts
+        residual = train.voltages[0] - clean
         assert abs(np.std(residual) - sigma) < 0.1 * sigma
 
     def test_bitwise_reproducible(self, cell):
@@ -366,8 +366,8 @@ class TestGenerateSyntheticDataset:
             params, ocv_p, ocv_n, [profile], [profile], 1e-3, seed=9)
         c, _, _ = generate_synthetic_dataset(
             params, ocv_p, ocv_n, [profile], [profile], 1e-3, seed=10)
-        np.testing.assert_array_equal(a.voltages[0].volts, b.voltages[0].volts)
-        assert not np.array_equal(a.voltages[0].volts, c.voltages[0].volts)
+        np.testing.assert_array_equal(a.voltages[0], b.voltages[0])
+        assert not np.array_equal(a.voltages[0], c.voltages[0])
 
     def test_meta_records_truth(self, cell):
         params, ocv_p, ocv_n = cell
@@ -401,10 +401,10 @@ class TestGenerateSyntheticDataset:
         children = np.random.SeedSequence(4).spawn(3)
         for profile, measured, child in zip(
                 (a, b, b), train.voltages + test.voltages, children):
-            clean = simulate(params, ocv_p, ocv_n, profile).volts
+            clean = simulate(params, ocv_p, ocv_n, profile)
             noise = np.random.default_rng(child).normal(0.0, 1e-3,
                                                         size=profile.n)
-            np.testing.assert_array_equal(measured.volts, clean + noise)
+            np.testing.assert_array_equal(measured, clean + noise)
         assert train.profiles == (a, b) and test.profiles == (b,)
 
     def test_coarse_grid_propagates_step_error(self, cell):

@@ -33,7 +33,7 @@ from cellident.identify import (
     save_profile_csv,
 )
 from cellident.params import CellParameters
-from cellident.profiles import CurrentProfile, VoltageSeries
+from cellident.profiles import CurrentProfile
 
 unit_points = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=3, max_size=3)
@@ -144,18 +144,33 @@ class TestParameterBox:
 class TestDataset:
     def test_name_and_pairing_validation(self):
         profile = CurrentProfile(dt=1.0, current=np.ones(5))
-        volts = VoltageSeries(dt=1.0, volts=np.ones(5))
+        volts = np.ones(5)
         with pytest.raises(DataError):
             IdentificationDataset(profiles=(profile,), voltages=(volts,),
                                   names=("a.csv", "b.csv"))
         with pytest.raises(DataError):
             IdentificationDataset(profiles=(profile,), voltages=())
-        bad = VoltageSeries(dt=1.0, volts=np.ones(4))
-        with pytest.raises(DataError):
-            IdentificationDataset(profiles=(profile,), voltages=(bad,))
         dataset = IdentificationDataset(profiles=(profile,), voltages=(volts,))
         assert dataset.profiles == (profile,)
         assert dataset.names == ("profile 0",)
+
+    def test_voltage_list_is_coerced_to_float64(self):
+        profile = CurrentProfile(dt=1.0, current=np.ones(3))
+        dataset = IdentificationDataset(profiles=(profile,),
+                                        voltages=([3, 3.1, 3.2],))
+        (volts,) = dataset.voltages
+        assert isinstance(volts, np.ndarray) and volts.dtype == np.float64
+        np.testing.assert_array_equal(volts, [3.0, 3.1, 3.2])
+
+    @pytest.mark.parametrize("volts", [np.ones((1, 5)), np.ones((5, 1)),
+                                       np.array([]), np.ones(4), np.ones(6)],
+                             ids=["2-D row", "2-D column", "empty",
+                                  "too short", "too long"])
+    def test_voltage_off_the_profile_grid_rejected(self, volts):
+        profile = CurrentProfile(dt=1.0, current=np.ones(5))
+        with pytest.raises(DataError, match="pair 0: profile and voltage "
+                                            "grids disagree"):
+            IdentificationDataset(profiles=(profile,), voltages=(volts,))
 
 
 class TestObjective:
@@ -200,7 +215,7 @@ class TestObjective:
         """A dataset whose excitation breaks the model charges the penalty."""
         params, ocv_p, ocv_n = cell
         harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
-        fake_volts = VoltageSeries(dt=1.0, volts=np.full(600, 3.0))
+        fake_volts = np.full(600, 3.0)
         dataset = IdentificationDataset(profiles=(harsh, harsh),
                                         voltages=(fake_volts, fake_volts))
         objective = VoltageFitObjective(params, ocv_p, ocv_n, box, dataset)
@@ -318,7 +333,7 @@ class TestFixedTermCache:
                                                       built, i_1c):
         params, ocv_p, ocv_n = cell
         harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
-        fake_volts = VoltageSeries(dt=1.0, volts=np.full(600, 3.0))
+        fake_volts = np.full(600, 3.0)
         dataset = IdentificationDataset(profiles=(pair.profiles[0], harsh),
                                         voltages=(pair.voltages[0], fake_volts))
         objective = VoltageFitObjective(params, ocv_p, ocv_n, box, dataset)
@@ -352,7 +367,7 @@ class TestFixedTermCache:
                             lower=np.array([2.0e-11, 2.8e-11, 1.6e-10]),
                             upper=np.array([4.5e-11, 5.6e-11, 1.0e-8]))
         harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
-        fake_volts = VoltageSeries(dt=1.0, volts=np.full(600, 3.0))
+        fake_volts = np.full(600, 3.0)
         dataset = IdentificationDataset(profiles=(harsh,), voltages=(fake_volts,))
         objective = VoltageFitObjective(params, ocv_p, ocv_n, wide, dataset)
         truth = np.array([params.k_p, params.k_n, params.D_e])
@@ -368,7 +383,7 @@ class TestFixedTermCache:
         diverge, then names that profile with fixed_terms' own message."""
         params, ocv_p, ocv_n = cell
         harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
-        fake_volts = VoltageSeries(dt=1.0, volts=np.full(600, 3.0))
+        fake_volts = np.full(600, 3.0)
         dataset = IdentificationDataset(
             profiles=(pair.profiles[0], harsh),
             voltages=(pair.voltages[0], fake_volts),
@@ -517,19 +532,24 @@ class TestThetaTermCache:
 class TestProfileCsv:
     def test_round_trip(self, tmp_path):
         profile = CurrentProfile(dt=0.5, current=np.array([1.0, -2.0, 0.5]))
-        volts = VoltageSeries(dt=0.5, volts=np.array([3.2, 3.1, 3.15]))
+        volts = np.array([3.2, 3.1, 3.15])
         path = tmp_path / "run.csv"
         save_profile_csv(path, profile, volts)
         loaded_p, loaded_v = load_profile_csv(path)
         assert loaded_p.dt == pytest.approx(0.5)
         np.testing.assert_allclose(loaded_p.current, profile.current, atol=1e-9)
-        np.testing.assert_allclose(loaded_v.volts, volts.volts, atol=1e-9)
+        np.testing.assert_allclose(loaded_v, volts, atol=1e-9)
 
     def test_mismatched_grids_rejected_on_save(self, tmp_path):
         profile = CurrentProfile(dt=1.0, current=np.ones(3))
-        volts = VoltageSeries(dt=1.0, volts=np.ones(4))
-        with pytest.raises(DataError):
-            save_profile_csv(tmp_path / "x.csv", profile, volts)
+        with pytest.raises(DataError, match="grids disagree"):
+            save_profile_csv(tmp_path / "x.csv", profile, np.ones(4))
+
+    def test_two_dimensional_voltage_rejected_on_save(self, tmp_path):
+        profile = CurrentProfile(dt=1.0, current=np.ones(3))
+        with pytest.raises(DataError, match="grids disagree"):
+            save_profile_csv(tmp_path / "x.csv", profile, np.ones((1, 3)))
+        assert not (tmp_path / "x.csv").exists()
 
     def test_load_errors(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -614,9 +634,9 @@ class TestProfileCsv:
 class TestDatasetIo:
     def _toy_datasets(self):
         p1 = CurrentProfile(dt=1.0, current=np.array([1.0, 0.0, -1.0, 0.0]))
-        v1 = VoltageSeries(dt=1.0, volts=np.array([3.0, 3.1, 3.2, 3.1]))
+        v1 = np.array([3.0, 3.1, 3.2, 3.1])
         p2 = CurrentProfile(dt=2.0, current=np.array([0.5, 0.5, 0.0]))
-        v2 = VoltageSeries(dt=2.0, volts=np.array([3.0, 2.9, 3.0]))
+        v2 = np.array([3.0, 2.9, 3.0])
         train = IdentificationDataset(profiles=(p1, p2), voltages=(v1, v2))
         test = IdentificationDataset(profiles=(p1,), voltages=(v1,))
         return train, test
@@ -643,7 +663,7 @@ class TestDatasetIo:
         # profiles are read in manifest order, so a.csv must exist for the
         # empty-test check to be reached
         profile = CurrentProfile(dt=1.0, current=np.array([1.0, 0.0, -1.0]))
-        volts = VoltageSeries(dt=1.0, volts=np.array([3.0, 3.1, 3.2]))
+        volts = np.array([3.0, 3.1, 3.2])
         save_profile_csv(tmp_path / "a.csv", profile, volts)
         path.write_text(json.dumps({"train": ["a.csv"], "test": []}))
         with pytest.raises(DataError, match="no test profiles"):

@@ -1,4 +1,4 @@
-"""Current and voltage series containers plus the two excitation builders."""
+"""The current profile container plus the two excitation builders."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from cellident.errors import DataError, NonPositiveStep
 from cellident.profiles import (
     CurrentProfile,
-    VoltageSeries,
     noise_cycle_profile,
     staircase_profile,
 )
@@ -17,7 +16,7 @@ class TestCurrentProfile:
         profile = CurrentProfile(dt=0.5, current=np.array([1.0, 2.0, 3.0]))
         assert profile.n == 3
         np.testing.assert_allclose(profile.t, [0.0, 0.5, 1.0])
-        assert profile.duration == 1.0
+        assert profile.dt * (profile.n - 1) == 1.0
 
     def test_dt_must_be_positive(self):
         with pytest.raises(NonPositiveStep):
@@ -38,7 +37,8 @@ class TestCurrentProfile:
         np.testing.assert_array_equal(
             fine.current, [1.0, 1.0, 1.0, -2.0, -2.0, -2.0, 3.0])
         # same continuous-time duration, finer grid
-        assert fine.duration == pytest.approx(profile.duration)
+        assert fine.dt * (fine.n - 1) == pytest.approx(
+            profile.dt * (profile.n - 1))
 
     def test_refine_identity_and_validation(self):
         profile = CurrentProfile(dt=1.0, current=np.array([1.0, 2.0]))
@@ -47,18 +47,6 @@ class TestCurrentProfile:
             profile.refine(0)
         with pytest.raises(ValueError):
             profile.refine(1.5)
-
-
-class TestVoltageSeries:
-    def test_basic(self):
-        series = VoltageSeries(dt=1.0, volts=np.array([3.0, 2.9]))
-        assert series.n == 2
-
-    def test_validation(self):
-        with pytest.raises(NonPositiveStep):
-            VoltageSeries(dt=-1.0, volts=np.array([3.0]))
-        with pytest.raises(DataError):
-            VoltageSeries(dt=1.0, volts=np.array([]))
 
 
 class TestStaircase:

@@ -26,7 +26,7 @@ from cellident.ecm import (
     simulate,
     surface_concentration,
 )
-from cellident.errors import ConcentrationOutOfRange, SimulationDiverged
+from cellident.errors import SimulationDiverged
 from cellident.identify import DIVERGENCE_PENALTY, VoltageFitObjective
 from cellident.profiles import CurrentProfile
 
@@ -41,8 +41,8 @@ def _reference_i0(params, electrode, c_surf):
     arg = c * (c_max - c) * c_e
     bad = np.flatnonzero(np.atleast_1d(arg) <= 0.0)
     if bad.size:
-        raise ConcentrationOutOfRange("non-positive exchange-current argument",
-                                      electrode=electrode, index=int(bad[0]))
+        raise SimulationDiverged("non-positive exchange-current argument",
+                                 index=int(bad[0]))
     arrhenius = math.exp((1.0 / p.T_ref - 1.0 / p.T) * E_io / p.R_gas)
     i0 = arrhenius * p.F * k * np.sqrt(arg)
     return float(i0) if np.isscalar(c_surf) else i0
@@ -61,19 +61,16 @@ def reference_simulate_detailed(params, ocv_p, ocv_n, profile,
     check_step(params, profile.dt)
     I = profile.current
     p = params
-    try:
-        c_p = surface_concentration(p, "p", profile)
-        c_n = surface_concentration(p, "n", profile)
-        if freeze_exchange_current:
-            i0_p = _reference_i0(p, "p", p.c_p0)
-            i0_n = _reference_i0(p, "n", p.c_n0)
-        else:
-            i0_p = _reference_i0(p, "p", c_p)
-            i0_n = _reference_i0(p, "n", c_n)
-        u_p = ocv_p(c_p / p.c_max_p)
-        u_n = ocv_n(c_n / p.c_max_n)
-    except ConcentrationOutOfRange as exc:
-        raise SimulationDiverged(str(exc), index=exc.index) from exc
+    c_p = surface_concentration(p, "p", profile)
+    c_n = surface_concentration(p, "n", profile)
+    if freeze_exchange_current:
+        i0_p = _reference_i0(p, "p", p.c_p0)
+        i0_n = _reference_i0(p, "n", p.c_n0)
+    else:
+        i0_p = _reference_i0(p, "p", c_p)
+        i0_n = _reference_i0(p, "n", c_n)
+    u_p = ocv_p(c_p / p.c_max_p)
+    u_n = ocv_n(c_n / p.c_max_n)
 
     eta_p = _reference_eta(p, "p", I, i0_p)
     eta_n = _reference_eta(p, "n", I, i0_n)
@@ -98,7 +95,7 @@ def reference_loss(base, ocv_p, ocv_n, dataset, theta):
     for profile, measured in zip(dataset.profiles, dataset.voltages):
         try:
             sim = reference_simulate_detailed(params, ocv_p, ocv_n, profile)
-            residual = sim.volts - measured.volts
+            residual = sim.volts - measured
             per.append(float(np.dot(residual, residual)))
         except SimulationDiverged:
             per.append(DIVERGENCE_PENALTY)
@@ -151,7 +148,7 @@ class TestSimulatorSplit:
             got.update(volts=pinned.volts, eta_p=pinned.eta_p,
                        eta_n=pinned.eta_n)
         else:
-            got.update(volts=simulate(theta, ocv_p, ocv_n, profile).volts,
+            got.update(volts=simulate(theta, ocv_p, ocv_n, profile),
                        eta_p=overpotential(theta, fixed, "p"),
                        eta_n=overpotential(theta, fixed, "n"))
         want = reference_simulate_detailed(theta, ocv_p, ocv_n, profile,
