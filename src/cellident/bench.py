@@ -501,12 +501,11 @@ def fit_and_score(method: str, train_objective: VoltageFitObjective,
     """Run ``method`` on ``train_objective``, score its best theta on
     ``test_objective``; returns a benchmark row's result fields and the run.
 
-    A training profile the model cannot simulate at any theta is a
-    DataError (``VoltageFitObjective.check_diverged``).
+    Data the model cannot simulate at any theta never gets here: the
+    objectives' constructors raise DataError for it.
     """
     box = train_objective.box
     result = run_method(method, train_objective.unit, box, budget, seed, s0)
-    train_objective.check_diverged()
     return {"train_loss_V2": result.best_loss,
             "test_loss_V2": test_objective(result.best_theta).loss,
             "evaluations": result.evaluations_used,

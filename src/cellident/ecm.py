@@ -50,7 +50,6 @@ are scheduled.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -178,11 +177,11 @@ def bulk_concentration(params: CellParameters, electrode: str,
 def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
     """(Arrhenius(T) * F, sqrt(c (c_max - c) c_e)): i0 without its k_i.
 
+    The first is ``params.i0_scale``, finite and non-zero by validation.
     Raises SimulationDiverged where the square-root argument is not
     positive.
     """
-    p = params
-    c_max, c_e, E_io = electrode_fields(electrode, "c_max", "c_e", "E_io")(p)
+    c_max, c_e = electrode_fields(electrode, "c_max", "c_e")(params)
     c = np.asarray(c_surf, dtype=float)
     arg = c * (c_max - c) * c_e
     bad = np.flatnonzero(np.atleast_1d(arg) <= 0.0)
@@ -192,8 +191,7 @@ def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
             f"electrode {electrode} exchange-current argument is non-positive "
             f"at sample {k_bad} (c = {np.atleast_1d(c)[k_bad]:g} mol/m^3)",
             index=k_bad)
-    arrhenius = math.exp((1.0 / p.T_ref - 1.0 / p.T) * E_io / p.R_gas)
-    return arrhenius * p.F, np.sqrt(arg)
+    return params.i0_scale(electrode), np.sqrt(arg)
 
 
 def electrolyte_potential(params: CellParameters,
@@ -217,9 +215,9 @@ class FixedTerms:
     """The theta-free part of one simulation (see the module docstring).
 
     Per electrode, ``i0_scale * k * sqrt_arg`` is the exchange current
-    density and ``eta_num / (F i0)`` the overpotential.  ``sqrt_arg_min`` is
-    the least |sqrt_arg| (NaN skipped, inf for none): rounding is monotone,
-    so ``scale * sqrt_arg`` holds a zero iff ``scale * sqrt_arg_min`` is zero.
+    density and ``eta_num / (F i0)`` the overpotential.  ``i0_scale`` is
+    finite and non-zero and ``sqrt_arg`` positive, so only a k whose product
+    underflows gives a zero i0, and with it a non-finite overpotential.
     """
 
     current: np.ndarray
@@ -232,13 +230,6 @@ class FixedTerms:
     eta_num_n: np.ndarray
     phi_ohm: np.ndarray           # ohmic drop [V]
     contact_drop: np.ndarray      # I R_c [V]
-
-    sqrt_arg_min_p = functools.cached_property(lambda self: _least_magnitude(self.sqrt_arg_p))
-    sqrt_arg_min_n = functools.cached_property(lambda self: _least_magnitude(self.sqrt_arg_n))
-
-
-def _least_magnitude(x) -> float:
-    return float(np.fmin.reduce(np.abs(x), axis=None, initial=np.inf))
 
 
 def fixed_terms(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
@@ -267,13 +258,11 @@ def overpotential(params: CellParameters, fixed: FixedTerms,
                   electrode: str) -> np.ndarray:
     """eta_i = R T0 (-J_i I)/(F i0_i) at the params' k_i from the fixed terms.
 
-    Raises ZeroDivisionError where i0_i is zero.
+    No check: where i0_i underflows to zero, eta_i is infinite or NaN.
     """
-    i0_scale, sqrt_arg, numerator, least = electrode_fields(
-        electrode, "i0_scale", "sqrt_arg", "eta_num", "sqrt_arg_min")(fixed)
+    i0_scale, sqrt_arg, numerator = electrode_fields(
+        electrode, "i0_scale", "sqrt_arg", "eta_num")(fixed)
     scale = i0_scale * electrode_fields(electrode, "k")(params)
-    if scale * least == 0.0:
-        raise ZeroDivisionError("exchange current density is zero")
     eta = np.multiply(scale, sqrt_arg, out=np.empty_like(numerator))   # i0
     eta *= params.F
     return np.divide(numerator, eta, out=eta)

@@ -9,7 +9,8 @@ contribute a large finite penalty instead of raising, so every optimizer
 sees a total, bounded function over the box.
 
 The objective builds each profile's theta-free model terms (``ecm.fixed_terms``)
-on its first call and reuses them.  It also keeps each profile's last
+when it is constructed, so data the model cannot simulate at any theta is a
+DataError before the first evaluation.  It also keeps each profile's last
 theta terms: eta_p for its k_p, eta_n for its k_n and phi_e for its D_e.  A
 later call recomputes only the terms whose component changed, so a
 forward-difference probe along one axis costs one term plus the sum.
@@ -210,12 +211,16 @@ class VoltageFitObjective:
 
     Calling with physical theta returns an ObjectiveEvaluation; the
     ``unit`` method is the float-valued unit-cube view the optimizers use.
-    Divergent simulations, and any profile whose squared residual exceeds
-    DIVERGENCE_PENALTY, overflows or is NaN, charge DIVERGENCE_PENALTY.
-    A divergence of the theta-free terms is remembered, since no theta can
-    cure it, and ``check_diverged`` names it; any other error is raised
-    again on every call.  Floating-point warnings of a call are silenced: a
-    theta that overflows is penalized.
+    A theta whose voltage is not finite, and any profile whose squared
+    residual exceeds DIVERGENCE_PENALTY, overflows or is NaN, charge
+    DIVERGENCE_PENALTY; floating-point warnings of a call are silenced.
+    Any other error of a call (StepTooCoarse at a large D_e, an invalid
+    theta) is raised.
+
+    Construction builds every profile's theta-free terms.  A profile they
+    diverge on cannot be fit at any theta: DataError naming each such
+    profile with ``fixed_terms``' message.  An out-of-table OCV query is
+    raised there too.
     """
 
     def __init__(self, base: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
@@ -223,11 +228,19 @@ class VoltageFitObjective:
         if tuple(box.names) != THETA_NAMES:
             raise DataError(f"objective expects box over {THETA_NAMES}")
         self.base = base
-        self.ocv_p = ocv_p
-        self.ocv_n = ocv_n
         self.box = box
         self.dataset = dataset
-        self._terms: dict[int, _ProfileTerms | SimulationDiverged] = {}
+        self._terms = []
+        causes = []
+        for name, profile in zip(dataset.names, dataset.profiles):
+            try:
+                self._terms.append(
+                    _ProfileTerms(fixed_terms(base, ocv_p, ocv_n, profile)))
+            except SimulationDiverged as exc:
+                causes.append(f"{name}: {exc}")
+        if causes:
+            raise DataError("no theta can fit data the model cannot simulate: "
+                            + "; ".join(causes))
 
     def __call__(self, theta) -> ObjectiveEvaluation:
         theta = np.asarray(theta, dtype=float)
@@ -239,9 +252,9 @@ class VoltageFitObjective:
         per = []
         penalized = False
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i, (profile, measured) in enumerate(
-                    zip(self.dataset.profiles, self.dataset.voltages)):
-                loss = self._profile_loss(i, params, profile, measured)
+            for terms, profile, measured in zip(
+                    self._terms, self.dataset.profiles, self.dataset.voltages):
+                loss = self._profile_loss(terms, params, profile, measured)
                 if loss is None:
                     per.append(DIVERGENCE_PENALTY)
                     penalized = True
@@ -250,26 +263,17 @@ class VoltageFitObjective:
         return ObjectiveEvaluation(loss=float(sum(per)),
                                    per_profile=tuple(per), penalized=penalized)
 
-    def _profile_loss(self, i: int, params: CellParameters,
+    @staticmethod
+    def _profile_loss(terms: _ProfileTerms, params: CellParameters,
                       profile: CurrentProfile,
                       measured: np.ndarray) -> float | None:
-        """Squared residual of profile ``i``; None when the simulation
-        diverges or the residual exceeds DIVERGENCE_PENALTY.
+        """Squared residual of one profile; None when the voltage is not
+        finite or the residual exceeds DIVERGENCE_PENALTY.
 
         The step is checked only when D_e changed.
         """
-        terms = self._terms.get(i)
-        if not isinstance(terms, _ProfileTerms) or terms.D_e != params.D_e:
+        if terms.D_e != params.D_e:
             check_step(params, profile.dt)
-        if terms is None:
-            try:
-                terms = _ProfileTerms(
-                    fixed_terms(params, self.ocv_p, self.ocv_n, profile))
-            except SimulationDiverged as exc:
-                terms = exc
-            self._terms[i] = terms
-        if isinstance(terms, SimulationDiverged):
-            return None
         if terms.k_p != params.k_p:
             terms.eta_p = overpotential(params, terms.fixed, "p")
             terms.k_p = params.k_p
@@ -291,18 +295,6 @@ class VoltageFitObjective:
                                              0.0, 1.0))
         return self(theta).loss
 
-    def check_diverged(self) -> None:
-        """DataError naming each profile whose theta-free terms diverged in a
-        call so far, with the sample where they did: every loss since has
-        carried its penalty, so no theta fits that data."""
-        causes = [f"{self.dataset.names[i]}: {terms}"
-                  for i, terms in sorted(self._terms.items())
-                  if isinstance(terms, SimulationDiverged)]
-        if causes:
-            raise DataError("no theta can fit data the model cannot simulate "
-                            "(every loss carries the divergence penalty): "
-                            + "; ".join(causes))
-
 
 # ---------------------------------------------------------------------------
 # dataset files: one CSV per profile plus a manifest listing roles
@@ -316,9 +308,10 @@ def save_profile_csv(path, profile: CurrentProfile, volts: np.ndarray) -> None:
 
 
 def _finite_column(path, table, name: str) -> np.ndarray:
-    """Column ``name`` of ``table``; DataError naming the file and the first
-    data row whose cell is blank or not finite."""
-    column = np.atleast_1d(table[name])
+    """Column ``name`` of ``table`` as a contiguous copy, which does not keep
+    the table alive; DataError naming the file and the first data row whose
+    cell is blank or not finite."""
+    column = np.array(table[name], ndmin=1)
     bad = np.flatnonzero(~np.isfinite(column))
     if bad.size:
         raise DataError(f"profile file {path} has a blank or non-finite "
@@ -327,7 +320,7 @@ def _finite_column(path, table, name: str) -> np.ndarray:
 
 
 def _read_profile_table(path, columns_ok, columns: str):
-    """(table, dt) of a uniformly sampled CSV with a header row.
+    """(profile, table) of a uniformly sampled CSV with a header row.
 
     DataError when the file is missing or malformed, when its column names
     fail ``columns_ok`` (the message asks for ``columns``), when a
@@ -345,7 +338,7 @@ def _read_profile_table(path, columns_ok, columns: str):
     if not columns_ok(set(table.dtype.names or ())):
         raise DataError(f"profile file {path} must have columns {columns}")
     t = _finite_column(path, table, "time_s")
-    _finite_column(path, table, "current_A")
+    current = _finite_column(path, table, "current_A")
     if t.size < 2:
         raise DataError(f"profile file {path} needs at least two samples")
     steps = np.diff(t)
@@ -355,7 +348,7 @@ def _read_profile_table(path, columns_ok, columns: str):
                         f"column, got a first step of {dt:g} s")
     if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
         raise DataError(f"profile file {path} is not uniformly sampled")
-    return table, dt
+    return CurrentProfile(dt=dt, current=current), table
 
 
 def load_profile_csv(path) -> tuple[CurrentProfile, np.ndarray]:
@@ -364,19 +357,16 @@ def load_profile_csv(path) -> tuple[CurrentProfile, np.ndarray]:
     DataError also when a voltage is blank or not finite.
     """
     expected = {"time_s", "current_A", "voltage_V"}
-    table, dt = _read_profile_table(path, lambda names: names == expected,
-                                    "time_s,current_A,voltage_V")
-    voltage = _finite_column(path, table, "voltage_V")
-    profile = CurrentProfile(dt=dt, current=np.atleast_1d(table["current_A"]))
-    return profile, voltage
+    profile, table = _read_profile_table(path, lambda names: names == expected,
+                                         "time_s,current_A,voltage_V")
+    return profile, _finite_column(path, table, "voltage_V")
 
 
 def load_current_csv(path) -> CurrentProfile:
     """An excitation file: columns time_s,current_A, others ignored."""
-    table, dt = _read_profile_table(
+    return _read_profile_table(
         path, lambda names: {"time_s", "current_A"} <= names,
-        "time_s,current_A")
-    return CurrentProfile(dt=dt, current=np.atleast_1d(table["current_A"]))
+        "time_s,current_A")[0]
 
 
 def save_dataset(out_dir, train: IdentificationDataset,

@@ -25,6 +25,8 @@ class OcvCurve:
             raise DataError("OCV table needs matching 1-D x and U arrays")
         if x.size < 2:
             raise DataError("OCV table needs at least two points")
+        if not np.all(np.isfinite(x)):
+            raise DataError("OCV stoichiometry contains non-finite values")
         if not np.all(np.diff(x) > 0.0):
             raise DataError("OCV stoichiometry grid must be strictly increasing")
         if not (x[0] <= 0.0 and x[-1] >= 1.0):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,6 +130,11 @@ class CellParameters:
         eps_am, R = electrode_fields(electrode, "eps_am", "R")(self)
         return 3.0 * eps_am / R
 
+    def i0_scale(self, electrode: str) -> float:
+        """Arrhenius factor times F: exp((1/T_ref - 1/T) E_io/R_gas) F."""
+        E_io = electrode_fields(electrode, "E_io")(self)
+        return math.exp((1.0 / self.T_ref - 1.0 / self.T) * E_io / self.R_gas) * self.F
+
     def validate(self) -> None:
         """Raise ValueError listing every violated invariant."""
         problems = []
@@ -148,6 +154,14 @@ class CellParameters:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 problems.append(f"{name} must lie in (0, 1), got {value}")
+        for electrode in ELECTRODES:
+            try:   # exp may overflow; T, T_ref or R_gas may be zero
+                scale = abs(self.i0_scale(electrode))
+            except ArithmeticError:
+                scale = math.inf
+            if not 0.0 < scale < math.inf:   # NaN too
+                problems.append(f"exp((1/T_ref - 1/T) E_io_{electrode}/R_gas) F "
+                                f"must be finite and non-zero, got {scale}")
 
         if problems:
             raise ValueError("invalid cell parameters: " + "; ".join(problems))
@@ -189,14 +203,14 @@ class CellParameters:
         try:
             return cls(**raw)
         except (TypeError, ValueError) as exc:
-            raise DataError(f"invalid cell parameters: {exc}") from exc
+            raise DataError(str(exc)) from exc
 
 
 def load_parameter_file(path) -> tuple[CellParameters, Path, Path]:
     """Read a flat JSON parameter file.
 
     Returns the cell parameters plus the two OCV table paths, resolved
-    relative to the file's directory.
+    relative to the file's directory.  Every DataError names the file.
     """
     path = Path(path)
     raw = read_json_object(path, "parameter file")
@@ -208,7 +222,10 @@ def load_parameter_file(path) -> tuple[CellParameters, Path, Path]:
             raise DataError(f"parameter file {path}: {key} must be a file name, "
                             f"got {raw[key]!r}")
         ocv_paths.append((path.parent / raw.pop(key)).resolve())
-    return CellParameters.from_dict(raw), *ocv_paths
+    try:
+        return CellParameters.from_dict(raw), *ocv_paths
+    except DataError as exc:
+        raise DataError(f"parameter file {path}: {exc}") from exc
 
 
 def reference_cell_path() -> Path:

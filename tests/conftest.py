@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +41,16 @@ def params(cell):
 @pytest.fixture(scope="session")
 def ocv_pair(cell):
     return cell[1], cell[2]
+
+
+@pytest.fixture(scope="session")
+def faint_cell(params):
+    """The reference cell at T = T_ref - 50 K, with the cathode activation
+    energy that makes its Arrhenius factor 1e-300: a cell that validates,
+    whose i0_p underflows to zero at k_p = 1e-30."""
+    T = params.T_ref - 50.0
+    E_io_p = math.log(1e-300) * params.R_gas / (1.0 / params.T_ref - 1.0 / T)
+    return params.replace(T=T, E_io_p=E_io_p)
 
 
 @pytest.fixture(scope="session")

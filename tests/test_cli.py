@@ -396,14 +396,15 @@ class TestMalformedInputFiles:
         assert not out.exists()
 
     @staticmethod
-    def _edited_dataset(dataset_dir, tmp_path, edit):
-        """A copy of the dataset whose train_0.csv lines pass through ``edit``."""
+    def _edited_dataset(dataset_dir, tmp_path, edit, name="train_0.csv"):
+        """A copy of the dataset whose file ``name`` has its lines passed
+        through ``edit``."""
         copy = tmp_path / "data"
         copy.mkdir()
         for path in dataset_dir.iterdir():
             (copy / path.name).write_bytes(path.read_bytes())
-        train = copy / "train_0.csv"
-        train.write_text("\n".join(edit(train.read_text().splitlines())) + "\n")
+        edited = copy / name
+        edited.write_text("\n".join(edit(edited.read_text().splitlines())) + "\n")
         return copy
 
     @pytest.mark.parametrize("cell", ["", "nan"], ids=["blank", "nan"])
@@ -447,26 +448,37 @@ class TestMalformedInputFiles:
         assert not (tmp_path / "out").exists()
 
     def test_profile_the_model_cannot_simulate(self, runner, config_path,
-                                               dataset_dir, tmp_path):
-        """Twenty times the current drives a surface concentration out of
-        range at every theta: a data error naming the file and the sample,
-        not a fit at the divergence penalty."""
+                                               dataset_dir, tmp_path,
+                                               monkeypatch):
+        """Twenty times the current of a train or test profile drives a
+        surface concentration out of range at every theta: a data error
+        naming the file and the sample before any evaluation, not a fit or
+        a test loss at the divergence penalty."""
+        import cellident.identify as identify
+
         def scale_current(lines):
             for i, line in enumerate(lines[1:], start=1):
                 time_s, current, volts = line.split(",")
                 lines[i] = f"{time_s},{20.0 * float(current)!r},{volts}"
             return lines
 
-        data = self._edited_dataset(dataset_dir, tmp_path, scale_current)
-        out = tmp_path / "out"
-        result = runner.invoke(main, [
-            "identify", "--config", str(config_path),
-            "--data", str(data / "manifest.json"), "--method", "random",
-            "--budget", "5", "--out", str(out)])
-        assert result.exit_code == 3, result.output
-        assert "train_0.csv: electrode" in result.output
-        assert "at sample " in result.output
-        assert not (out / "best_theta.json").exists()
+        evaluations = []
+        monkeypatch.setattr(identify.VoltageFitObjective, "__call__",
+                            lambda self, theta: evaluations.append(theta))
+        for name in ("train_0.csv", "test_0.csv"):
+            base = tmp_path / name
+            base.mkdir()
+            data = self._edited_dataset(dataset_dir, base, scale_current, name)
+            out = base / "out"
+            result = runner.invoke(main, [
+                "identify", "--config", str(config_path),
+                "--data", str(data / "manifest.json"), "--method", "random",
+                "--budget", "5", "--out", str(out)])
+            assert result.exit_code == 3, result.output
+            assert f"{name}: electrode" in result.output
+            assert "at sample " in result.output
+            assert evaluations == []
+            assert not out.exists()
 
     def test_decreasing_time(self, runner, config_path, dataset_dir,
                              tmp_path):
@@ -673,6 +685,37 @@ class TestUnsimulatableCell:
         assert result.exit_code == 2, result.output
         assert ("config error: the cell cannot simulate profile kind "
                 "'rcid-like' at dt = 1 s: " + message) in result.output
+        assert not out.exists()
+
+
+class TestImplausibleKinetics:
+    """A parameter file whose Arrhenius factor underflows to zero (cold) or
+    overflows (hot) is a data error naming the file, from every verb that
+    loads a cell, before anything is written."""
+
+    @pytest.mark.parametrize("T, got", [(250.0, "0.0"), (350.0, "inf")],
+                             ids=["cold", "hot"])
+    @pytest.mark.parametrize("verb", ["gen-data", "simulate", "identify",
+                                      "bench"])
+    def test_exit_3_naming_the_file(self, runner, dataset_dir, tmp_path,
+                                    verb, T, got):
+        source = reference_cell_path()
+        raw = json.loads(source.read_text())
+        for key in ("ocv_cathode", "ocv_anode"):
+            raw[key] = str(source.parent / raw[key])
+        cell = tmp_path / "cell.json"
+        cell.write_text(json.dumps({**raw, "T": T, "E_io_p": 1e8}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"parameter_file": str(cell)}))
+        out = tmp_path / "out"
+        extra = {"identify": ["--data", str(dataset_dir / "manifest.json")],
+                 "simulate": ["--kind", "rcid-like"]}
+        result = runner.invoke(main, [verb, "--config", str(config),
+                                      *extra.get(verb, []), "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert (f"data error: parameter file {cell}: invalid cell parameters: "
+                f"exp((1/T_ref - 1/T) E_io_p/R_gas) F must be finite and "
+                f"non-zero, got {got}") in result.output
         assert not out.exists()
 
 

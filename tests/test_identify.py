@@ -211,16 +211,18 @@ class TestObjective:
         assert (objective.unit(np.array([-0.2, 0.5, 1.7]))
                 == objective.unit(np.array([0.0, 0.5, 1.0])))
 
-    def test_divergence_penalty(self, cell, box, i_1c):
-        """A dataset whose excitation breaks the model charges the penalty."""
-        params, ocv_p, ocv_n = cell
-        harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
-        fake_volts = np.full(600, 3.0)
-        dataset = IdentificationDataset(profiles=(harsh, harsh),
-                                        voltages=(fake_volts, fake_volts))
-        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, dataset)
-        evaluation = objective(box.denormalize(np.full(box.n, 0.5)))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_penalty(self, faint_cell, ocv_pair, box,
+                                short_dataset):
+        """A theta whose i0_p underflows to zero breaks the model at that
+        theta only: each profile is charged the penalty, nothing raised."""
+        two = IdentificationDataset(profiles=2 * short_dataset.profiles,
+                                    voltages=2 * short_dataset.voltages)
+        objective = VoltageFitObjective(faint_cell, *ocv_pair, box, two)
+        evaluation = objective(np.array([1e-30, faint_cell.k_n,
+                                         faint_cell.D_e]))
         assert evaluation.penalized
+        assert evaluation.per_profile == 2 * (DIVERGENCE_PENALTY,)
         assert evaluation.loss == 2.0 * DIVERGENCE_PENALTY
 
     @pytest.mark.parametrize("scale", [1e-9, 1e-300])
@@ -295,7 +297,8 @@ class TestObjective:
 
 
 class TestFixedTermCache:
-    """The objective builds each profile's theta-free terms on its first call."""
+    """The objective builds each profile's theta-free terms when it is
+    constructed, and no call builds them again."""
 
     @pytest.fixture()
     def built(self, monkeypatch):
@@ -329,20 +332,17 @@ class TestFixedTermCache:
         VoltageFitObjective(params, ocv_p, ocv_n, box, pair).unit(np.zeros(3))
         assert built == 2 * list(pair.profiles)
 
-    def test_divergence_penalty_charged_on_every_call(self, cell, box, pair,
-                                                      built, i_1c):
-        params, ocv_p, ocv_n = cell
-        harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
-        fake_volts = np.full(600, 3.0)
-        dataset = IdentificationDataset(profiles=(pair.profiles[0], harsh),
-                                        voltages=(pair.voltages[0], fake_volts))
-        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, dataset)
-        truth = np.array([params.k_p, params.k_n, params.D_e])
+    def test_divergence_penalty_charged_on_every_call(
+            self, faint_cell, ocv_pair, box, pair, built):
+        """Repeating a theta that diverges recomputes no term, and the
+        kept non-finite eta_p is charged again each time."""
+        objective = VoltageFitObjective(faint_cell, *ocv_pair, box, pair)
+        underflow = np.array([1e-30, faint_cell.k_n, faint_cell.D_e])
         for _ in range(3):
-            evaluation = objective(truth)
+            evaluation = objective(underflow)
             assert evaluation.penalized
-            assert evaluation.per_profile == (0.0, DIVERGENCE_PENALTY)
-        assert built == [pair.profiles[0], harsh]
+            assert evaluation.per_profile == 2 * (DIVERGENCE_PENALTY,)
+        assert built == list(pair.profiles)
 
     def test_too_large_d_e_raises_on_every_call(self, cell, pair, built):
         params, ocv_p, ocv_n = cell
@@ -358,63 +358,56 @@ class TestFixedTermCache:
         assert objective(truth).loss == 0.0
         assert len(built) == len(pair.profiles)
 
-    def test_step_checked_for_a_diverged_profile(self, cell, pair, built,
-                                                  i_1c):
-        """A profile whose fixed terms diverged keeps no D_e, so every call
-        checks its step: a too-large D_e raises, not a cached penalty."""
-        params, ocv_p, ocv_n = cell
+    def test_step_checked_for_a_diverged_profile(self, faint_cell, ocv_pair,
+                                                  pair, built):
+        """A profile penalized at the last theta still checks its step when
+        D_e changes: a too-large D_e raises, not a penalty."""
         wide = ParameterBox(names=THETA_NAMES,
                             lower=np.array([2.0e-11, 2.8e-11, 1.6e-10]),
                             upper=np.array([4.5e-11, 5.6e-11, 1.0e-8]))
-        harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
-        fake_volts = np.full(600, 3.0)
-        dataset = IdentificationDataset(profiles=(harsh,), voltages=(fake_volts,))
-        objective = VoltageFitObjective(params, ocv_p, ocv_n, wide, dataset)
-        truth = np.array([params.k_p, params.k_n, params.D_e])
-        assert objective(truth).per_profile == (DIVERGENCE_PENALTY,)
+        objective = VoltageFitObjective(faint_cell, *ocv_pair, wide, pair)
+        underflow = np.array([1e-30, faint_cell.k_n, faint_cell.D_e])
+        assert objective(underflow).per_profile == 2 * (DIVERGENCE_PENALTY,)
         with pytest.raises(StepTooCoarse):
-            objective(wide.upper.copy())
-        assert objective(truth).per_profile == (DIVERGENCE_PENALTY,)
-        assert built == [harsh]
+            objective(np.array([1e-30, faint_cell.k_n, 1.0e-8]))
+        assert objective(underflow).per_profile == 2 * (DIVERGENCE_PENALTY,)
+        assert built == list(pair.profiles)
 
-    def test_check_diverged_names_the_profile_and_sample(self, cell, box,
-                                                         pair, i_1c):
-        """check_diverged is silent until a profile's theta-free terms
-        diverge, then names that profile with fixed_terms' own message."""
+    def test_construction_names_each_diverging_profile_and_sample(
+            self, cell, box, pair, built, i_1c):
+        """Profiles whose theta-free terms diverge cannot be fit at any
+        theta: construction raises one DataError naming each of them with
+        fixed_terms' own message, and no other profile."""
         params, ocv_p, ocv_n = cell
-        harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
         fake_volts = np.full(600, 3.0)
+        harsh = {name: CurrentProfile(dt=1.0, current=np.full(600, sign * i_1c))
+                 for name, sign in (("discharge.csv", 20.0),
+                                    ("charge.csv", -20.0))}
         dataset = IdentificationDataset(
-            profiles=(pair.profiles[0], harsh),
-            voltages=(pair.voltages[0], fake_volts),
-            names=("good.csv", "harsh.csv"))
-        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, dataset)
-        objective.check_diverged()
-        healthy = VoltageFitObjective(params, ocv_p, ocv_n, box, pair)
-        truth = np.array([params.k_p, params.k_n, params.D_e])
-        for _ in range(2):
-            objective(truth)
-            healthy(truth)
-            healthy.check_diverged()
-            with pytest.raises(DataError) as info:
-                objective.check_diverged()
-        with pytest.raises(SimulationDiverged) as direct:
-            ecm.fixed_terms(params, ocv_p, ocv_n, harsh)
-        assert f"harsh.csv: {direct.value}" in str(info.value)
-        assert f"at sample {direct.value.index}" in str(info.value)
+            profiles=(harsh["discharge.csv"], pair.profiles[0],
+                      harsh["charge.csv"]),
+            voltages=(fake_volts, pair.voltages[0], fake_volts),
+            names=("discharge.csv", "good.csv", "charge.csv"))
+        with pytest.raises(DataError) as info:
+            VoltageFitObjective(params, ocv_p, ocv_n, box, dataset)
+        assert built == list(dataset.profiles)
+        for name, profile in harsh.items():
+            with pytest.raises(SimulationDiverged) as direct:
+                ecm.fixed_terms(params, ocv_p, ocv_n, profile)
+            assert f"{name}: {direct.value}" in str(info.value)
+            assert f"at sample {direct.value.index}" in str(info.value)
         assert "good.csv" not in str(info.value)
 
-    def test_ocv_table_error_raised_on_every_call(self, cell, box, pair,
-                                                  built):
-        """An out-of-table OCV query is an error, never cached or penalized."""
+    def test_ocv_table_error_raised_at_construction(self, cell, box, pair,
+                                                    built):
+        """An out-of-table OCV query is an error of the first profile that
+        makes one, raised before any call."""
         params, ocv_p, ocv_n = cell
         narrow = copy.copy(ocv_p)
         narrow.x = 0.5 * ocv_p.x   # the cell starts at cathode x = 0.8
-        objective = VoltageFitObjective(params, narrow, ocv_n, box, pair)
-        for _ in range(3):
-            with pytest.raises(DataError, match="outside table range"):
-                objective(box.denormalize(np.full(box.n, 0.5)))
-        assert built == 3 * [pair.profiles[0]]
+        with pytest.raises(DataError, match="outside table range"):
+            VoltageFitObjective(params, narrow, ocv_n, box, pair)
+        assert built == [pair.profiles[0]]
 
 
 class TestThetaTermCache:
@@ -518,11 +511,11 @@ class TestThetaTermCache:
         def failing_once(p, fixed, electrode):
             if fail and electrode == "p":
                 fail.clear()
-                raise ZeroDivisionError("exchange current density is zero")
+                raise RuntimeError("injected failure")
             return real(p, fixed, electrode)
 
         monkeypatch.setattr(identify, "overpotential", failing_once)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(RuntimeError, match="injected failure"):
             objective(theta)
         want = VoltageFitObjective(params, ocv_p, ocv_n, box,
                                    objective.dataset)(theta)
@@ -539,6 +532,17 @@ class TestProfileCsv:
         assert loaded_p.dt == pytest.approx(0.5)
         np.testing.assert_allclose(loaded_p.current, profile.current, atol=1e-9)
         np.testing.assert_allclose(loaded_v, volts, atol=1e-9)
+
+    def test_loaded_columns_are_contiguous_copies(self, tmp_path):
+        """Neither the current nor the voltage is a strided view that keeps
+        the parsed table alive."""
+        path = tmp_path / "run.csv"
+        save_profile_csv(path, CurrentProfile(dt=1.0, current=np.ones(4)),
+                         np.full(4, 3.5))
+        loaded_p, loaded_v = load_profile_csv(path)
+        for column in (loaded_p.current, loaded_v,
+                       load_current_csv(path).current):
+            assert column.flags.c_contiguous and column.flags.owndata
 
     def test_mismatched_grids_rejected_on_save(self, tmp_path):
         profile = CurrentProfile(dt=1.0, current=np.ones(3))

@@ -55,6 +55,12 @@ class TestValidation:
         with pytest.raises(DataError, match="non-finite"):
             OcvCurve(np.array([0.0, 1.0]), np.array([4.0, np.nan]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stoichiometry_rejected(self, bad):
+        with pytest.raises(DataError, match="OCV stoichiometry contains "
+                                            "non-finite values"):
+            OcvCurve(np.array([0.0, bad, 1.0]), np.array([4.0, 3.5, 3.0]))
+
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             OcvCurve(np.array([0.0, 0.5, 1.0]), np.array([4.0, 3.0]))
@@ -92,6 +98,12 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             OcvCurve.from_csv(tmp_path / "nope.csv")
+
+    def test_blank_stoichiometry_cell(self, tmp_path):
+        path = tmp_path / "ocv.csv"
+        path.write_text("x,U_volts\n0.0,4.0\n,3.5\n1.0,3.0\n")
+        with pytest.raises(DataError, match="non-finite"):
+            OcvCurve.from_csv(path)
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

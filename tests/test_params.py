@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import shutil
 
 import numpy as np
@@ -89,6 +90,14 @@ class TestValidation:
         assert "k_p" in message
         assert "t_plus" in message
         assert "c_n0" in message
+
+    @pytest.mark.parametrize("name", ["T", "T_ref", "R_gas"])
+    def test_zero_in_the_arrhenius_factor_is_a_value_error(self, params,
+                                                           name):
+        with pytest.raises(ValueError, match=re.escape(
+                "exp((1/T_ref - 1/T) E_io_p/R_gas) F must be finite and "
+                "non-zero")):
+            params.replace(**{name: 0.0})
 
     def test_unknown_key_rejected(self, params):
         raw = params.to_dict()
@@ -198,6 +207,44 @@ class TestParameterFile:
                                     "ocv_anode": "an.csv"}))
         with pytest.raises(DataError, match="ocv_cathode must be a file name"):
             load_parameter_file(path)
+
+    @staticmethod
+    def _write_cell(tmp_path, params, **changes):
+        path = tmp_path / "cell.json"
+        path.write_text(json.dumps({**params.to_dict(), **changes,
+                                    "ocv_cathode": "cath.csv",
+                                    "ocv_anode": "an.csv"}))
+        return path
+
+    def test_invalid_values_said_once_naming_the_file(self, tmp_path, params):
+        c_p0 = 2.0 * params.c_max_p
+        path = self._write_cell(tmp_path, params, c_p0=c_p0)
+        with pytest.raises(DataError) as err:
+            load_parameter_file(path)
+        assert str(err.value) == (
+            f"parameter file {path}: invalid cell parameters: c_p0 must lie "
+            f"in (0, c_max_p), got {c_p0}")
+
+    def test_key_errors_name_the_file(self, tmp_path, params):
+        path = self._write_cell(tmp_path, params, surprise=1.0)
+        with pytest.raises(DataError, match=re.escape(
+                f"parameter file {path}: unknown cell parameter keys: "
+                "['surprise']")):
+            load_parameter_file(path)
+
+    @pytest.mark.parametrize("T, got", [(250.0, "0.0"), (350.0, "inf")],
+                             ids=["cold", "hot"])
+    def test_arrhenius_factor_checked_at_load(self, tmp_path, params, T, got):
+        """At E_io_p = 1e8 J/mol the cathode's Arrhenius factor underflows
+        to 0 at 250 K and overflows at 350 K: the file is rejected when it
+        loads, not at the first simulation."""
+        path = self._write_cell(tmp_path, params, T=T, E_io_p=1e8)
+        with pytest.raises(DataError, match=re.escape(
+                f"parameter file {path}: invalid cell parameters: "
+                f"exp((1/T_ref - 1/T) E_io_p/R_gas) F must be finite and "
+                f"non-zero, got {got}")) as err:
+            load_parameter_file(path)
+        assert "E_io_n" not in str(err.value)
 
     def test_packaged_file_is_loadable(self, cell):
         params, ocv_p, ocv_n = cell

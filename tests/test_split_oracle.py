@@ -51,8 +51,6 @@ def _reference_i0(params, electrode, c_surf):
 def _reference_eta(params, electrode, current, i0):
     p = params
     J = p.J_p if electrode == "p" else p.J_n
-    if np.any(np.asarray(i0) == 0.0):
-        raise ZeroDivisionError("exchange current density is zero")
     return p.R_gas * p.T0 * (-J * np.asarray(current, dtype=float)) / (p.F * i0)
 
 
