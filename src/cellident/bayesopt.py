@@ -19,7 +19,7 @@ from scipy.special import ndtr
 
 from . import gp
 from ._blas import one_blas_thread
-from .errors import DuplicatePoint, NegativeVariance, SingularKernel
+from .errors import DuplicatePoint, SingularKernel
 from .identify import ParameterBox
 from .runs import OptimizationResult, Recorder
 from .sampling import HaltonSampler
@@ -48,8 +48,7 @@ def expected_improvement(mean, variance, best_so_far: float):
         raise ValueError("mean and variance must be finite")
     lowest = variance.min(initial=np.inf)
     if lowest < -1e-12:
-        raise NegativeVariance(
-            f"variance {lowest:g} below clamping tolerance")
+        raise ValueError(f"variance {lowest:g} below clamping tolerance")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # copies, at least 1-D: the core writes over its arguments
         out = _ei_core(np.array(mean, ndmin=1), np.array(variance, ndmin=1),

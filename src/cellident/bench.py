@@ -40,7 +40,6 @@ from .errors import (
     ConfigError,
     DataError,
     SimulationDiverged,
-    SocWindowViolation,
     StepTooCoarse,
 )
 from .identify import (
@@ -275,8 +274,8 @@ def generate_profile(kind: str, duration: float, dt: float, seed,
     """Build an excitation and verify it respects the SOC window.
 
     The bulk stoichiometry of both electrodes must stay inside
-    SOC_HARD_WINDOW under the given cell's capacity, else
-    SocWindowViolation.  The request is checked as a ProfileSpec first.
+    SOC_HARD_WINDOW under the given cell's capacity, else ConfigError.
+    The request is checked as a ProfileSpec first.
     """
     ProfileSpec(kind, duration, dt)
     i_1c = one_c_current(params)
@@ -290,7 +289,7 @@ def generate_profile(kind: str, duration: float, dt: float, seed,
         x = (bulk_concentration(params, electrode, profile)
              / electrode_fields(electrode, "c_max")(params))
         if np.any(x <= lo) or np.any(x >= hi):
-            raise SocWindowViolation(
+            raise ConfigError(
                 f"profile kind {kind!r} drives electrode {electrode} bulk "
                 f"stoichiometry to {x[np.argmax(np.abs(x - 0.5))]:.3f}, outside "
                 f"({lo}, {hi})")

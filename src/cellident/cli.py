@@ -147,11 +147,18 @@ def identify_cmd(config_path, manifest_path, method, budget, seed, out_dir):
     check_step_resolution(box, [p.dt for p in train.profiles + test.profiles],
                           params)
     check_budget((method,), config.budget, box)
+    objectives, causes = [], []
+    for dataset in (train, test):   # build both, to name every bad file
+        try:
+            objectives.append(
+                VoltageFitObjective(params, ocv_p, ocv_n, box, dataset))
+        except DataError as exc:
+            causes.append(str(exc))
+    if causes:
+        raise DataError("; ".join(causes))
 
-    best, result = fit_and_score(
-        method, VoltageFitObjective(params, ocv_p, ocv_n, box, train),
-        VoltageFitObjective(params, ocv_p, ocv_n, box, test), config.budget,
-        config.master_seed, config.s0)
+    best, result = fit_and_score(method, *objectives, config.budget,
+                                 config.master_seed, config.s0)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import NonPositiveStep, SimulationDiverged, StepTooCoarse
+from .errors import SimulationDiverged, StepTooCoarse
 from .ocv import OcvCurve
 from .params import ELECTRODES, CellParameters, electrode_fields
 from .profiles import CurrentProfile
@@ -103,10 +103,8 @@ def min_time_constant(params: CellParameters) -> float:
 
 
 def check_step(params: CellParameters, dt: float) -> None:
-    """NonPositiveStep unless ``dt`` > 0; StepTooCoarse when ``dt`` exceeds
+    """StepTooCoarse when ``dt`` (> 0, as every profile's step is) exceeds
     a tenth of the fastest time constant, which falls as D_e grows."""
-    if not dt > 0.0:
-        raise NonPositiveStep(f"dt must be positive, got {dt}")
     tau_min = min_time_constant(params)
     if dt > tau_min / 10.0:
         raise StepTooCoarse(
@@ -162,7 +160,7 @@ def surface_concentration(params: CellParameters, electrode: str,
         k = int(bad[0])
         raise SimulationDiverged(
             f"electrode {electrode} surface concentration {c[k]:g} mol/m^3 "
-            f"left (0, {c_max:g}) at sample {k}", index=k)
+            f"left (0, {c_max:g}) at sample {k}")
     return c
 
 
@@ -189,8 +187,7 @@ def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
         k_bad = int(bad[0])
         raise SimulationDiverged(
             f"electrode {electrode} exchange-current argument is non-positive "
-            f"at sample {k_bad} (c = {np.atleast_1d(c)[k_bad]:g} mol/m^3)",
-            index=k_bad)
+            f"at sample {k_bad} (c = {np.atleast_1d(c)[k_bad]:g} mol/m^3)")
     return params.i0_scale(electrode), np.sqrt(arg)
 
 
@@ -298,5 +295,5 @@ def simulate(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
                              np.empty(fixed.current.shape))
     if not np.all(np.isfinite(volts)):
         k = int(np.flatnonzero(~np.isfinite(volts))[0])
-        raise SimulationDiverged(f"non-finite terminal voltage at sample {k}", index=k)
+        raise SimulationDiverged(f"non-finite terminal voltage at sample {k}")
     return volts

@@ -13,21 +13,13 @@ class DataError(CellIdentError):
     """Missing or malformed data file (exit code 3)."""
 
 
-class NonPositiveStep(CellIdentError, ValueError):
-    """Sample period must be strictly positive."""
-
-
 class StepTooCoarse(CellIdentError, ValueError):
     """Sample period exceeds a tenth of the fastest block time constant,
     so the discretization would be inaccurate."""
 
 
 class SimulationDiverged(CellIdentError):
-    """A sub-model failed during simulation; carries the failing time index."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """A sub-model failed during simulation; the message names the sample."""
 
 
 class DimensionMismatch(CellIdentError, ValueError):
@@ -44,12 +36,3 @@ class SingularKernel(CellIdentError):
 
 class DuplicatePoint(CellIdentError, ValueError):
     """Two observed surrogate inputs coincide within tolerance."""
-
-
-class NegativeVariance(CellIdentError, ValueError):
-    """A predictive variance is negative beyond clamping tolerance."""
-
-
-class SocWindowViolation(ConfigError):
-    """A generated current profile drives the reference cell outside the
-    allowed state-of-charge window: the profile request cannot run."""

@@ -187,7 +187,6 @@ class ObjectiveEvaluation:
     """One scored objective call."""
 
     loss: float                    # V^2, sum over profiles
-    per_profile: tuple[float, ...]
     penalized: bool = False        # true when a divergence penalty was charged
 
 
@@ -260,8 +259,7 @@ class VoltageFitObjective:
                     penalized = True
                 else:
                     per.append(loss)
-        return ObjectiveEvaluation(loss=float(sum(per)),
-                                   per_profile=tuple(per), penalized=penalized)
+        return ObjectiveEvaluation(loss=float(sum(per)), penalized=penalized)
 
     @staticmethod
     def _profile_loss(terms: _ProfileTerms, params: CellParameters,

@@ -60,4 +60,8 @@ class OcvCurve:
             raise DataError(f"OCV table {path} is malformed: {exc}") from exc
         if table.dtype.names is None or set(table.dtype.names) != {"x", "U_volts"}:
             raise DataError(f"OCV table {path} must have columns 'x,U_volts'")
-        return cls(np.atleast_1d(table["x"]), np.atleast_1d(table["U_volts"]))
+        try:
+            return cls(np.atleast_1d(table["x"]),
+                       np.atleast_1d(table["U_volts"]))
+        except DataError as exc:
+            raise DataError(f"OCV table {path}: {exc}") from exc

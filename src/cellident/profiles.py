@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NonPositiveStep
+from .errors import DataError
 
 NOISE_BASE_PERIOD_S = 300.0   # the tile noise_cycle_profile repeats [s]
 
@@ -27,7 +27,7 @@ class CurrentProfile:
 
     def __post_init__(self):
         if not self.dt > 0.0:
-            raise NonPositiveStep(f"dt must be positive, got {self.dt}")
+            raise DataError(f"dt must be positive, got {self.dt}")
         current = np.asarray(self.current, dtype=float)
         if current.ndim != 1 or current.size < 1:
             raise DataError("current must be a non-empty 1-D array")

@@ -23,8 +23,9 @@ from cellident.bench import (
     resolve_cell,
     run_benchmark,
 )
-from cellident.ecm import simulate
-from cellident.errors import ConfigError, DataError, SocWindowViolation, StepTooCoarse
+from cellident.baselines import min_budget
+from cellident.ecm import electrolyte_time_constants, simulate
+from cellident.errors import ConfigError, DataError, StepTooCoarse
 from cellident.identify import (
     THETA_NAMES,
     IdentificationDataset,
@@ -311,7 +312,7 @@ class TestGenerateProfile:
     def test_soc_window_guard(self, params):
         # starting the anode at 8% leaves no room for the opening discharge
         shallow = params.replace(c_n0=2400.0)
-        with pytest.raises(SocWindowViolation, match="electrode n"):
+        with pytest.raises(ConfigError, match="electrode n"):
             generate_profile("rcid-like", 3600.0, 1.0, 0, shallow)
 
     def test_reference_cell_passes_window(self, params):
@@ -566,57 +567,99 @@ class TestBudgetMinimums:
             == [("gd", False, 5), ("random", False, 5)]
 
 
-# half the factors near the default box, so some examples get past every
-# rejection and reach a full run
-_FACTORS = st.one_of(st.floats(0.5, 1.5), st.floats(-1.0, 10.0))
-_NAMES = st.one_of(st.just(THETA_NAMES),   # any 3 of THETA_NAMES + 1 unknown
-                   st.permutations(THETA_NAMES + ("R_s",)).map(
-                       lambda names: names[:3]))
+# half the factors near the default box, half anywhere in (0, 10]
+_FACTORS = st.one_of(st.floats(0.5, 1.5), st.floats(1e-300, 10.0))
+_METHODS = ("bo", "gd", "pso", "random")
+_BREAKS = ("names", "lower", "order", "methods", "budget", "s0", "D_e",
+           "duration")
+
+
+def _d_e_limit(params, dt) -> float:
+    """Largest D_e that ``check_step`` accepts at step ``dt``: the fastest
+    electrolyte time constant, inversely proportional to D_e, must reach
+    10 dt (the solid ones do at every dt drawn here)."""
+    return params.D_e * min(electrolyte_time_constants(params)) / (10.0 * dt)
 
 
 @st.composite
 def _raw_configs(draw):
-    """Config dicts: bounds at -1..10x the default box's, linear or log,
-    permuted or unknown names, budgets 2..12 and profiles of 100-300 dt."""
+    """(broken, config dict) drawn from the loader's rules: names
+    THETA_NAMES, bounds at (0, 10]x the default box's with lower below
+    upper, linear or log, an upper D_e the profile's step resolves, distinct
+    known methods, a budget of 2..12 that reaches each method's minimum,
+    1 <= s0 <= budget and profiles of 100-300 dt.  About half break the
+    rule named by ``broken``; the rest have ``broken`` None."""
     base = default_box()
+    dt = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+    d_e_cap = 0.999 * _d_e_limit(resolve_cell(default_config())[0], dt)
     factors = [sorted(draw(st.lists(_FACTORS, min_size=2, max_size=2)))
                for _ in THETA_NAMES]
-    budget = draw(st.integers(2, 12))
-    dt = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
-    spec = {"kind": draw(st.sampled_from(["rcid-like", "drive-cycle-like"])),
-            "duration_s": dt * draw(st.integers(100, 300)), "dt_s": dt}
-    return {
-        "box": {"names": list(draw(_NAMES)),
-                "lower": [a * v for (a, _), v in zip(factors, base.lower)],
-                "upper": [b * v for (_, b), v in zip(factors, base.upper)],
+    lower = [a * v for (a, _), v in zip(factors, base.lower)]
+    upper = [b * v for (_, b), v in zip(factors, base.upper)]
+    if upper[2] > d_e_cap:   # keep the D_e range, scaled under the cap
+        lower[2], upper[2] = (lower[2] * d_e_cap / upper[2], d_e_cap)
+    methods = draw(st.lists(st.sampled_from(_METHODS), min_size=1,
+                            max_size=4, unique=True))
+    need = max(2, *(min_budget(m, len(THETA_NAMES)) for m in methods))
+    budget = draw(st.integers(need, 12))
+    raw = {
+        "box": {"names": list(THETA_NAMES), "lower": lower, "upper": upper,
                 "scales": draw(st.lists(st.sampled_from(["linear", "log"]),
                                         min_size=3, max_size=3))},
-        "methods": draw(st.lists(st.sampled_from(["bo", "gd", "pso", "random"]),
-                                 min_size=1, max_size=4, unique=True)),
+        "methods": methods,
         "budget": budget,
         "s0": draw(st.integers(1, budget)),
         "repetitions": 1,
         "noise_sigma_v": draw(st.sampled_from([0.0, 1e-3])),
         "master_seed": draw(st.integers(0, 2**32 - 1)),
-        "train_profiles": [spec],
-        "test_profiles": [spec],
     }
+    n_steps = draw(st.integers(100, 300))
+    broken = draw(st.one_of(st.none(), st.sampled_from(_BREAKS)))
+    i = draw(st.integers(0, 2))
+    box = raw["box"]
+    if broken == "names":   # permuted, or one unknown
+        box["names"] = draw(st.permutations(THETA_NAMES + ("R_s",)).map(
+            lambda names: names[:3]).filter(
+                lambda names: tuple(names) != THETA_NAMES))
+    elif broken == "lower":
+        box["lower"][i] = draw(st.floats(-1.0, 0.0)) * base.lower[i]
+    elif broken == "order":
+        box["lower"][i], box["upper"][i] = box["upper"][i], box["lower"][i]
+    elif broken == "methods":
+        raw["methods"] = draw(st.sampled_from([[], ["bo", "bo"], ["sgd"]]))
+    elif broken == "budget":   # below a method's minimum, else below 2
+        raw["budget"] = draw(st.integers(2, need - 1) if need > 2
+                             else st.integers(-2, 1))
+    elif broken == "s0":
+        raw["s0"] = draw(st.sampled_from([0, budget + 1]))
+    elif broken == "D_e":   # the whole D_e range too large for the step
+        box["lower"][2] = d_e_cap * draw(st.floats(1.01, 10.0))
+        box["upper"][2] = 2.0 * box["lower"][2]
+    elif broken == "duration":
+        n_steps = draw(st.integers(1, 99))
+    spec = {"kind": draw(st.sampled_from(["rcid-like", "drive-cycle-like"])),
+            "duration_s": dt * n_steps, "dt_s": dt}
+    return broken, {**raw, "train_profiles": [spec], "test_profiles": [spec]}
 
 
 class TestEveryLoadedConfigRuns:
-    """A config either fails to load or run_benchmark rejects it with a
-    ConfigError before any row; otherwise no row fails."""
+    """A config that breaks a rule fails to load or run_benchmark rejects
+    it with a ConfigError before any row; any other runs, and no row
+    fails."""
 
     @settings(max_examples=25, derandomize=True, deadline=None,
               database=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(raw=_raw_configs())
-    def test_runs_or_rejected_up_front(self, raw):
+    @given(case=_raw_configs())
+    def test_runs_or_rejected_up_front(self, case):
+        broken, raw = case
         try:
             report = run_benchmark(ExperimentConfig.from_dict(raw))
         except ConfigError:
             event("rejected")
+            assert broken is not None
             return
         event("ran")
+        assert broken is None
         failed = [r for r in report.results["rows"] if r["failed"]]
         assert failed == []
 

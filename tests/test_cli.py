@@ -396,15 +396,17 @@ class TestMalformedInputFiles:
         assert not out.exists()
 
     @staticmethod
-    def _edited_dataset(dataset_dir, tmp_path, edit, name="train_0.csv"):
-        """A copy of the dataset whose file ``name`` has its lines passed
-        through ``edit``."""
+    def _edited_dataset(dataset_dir, tmp_path, edit, names=("train_0.csv",)):
+        """A copy of the dataset whose files ``names`` have their lines
+        passed through ``edit``."""
         copy = tmp_path / "data"
         copy.mkdir()
         for path in dataset_dir.iterdir():
             (copy / path.name).write_bytes(path.read_bytes())
-        edited = copy / name
-        edited.write_text("\n".join(edit(edited.read_text().splitlines())) + "\n")
+        for name in names:
+            edited = copy / name
+            edited.write_text(
+                "\n".join(edit(edited.read_text().splitlines())) + "\n")
         return copy
 
     @pytest.mark.parametrize("cell", ["", "nan"], ids=["blank", "nan"])
@@ -450,10 +452,10 @@ class TestMalformedInputFiles:
     def test_profile_the_model_cannot_simulate(self, runner, config_path,
                                                dataset_dir, tmp_path,
                                                monkeypatch):
-        """Twenty times the current of a train or test profile drives a
-        surface concentration out of range at every theta: a data error
-        naming the file and the sample before any evaluation, not a fit or
-        a test loss at the divergence penalty."""
+        """Twenty times the current of a train or test profile, or of both,
+        drives a surface concentration out of range at every theta: one
+        data error naming each such file and its sample before any
+        evaluation, not a fit or a test loss at the divergence penalty."""
         import cellident.identify as identify
 
         def scale_current(lines):
@@ -465,17 +467,22 @@ class TestMalformedInputFiles:
         evaluations = []
         monkeypatch.setattr(identify.VoltageFitObjective, "__call__",
                             lambda self, theta: evaluations.append(theta))
-        for name in ("train_0.csv", "test_0.csv"):
-            base = tmp_path / name
+        for names in (("train_0.csv",), ("test_0.csv",),
+                      ("train_0.csv", "test_0.csv")):
+            base = tmp_path / "-".join(names)
             base.mkdir()
-            data = self._edited_dataset(dataset_dir, base, scale_current, name)
+            data = self._edited_dataset(dataset_dir, base, scale_current,
+                                        names)
             out = base / "out"
             result = runner.invoke(main, [
                 "identify", "--config", str(config_path),
                 "--data", str(data / "manifest.json"), "--method", "random",
                 "--budget", "5", "--out", str(out)])
             assert result.exit_code == 3, result.output
-            assert f"{name}: electrode" in result.output
+            assert result.output.count("data error") == 1
+            for name in ("train_0.csv", "test_0.csv"):
+                assert (f"{name}: electrode" in result.output) == (
+                    name in names)
             assert "at sample " in result.output
             assert evaluations == []
             assert not out.exists()
@@ -517,6 +524,26 @@ class TestMalformedInputFiles:
             "--duration", "200", "--out", str(tmp_path / "v.csv")])
         assert result.exit_code == 3, result.output
         assert "data error" in result.output
+
+    def test_blank_ocv_cell(self, runner, tmp_path):
+        """A blank x cell in a copy of the packaged anode table, behind a
+        parameter file, is a data error naming that table."""
+        for path in reference_cell_path().parent.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        table = tmp_path / "ocv_anode.csv"
+        lines = table.read_text().splitlines()
+        lines[3] = "," + lines[3].split(",")[1]
+        table.write_text("\n".join(lines) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"parameter_file": str(tmp_path / reference_cell_path().name)}))
+        result = runner.invoke(main, [
+            "simulate", "--config", str(config), "--kind", "rcid-like",
+            "--out", str(tmp_path / "v.csv")])
+        assert result.exit_code == 3, result.output
+        assert (f"data error: OCV table {table.resolve()}: OCV stoichiometry "
+                "contains non-finite values") in result.output
+        assert not (tmp_path / "v.csv").exists()
 
 
 _DEFAULT_BOX = {"names": ["k_p", "k_n", "D_e"],

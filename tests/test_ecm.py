@@ -34,7 +34,7 @@ from cellident.ecm import (
     terminal_voltage,
     trapezoid_integral,
 )
-from cellident.errors import NonPositiveStep, SimulationDiverged, StepTooCoarse
+from cellident.errors import DataError, SimulationDiverged, StepTooCoarse
 from cellident.ocv import OcvCurve
 from cellident.profiles import CurrentProfile
 
@@ -106,11 +106,9 @@ class TestTrapezoidIntegrator:
     def test_single_sample(self):
         assert trapezoid_integral(np.array([3.0]), 1.0).tolist() == [0.0]
 
-    def test_dt_validation(self, params):
+    def test_dt_validation(self):
         """A zero step is refused before any filter runs."""
-        with pytest.raises(NonPositiveStep):
-            check_step(params, 0.0)
-        with pytest.raises(NonPositiveStep):
+        with pytest.raises(DataError, match="dt must be positive"):
             CurrentProfile(dt=0.0, current=np.ones(3))
 
 
@@ -141,9 +139,11 @@ class TestTimeConstants:
             check_step(params, limit * 1.01)
 
     @pytest.mark.parametrize("dt", [-1.0, math.nan])
-    def test_non_positive_step(self, params, dt):
-        with pytest.raises(NonPositiveStep, match=f"dt must be positive, got {dt}"):
-            check_step(params, dt)
+    def test_non_positive_step(self, dt):
+        """``check_step`` takes a profile's step, and no profile has one
+        that is not positive."""
+        with pytest.raises(DataError, match=f"dt must be positive, got {dt}"):
+            CurrentProfile(dt=dt, current=np.ones(3))
 
     def test_step_guard_follows_d_e(self, params):
         """The electrolyte time constants fall as D_e grows."""
@@ -364,10 +364,10 @@ class TestKinetics:
     def test_out_of_range_concentration(self, params):
         with pytest.raises(SimulationDiverged):
             exchange_current_factors(params, "p", 0.0)
-        with pytest.raises(SimulationDiverged, match="electrode p") as err:
+        with pytest.raises(SimulationDiverged,
+                           match="electrode p .* at sample 1 "):
             exchange_current_factors(params, "p",
                                      np.array([100.0, params.c_max_p]))
-        assert err.value.index == 1
 
     def test_overpotential_linear_in_current(self, cell, i_1c,
                                              simulate_pinned):
@@ -391,9 +391,8 @@ class TestKinetics:
         with np.errstate(divide="ignore", invalid="ignore"):
             eta = overpotential(theta, fixed, "p")
             assert np.all(np.isnan(eta[:5])) and np.all(np.isinf(eta[5:]))
-            with pytest.raises(SimulationDiverged, match="sample 0") as err:
+            with pytest.raises(SimulationDiverged, match="at sample 0$"):
                 simulate(theta, *ocv_pair, profile)
-        assert err.value.index == 0
 
 
 # square roots of any sign, with zeros, NaN, infinities and subnormals
@@ -442,8 +441,7 @@ class TestDivergence:
         profile = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
         with pytest.raises(SimulationDiverged) as err:
             simulate(params, ocv_p, ocv_n, profile)
-        assert err.value.index is not None
-        assert 0 < err.value.index < 600
+        assert 0 < int(re.search(r"at sample (\d+)", str(err.value))[1]) < 600
 
     def test_healthy_profile_does_not_raise(self, cell, i_1c):
         params, ocv_p, ocv_n = cell
@@ -464,10 +462,9 @@ class TestDivergence:
         params, ocv_p, ocv_n = cell
         current = np.concatenate([np.zeros(10), np.full(50, i_1c)])
         with np.errstate(over="ignore"), pytest.raises(SimulationDiverged,
-                                                       match="sample 10") as err:
+                                                       match="at sample 10$"):
             simulate(params.replace(k_p=5e-324), ocv_p, ocv_n,
                      CurrentProfile(dt=1.0, current=current))
-        assert err.value.index == 10
 
 
 _PER_ELECTRODE = {

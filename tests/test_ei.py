@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from cellident.bayesopt import expected_improvement
-from cellident.errors import NegativeVariance
 
 PHI_AT_ZERO = 0.3989422804014327   # standard normal density at 0
 
@@ -143,7 +142,7 @@ class TestExpressionOracle:
 
 class TestGuards:
     def test_negative_variance_below_tolerance(self):
-        with pytest.raises(NegativeVariance):
+        with pytest.raises(ValueError, match="below clamping tolerance"):
             expected_improvement(0.0, -1e-9, 1.0)
 
     def test_tiny_negative_variance_clamped(self):

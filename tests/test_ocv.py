@@ -1,6 +1,8 @@
 """Open-circuit potential tables: interpolation, validation, CSV round trip
 and the packaged curves."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,22 @@ class TestCsv:
         path = tmp_path / "ocv.csv"
         path.write_text("x,U_volts\n0.0,4.0\n,3.5\n1.0,3.0\n")
         with pytest.raises(DataError, match="non-finite"):
+            OcvCurve.from_csv(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0.0,4.0\n,3.5\n1.0,3.0", "stoichiometry contains non-finite"),
+        ("0.0,4.0\n1.0,3.0\n0.5,3.5", "strictly increasing"),
+        ("0.1,4.0\n1.0,3.0", "must cover"),
+        ("0.0,4.0\n0.5,\n1.0,3.0", "potential contains non-finite"),
+        ("0.0,3.0\n1.0,4.0", "non-increasing"),
+        ("0.0,4.0", "at least two points"),
+    ], ids=["blank x", "unsorted x", "short x", "blank U", "rising U",
+            "one row"])
+    def test_table_errors_name_the_file(self, tmp_path, rows, message):
+        path = tmp_path / "ocv_anode.csv"
+        path.write_text("x,U_volts\n" + rows + "\n")
+        with pytest.raises(DataError, match=f"^OCV table "
+                           f"{re.escape(str(path))}: OCV .*{message}"):
             OcvCurve.from_csv(path)
 
     def test_wrong_header(self, tmp_path):

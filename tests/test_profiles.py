@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cellident.errors import DataError, NonPositiveStep
+from cellident.errors import DataError
 from cellident.profiles import (
     CurrentProfile,
     noise_cycle_profile,
@@ -19,7 +19,7 @@ class TestCurrentProfile:
         assert profile.dt * (profile.n - 1) == 1.0
 
     def test_dt_must_be_positive(self):
-        with pytest.raises(NonPositiveStep):
+        with pytest.raises(DataError, match="dt must be positive, got 0.0"):
             CurrentProfile(dt=0.0, current=np.array([1.0]))
 
     def test_current_must_be_finite_1d(self):

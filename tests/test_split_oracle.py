@@ -8,6 +8,7 @@ change when the split does; it returns every voltage contribution.
 """
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +28,11 @@ from cellident.ecm import (
     surface_concentration,
 )
 from cellident.errors import SimulationDiverged
-from cellident.identify import DIVERGENCE_PENALTY, VoltageFitObjective
+from cellident.identify import (
+    DIVERGENCE_PENALTY,
+    IdentificationDataset,
+    VoltageFitObjective,
+)
 from cellident.profiles import CurrentProfile
 
 
@@ -41,8 +46,8 @@ def _reference_i0(params, electrode, c_surf):
     arg = c * (c_max - c) * c_e
     bad = np.flatnonzero(np.atleast_1d(arg) <= 0.0)
     if bad.size:
-        raise SimulationDiverged("non-positive exchange-current argument",
-                                 index=int(bad[0]))
+        raise SimulationDiverged("non-positive exchange-current argument "
+                                 f"at sample {int(bad[0])}")
     arrhenius = math.exp((1.0 / p.T_ref - 1.0 / p.T) * E_io / p.R_gas)
     i0 = arrhenius * p.F * k * np.sqrt(arg)
     return float(i0) if np.isscalar(c_surf) else i0
@@ -78,7 +83,7 @@ def reference_simulate_detailed(params, ocv_p, ocv_n, profile,
     volts = u_p - u_n - (eta_p - eta_n) + phi_e + phi_ohm - I * p.R_c
     if not np.all(np.isfinite(volts)):
         k = int(np.flatnonzero(~np.isfinite(volts))[0])
-        raise SimulationDiverged(f"non-finite terminal voltage at sample {k}", index=k)
+        raise SimulationDiverged(f"non-finite terminal voltage at sample {k}")
 
     return SimpleNamespace(volts=volts, c_p=c_p, c_n=c_n,
                            eta_p=np.asarray(eta_p), eta_n=np.asarray(eta_n),
@@ -86,7 +91,8 @@ def reference_simulate_detailed(params, ocv_p, ocv_n, profile,
 
 
 def reference_loss(base, ocv_p, ocv_n, dataset, theta):
-    """(loss, per_profile) of the objective before it cached anything."""
+    """(loss, per-profile losses) of the objective before it cached
+    anything."""
     params = base.replace(k_p=float(theta[0]), k_n=float(theta[1]),
                           D_e=float(theta[2]))
     per = []
@@ -98,6 +104,18 @@ def reference_loss(base, ocv_p, ocv_n, dataset, theta):
         except SimulationDiverged:
             per.append(DIVERGENCE_PENALTY)
     return float(sum(per)), tuple(per)
+
+
+def one_profile_objectives(base, ocv_p, ocv_n, box, dataset):
+    """One objective per profile of ``dataset``: their losses are the
+    per-profile losses of an objective over the whole dataset."""
+    return [VoltageFitObjective(base, ocv_p, ocv_n, box, IdentificationDataset(
+        profiles=(profile,), voltages=(measured,)))
+        for profile, measured in zip(dataset.profiles, dataset.voltages)]
+
+
+def _sample(exc) -> int:
+    return int(re.search(r"at sample (\d+)", str(exc))[1])
 
 
 FIELDS = ("volts", "c_p", "c_n", "eta_p", "eta_n", "phi_e", "phi_ohm")
@@ -163,7 +181,7 @@ class TestSimulatorSplit:
             simulate(params, ocv_p, ocv_n, harsh)
         with pytest.raises(SimulationDiverged) as want:
             reference_simulate_detailed(params, ocv_p, ocv_n, harsh)
-        assert got.value.index == want.value.index
+        assert _sample(got.value) == _sample(want.value)
 
 
 class TestObjectiveSplit:
@@ -174,12 +192,14 @@ class TestObjectiveSplit:
                    for a in (0, 1) for b in (0, 1) for c in (0, 1)]
         units = corners + list(rng.uniform(size=(12, 3))) + corners[:2]
         objective = VoltageFitObjective(params, ocv_p, ocv_n, box, noisy_dataset)
+        singles = one_profile_objectives(params, ocv_p, ocv_n, box,
+                                         noisy_dataset)
         for unit in units:
             theta = box.denormalize(unit)
             evaluation = objective(theta)
             loss, per = reference_loss(params, ocv_p, ocv_n, noisy_dataset, theta)
             assert evaluation.loss == loss
-            assert evaluation.per_profile == per
+            assert tuple(single(theta).loss for single in singles) == per
             assert not evaluation.penalized
 
 
@@ -229,8 +249,8 @@ def _theta_sequence(box, start, moves):
 
 class TestThetaTermCache:
     """The objective keeps each profile's last eta_p, eta_n and phi_e; over
-    any sequence of thetas its losses are those of a fresh objective and of
-    the one-step simulator, bit for bit."""
+    any sequence of thetas its losses, whole and per profile, are those of a
+    fresh objective and of the one-step simulator, bit for bit."""
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -240,6 +260,8 @@ class TestThetaTermCache:
             self, cell, box, noisy_dataset, start, moves):
         params, ocv_p, ocv_n = cell
         cached = VoltageFitObjective(params, ocv_p, ocv_n, box, noisy_dataset)
+        singles = one_profile_objectives(params, ocv_p, ocv_n, box,
+                                         noisy_dataset)
         for theta in _theta_sequence(box, start, moves):
             got = cached(theta)
             fresh = VoltageFitObjective(params, ocv_p, ocv_n, box,
@@ -251,7 +273,7 @@ class TestThetaTermCache:
             # charges a residual beyond the penalty, overflow and NaN
             per = tuple(v if v <= DIVERGENCE_PENALTY else DIVERGENCE_PENALTY
                         for v in per)
-            assert got.per_profile == fresh.per_profile == per
+            assert tuple(single(theta).loss for single in singles) == per
             assert got.loss == fresh.loss == float(sum(per))
             assert got.penalized == fresh.penalized == (
                 DIVERGENCE_PENALTY in per)
