@@ -19,7 +19,7 @@ from scipy.special import ndtr
 
 from . import gp
 from ._blas import one_blas_thread
-from .errors import DuplicatePoint, SingularKernel
+from .errors import SingularKernel
 from .identify import ParameterBox
 from .runs import OptimizationResult, Recorder
 from .sampling import HaltonSampler
@@ -123,17 +123,15 @@ class BoRunConfig:
                 f"s0 = {self.s0} exceeds budget = {self.budget}")
 
 
-def maximize_acquisition(state: gp.GPPosterior, box: ParameterBox,
-                         rng: np.random.Generator, sampler: HaltonSampler,
+def maximize_acquisition(state: gp.GPPosterior, sampler: HaltonSampler,
                          best_so_far: float) -> np.ndarray:
     """Approximate argmax of EI over the unit cube.
 
     Scores a quasi-random candidate set, then refines the best few by
-    coordinate-wise search with a geometrically shrinking step.  The winner
-    is nudged by a uniform 1e-6 perturbation if it lands within 1e-9 of an
-    observed point, so the next GP fit never sees duplicates.
+    coordinate-wise search with a geometrically shrinking step.  A winner
+    on an observed point is kept: gp.fit takes coincident points.
     """
-    n = box.n
+    n = state.points.shape[1]
     cand = sampler.draw(N_CANDIDATES)
     mean, var = state.posterior(cand)
     scores = expected_improvement(mean, var, best_so_far)
@@ -161,16 +159,7 @@ def maximize_acquisition(state: gp.GPPosterior, box: ParameterBox,
             better = best > score
             np.copyto(score, best, where=better)
             np.copyto(points, probes[rows, j], where=better[:, None])
-    best_point = points[np.argmax(score)]   # first maximum, in top order
-
-    # keep the proposal distinct from everything already observed
-    for _ in range(16):
-        dist = np.sqrt(np.sum((state.points - best_point) ** 2, axis=1))
-        if np.min(dist) >= 1e-9:
-            break
-        best_point = np.clip(
-            best_point + rng.uniform(-1e-6, 1e-6, size=n), 0.0, 1.0)
-    return best_point
+    return points[np.argmax(score)]   # first maximum, in top order
 
 
 def run_bo(objective, config: BoRunConfig) -> OptimizationResult:
@@ -197,9 +186,9 @@ def run_bo(objective, config: BoRunConfig) -> OptimizationResult:
         try:
             with one_blas_thread():   # small matrices: one thread is faster
                 state = gp.fit(np.vstack(evaluate.points), losses)
-                nxt = maximize_acquisition(state, box, rng, sampler,
+                nxt = maximize_acquisition(state, sampler,
                                            float(np.min(losses)))
-        except (SingularKernel, DuplicatePoint) as exc:
+        except SingularKernel as exc:
             fallbacks += 1
             log.warning("surrogate fit failed (%s); falling back to a "
                         "uniform random point", exc)

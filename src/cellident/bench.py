@@ -154,6 +154,11 @@ class ExperimentConfig:
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(
                 f"methods must be distinct, got {list(self.methods)}")
+        for method in self.methods:
+            need = min_budget(method, self.box.n)
+            if self.budget < need:
+                raise ConfigError(f"budget {self.budget} is below the "
+                                  f"{method} minimum of {need} evaluations")
         if not (math.isfinite(self.noise_sigma_v) and self.noise_sigma_v >= 0.0):
             raise ConfigError("noise_sigma_v must be finite and >= 0, got "
                               f"{self.noise_sigma_v}")
@@ -469,15 +474,6 @@ def _aggregate_rows(rows) -> dict:
     return out
 
 
-def check_budget(methods, budget: int, box: ParameterBox) -> None:
-    """ConfigError unless ``budget`` reaches every method's minimum."""
-    for method in methods:
-        need = min_budget(method, box.n)
-        if budget < need:
-            raise ConfigError(f"budget {budget} is below the {method} "
-                              f"minimum of {need} evaluations")
-
-
 def run_method(method: str, objective, box: ParameterBox, budget: int,
                seed, s0: int) -> OptimizationResult:
     """One budgeted run of ``method`` on a unit-cube objective."""
@@ -492,6 +488,24 @@ def run_method(method: str, objective, box: ParameterBox, budget: int,
     if method == "random":
         return random_search(objective, box, budget, seed)
     raise ConfigError(f"unknown method {method!r}")
+
+
+def build_objectives(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
+                     box: ParameterBox, train: IdentificationDataset,
+                     test: IdentificationDataset) -> list[VoltageFitObjective]:
+    """The train and test objectives.  Both are built, so one DataError
+    names every file of either dataset the model cannot simulate."""
+    objectives, causes = [], []
+    for dataset in (train, test):
+        try:
+            objectives.append(
+                VoltageFitObjective(params, ocv_p, ocv_n, box, dataset))
+        except DataError as exc:
+            causes.append(str(exc))
+    if causes:
+        raise DataError("no theta can fit data the model cannot simulate: "
+                        + "; ".join(causes))
+    return objectives
 
 
 def fit_and_score(method: str, train_objective: VoltageFitObjective,
@@ -516,8 +530,8 @@ def run_benchmark(config: ExperimentConfig,
                   out_dir=None) -> BenchmarkReport:
     """Full protocol: data generation, method x repetition sweep, report.
 
-    A search box whose largest D_e the profiles' steps cannot resolve, or a
-    budget below a method's minimum, is a ConfigError before any run.
+    A search box whose largest D_e the profiles' steps cannot resolve is a
+    ConfigError before any run.
     Per-repetition failures are recorded with a failure flag and excluded
     from aggregates; the sweep never aborts.  When out_dir is given, every
     file ``export_report`` writes, every optimizer trace and the dataset
@@ -528,7 +542,6 @@ def run_benchmark(config: ExperimentConfig,
     check_step_resolution(
         config.box, [spec.dt_s for spec in config.train_profiles
                      + config.test_profiles], params)
-    check_budget(config.methods, config.budget, config.box)
 
     train_ds, test_ds, data_meta = build_dataset(config, params, ocv_p, ocv_n)
     rep_seeds = np.random.SeedSequence(config.master_seed).spawn(
@@ -547,10 +560,10 @@ def run_benchmark(config: ExperimentConfig,
                    "evaluations": None, "theta": None}
             t_rep = time.perf_counter()
             try:
-                train_obj = VoltageFitObjective(params, ocv_p, ocv_n,
-                                                config.box, train_ds)
-                test_obj = VoltageFitObjective(params, ocv_p, ocv_n,
-                                               config.box, test_ds)
+                # the last row's pair lives on while this one is built, so
+                # each row's objectives have new ids (perfbench keys on them)
+                train_obj, test_obj = build_objectives(
+                    params, ocv_p, ocv_n, config.box, train_ds, test_ds)
                 fields, result = fit_and_score(
                     method, train_obj, test_obj, config.budget,
                     rep_seeds[rep], config.s0)

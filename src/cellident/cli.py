@@ -18,7 +18,7 @@ from .bench import (
     BenchmarkReport,
     ExperimentConfig,
     build_dataset,
-    check_budget,
+    build_objectives,
     check_step_resolution,
     default_config,
     export_report,
@@ -30,7 +30,6 @@ from .bench import (
 from .ecm import simulate
 from .errors import ConfigError, DataError
 from .identify import (
-    VoltageFitObjective,
     load_current_csv,
     load_dataset,
     save_dataset,
@@ -140,25 +139,16 @@ def gen_data_cmd(config_path, seed, out_dir):
 @_exit_codes
 def identify_cmd(config_path, manifest_path, method, budget, seed, out_dir):
     """Fit (k_p, k_n, D_e) to a dataset with one optimizer."""
-    config = _apply_overrides(_load_config(config_path), seed, budget, None, None)
+    config = _apply_overrides(_load_config(config_path), seed, budget, None,
+                              method)
     params, ocv_p, ocv_n, _ = resolve_cell(config)
     train, test, _ = load_dataset(manifest_path)
     box = config.box
     check_step_resolution(box, [p.dt for p in train.profiles + test.profiles],
                           params)
-    check_budget((method,), config.budget, box)
-    objectives, causes = [], []
-    for dataset in (train, test):   # build both, to name every bad file
-        try:
-            objectives.append(
-                VoltageFitObjective(params, ocv_p, ocv_n, box, dataset))
-        except DataError as exc:
-            causes.append(str(exc))
-    if causes:
-        raise DataError("; ".join(causes))
-
-    best, result = fit_and_score(method, *objectives, config.budget,
-                                 config.master_seed, config.s0)
+    best, result = fit_and_score(
+        method, *build_objectives(params, ocv_p, ocv_n, box, train, test),
+        config.budget, config.master_seed, config.s0)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

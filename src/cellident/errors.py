@@ -22,17 +22,9 @@ class SimulationDiverged(CellIdentError):
     """A sub-model failed during simulation; the message names the sample."""
 
 
-class DimensionMismatch(CellIdentError, ValueError):
-    """Parameter vector length does not match the search box dimension."""
-
-
 class OutOfBox(CellIdentError, ValueError):
     """A physical parameter vector lies outside the search box."""
 
 
 class SingularKernel(CellIdentError):
     """Kernel matrix factorization failed at every jitter level."""
-
-
-class DuplicatePoint(CellIdentError, ValueError):
-    """Two observed surrogate inputs coincide within tolerance."""

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.linalg.lapack import dtrtri
-from scipy.spatial.distance import pdist
 
-from .errors import DimensionMismatch, DuplicatePoint, SingularKernel
+from .errors import SingularKernel
 
 JITTER_LADDER = (1e-8, 1e-6, 1e-4)
-DUPLICATE_TOL = 1e-10
 
 
 def _neg_half_sq_norms(a: np.ndarray) -> np.ndarray:
@@ -69,11 +67,11 @@ class GPPosterior:
         that fit cached.  The kernel reuses the training points' cached
         halved norms; every result is computed in place.  A 2-D float
         array is used as it is; a query of any other shape raises
-        DimensionMismatch.
+        ValueError.
         """
         query = np.asarray(theta, dtype=float)   # no copy of a float array
         if query.ndim != 2 or query.shape[1] != self.points.shape[1]:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"query of shape {query.shape} against training points of "
                 f"shape {self.points.shape}")
         k_star = _kernel(self.points, self.neg_half_sq_norms, query,
@@ -95,8 +93,8 @@ def fit(points, values) -> GPPosterior:
 
     The jitter starts at JITTER_LADDER[0] and escalates through the ladder
     on factorization failure; SingularKernel is raised only when the whole
-    ladder fails.  Two inputs closer than DUPLICATE_TOL raise
-    DuplicatePoint; a non-finite point or value raises ValueError.
+    ladder fails; the singular Gram matrix of coincident inputs is the
+    ladder's to handle too.  A non-finite point or value raises ValueError.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float).ravel()
@@ -107,17 +105,6 @@ def fit(points, values) -> GPPosterior:
         raise ValueError("need at least one observation")
     if not (np.isfinite(points).all() and np.isfinite(values).all()):
         raise ValueError("points and values must be finite")
-
-    if points.shape[0] > 1:
-        # direct differences: the Gram expansion's squared distances carry
-        # absolute errors far above DUPLICATE_TOL
-        dist = pdist(points)                # pairs (i, j), i < j, row-major
-        k = dist.argmin()
-        if dist[k] < DUPLICATE_TOL:
-            i, j = (ix[k] for ix in np.triu_indices(points.shape[0], 1))
-            raise DuplicatePoint(
-                f"observations {i} and {j} coincide within {DUPLICATE_TOL:g} "
-                f"(distance {dist[k]:g})")
 
     mean_shift = float(np.mean(values))
     scale = float(np.std(values))

@@ -34,9 +34,9 @@ from .ecm import (
     overpotential,
     terminal_voltage,
 )
-from .errors import DataError, DimensionMismatch, OutOfBox, SimulationDiverged
+from .errors import DataError, OutOfBox, SimulationDiverged
 from .ocv import OcvCurve
-from .params import CellParameters, is_number, read_json_object
+from .params import CellParameters, is_number, read_csv_table, read_json_object
 from .profiles import CurrentProfile
 
 DIVERGENCE_PENALTY = 1.0e6   # V^2, charged when a proposed theta breaks the model
@@ -89,7 +89,7 @@ class ParameterBox:
         """Physical -> unit cube; OutOfBox outside the box or on NaN."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape[-1] != self.n:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"theta has dimension {theta.shape[-1]}, box has {self.n}")
         eps = 1e-12 * (np.abs(self.lower) + np.abs(self.upper))
         if not (np.all(theta >= self.lower - eps)
@@ -105,7 +105,7 @@ class ParameterBox:
         """Unit cube -> physical; OutOfBox outside [0,1]^n or on NaN."""
         unit = np.asarray(unit, dtype=float)
         if unit.shape[-1] != self.n:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"point has dimension {unit.shape[-1]}, box has {self.n}")
         # one reduction per bound: cheaper than np.all on the few values of
         # an objective call; NaN fails the test
@@ -218,7 +218,8 @@ class VoltageFitObjective:
 
     Construction builds every profile's theta-free terms.  A profile they
     diverge on cannot be fit at any theta: DataError naming each such
-    profile with ``fixed_terms``' message.  An out-of-table OCV query is
+    profile with ``fixed_terms``' message, which ``bench.build_objectives``
+    prefixes with why no theta can fit.  An out-of-table OCV query is
     raised there too.
     """
 
@@ -238,13 +239,12 @@ class VoltageFitObjective:
             except SimulationDiverged as exc:
                 causes.append(f"{name}: {exc}")
         if causes:
-            raise DataError("no theta can fit data the model cannot simulate: "
-                            + "; ".join(causes))
+            raise DataError("; ".join(causes))
 
     def __call__(self, theta) -> ObjectiveEvaluation:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.box.n,):
-            raise DimensionMismatch(
+            raise ValueError(
                 f"theta has shape {theta.shape}, expected ({self.box.n},)")
         params = self.base.with_theta(float(theta[0]), float(theta[1]),
                                       float(theta[2]))
@@ -327,12 +327,7 @@ def _read_profile_table(path, columns_ok, columns: str):
     evenly.
     """
     path = Path(path)
-    try:
-        table = np.genfromtxt(path, delimiter=",", names=True)
-    except FileNotFoundError as exc:
-        raise DataError(f"profile file not found: {path}") from exc
-    except ValueError as exc:
-        raise DataError(f"profile file {path} is malformed: {exc}") from exc
+    table = read_csv_table(path, "profile file")
     if not columns_ok(set(table.dtype.names or ())):
         raise DataError(f"profile file {path} must have columns {columns}")
     t = _finite_column(path, table, "time_s")

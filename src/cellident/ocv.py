@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .params import read_csv_table
 
 
 class OcvCurve:
@@ -52,12 +53,7 @@ class OcvCurve:
     @classmethod
     def from_csv(cls, path) -> "OcvCurve":
         path = Path(path)
-        try:
-            table = np.genfromtxt(path, delimiter=",", names=True)
-        except FileNotFoundError as exc:
-            raise DataError(f"OCV table not found: {path}") from exc
-        except ValueError as exc:
-            raise DataError(f"OCV table {path} is malformed: {exc}") from exc
+        table = read_csv_table(path, "OCV table")
         if table.dtype.names is None or set(table.dtype.names) != {"x", "U_volts"}:
             raise DataError(f"OCV table {path} must have columns 'x,U_volts'")
         try:

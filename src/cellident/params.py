@@ -15,6 +15,8 @@ import operator
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataError
 
 FARADAY = 96485.33212        # C/mol
@@ -39,6 +41,18 @@ def read_json_object(path: Path, what: str, error=DataError) -> dict:
     if not isinstance(raw, dict):
         raise error(f"{what} {path} must hold a JSON object")
     return raw
+
+
+def read_csv_table(path: Path, what: str) -> np.ndarray:
+    """The CSV file ``path`` as a structured array named by its header
+    row; DataError naming ``what`` (e.g. "OCV table") when the file is
+    missing or malformed."""
+    try:
+        return np.genfromtxt(path, delimiter=",", names=True)
+    except FileNotFoundError as exc:
+        raise DataError(f"{what} not found: {path}") from exc
+    except ValueError as exc:
+        raise DataError(f"{what} {path} is malformed: {exc}") from exc
 
 
 @functools.cache

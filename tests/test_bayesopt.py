@@ -136,20 +136,18 @@ class TestNotesAndFallback:
 
 
 class TestAcquisition:
-    def test_proposal_in_cube_and_distinct(self, cube, rng):
+    def test_proposal_in_cube_and_distinct(self, rng):
         points = rng.uniform(size=(12, 3))
         values = np.array([sphere(p) for p in points])
         state = fit(points, values)
         sampler = HaltonSampler(3, 0)
-        proposal = maximize_acquisition(state, cube, rng, sampler,
-                                        float(values.min()))
+        proposal = maximize_acquisition(state, sampler, float(values.min()))
         assert proposal.shape == (3,)
         assert np.all(proposal >= 0.0) and np.all(proposal <= 1.0)
         dist = np.sqrt(np.sum((points - proposal) ** 2, axis=1))
         assert np.min(dist) >= 1e-9
 
-    def test_refinement_improves_over_candidates(self, cube, rng,
-                                                 acquisition):
+    def test_refinement_improves_over_candidates(self, rng, acquisition):
         """The refined winner scores at least as high as every raw candidate."""
         acquisition(N_CANDIDATES=256)
         points = rng.uniform(size=(15, 3))
@@ -161,16 +159,15 @@ class TestAcquisition:
         mean, var = state.posterior(cand)
         raw_best = np.max(bayesopt.expected_improvement(mean, var, best))
         sampler_b = HaltonSampler(3, 7)
-        proposal = maximize_acquisition(state, cube, np.random.default_rng(0),
-                                        sampler_b, best)
+        proposal = maximize_acquisition(state, sampler_b, best)
         (m,), (v,) = state.posterior(proposal[None, :])
         assert bayesopt.expected_improvement(m, v, best) >= raw_best - 1e-12
 
 
-def _reference_maximize_acquisition(state, box, rng, sampler, best_so_far):
+def _reference_maximize_acquisition(state, sampler, best_so_far):
     """The per-candidate refinement loop, one posterior call per probe set,
     with bayesopt's acquisition constants as they are at the call."""
-    n = box.n
+    n = state.points.shape[1]
     cand = sampler.draw(bayesopt.N_CANDIDATES)
     mean, var = state.posterior(cand)
     scores = bayesopt.expected_improvement(mean, var, best_so_far)
@@ -199,13 +196,6 @@ def _reference_maximize_acquisition(state, box, rng, sampler, best_so_far):
         if score > best_score:
             best_score = score
             best_point = point
-
-    for _ in range(16):
-        dist = np.sqrt(np.sum((state.points - best_point) ** 2, axis=1))
-        if np.min(dist) >= 1e-9:
-            break
-        best_point = np.clip(
-            best_point + rng.uniform(-1e-6, 1e-6, size=n), 0.0, 1.0)
     return best_point
 
 
@@ -225,28 +215,24 @@ def _sphere_state(s, seed, center=(0.3, 0.6, 0.2)):
     return fit(points, values), float(values.min())
 
 
-def _both(state, cube, best, make_sampler, seed=0):
+def _both(state, best, make_sampler):
     """Proposals of the batched and the reference search from equal inputs."""
-    got = maximize_acquisition(state, cube, np.random.default_rng(seed),
-                               make_sampler(), best)
-    want = _reference_maximize_acquisition(state, cube,
-                                           np.random.default_rng(seed),
-                                           make_sampler(), best)
-    return got, want
+    return (maximize_acquisition(state, make_sampler(), best),
+            _reference_maximize_acquisition(state, make_sampler(), best))
 
 
 class TestBatchedRefinementOracle:
     """The batched refinement proposes exactly what the per-candidate loop
-    proposes: same probes, same first-maximum tie-breaking, same nudge."""
+    proposes: same probes, same first-maximum tie-breaking."""
 
     @pytest.mark.parametrize("s", [1, 10, 60])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_reference(self, cube, s, seed):
+    def test_matches_reference(self, s, seed):
         state, best = _sphere_state(s, seed)
-        got, want = _both(state, cube, best, lambda: HaltonSampler(3, seed))
+        got, want = _both(state, best, lambda: HaltonSampler(3, seed))
         np.testing.assert_array_equal(got, want)
 
-    def test_clipped_probes_on_cube_faces(self, cube, acquisition):
+    def test_clipped_probes_on_cube_faces(self, acquisition):
         """Low losses in a corner favour candidates on the cube faces, so
         probes stepping off those faces are clipped back into the cube."""
         state, best = _sphere_state(15, 4, center=(0.0, 1.0, 0.0))
@@ -255,14 +241,14 @@ class TestBatchedRefinementOracle:
         face[1::2, 1] = 1.0
         face[::3, 2] = 0.0
         acquisition(N_CANDIDATES=256)
-        got, want = _both(state, cube, best, lambda: _FixedSampler(face))
+        got, want = _both(state, best, lambda: _FixedSampler(face))
         np.testing.assert_array_equal(got, want)
         assert np.any((got == 0.0) | (got == 1.0))
 
-    def test_no_refinement_steps(self, cube, acquisition):
+    def test_no_refinement_steps(self, acquisition):
         state, best = _sphere_state(20, 6)
         acquisition(REFINE_STEPS=0)
-        got, want = _both(state, cube, best, lambda: HaltonSampler(3, 6))
+        got, want = _both(state, best, lambda: HaltonSampler(3, 6))
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("single,value,best,cand,steps", [
@@ -273,8 +259,7 @@ class TestBatchedRefinementOracle:
         # two candidates tie; the first in score order wins
         (True, 3.0, 3.0, [[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]], 0),
     ])
-    def test_exact_ties(self, cube, acquisition, single, value, best, cand,
-                        steps):
+    def test_exact_ties(self, acquisition, single, value, best, cand, steps):
         """Dyadic points around one observation give bit-equal EI, so these
         cases pin the strict-improvement, first-maximum tie-breaking.
 
@@ -287,17 +272,8 @@ class TestBatchedRefinementOracle:
         state = fit(points[:1], values[:1]) if single else fit(points, values)
         acquisition(N_CANDIDATES=len(cand), REFINE_TOP=len(cand),
                     REFINE_STEPS=steps, STEP_INIT=0.5, STEP_FINAL=0.5)
-        got, want = _both(state, cube, best, lambda: _FixedSampler(cand))
+        got, want = _both(state, best, lambda: _FixedSampler(cand))
         np.testing.assert_array_equal(got, want)
-
-    def test_duplicate_nudge(self, cube, acquisition):
-        """A winner on an observed point is nudged by the same RNG draws."""
-        state, best = _sphere_state(10, 7)
-        acquisition(N_CANDIDATES=1, REFINE_TOP=1, REFINE_STEPS=0)
-        got, want = _both(state, cube, best,
-                          lambda: _FixedSampler(state.points[:1]), seed=11)
-        np.testing.assert_array_equal(got, want)
-        assert np.min(np.linalg.norm(state.points - got, axis=1)) >= 1e-9
 
 
 class TestInverseFactorProposals:
@@ -307,15 +283,13 @@ class TestInverseFactorProposals:
     @pytest.mark.parametrize("s", [10, 50, 99])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_proposal_as_the_triangular_solve(
-            self, cube, monkeypatch, bo_like_data, solve_posterior, s, seed):
+            self, monkeypatch, bo_like_data, solve_posterior, s, seed):
         points, values = bo_like_data(s, seed)
         state = fit(points, values)
         best = float(values.min())
 
         def propose():
-            return maximize_acquisition(state, cube,
-                                        np.random.default_rng(seed),
-                                        HaltonSampler(3, seed), best)
+            return maximize_acquisition(state, HaltonSampler(3, seed), best)
 
         got = propose()
         monkeypatch.setattr(gp.GPPosterior, "posterior", solve_posterior)
@@ -336,8 +310,7 @@ class TestPosteriorCallCount:
         monkeypatch.setattr(gp.GPPosterior, "posterior", counting)
         state, best = _sphere_state(12, 8)
         acquisition(REFINE_STEPS=refine_steps)
-        maximize_acquisition(state, cube, np.random.default_rng(0),
-                             HaltonSampler(3, 8), best)
+        maximize_acquisition(state, HaltonSampler(3, 8), best)
         assert len(calls) == 1 + refine_steps
         assert calls[1:] == [bayesopt.REFINE_TOP * 2 * cube.n] * refine_steps
 
@@ -345,7 +318,7 @@ class TestPosteriorCallCount:
 class TestSweepScores:
     @pytest.mark.parametrize("shift", [0.0, 0.01])
     @pytest.mark.parametrize("s", [1, 12, 60])
-    def test_bytes_equal_the_checked_ei(self, cube, monkeypatch, s, shift):
+    def test_bytes_equal_the_checked_ei(self, monkeypatch, s, shift):
         """Every step's scores are the bytes of expected_improvement on the
         posterior of that step's probes, at the best loss and below it."""
         scored = []
@@ -360,8 +333,7 @@ class TestSweepScores:
         monkeypatch.setattr(bayesopt, "_ei_core", recording)
         state, best = _sphere_state(s, s)
         best -= shift
-        maximize_acquisition(state, cube, np.random.default_rng(0),
-                             HaltonSampler(3, s), best)
+        maximize_acquisition(state, HaltonSampler(3, s), best)
         monkeypatch.undo()
         assert len(scored) == 1 + bayesopt.REFINE_STEPS
         for (mean, var), best_so_far, out in scored:
@@ -369,7 +341,7 @@ class TestSweepScores:
             want = bayesopt.expected_improvement(mean, var, best)
             assert out.tobytes() == want.tobytes()
 
-    def test_zero_variance_probes_warn_nothing(self, cube, monkeypatch):
+    def test_zero_variance_probes_warn_nothing(self, monkeypatch):
         """Probes of zero variance score 0/0 in z before the degenerate
         branch replaces it; the sweep stays silent and proposes what the
         per-candidate loop proposes."""
@@ -383,7 +355,7 @@ class TestSweepScores:
         state, best = _sphere_state(12, 9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got, want = _both(state, cube, best, lambda: HaltonSampler(3, 9))
+            got, want = _both(state, best, lambda: HaltonSampler(3, 9))
         np.testing.assert_array_equal(got, want)
 
 

@@ -549,9 +549,9 @@ class TestBudgetMinimums:
         runs = []
         monkeypatch.setattr(bench, "run_method",
                             lambda *args: runs.append(args))
-        config = default_config(methods=methods, budget=budget, s0=2)
         with pytest.raises(ConfigError, match="minimum"):
-            run_benchmark(config, out_dir=tmp_path)
+            run_benchmark(default_config(methods=methods, budget=budget, s0=2),
+                          out_dir=tmp_path)
         assert runs == []
         assert list(tmp_path.iterdir()) == []
 

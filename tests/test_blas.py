@@ -11,16 +11,13 @@ import pytest
 from cellident import _blas, gp
 from cellident._blas import one_blas_thread, sum_of_squares
 from cellident.bayesopt import maximize_acquisition
-from cellident.identify import default_box
 from cellident.sampling import HaltonSampler
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _propose(state, best):
-    return maximize_acquisition(state, default_box(),
-                                np.random.default_rng(3), HaltonSampler(3, 4),
-                                best)
+    return maximize_acquisition(state, HaltonSampler(3, 4), best)
 
 
 def test_proposal_bytes_same_inside_and_outside_the_scope():

@@ -454,8 +454,9 @@ class TestMalformedInputFiles:
                                                monkeypatch):
         """Twenty times the current of a train or test profile, or of both,
         drives a surface concentration out of range at every theta: one
-        data error naming each such file and its sample before any
-        evaluation, not a fit or a test loss at the divergence penalty."""
+        data error, with one reason, naming each such file and its sample
+        before any evaluation, not a fit or a test loss at the divergence
+        penalty."""
         import cellident.identify as identify
 
         def scale_current(lines):
@@ -480,6 +481,7 @@ class TestMalformedInputFiles:
                 "--budget", "5", "--out", str(out)])
             assert result.exit_code == 3, result.output
             assert result.output.count("data error") == 1
+            assert result.output.count("no theta can fit") == 1
             for name in ("train_0.csv", "test_0.csv"):
                 assert (f"{name}: electrode" in result.output) == (
                     name in names)
