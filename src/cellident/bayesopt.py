@@ -116,8 +116,6 @@ class BoRunConfig:
     def __post_init__(self):
         if self.s0 < 1:
             raise ValueError("s0 must be >= 1")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
         if self.s0 > self.budget:
             raise ValueError(
                 f"s0 = {self.s0} exceeds budget = {self.budget}")

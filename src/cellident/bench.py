@@ -54,8 +54,10 @@ from .ocv import OcvCurve
 from .params import (
     ELECTRODES,
     CellParameters,
+    check_keys,
     electrode_fields,
-    is_number,
+    is_json_number,
+    json_number,
     load_parameter_file,
     read_json_object,
     reference_cell_path,
@@ -78,17 +80,6 @@ def one_c_current(params: CellParameters) -> float:
 
 # ---------------------------------------------------------------------------
 # configuration
-
-def _json_number(raw: dict, key: str, kind=float):
-    """``raw[key]`` as ``kind``: an int only from a JSON integer, a float
-    from any finite JSON number.  A bool is neither; ConfigError otherwise."""
-    value = raw[key]
-    if not (is_number(value) and (isinstance(value, int) if kind is int
-                                  else math.isfinite(value))):
-        what = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return kind(value)
-
 
 @dataclass(frozen=True)
 class ProfileSpec:
@@ -113,15 +104,11 @@ class ProfileSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ProfileSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown profile-spec keys: {sorted(unknown)}")
-        missing = known - set(raw)
-        if missing:
-            raise ConfigError(f"profile spec missing keys: {sorted(missing)}")
-        return cls(kind=raw["kind"], duration_s=_json_number(raw, "duration_s"),
-                   dt_s=_json_number(raw, "dt_s"))
+        known = [f.name for f in dataclasses.fields(cls)]
+        check_keys(raw, "profile-spec", known, known, ConfigError)
+        return cls(kind=raw["kind"],
+                   duration_s=json_number(raw, "duration_s", error=ConfigError),
+                   dt_s=json_number(raw, "dt_s", error=ConfigError))
 
 
 @dataclass(frozen=True)
@@ -185,16 +172,16 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """The config a JSON object describes; ConfigError on an unknown
         key, a value of the wrong JSON type or a value out of range."""
-        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_keys(raw, "config", [f.name for f in dataclasses.fields(cls)],
+                   error=ConfigError)
         for key, types, what in (
                 ("parameter_file", (str, type(None)), "a string or null"),
                 ("methods", list, "a list of method names")):
             if key in raw and not isinstance(raw[key], types):
                 raise ConfigError(f"{key} must be {what}, got {raw[key]!r}")
-        kwargs = {key: _json_number(raw, key, int) for key in
-                  ("budget", "repetitions", "s0", "master_seed") if key in raw}
+        kwargs = {key: json_number(raw, key, kind, ConfigError) for key, kind in
+                  (("budget", int), ("repetitions", int), ("s0", int),
+                   ("master_seed", int), ("noise_sigma_v", float)) if key in raw}
         try:
             kwargs["box"] = (ParameterBox.from_dict(raw["box"]) if "box" in raw
                              else default_box())
@@ -202,15 +189,13 @@ class ExperimentConfig:
                 kwargs["parameter_file"] = raw["parameter_file"]
             if "methods" in raw:
                 kwargs["methods"] = tuple(raw["methods"])
-            if "noise_sigma_v" in raw:
-                kwargs["noise_sigma_v"] = _json_number(raw, "noise_sigma_v")
             for key in ("train_profiles", "test_profiles"):
                 if key in raw:
                     kwargs[key] = tuple(ProfileSpec.from_dict(p)
                                         for p in raw[key])
         except DataError as exc:
             raise ConfigError(str(exc)) from exc
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
         return cls(**kwargs)
 
@@ -390,10 +375,11 @@ class BenchmarkReport:
             raise DataError(f"report {path}: results and meta must be objects")
         report = cls(results=doc["results"], meta=doc.get("meta", {}))
         times = report.meta.get("time_stats", {})
-        if not (isinstance(times, dict) and all(isinstance(t, dict) and is_number(
-                t.get("mean")) and is_number(t.get("var")) for t in times.values())):
+        if not (isinstance(times, dict) and all(
+                isinstance(t, dict) and is_json_number(t.get("mean"))
+                and is_json_number(t.get("var")) for t in times.values())):
             raise DataError(f"report {path}: meta.time_stats must be an object "
-                            "holding per method an object of numbers mean and var")
+                            "holding per method finite numbers mean and var")
         stored = report.meta.get("body_sha256")
         if stored and stored != hashlib.sha256(report.body_bytes()).hexdigest():
             raise DataError(f"report {path}: meta.body_sha256 does not match "
@@ -429,7 +415,7 @@ class BenchmarkReport:
             for key, value in stats.items():
                 got = stored.get(key)
                 ok = (got is None and value is None) or (
-                    is_number(got) and value is not None
+                    is_json_number(got) and value is not None
                     and np.isclose(got, value, rtol=1e-12, atol=1e-15))
                 if not ok:
                     raise DataError(
@@ -440,16 +426,17 @@ class BenchmarkReport:
                             "different methods")
 
 
-_NUMBER_OR_NULL = (lambda v: v is None or is_number(v), "a number or null")
+_NUMBER_OR_NULL = (lambda v: v is None or is_json_number(v), "a finite number or null")
 _ROW_VALUES = {   # every row key: the check of its value, and its wording
     "method": (lambda v: isinstance(v, str), "a string"),
-    "rep": (lambda v: type(v) is int, "an integer"),   # a JSON integer, no bool
+    "rep": (lambda v: is_json_number(v, int), "an integer"),
     "failed": (lambda v: isinstance(v, bool), "true or false"),
     "train_loss_V2": _NUMBER_OR_NULL, "test_loss_V2": _NUMBER_OR_NULL,
-    "evaluations": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "evaluations": (lambda v: v is None or is_json_number(v, int),
+                    "an integer or null"),
     "theta": (lambda v: v is None or (isinstance(v, dict) and all(
-        is_number(v.get(n)) and v[n] > 0.0 for n in THETA_NAMES)),
-        f"null or an object of positive numbers {', '.join(THETA_NAMES)}"),
+        is_json_number(v.get(n)) and v[n] > 0.0 for n in THETA_NAMES)),
+        f"null or an object of positive finite numbers {', '.join(THETA_NAMES)}"),
 }
 
 

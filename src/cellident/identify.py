@@ -36,7 +36,8 @@ from .ecm import (
 )
 from .errors import DataError, OutOfBox, SimulationDiverged
 from .ocv import OcvCurve
-from .params import CellParameters, is_number, read_csv_table, read_json_object
+from .params import (CellParameters, check_keys, is_json_number,
+                     read_csv_table, read_json_object)
 from .profiles import CurrentProfile
 
 DIVERGENCE_PENALTY = 1.0e6   # V^2, charged when a proposed theta breaks the model
@@ -128,24 +129,15 @@ class ParameterBox:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ParameterBox":
-        known = {"names", "lower", "upper", "scales"}
-        unknown = set(raw) - known
-        if unknown:
-            raise DataError(f"unknown box keys: {sorted(unknown)}")
+        check_keys(raw, "box", ("names", "lower", "upper", "scales"),
+                   ("names", "lower", "upper"))
         for key in ("lower", "upper"):
-            values = raw.get(key, [])
-            if not (isinstance(values, list) and all(map(is_number, values))):
-                raise DataError(f"box {key} must be a list of numbers, got "
-                                f"{values!r}")
-        try:
-            return cls(
-                names=tuple(raw["names"]),
-                lower=np.asarray(raw["lower"], dtype=float),
-                upper=np.asarray(raw["upper"], dtype=float),
-                scales=tuple(raw.get("scales", ())),
-            )
-        except KeyError as exc:
-            raise DataError(f"box definition missing key {exc}") from exc
+            values = raw[key]
+            if not (isinstance(values, list) and all(map(is_json_number, values))):
+                raise DataError(f"box {key} must be a list of finite numbers, "
+                                f"got {values!r}")
+        return cls(names=tuple(raw["names"]), lower=raw["lower"],
+                   upper=raw["upper"], scales=tuple(raw.get("scales", ())))
 
 
 def default_box() -> ParameterBox:
@@ -384,9 +376,7 @@ def load_dataset(manifest_path) -> tuple[IdentificationDataset, IdentificationDa
     """Read a manifest and its profile CSVs; returns (train, test, meta)."""
     manifest_path = Path(manifest_path)
     manifest = read_json_object(manifest_path, "manifest")
-    unknown = set(manifest) - {"train", "test", "meta"}
-    if unknown:
-        raise DataError(f"manifest has unknown keys: {sorted(unknown)}")
+    check_keys(manifest, "manifest", ("train", "test", "meta"))
 
     out = {}
     for role in ("train", "test"):

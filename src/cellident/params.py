@@ -24,9 +24,36 @@ GAS_CONSTANT = 8.314462618   # J/(mol K)
 ELECTRODES = ("p", "n")      # cathode, anode
 
 
-def is_number(value) -> bool:
-    """True for an int or float that JSON would hold as a number (no bool)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def check_keys(raw: dict, what: str, known, required=(), error=DataError) -> None:
+    """``error`` when ``raw`` holds a key outside ``known`` ("unknown <what>
+    keys: [...]") or lacks one of ``required`` ("missing <what> keys: [...]")."""
+    for problem, keys in (("unknown", set(raw) - set(known)),
+                          ("missing", set(required) - set(raw))):
+        if keys:
+            raise error(f"{problem} {what} keys: {sorted(keys)}")
+
+
+def is_json_number(value, kind=float) -> bool:
+    """True when ``value`` is a ``kind`` from JSON: an int only from a JSON
+    integer, a float from any finite JSON number (an integer too large for a
+    float is not finite).  A bool is never a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return isinstance(value, int) if kind is int else math.isfinite(value)
+    except OverflowError:   # an int past the float range
+        return False
+
+
+def json_number(raw: dict, key: str, kind=float, error=DataError, name=None):
+    """``raw[key]`` as ``kind`` when ``is_json_number`` accepts it, else
+    ``error``: "<name> must be an integer" (or "a finite number"), ``name``
+    defaulting to ``key``."""
+    value = raw[key]
+    if not is_json_number(value, kind):
+        what = "an integer" if kind is int else "a finite number"
+        raise error(f"{name or key} must be {what}, got {value!r}")
+    return kind(value)
 
 
 def read_json_object(path: Path, what: str, error=DataError) -> dict:
@@ -198,25 +225,15 @@ class CellParameters:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CellParameters":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise DataError(f"unknown cell parameter keys: {sorted(unknown)}")
-        optional = ("J_p", "J_n")   # None: computed from geometry
-        required = {
-            f.name for f in dataclasses.fields(cls)
-            if f.default is dataclasses.MISSING and f.name not in optional
-        }
-        missing = required - set(raw)
-        if missing:
-            raise DataError(f"missing cell parameter keys: {sorted(missing)}")
+        fields = dataclasses.fields(cls)
+        check_keys(raw, "cell parameter", [f.name for f in fields],
+                   [f.name for f in fields if f.default is dataclasses.MISSING])
         for name, value in raw.items():
-            if not (is_number(value) or (value is None and name in optional)):
-                raise DataError(f"cell parameter {name} must be a number, "
-                                f"got {value!r}")
+            if not (value is None and name in ("J_p", "J_n")):   # None: from geometry
+                json_number(raw, name, name=f"cell parameter {name}")
         try:
             return cls(**raw)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise DataError(str(exc)) from exc
 
 

@@ -365,8 +365,13 @@ class TestMalformedInputFiles:
         ("results and meta", lambda doc: doc.update(meta=5)),
         ("meta.time_stats",
          lambda doc: doc["meta"]["time_stats"]["bo"].update(mean="x")),
+        ("rows[0].theta",
+         lambda doc: doc["results"]["rows"][0]["theta"].update(k_p=float("inf"))),
+        ("rows[0].train_loss_V2",
+         lambda doc: doc["results"]["rows"][0].update(train_loss_V2=float("nan"))),
     ], ids=["train_loss_string", "aggregate_list", "config_number",
-            "theta_number", "meta_number", "time_stats_string"])
+            "theta_number", "meta_number", "time_stats_string",
+            "theta_k_p_infinity", "train_loss_nan"])
     def test_report_value_types(self, runner, bench_dir, tmp_path, field,
                                 edit):
         """A well-shaped report holding a value of the wrong type exits 3
@@ -717,6 +722,28 @@ class TestUnsimulatableCell:
         assert not out.exists()
 
 
+_CELL_VERBS = ["gen-data", "simulate", "identify", "bench"]
+
+
+def _run_on_edited_cell(runner, dataset_dir, tmp_path, verb, **changes):
+    """Run ``verb`` on a copy of the packaged parameter file with
+    ``changes`` applied; returns (the copy's path, --out path, result)."""
+    source = reference_cell_path()
+    raw = json.loads(source.read_text())
+    for key in ("ocv_cathode", "ocv_anode"):
+        raw[key] = str(source.parent / raw[key])
+    cell = tmp_path / "cell.json"
+    cell.write_text(json.dumps({**raw, **changes}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"parameter_file": str(cell)}))
+    out = tmp_path / "out"
+    extra = {"identify": ["--data", str(dataset_dir / "manifest.json")],
+             "simulate": ["--kind", "rcid-like"]}
+    result = runner.invoke(main, [verb, "--config", str(config),
+                                  *extra.get(verb, []), "--out", str(out)])
+    return cell, out, result
+
+
 class TestImplausibleKinetics:
     """A parameter file whose Arrhenius factor underflows to zero (cold) or
     overflows (hot) is a data error naming the file, from every verb that
@@ -724,27 +751,35 @@ class TestImplausibleKinetics:
 
     @pytest.mark.parametrize("T, got", [(250.0, "0.0"), (350.0, "inf")],
                              ids=["cold", "hot"])
-    @pytest.mark.parametrize("verb", ["gen-data", "simulate", "identify",
-                                      "bench"])
+    @pytest.mark.parametrize("verb", _CELL_VERBS)
     def test_exit_3_naming_the_file(self, runner, dataset_dir, tmp_path,
                                     verb, T, got):
-        source = reference_cell_path()
-        raw = json.loads(source.read_text())
-        for key in ("ocv_cathode", "ocv_anode"):
-            raw[key] = str(source.parent / raw[key])
-        cell = tmp_path / "cell.json"
-        cell.write_text(json.dumps({**raw, "T": T, "E_io_p": 1e8}))
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"parameter_file": str(cell)}))
-        out = tmp_path / "out"
-        extra = {"identify": ["--data", str(dataset_dir / "manifest.json")],
-                 "simulate": ["--kind", "rcid-like"]}
-        result = runner.invoke(main, [verb, "--config", str(config),
-                                      *extra.get(verb, []), "--out", str(out)])
+        cell, out, result = _run_on_edited_cell(
+            runner, dataset_dir, tmp_path, verb, T=T, E_io_p=1e8)
         assert result.exit_code == 3, result.output
         assert (f"data error: parameter file {cell}: invalid cell parameters: "
                 f"exp((1/T_ref - 1/T) E_io_p/R_gas) F must be finite and "
                 f"non-zero, got {got}") in result.output
+        assert not out.exists()
+
+
+class TestNonFiniteCellParameters:
+    """NaN or +-Infinity in a parameter file is a data error naming the
+    file and the field, from every verb that loads a cell, before anything
+    is written: the same number rule a config has."""
+
+    @pytest.mark.parametrize("field, value, got", [
+        ("R_c", float("nan"), "nan"), ("kappa", float("inf"), "inf"),
+        ("gamma_p", -float("inf"), "-inf")], ids=["R_c-nan", "kappa-inf",
+                                                  "gamma_p-minus-inf"])
+    @pytest.mark.parametrize("verb", _CELL_VERBS)
+    def test_exit_3_naming_file_and_field(self, runner, dataset_dir, tmp_path,
+                                          verb, field, value, got):
+        cell, out, result = _run_on_edited_cell(
+            runner, dataset_dir, tmp_path, verb, **{field: value})
+        assert result.exit_code == 3, result.output
+        assert (f"data error: parameter file {cell}: cell parameter {field} "
+                f"must be a finite number, got {got}") in result.output
         assert not out.exists()
 
 

@@ -657,7 +657,7 @@ class TestDatasetIo:
             load_dataset(tmp_path / "manifest.json")
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"train": ["a.csv"], "test": [], "x": 1}))
-        with pytest.raises(DataError, match="unknown keys"):
+        with pytest.raises(DataError, match="unknown manifest keys"):
             load_dataset(path)
         # profiles are read in manifest order, so a.csv must exist for the
         # empty-test check to be reached

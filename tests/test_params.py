@@ -116,8 +116,31 @@ class TestValidation:
         ("c_p0", [1.0])])
     def test_non_number_rejected(self, params, key, value):
         raw = {**params.to_dict(), key: value}
-        with pytest.raises(DataError, match=f"{key} must be a number"):
+        with pytest.raises(DataError, match=f"cell parameter {key} must be a finite number"):
             CellParameters.from_dict(raw)
+
+    _junk = st.one_of(
+        st.booleans(), st.none(), st.text(max_size=4),
+        st.lists(st.floats(), max_size=2),
+        st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_one_junk_field_is_a_data_error_naming_it(self, params, data):
+        """Any one field holding a bool, string, null, list or non-finite
+        number: a cell whose every field is finite (a null J_p or J_n is
+        computed) or a DataError naming that field, never another error."""
+        raw = params.to_dict()
+        name = data.draw(st.sampled_from(sorted(raw)))
+        raw[name] = data.draw(self._junk)
+        try:
+            cell = CellParameters.from_dict(raw)
+        except DataError as exc:
+            assert f"cell parameter {name} " in str(exc)
+            return
+        assert raw[name] is None and name in ("J_p", "J_n")
+        for field, value in cell.to_dict().items():
+            assert type(value) is float and math.isfinite(value), field
 
     def test_null_j_is_computed(self, params):
         rebuilt = CellParameters.from_dict({**params.to_dict(), "J_n": None})
