@@ -1,0 +1,64 @@
+"""Two scipy C routines, taken without importing their subpackages.
+
+``import scipy.signal`` costs about a second (it pulls in ``scipy.stats``
+and the array-API shims) and ``import scipy.special`` about 0.2 s, yet the
+model needs one function of each: the IIR filter loop behind
+``scipy.signal.lfilter`` and the ``ndtr`` ufunc.  ``routine`` loads the
+extension module that holds such a function straight from its file, so the
+subpackage's ``__init__`` never runs.  The module leaves ``sys.modules``
+again once it is loaded, so a later import of the subpackage imports it
+the usual way; CPython then reuses the module it has cached, and both give
+the same function object.
+
+The names are private to scipy.  Where the file or the attribute is missing
+(or the file does not load), ``routine`` returns the public function, which
+gives the same bits:
+
+- ``lfilter(b, a, x, axis)`` with ``len(a) > 1`` and no ``zi`` returns
+  ``_sigtools._linear_filter(b, a, x, axis)`` unchanged (scipy 1.17.1);
+- ``scipy.special.ndtr`` is the ``_special_ufuncs.ndtr`` ufunc itself.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
+
+import scipy   # the package __init__ only; it imports no subpackage
+
+
+def routine(subpackage: str, extension: str, name: str, public: str):
+    """``scipy.<subpackage>.<extension>.<name>`` from the extension's file,
+    or ``scipy.<subpackage>.<public>`` when that cannot be had."""
+    module_name = f"scipy.{subpackage}.{extension}"
+    stem = Path(scipy.__file__).parent / subpackage / extension
+    # once scipy has imported it, loading it again would remove its entry
+    module = sys.modules.get(module_name) or _load(module_name, stem)
+    found = getattr(module, name, None)
+    if found is not None:
+        return found
+    return getattr(importlib.import_module(f"scipy.{subpackage}"), public)
+
+
+def _load(module_name: str, stem: Path):
+    """The extension module ``module_name`` loaded from the file ``stem``
+    plus an extension suffix, taken out of ``sys.modules`` again; None if
+    no such file loads."""
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = stem.with_name(stem.name + suffix)
+        if not path.is_file():
+            continue
+        spec = importlib.util.spec_from_file_location(module_name, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            return None
+        finally:
+            # CPython registers a single-phase extension as it creates it
+            sys.modules.pop(module_name, None)
+        return module
+    return None

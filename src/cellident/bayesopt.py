@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import gp
 from ._blas import one_blas_thread
+from ._scipy_c import routine
 from .errors import SingularKernel
 from .identify import ParameterBox
 from .runs import OptimizationResult, Recorder
@@ -27,6 +27,7 @@ from .sampling import HaltonSampler
 log = logging.getLogger(__name__)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+ndtr = routine("special", "_special_ufuncs", "ndtr", "ndtr")   # skips scipy.special
 
 
 def expected_improvement(mean, variance, best_so_far: float):

@@ -54,8 +54,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
+from ._scipy_c import routine
 from .errors import SimulationDiverged, StepTooCoarse
 from .ocv import OcvCurve
 from .params import ELECTRODES, CellParameters, electrode_fields
@@ -67,13 +67,16 @@ ELEC_GAIN_NEG = 0.117   # multiplies gamma_n
 ELEC_TAU_POS = 0.1052   # multiplies L_cell^2 / D_e
 ELEC_TAU_NEG = 0.0997   # multiplies L_cell^2 / D_e
 
+# lfilter(b, a, x, axis) without importing scipy.signal
+_linear_filter = routine("signal", "_sigtools", "_linear_filter", "lfilter")
+
 
 def lag_response(gain: float, tau: float, u: np.ndarray, dt: float) -> np.ndarray:
     """gain/(tau s + 1) from rest under a zero-order hold: pole e^(-dt/tau),
     input entering with one-sample delay."""
-    a = math.exp(-dt / tau)   # arrays, not lists: lfilter converts lists slowly
-    return lfilter(np.array([0.0, gain * (1.0 - a)]), np.array([1.0, -a]),
-                   np.asarray(u, dtype=float))
+    a = math.exp(-dt / tau)
+    return _linear_filter(np.array([0.0, gain * (1.0 - a)]), np.array([1.0, -a]),
+                          np.asarray(u, dtype=float), -1)
 
 
 def trapezoid_integral(u: np.ndarray, dt: float) -> np.ndarray:

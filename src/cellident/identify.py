@@ -376,13 +376,13 @@ def load_dataset(manifest_path) -> tuple[IdentificationDataset, IdentificationDa
     """Read a manifest and its profile CSVs; returns (train, test, meta)."""
     manifest_path = Path(manifest_path)
     manifest = read_json_object(manifest_path, "manifest")
-    check_keys(manifest, "manifest", ("train", "test", "meta"))
+    check_keys(manifest, f"manifest {manifest_path}", ("train", "test", "meta"))
 
     out = {}
     for role in ("train", "test"):
         names = manifest.get(role, [])
         if not names:
-            raise DataError(f"manifest lists no {role} profiles")
+            raise DataError(f"manifest {manifest_path} lists no {role} profiles")
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise DataError(f"manifest {manifest_path}: {role} must be a list "
                             f"of file names, got {names!r}")

@@ -163,8 +163,15 @@ class CellParameters:
         for electrode in ELECTRODES:
             J, L = electrode_fields(electrode, "J", "L")(self)
             if J is None:
-                object.__setattr__(self, f"J_{electrode}",
-                                   1.0 / (self.a_s(electrode) * L * self.A))
+                # validated positive factors, but the product may under- or
+                # overflow, and the inverse of a denormal product overflows
+                area = self.a_s(electrode) * L * self.A
+                J = 1.0 / area if area > 0.0 else math.inf
+                if not 0.0 < J < math.inf:
+                    raise ValueError(
+                        f"invalid cell parameters: J_{electrode} = 1/(a_s L A) "
+                        f"must be finite and non-zero, got 1/{area!r}")
+                object.__setattr__(self, f"J_{electrode}", J)
 
     def a_s(self, electrode: str) -> float:
         """Specific interfacial surface area 3*eps_am/R [1/m]."""

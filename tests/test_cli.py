@@ -763,6 +763,29 @@ class TestImplausibleKinetics:
         assert not out.exists()
 
 
+class TestUnrepresentableFluxFactor:
+    """A null J_p or J_n is 1/(a_s L A); a parameter file whose a_s L A
+    underflows to zero, overflows, or is so small that its inverse overflows
+    is a data error naming the file and the field, from every verb that
+    loads a cell, before anything is written."""
+
+    @pytest.mark.parametrize("changes, field, got", [
+        ({"J_p": None, "R_p": 1e300, "eps_am_p": 1e-300}, "J_p", "0.0"),
+        ({"J_p": None, "R_p": 1e300, "eps_am_p": 1e-10}, "J_p", "1.35e-315"),
+        ({"J_n": None, "R_n": 1e-300, "L_n": 1e10}, "J_n", "inf")],
+        ids=["underflow", "denormal", "overflow"])
+    @pytest.mark.parametrize("verb", _CELL_VERBS)
+    def test_exit_3_naming_file_and_field(self, runner, dataset_dir, tmp_path,
+                                          verb, changes, field, got):
+        cell, out, result = _run_on_edited_cell(
+            runner, dataset_dir, tmp_path, verb, **changes)
+        assert result.exit_code == 3, result.output
+        assert (f"data error: parameter file {cell}: invalid cell parameters: "
+                f"{field} = 1/(a_s L A) must be finite and non-zero, "
+                f"got 1/{got}") in result.output
+        assert not out.exists()
+
+
 class TestNonFiniteCellParameters:
     """NaN or +-Infinity in a parameter file is a data error naming the
     file and the field, from every verb that loads a cell, before anything

@@ -657,7 +657,12 @@ class TestDatasetIo:
             load_dataset(tmp_path / "manifest.json")
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"train": ["a.csv"], "test": [], "x": 1}))
-        with pytest.raises(DataError, match="unknown manifest keys"):
+        with pytest.raises(DataError, match=re.escape(
+                f"unknown manifest {path} keys: ['x']")):
+            load_dataset(path)
+        path.write_text(json.dumps({"test": ["a.csv"]}))
+        with pytest.raises(DataError, match=re.escape(
+                f"manifest {path} lists no train profiles")):
             load_dataset(path)
         # profiles are read in manifest order, so a.csv must exist for the
         # empty-test check to be reached
@@ -665,7 +670,8 @@ class TestDatasetIo:
         volts = np.array([3.0, 3.1, 3.2])
         save_profile_csv(tmp_path / "a.csv", profile, volts)
         path.write_text(json.dumps({"train": ["a.csv"], "test": []}))
-        with pytest.raises(DataError, match="no test profiles"):
+        with pytest.raises(DataError, match=re.escape(
+                f"manifest {path} lists no test profiles")):
             load_dataset(path)
         path.write_text(json.dumps({"train": ["a.csv"], "test": ["b.csv"]}))
         with pytest.raises(DataError, match="not found"):

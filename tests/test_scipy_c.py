@@ -1,0 +1,97 @@
+"""scipy's filter and ndtr routines, taken without their subpackages: the
+same bits as the public functions, the public function as the fallback, and
+an import of the command line that leaves scipy.signal and scipy.special out."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.signal
+import scipy.special
+
+from cellident import bayesopt, ecm
+from cellident._scipy_c import routine
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 3_601, 28_801])
+def test_filter_gives_the_bits_of_lfilter(n):
+    """First-order lags as ``lag_response`` builds them: random poles in
+    (0, 1), random gains, random input."""
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        pole = rng.uniform(0.0, 1.0)
+        b = np.array([0.0, rng.normal() * (1.0 - pole)])
+        a = np.array([1.0, -pole])
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        got = ecm._linear_filter(b, a, x, -1)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == scipy.signal.lfilter(b, a, x).tobytes()
+
+
+def test_lag_response_gives_the_bits_of_lfilter():
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=3_601)
+    a = np.exp(-0.25 / 7.0)
+    want = scipy.signal.lfilter([0.0, 0.3 * (1.0 - a)], [1.0, -a], u)
+    assert ecm.lag_response(0.3, 7.0, u, 0.25).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 5.0, 40.0])
+def test_ndtr_gives_the_bits_of_scipy_special(scale):
+    z = np.random.default_rng(int(scale)).normal(scale=scale, size=10_000)
+    assert bayesopt.ndtr(z).tobytes() == scipy.special.ndtr(z).tobytes()
+
+
+def test_ndtr_special_values():
+    z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -38.5, -40.0, 1e-300])
+    got = bayesopt.ndtr(z)
+    assert got.tobytes() == scipy.special.ndtr(z).tobytes()
+    assert got[2] == 1.0 and got[3] == 0.0 and np.isnan(got[4])
+
+
+def test_missing_extension_or_name_falls_back_to_the_public_function():
+    assert routine("signal", "_no_such_extension", "_linear_filter",
+                   "lfilter") is scipy.signal.lfilter
+    assert routine("signal", "_sigtools", "_no_such_name",
+                   "lfilter") is scipy.signal.lfilter
+    assert routine("special", "_no_such_extension", "ndtr",
+                   "ndtr") is scipy.special.ndtr
+
+
+def test_routine_after_scipy_imported_the_extension():
+    """Once scipy.signal is imported, the routine is its own module's, and
+    scipy's sys.modules entry stays."""
+    module = sys.modules["scipy.signal._sigtools"]
+    assert routine("signal", "_sigtools", "_linear_filter",
+                   "lfilter") is module._linear_filter
+    assert sys.modules["scipy.signal._sigtools"] is module
+
+
+_IMPORT = """
+import sys
+import cellident.cli
+from cellident import bayesopt, ecm
+left_out = ("scipy.signal", "scipy.special", "scipy.stats",
+            "scipy.signal._sigtools", "scipy.special._special_ufuncs")
+print(sorted(m for m in left_out if m in sys.modules))
+import scipy.signal, scipy.special
+print(scipy.signal._sigtools._linear_filter is ecm._linear_filter,
+      scipy.special.ndtr is bayesopt.ndtr)
+"""
+
+
+def test_cli_import_leaves_scipy_signal_and_special_out():
+    """A fresh ``import cellident.cli`` imports neither subpackage, keeps the
+    loaded extensions out of sys.modules, and a later import of each
+    subpackage hands out the same function objects."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]
