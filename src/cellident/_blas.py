@@ -30,8 +30,11 @@ _DDOT_SERIAL_MAX = 10_000   # OpenBLAS runs ddot on one thread up to this n
 def _thread_local_setters() -> tuple:
     """The per-thread setter of every loaded OpenBLAS, found on first use.
 
-    Importing the package loads numpy and scipy.linalg, so both bundled
-    copies are mapped before any caller gets here.
+    numpy maps its copy when it is imported.  scipy's copy is mapped when
+    ``gp`` loads scipy's LAPACK extension, which it does on import; the
+    scope's caller ``bayesopt`` imports ``gp``, and so does
+    ``cellident.cli``, so both copies are mapped before any GP work gets
+    here.
     """
     paths = set()
     try:

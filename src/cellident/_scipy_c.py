@@ -1,14 +1,15 @@
-"""Two scipy C routines, taken without importing their subpackages.
+"""scipy C routines, taken without importing their subpackages.
 
 ``import scipy.signal`` costs about a second (it pulls in ``scipy.stats``
-and the array-API shims) and ``import scipy.special`` about 0.2 s, yet the
-model needs one function of each: the IIR filter loop behind
-``scipy.signal.lfilter`` and the ``ndtr`` ufunc.  ``routine`` loads the
-extension module that holds such a function straight from its file, so the
-subpackage's ``__init__`` never runs.  The module leaves ``sys.modules``
-again once it is loaded, so a later import of the subpackage imports it
-the usual way; CPython then reuses the module it has cached, and both give
-the same function object.
+and the array-API shims), ``import scipy.linalg`` about 0.25 s (the shims
+again, through ``numpy.f2py``) and ``import scipy.special`` about 0.2 s,
+yet the package needs only a few routines of them: the IIR filter loop
+behind ``scipy.signal.lfilter``, the ``ndtr`` ufunc and three LAPACK
+routines.  ``routine`` loads the extension module that holds such a
+function straight from its file, so the subpackage's ``__init__`` never
+runs.  The module leaves ``sys.modules`` again once it is loaded, so a
+later import of the subpackage imports it the usual way; CPython then
+reuses the module it has cached, and both give the same function object.
 
 The names are private to scipy.  Where the file or the attribute is missing
 (or the file does not load), ``routine`` returns the public function, which
@@ -16,7 +17,9 @@ gives the same bits:
 
 - ``lfilter(b, a, x, axis)`` with ``len(a) > 1`` and no ``zi`` returns
   ``_sigtools._linear_filter(b, a, x, axis)`` unchanged (scipy 1.17.1);
-- ``scipy.special.ndtr`` is the ``_special_ufuncs.ndtr`` ufunc itself.
+- ``scipy.special.ndtr`` is the ``_special_ufuncs.ndtr`` ufunc itself;
+- ``scipy.linalg.lapack`` re-exports ``_flapack``'s ``dpotrf``, ``dtrtrs``
+  and ``dtrtri`` themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import scipy   # the package __init__ only; it imports no subpackage
 
 def routine(subpackage: str, extension: str, name: str, public: str):
     """``scipy.<subpackage>.<extension>.<name>`` from the extension's file,
-    or ``scipy.<subpackage>.<public>`` when that cannot be had."""
+    or ``scipy.<subpackage>.<public>`` when that cannot be had; ``public``
+    may be dotted, as in ``lapack.dpotrf``."""
     module_name = f"scipy.{subpackage}.{extension}"
     stem = Path(scipy.__file__).parent / subpackage / extension
     # once scipy has imported it, loading it again would remove its entry
@@ -40,7 +44,8 @@ def routine(subpackage: str, extension: str, name: str, public: str):
     found = getattr(module, name, None)
     if found is not None:
         return found
-    return getattr(importlib.import_module(f"scipy.{subpackage}"), public)
+    owner, _, attr = f"scipy.{subpackage}.{public}".rpartition(".")
+    return getattr(importlib.import_module(owner), attr)
 
 
 def _load(module_name: str, stem: Path):

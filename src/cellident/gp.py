@@ -12,12 +12,52 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
-from scipy.linalg.lapack import dtrtri
+from numpy.linalg import LinAlgError   # the class scipy.linalg raises
 
+from ._scipy_c import routine
 from .errors import SingularKernel
 
 JITTER_LADDER = (1e-8, 1e-6, 1e-4)
+
+# scipy's LAPACK without importing scipy.linalg: the objects
+# scipy.linalg.lapack hands out, called with the arguments that
+# scipy.linalg.cholesky and solve_triangular pass them
+_dpotrf, _dtrtrs, _dtrtri = (
+    routine("linalg", "_flapack", name, f"lapack.{name}")
+    for name in ("dpotrf", "dtrtrs", "dtrtri"))
+
+
+def _check_finite(a: np.ndarray) -> None:
+    """The check_finite of scipy.linalg, with its message."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def cholesky(a: np.ndarray, lower: bool) -> np.ndarray:
+    """``scipy.linalg.cholesky(a, lower)`` of a square float64 array whose
+    finiteness the caller has checked: POTRF on a copy, the other triangle
+    zeroed."""
+    factor, info = _dpotrf(a, lower=lower, overwrite_a=0, clean=1)
+    if info > 0:
+        raise LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
+                         f"argument on entry to \"POTRF\".")
+    return factor
+
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """``L x = b`` (trans 0) or ``L^T x = b`` (trans 1) for a Fortran-ordered
+    lower factor, by TRTRS as ``scipy.linalg.solve_triangular`` calls it."""
+    x, info = _dtrtrs(chol, b, lower=1, trans=trans)
+    if info > 0:
+        raise LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(
+            f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 def _neg_half_sq_norms(a: np.ndarray) -> np.ndarray:
@@ -94,7 +134,8 @@ def fit(points, values) -> GPPosterior:
     The jitter starts at JITTER_LADDER[0] and escalates through the ladder
     on factorization failure; SingularKernel is raised only when the whole
     ladder fails; the singular Gram matrix of coincident inputs is the
-    ladder's to handle too.  A non-finite point or value raises ValueError.
+    ladder's to handle too.  A non-finite point or value raises ValueError,
+    and so do finite points whose Gram matrix overflows to NaN.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float).ravel()
@@ -116,6 +157,9 @@ def fit(points, values) -> GPPosterior:
 
     neg_half_sq_norms = _neg_half_sq_norms(points)
     gram = _kernel(points, neg_half_sq_norms, points, neg_half_sq_norms)
+    # finite points can still overflow the kernel's dot products to NaN;
+    # a finite jitter on the diagonal keeps a finite Gram matrix finite
+    _check_finite(gram)
     diag = gram.diagonal().copy()
     for jitter in JITTER_LADDER:
         gram.flat[::len(values) + 1] = diag + jitter    # K + jitter I, in place
@@ -129,11 +173,12 @@ def fit(points, values) -> GPPosterior:
             f"kernel matrix is singular even at jitter {JITTER_LADDER[-1]:g} "
             f"({len(values)} points)")
 
-    # cholesky checked the Gram matrix, so its factor is finite too
-    rhs = solve_triangular(chol, values_std, lower=True, check_finite=False)
-    alpha = solve_triangular(chol.T, rhs, lower=False)
+    # the Gram matrix is finite, so its factor is finite too
+    rhs = _solve_lower(chol, values_std, trans=0)
+    _check_finite(rhs)
+    alpha = _solve_lower(chol, rhs, trans=1)
     # the factor's diagonal is positive, so its inverse exists
-    chol_inv, _ = dtrtri(chol, lower=1)
+    chol_inv, _ = _dtrtri(chol, lower=1)
     return GPPosterior(points=points, neg_half_sq_norms=neg_half_sq_norms,
                        chol_inv=chol_inv, alpha=alpha, mean_shift=mean_shift,
                        scale=scale, jitter=jitter)

@@ -171,3 +171,45 @@ def test_gd_run_with_cached_terms_does_not_depend_on_the_thread_count():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
+
+
+_MAPS = """
+import ctypes, os
+
+def mapped():
+    paths = set()
+    with open("/proc/self/maps") as fh:
+        for line in fh:
+            fields = line.split(None, 5)   # the sixth is the mapped file
+            path = fields[5].strip() if len(fields) == 6 else ""
+            if "openblas" in os.path.basename(path).lower():
+                paths.add(path)
+    return paths
+
+import cellident.cli
+from cellident import _blas
+before = mapped()
+with_setter = {p for p in before
+               if hasattr(ctypes.CDLL(p), "openblas_set_num_threads_local")}
+print(len(before), len(with_setter), len(_blas._thread_local_setters()))
+import scipy.linalg
+print(sorted(mapped() - before))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                    reason="needs /proc/self/maps")
+def test_scope_covers_every_openblas_the_gp_uses():
+    """``import cellident.cli`` maps every OpenBLAS that scipy's LAPACK
+    uses: a later ``import scipy.linalg`` maps no further copy, and the
+    scope finds each mapped copy that has a per-thread setter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _MAPS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts, added = proc.stdout.splitlines()
+    mapped, with_setter, found = map(int, counts.split())
+    assert mapped >= 1
+    assert found == with_setter
+    assert added == "[]"

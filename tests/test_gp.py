@@ -1,8 +1,10 @@
 """GP surrogate against a dense linear-algebra oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cholesky
+from scipy.linalg import LinAlgError, cholesky, lapack, solve_triangular
 
 import cellident.gp as gp
 from cellident.errors import SingularKernel
@@ -62,6 +64,32 @@ def rebuilt_factor(state):
     jitter fit settled on."""
     gram = se_kernel(state.points, state.points)
     return cholesky(gram + state.jitter * np.eye(state.n_points), lower=True)
+
+
+def public_fit(points, values):
+    """fit's linear algebra through scipy.linalg's public functions:
+    (chol_inv, alpha, jitter), or the exception the ladder ends in."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    values = np.asarray(values, dtype=float)
+    scale = float(np.std(values))
+    if scale <= 0.0:
+        scale = 1.0
+    values_std = (values - float(np.mean(values))) / scale
+    gram = se_kernel(points, points)
+    diag = gram.diagonal().copy()
+    for jitter in JITTER_LADDER:
+        gram.flat[::len(values) + 1] = diag + jitter
+        try:
+            chol = cholesky(gram, lower=True)
+            break
+        except LinAlgError:
+            continue
+    else:
+        return SingularKernel
+    rhs = solve_triangular(chol, values_std, lower=True, check_finite=False)
+    alpha = solve_triangular(chol.T, rhs, lower=False)
+    chol_inv, _ = lapack.dtrtri(chol, lower=1)
+    return chol_inv, alpha, jitter
 
 
 def assert_fits_coincident(points, values, pairs):
@@ -194,6 +222,49 @@ class TestDuplicateOracle:
                                     for pair in ((0, 7), (5, 7), (4, 9))])
 
 
+class TestPublicScipyPath:
+    """fit calls scipy's LAPACK routines directly; every bit is the one
+    scipy.linalg's cholesky, solve_triangular and lapack.dtrtri give."""
+
+    @staticmethod
+    def clustered(s, offset, seed):
+        """s 1-D points drawn with repeats from s // 2 + 1 distinct ones,
+        moved to ``offset``: far from the origin the kernel's expansion
+        rounds, so the Gram matrix of coincident points needs more jitter."""
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(size=(s // 2 + 1, 1))
+        return offset + base[rng.integers(0, len(base), size=s)]
+
+    @pytest.mark.parametrize("s", [1, 2, 10, 50, 99, 200])
+    def test_bytes_equal_the_public_functions(self, s):
+        rng = np.random.default_rng(s)
+        queries = rng.uniform(size=(64, 3))
+        point_sets = [HaltonSampler(3, s).draw(s), rng.uniform(size=(s, 1))]
+        point_sets += [self.clustered(s, offset, s)
+                       for offset in (0.0, 3e3, 1e4, 3e4, 1e5, 1e6)]
+        jitters = set()
+        for points in point_sets:
+            values = rng.normal(size=s) * 10.0 ** rng.uniform(-3, 3)
+            ref = public_fit(points, values)
+            if ref is SingularKernel:
+                with pytest.raises(SingularKernel):
+                    fit(points, values)
+                jitters.add(ref)
+                continue
+            state = fit(points, values)
+            chol_inv, alpha, jitter = ref
+            assert state.jitter == jitter
+            assert state.chol_inv.tobytes() == chol_inv.tobytes()
+            assert state.alpha.tobytes() == alpha.tobytes()
+            want = dataclasses.replace(state, chol_inv=chol_inv, alpha=alpha)
+            q = np.vstack([points[:8], queries[:, :points.shape[1]]])
+            for x, y in zip(state.posterior(q), want.posterior(q)):
+                assert x.tobytes() == y.tobytes()
+            jitters.add(jitter)
+        if s >= 50:   # the coincident sets climb the whole ladder
+            assert jitters == {*JITTER_LADDER, SingularKernel}
+
+
 class TestInverseFactor:
     """The variance comes from the cached L^{-1}; the mean path is as before."""
 
@@ -303,6 +374,15 @@ class TestRobustness:
         monkeypatch.setattr(gp, "cholesky", always_fail)
         with pytest.raises(SingularKernel, match="singular"):
             fit(np.array([[0.1], [0.9]]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("points", [[[1e200], [0.0]],
+                                        [[1e200, 0.0], [0.0, 1e200]]])
+    def test_gram_matrix_that_overflows_rejected(self, points):
+        """Finite points whose kernel dot products overflow give a NaN
+        Gram matrix, which no factorization is tried on."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                fit(np.array(points), np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_and_values_rejected(self, bad):

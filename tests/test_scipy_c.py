@@ -1,6 +1,7 @@
-"""scipy's filter and ndtr routines, taken without their subpackages: the
-same bits as the public functions, the public function as the fallback, and
-an import of the command line that leaves scipy.signal and scipy.special out."""
+"""scipy's filter, ndtr and LAPACK routines, taken without their
+subpackages: the same bits as the public functions, the public function as
+the fallback, and an import of the command line that leaves scipy.signal,
+scipy.special and scipy.linalg out."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.signal
 import scipy.special
 
@@ -61,6 +63,12 @@ def test_missing_extension_or_name_falls_back_to_the_public_function():
                    "lfilter") is scipy.signal.lfilter
     assert routine("special", "_no_such_extension", "ndtr",
                    "ndtr") is scipy.special.ndtr
+    for name in ("dpotrf", "dtrtrs", "dtrtri"):
+        public = getattr(scipy.linalg.lapack, name)
+        assert routine("linalg", "_no_such_extension", name,
+                       f"lapack.{name}") is public
+        assert routine("linalg", "_flapack", "_no_such_name",
+                       f"lapack.{name}") is public
 
 
 def test_routine_after_scipy_imported_the_extension():
@@ -75,23 +83,27 @@ def test_routine_after_scipy_imported_the_extension():
 _IMPORT = """
 import sys
 import cellident.cli
-from cellident import bayesopt, ecm
-left_out = ("scipy.signal", "scipy.special", "scipy.stats",
-            "scipy.signal._sigtools", "scipy.special._special_ufuncs")
+from cellident import bayesopt, ecm, gp
+left_out = ("scipy.signal", "scipy.special", "scipy.stats", "scipy.linalg",
+            "scipy.signal._sigtools", "scipy.special._special_ufuncs",
+            "scipy.linalg._flapack")
 print(sorted(m for m in left_out if m in sys.modules))
-import scipy.signal, scipy.special
+import scipy.linalg, scipy.signal, scipy.special
 print(scipy.signal._sigtools._linear_filter is ecm._linear_filter,
-      scipy.special.ndtr is bayesopt.ndtr)
+      scipy.special.ndtr is bayesopt.ndtr,
+      scipy.linalg.lapack.dpotrf is gp._dpotrf,
+      scipy.linalg.lapack.dtrtrs is gp._dtrtrs,
+      scipy.linalg.lapack.dtrtri is gp._dtrtri)
 """
 
 
 def test_cli_import_leaves_scipy_signal_and_special_out():
-    """A fresh ``import cellident.cli`` imports neither subpackage, keeps the
-    loaded extensions out of sys.modules, and a later import of each
-    subpackage hands out the same function objects."""
+    """A fresh ``import cellident.cli`` imports none of the three
+    subpackages, keeps the loaded extensions out of sys.modules, and a later
+    import of each subpackage hands out the same function objects."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _IMPORT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True True"]
+    assert proc.stdout.splitlines() == ["[]", "True True True True True"]
