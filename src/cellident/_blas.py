@@ -23,6 +23,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ._scipy_c import routine
+
 _DDOT_SERIAL_MAX = 10_000   # OpenBLAS runs ddot on one thread up to this n
 
 
@@ -30,12 +32,12 @@ _DDOT_SERIAL_MAX = 10_000   # OpenBLAS runs ddot on one thread up to this n
 def _thread_local_setters() -> tuple:
     """The per-thread setter of every loaded OpenBLAS, found on first use.
 
-    numpy maps its copy when it is imported.  scipy's copy is mapped when
-    ``gp`` loads scipy's LAPACK extension, which it does on import; the
-    scope's caller ``bayesopt`` imports ``gp``, and so does
-    ``cellident.cli``, so both copies are mapped before any GP work gets
-    here.
+    numpy maps its copy when it is imported, and scipy's copy is mapped
+    with scipy's LAPACK extension, which ``gp`` loads.  The first use loads
+    that extension itself before it scans, so the cached tuple covers both
+    copies whether or not ``gp`` is imported yet.
     """
+    routine("linalg", "_flapack", "dpotrf", "lapack.dpotrf")
     paths = set()
     try:
         with open("/proc/self/maps") as fh:

@@ -7,9 +7,13 @@ yet the package needs only a few routines of them: the IIR filter loop
 behind ``scipy.signal.lfilter``, the ``ndtr`` ufunc and three LAPACK
 routines.  ``routine`` loads the extension module that holds such a
 function straight from its file, so the subpackage's ``__init__`` never
-runs.  The module leaves ``sys.modules`` again once it is loaded, so a
-later import of the subpackage imports it the usual way; CPython then
-reuses the module it has cached, and both give the same function object.
+runs.  Nor does scipy's own (about 9 ms, through ``scipy._lib``): the
+package directory comes from importlib's finder, and scipy is not
+imported; without scipy, importing this module raises
+ModuleNotFoundError.  The extension module leaves ``sys.modules`` again
+once it is loaded, so a later import of the subpackage imports it the
+usual way; CPython then reuses the module it has cached, and both give the
+same function object.
 
 The names are private to scipy.  Where the file or the attribute is missing
 (or the file does not load), ``routine`` returns the public function, which
@@ -30,7 +34,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import scipy   # the package __init__ only; it imports no subpackage
+_SPEC = importlib.util.find_spec("scipy")   # finds scipy, runs none of it
+if _SPEC is None:
+    raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+_SCIPY_DIR = Path(_SPEC.submodule_search_locations[0])
 
 
 def routine(subpackage: str, extension: str, name: str, public: str):
@@ -38,7 +45,7 @@ def routine(subpackage: str, extension: str, name: str, public: str):
     or ``scipy.<subpackage>.<public>`` when that cannot be had; ``public``
     may be dotted, as in ``lapack.dpotrf``."""
     module_name = f"scipy.{subpackage}.{extension}"
-    stem = Path(scipy.__file__).parent / subpackage / extension
+    stem = _SCIPY_DIR / subpackage / extension
     # once scipy has imported it, loading it again would remove its entry
     module = sys.modules.get(module_name) or _load(module_name, stem)
     found = getattr(module, name, None)

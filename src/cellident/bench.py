@@ -61,6 +61,8 @@ from .params import (
     load_parameter_file,
     read_json_object,
     reference_cell_path,
+    write_csv,
+    write_json,
 )
 from .profiles import CurrentProfile, noise_cycle_profile, staircase_profile
 from .runs import OptimizationResult, export_trace
@@ -362,9 +364,8 @@ class BenchmarkReport:
         return json.dumps(self.results, sort_keys=True,
                           separators=(",", ":")).encode()
 
-    def save(self, path) -> None:
-        doc = {"meta": self.meta, "results": self.results}
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    def save(self, path) -> Path:
+        return write_json(path, {"meta": self.meta, "results": self.results})
 
     @classmethod
     def load(cls, path) -> "BenchmarkReport":
@@ -616,37 +617,25 @@ def export_report(report: BenchmarkReport, out_dir, formats=("csv", "json"),
     written = []
 
     if "json" in formats:
-        path = out_dir / "report.json"
-        report.save(path)
-        written.append(path)
+        written.append(report.save(out_dir / "report.json"))
 
     if "csv" in formats:
-        aggregates = report.results["aggregates"]
-        time_stats = report.meta.get("time_stats", {})
-        path = out_dir / "summary.csv"
-        with open(path, "w") as fh:
-            fh.write("method,time_mean_s,time_var_s2,train_mean_V2,"
-                     "train_var_V4,test_mean_V2,test_var_V4\n")
-            for method in report.results["config"]["methods"]:
-                agg = aggregates[method]
-                ts = time_stats.get(method, {"mean": float("nan"),
-                                             "var": float("nan")})
-                fh.write(
-                    f"{method},{ts['mean']:.6g},{ts['var']:.6g},"
-                    f"{_fmt(agg['train_mean'])},{_fmt(agg['train_var'])},"
-                    f"{_fmt(agg['test_mean'])},{_fmt(agg['test_var'])}\n")
-        written.append(path)
-
-        path = out_dir / "repetitions.csv"
-        with open(path, "w") as fh:
-            fh.write("method,rep,failed,train_loss_V2,test_loss_V2,"
-                     "evaluations\n")
-            for row in report.results["rows"]:
-                fh.write(f"{row['method']},{row['rep']},"
-                         f"{int(row['failed'])},{_fmt(row['train_loss_V2'])},"
-                         f"{_fmt(row['test_loss_V2'])},"
-                         f"{row['evaluations'] if row['evaluations'] is not None else ''}\n")
-        written.append(path)
+        methods = report.results["config"]["methods"]
+        aggs = [report.results["aggregates"][m] for m in methods]
+        times = [report.meta.get("time_stats", {}).get(m, {}) for m in methods]
+        written.append(write_csv(out_dir / "summary.csv", {
+            "method": methods,
+            "time_mean_s": [t.get("mean", math.nan) for t in times],
+            "time_var_s2": [t.get("var", math.nan) for t in times],
+            "train_mean_V2": [a["train_mean"] for a in aggs],
+            "train_var_V4": [a["train_var"] for a in aggs],
+            "test_mean_V2": [a["test_mean"] for a in aggs],
+            "test_var_V4": [a["test_var"] for a in aggs],
+        }, spec={"time_mean_s": ".6g", "time_var_s2": ".6g"}))
+        written.append(write_csv(out_dir / "repetitions.csv", {
+            key: [row[key] for row in report.results["rows"]] for key in (
+                "method", "rep", "failed", "train_loss_V2", "test_loss_V2",
+                "evaluations")}))
 
     if with_traces:
         config = ExperimentConfig.from_dict(report.results["config"])
@@ -655,10 +644,6 @@ def export_report(report: BenchmarkReport, out_dir, formats=("csv", "json"),
         written.extend(_write_voltage_traces(report.results["rows"], test_ds,
                                              params, ocv_p, ocv_n, out_dir))
     return written
-
-
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.12g}"
 
 
 def _write_voltage_traces(rows, test_ds: IdentificationDataset,
@@ -678,12 +663,9 @@ def _write_voltage_traces(rows, test_ds: IdentificationDataset,
         for i, (profile, measured) in enumerate(
                 zip(test_ds.profiles, test_ds.voltages)):
             sim = simulate(fitted, ocv_p, ocv_n, profile)
-            path = trace_dir / (f"voltage_{row['method']}_rep{row['rep']}"
-                                f"_test{i}.csv")
-            table = np.column_stack([profile.t, profile.current,
-                                     measured, sim, sim - measured])
-            np.savetxt(path, table, delimiter=",", comments="",
-                       header="time_s,current_A,voltage_meas_V,"
-                              "voltage_model_V,error_V", fmt="%.9g")
-            written.append(path)
+            name = f"voltage_{row['method']}_rep{row['rep']}_test{i}.csv"
+            written.append(write_csv(trace_dir / name, {
+                "time_s": profile.t, "current_A": profile.current,
+                "voltage_meas_V": measured, "voltage_model_V": sim,
+                "error_V": sim - measured}, spec=".9g"))
     return written

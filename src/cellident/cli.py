@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .identify import (
     save_dataset,
     save_profile_csv,
 )
+from .params import write_json
 from .runs import export_trace
 
 
@@ -153,8 +153,7 @@ def identify_cmd(config_path, manifest_path, method, budget, seed, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     export_trace(result, box, out / "trace.csv")
-    (out / "best_theta.json").write_text(json.dumps(
-        {"method": method, **best}, indent=2, sort_keys=True) + "\n")
+    write_json(out / "best_theta.json", {"method": method, **best})
     click.echo(f"{method}: train loss {best['train_loss_V2']:.6g} V^2, "
                f"test loss {best['test_loss_V2']:.6g} V^2 "
                f"({best['evaluations']} evaluations)")

@@ -18,7 +18,6 @@ forward-difference probe along one axis costs one term plus the sum.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,7 @@ from .ecm import (
 from .errors import DataError, OutOfBox, SimulationDiverged
 from .ocv import OcvCurve
 from .params import (CellParameters, check_keys, is_json_number,
-                     read_csv_table, read_json_object)
+                     read_csv_table, read_json_object, write_csv, write_json)
 from .profiles import CurrentProfile
 
 DIVERGENCE_PENALTY = 1.0e6   # V^2, charged when a proposed theta breaks the model
@@ -292,9 +291,8 @@ class VoltageFitObjective:
 def save_profile_csv(path, profile: CurrentProfile, volts: np.ndarray) -> None:
     if np.shape(volts) != (profile.n,):
         raise DataError("profile and voltage grids disagree")
-    rows = np.column_stack([profile.t, profile.current, volts])
-    np.savetxt(path, rows, delimiter=",", comments="",
-               header="time_s,current_A,voltage_V", fmt="%.12g")
+    write_csv(path, {"time_s": profile.t, "current_A": profile.current,
+                     "voltage_V": volts})
 
 
 def _finite_column(path, table, name: str) -> np.ndarray:
@@ -367,9 +365,7 @@ def save_dataset(out_dir, train: IdentificationDataset,
             manifest[role].append(name)
     if extra_meta:
         manifest["meta"] = extra_meta
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_json(out_dir / "manifest.json", manifest)
 
 
 def load_dataset(manifest_path) -> tuple[IdentificationDataset, IdentificationDataset, dict]:

@@ -82,6 +82,30 @@ def read_csv_table(path: Path, what: str) -> np.ndarray:
         raise DataError(f"{what} {path} is malformed: {exc}") from exc
 
 
+def write_json(path, obj) -> Path:
+    """``obj`` as JSON in ``path``: indent 2, sorted keys, final newline."""
+    path = Path(path)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def write_csv(path, columns: dict, spec=".12g") -> Path:
+    """``columns`` (name -> equal-length cells) as CSV in ``path`` under a
+    header row of the names.  One cell rule: a float is ``format(v, spec)``,
+    an int written in full, a bool 0/1, None an empty cell and a string as
+    it is (arrays through ``tolist``).  A dict ``spec`` names some columns'
+    formats, the rest take ``.12g``."""
+    cells = [[("" if v is None else str(int(v)) if isinstance(v, bool)
+               else format(v, fmt) if isinstance(v, float) else str(v))
+              for v in (values.tolist() if isinstance(values, np.ndarray) else values)]
+             for name, values in columns.items()
+             for fmt in [spec.get(name, ".12g") if isinstance(spec, dict) else spec]]
+    path = Path(path)
+    path.write_text("\n".join([",".join(columns), *map(
+        ",".join, zip(*cells, strict=True))]) + "\n")
+    return path
+
+
 @functools.cache
 def electrode_fields(electrode: str, *names: str) -> operator.attrgetter:
     """The one electrode-to-field map: an attrgetter of ``<name>_p`` (or

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import OutOfBox
 from .identify import ParameterBox
+from .params import write_csv
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,8 @@ class Recorder:
 
 def export_trace(result: OptimizationResult, box: ParameterBox, path) -> None:
     """Trace CSV: eval_index,<dim names>,loss_V2,cum_best_V2."""
-    names = ",".join(box.names)
-    cum = np.minimum.accumulate([loss for _, _, loss in result.trace])
-    with open(path, "w") as fh:
-        fh.write(f"eval_index,{names},loss_V2,cum_best_V2\n")
-        for (idx, theta, loss), best in zip(result.trace, cum):
-            coords = ",".join(f"{v:.12g}" for v in np.atleast_1d(theta))
-            fh.write(f"{idx},{coords},{loss:.12g},{best:.12g}\n")
+    index, thetas, losses = zip(*result.trace)
+    write_csv(path, {"eval_index": index,
+                     **dict(zip(box.names, np.transpose(thetas))),
+                     "loss_V2": losses,
+                     "cum_best_V2": np.minimum.accumulate(losses)})

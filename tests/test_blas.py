@@ -213,3 +213,26 @@ def test_scope_covers_every_openblas_the_gp_uses():
     assert mapped >= 1
     assert found == with_setter
     assert added == "[]"
+
+
+_FIRST_USE = """
+from cellident import _blas
+first = len(_blas._thread_local_setters())
+from cellident import gp
+after_gp = len(_blas._thread_local_setters())
+_blas._thread_local_setters.cache_clear()
+print(first, after_gp, len(_blas._thread_local_setters()))
+"""
+
+
+def test_first_lookup_before_gp_finds_every_setter():
+    """A process whose first scope runs before ``gp`` is imported still
+    caches scipy's OpenBLAS setter: the counts before and after importing
+    ``gp`` equal a fresh lookup's."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _FIRST_USE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, after_gp, fresh = map(int, proc.stdout.split())
+    assert first == after_gp == fresh

@@ -12,12 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellident.errors import DataError
+from cellident.identify import ParameterBox
 from cellident.params import (
     CellParameters,
     electrode_fields,
     load_parameter_file,
     reference_cell_path,
+    write_csv,
+    write_json,
 )
+from cellident.runs import Recorder, export_trace
 
 
 class TestReferenceCell:
@@ -274,3 +278,88 @@ class TestParameterFile:
         assert reference_cell_path().exists()
         assert np.isfinite(ocv_p(0.5))
         assert np.isfinite(ocv_n(0.5))
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 1e308,
+                np.inf, -np.inf, np.nan, 1.0 / 3.0, -2.5, 123456789.123456789]
+
+
+class TestWriters:
+    """``write_csv`` and ``write_json`` give the bytes of the writers they
+    replaced: ``np.savetxt``, the f-string loops and ``json.dumps``."""
+
+    @pytest.mark.parametrize("spec", [".12g", ".9g"])
+    def test_float_columns_are_savetxt_bytes(self, tmp_path, spec):
+        rng = np.random.default_rng(len(spec))
+        table = np.column_stack([
+            _EDGE_FLOATS,
+            rng.permutation(_EDGE_FLOATS),
+            rng.normal(size=len(_EDGE_FLOATS)) * 10.0 ** rng.uniform(
+                -300, 300, size=len(_EDGE_FLOATS))])
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        np.savetxt(want, table, delimiter=",", comments="", header="a,b,c",
+                   fmt=f"%{spec}")
+        write_csv(got, dict(zip("abc", table.T)), spec=spec)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_int_bool_none_and_str_cells_are_the_f_string_bytes(self, tmp_path):
+        rows = [{"method": "bo", "rep": 0, "failed": False, "loss": 0.125,
+                 "evaluations": 50},
+                {"method": "gd", "rep": 12345678901234, "failed": True,
+                 "loss": None, "evaluations": None},
+                {"method": "pso", "rep": -3, "failed": False, "loss": 1e-300,
+                 "evaluations": 7}]
+        want = "method,rep,failed,loss,evaluations\n" + "".join(
+            f"{r['method']},{r['rep']},{int(r['failed'])},"
+            f"{'' if r['loss'] is None else format(r['loss'], '.12g')},"
+            f"{r['evaluations'] if r['evaluations'] is not None else ''}\n"
+            for r in rows)
+        path = tmp_path / "rows.csv"
+        write_csv(path, {key: [r[key] for r in rows] for key in rows[0]})
+        assert path.read_bytes() == want.encode()
+
+    def test_per_column_spec_and_numpy_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, {"n": np.arange(3), "ok": np.array([True, False, True]),
+                         "t": [1 / 3] * 3, "x": np.full(3, 2 / 3)},
+                  spec={"t": ".6g"})
+        assert path.read_bytes() == (b"n,ok,t,x\n"
+                                     b"0,1,0.333333,0.666666666667\n"
+                                     b"1,0,0.333333,0.666666666667\n"
+                                     b"2,1,0.333333,0.666666666667\n")
+
+    def test_columns_of_different_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", {"a": [1.0, 2.0], "b": [1.0]})
+
+    @pytest.mark.parametrize("names", [("a",), ("a", "b", "c")],
+                             ids=["1d", "3d"])
+    def test_export_trace_is_the_f_string_bytes(self, tmp_path, names):
+        n = len(names)
+        box = ParameterBox(names=names, lower=np.full(n, 1e-3),
+                           upper=np.full(n, 7.0), scales=("log",) * n)
+        rng = np.random.default_rng(n)
+        losses = iter(rng.uniform(0.0, 2.0, size=20) ** 7)
+        record = Recorder(lambda u: next(losses), box, budget=20)
+        for _ in range(20):
+            record(rng.uniform(size=n))
+        result = record.result()
+        cum = np.minimum.accumulate([loss for _, _, loss in result.trace])
+        want = f"eval_index,{','.join(names)},loss_V2,cum_best_V2\n" + "".join(
+            f"{idx},{','.join(f'{v:.12g}' for v in np.atleast_1d(theta))},"
+            f"{loss:.12g},{best:.12g}\n"
+            for (idx, theta, loss), best in zip(result.trace, cum))
+        path = tmp_path / "trace.csv"
+        export_trace(result, box, path)
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("obj", [
+        {"b": [1, 2.5, None], "a": {"z": "x", "y": True}},
+        {"meta": {"nan": float("nan"), "inf": -float("inf")}, "results": {}},
+        {},
+    ])
+    def test_write_json_is_the_dumps_bytes(self, tmp_path, obj):
+        path = tmp_path / "doc.json"
+        write_json(path, obj)
+        assert path.read_bytes() == (
+            json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()

@@ -1,7 +1,7 @@
 """scipy's filter, ndtr and LAPACK routines, taken without their
 subpackages: the same bits as the public functions, the public function as
-the fallback, and an import of the command line that leaves scipy.signal,
-scipy.special and scipy.linalg out."""
+the fallback, and an import of the command line that leaves scipy itself,
+scipy.signal, scipy.special and scipy.linalg out."""
 
 import os
 import subprocess
@@ -84,9 +84,9 @@ _IMPORT = """
 import sys
 import cellident.cli
 from cellident import bayesopt, ecm, gp
-left_out = ("scipy.signal", "scipy.special", "scipy.stats", "scipy.linalg",
-            "scipy.signal._sigtools", "scipy.special._special_ufuncs",
-            "scipy.linalg._flapack")
+left_out = ("scipy", "scipy.signal", "scipy.special", "scipy.stats",
+            "scipy.linalg", "scipy.signal._sigtools",
+            "scipy.special._special_ufuncs", "scipy.linalg._flapack")
 print(sorted(m for m in left_out if m in sys.modules))
 import scipy.linalg, scipy.signal, scipy.special
 print(scipy.signal._sigtools._linear_filter is ecm._linear_filter,
@@ -98,8 +98,8 @@ print(scipy.signal._sigtools._linear_filter is ecm._linear_filter,
 
 
 def test_cli_import_leaves_scipy_signal_and_special_out():
-    """A fresh ``import cellident.cli`` imports none of the three
-    subpackages, keeps the loaded extensions out of sys.modules, and a later
+    """A fresh ``import cellident.cli`` imports neither scipy's package
+    ``__init__`` nor any of the three subpackages, keeps the loaded extensions out of sys.modules, and a later
     import of each subpackage hands out the same function objects."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), os.environ.get("PYTHONPATH", "")]))
@@ -107,3 +107,15 @@ def test_cli_import_leaves_scipy_signal_and_special_out():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True True True True True"]
+
+
+def test_import_without_scipy_raises_import_error():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "try:\n    import cellident._scipy_c\n"
+            "except ImportError as exc:\n    print(exc.name)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "scipy"
