@@ -9,9 +9,8 @@ applies it to every OpenBLAS loaded in the process (numpy and scipy each
 bundle their own).  Where no loaded library exports it (another OS, MKL, an
 older OpenBLAS) the scope does nothing.
 
-OpenBLAS also splits ``ddot`` across threads above 10,000 elements, which
-changes the rounding of the sum; ``sum_of_squares`` runs such long dot
-products on one thread, so a loss has the same bits at any thread count.
+Only the GP calls BLAS: losses, profiles and the baselines use plain numpy
+sums, which neither thread nor depend on the kernel set OpenBLAS picks.
 """
 
 from __future__ import annotations
@@ -21,11 +20,7 @@ import functools
 import os
 from contextlib import contextmanager
 
-import numpy as np
-
 from ._scipy_c import routine
-
-_DDOT_SERIAL_MAX = 10_000   # OpenBLAS runs ddot on one thread up to this n
 
 
 @functools.cache
@@ -71,11 +66,3 @@ def one_blas_thread():
     finally:
         for set_local, value in zip(setters, previous):
             set_local(value)
-
-
-def sum_of_squares(v: np.ndarray) -> float:
-    """``v · v`` by ddot, bit-identical at any OpenBLAS thread count."""
-    if v.size <= _DDOT_SERIAL_MAX:   # never threaded; skip the scope's cost
-        return float(np.dot(v, v))
-    with one_blas_thread():
-        return float(np.dot(v, v))

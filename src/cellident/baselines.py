@@ -8,6 +8,7 @@ evaluation budget, so comparisons are evaluation-for-evaluation fair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,7 @@ def gradient_descent(objective, box: ParameterBox,
                 probe, sign = theta.copy(), -1.0
                 probe[i] -= GD_PROBE
             grad[i] = sign * (evaluate(probe) - f_theta) / GD_PROBE
-        norm = float(np.linalg.norm(grad))
+        norm = math.sqrt(float(np.add.reduce(grad * grad)))
         if norm > 0.0 and evaluate.remaining:
             theta = np.clip(theta - GD_STEP * grad / norm, 0.0, 1.0)
             f_theta = evaluate(theta)

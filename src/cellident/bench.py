@@ -64,11 +64,13 @@ from .params import (
     write_csv,
     write_json,
 )
-from .profiles import CurrentProfile, noise_cycle_profile, staircase_profile
+from .profiles import (NOISE_BASE_PERIOD_S, CurrentProfile,
+                       noise_cycle_profile, staircase_profile)
 from .runs import OptimizationResult, export_trace
 
 SOC_HARD_WINDOW = (0.05, 0.95)   # violation is an error
 METHODS = ("bo", "gd", "pso")
+MAX_PROFILE_SAMPLES = 10_000_000   # at about 100 B a sample in a run: 1 GB
 
 
 def one_c_current(params: CellParameters) -> float:
@@ -100,6 +102,14 @@ class ProfileSpec:
                 and self.duration_s >= 100.0 * self.dt_s):
             raise ConfigError("profile duration_s must be finite and at least "
                               f"100*dt_s, got {self.duration_s}")
+        # round(duration / dt) + 1 samples, plus a drive cycle's 300-s tile
+        tile = NOISE_BASE_PERIOD_S if self.kind == "drive-cycle-like" else 0.0
+        samples = 1.0 + (self.duration_s + tile) / self.dt_s   # may be inf
+        if samples <= 2 * MAX_PROFILE_SAMPLES:
+            samples = 1 + round(self.duration_s / self.dt_s) + round(tile / self.dt_s)
+        if samples > MAX_PROFILE_SAMPLES:
+            raise ConfigError(f"profile needs {samples:,.0f} samples, above the "
+                              f"cap of {MAX_PROFILE_SAMPLES:,}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ._blas import sum_of_squares
 from .ecm import (
     FixedTerms,
     check_step,
@@ -275,7 +274,8 @@ class VoltageFitObjective:
         residual = terminal_voltage(terms.fixed, terms.eta_p, terms.eta_n,
                                     terms.phi_e, terms.volts)
         residual -= measured
-        loss = sum_of_squares(residual)
+        residual *= residual   # scratch: terminal_voltage rewrites it
+        loss = float(np.add.reduce(residual))
         return loss if loss <= DIVERGENCE_PENALTY else None   # inf, NaN too
 
     def unit(self, point) -> float:

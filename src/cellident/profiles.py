@@ -101,15 +101,17 @@ def noise_cycle_profile(
 ) -> CurrentProfile:
     """Seeded smoothed zero-mean noise, tiled from one base period.
 
-    A drive-cycle-like excitation: white noise smoothed with a short moving
-    average, scaled to peak near 2C, mean-removed per period so the state of
-    charge returns to its start each tile.
+    A drive-cycle-like excitation: white noise smoothed with a 9-tap moving
+    average (zero-padded at both ends, summed without BLAS), scaled to peak
+    near 2C, mean-removed per period so the state of charge returns to its
+    start each tile.
     """
-    rng = np.random.default_rng(seed)
     n_base = int(round(NOISE_BASE_PERIOD_S / dt))
-    raw = rng.standard_normal(n_base)
-    kernel = np.ones(9) / 9.0
-    smooth = np.convolve(raw, kernel, mode="same")
+    raw = np.random.default_rng(seed).standard_normal(n_base)
+    padded = np.concatenate([np.zeros(4), raw, np.zeros(4)])
+    smooth = padded[0:n_base] * (1.0 / 9.0)
+    for k in range(1, 9):
+        smooth += padded[k:k + n_base] * (1.0 / 9.0)
     smooth -= smooth.mean()
     peak = np.max(np.abs(smooth))
     if peak <= 0.0:
@@ -117,6 +119,4 @@ def noise_cycle_profile(
     smooth *= 2.0 * i_1c / peak
 
     n = int(round(duration / dt)) + 1
-    reps = int(np.ceil(n / n_base))
-    current = np.tile(smooth, reps)[:n]
-    return CurrentProfile(dt=dt, current=current)
+    return CurrentProfile(dt=dt, current=np.resize(smooth, n))   # tiled

@@ -5,6 +5,7 @@ import pytest
 
 from cellident.baselines import (
     GD_PROBE,
+    GD_STEP,
     PSO_SWARM,
     PSO_V_MAX,
     GdConfig,
@@ -76,6 +77,29 @@ class TestGradientDescent:
             if forward_seen and backward_seen:
                 break
         assert forward_seen and backward_seen
+
+    @pytest.mark.parametrize("seed", [0, 6, 13])
+    def test_step_is_normalized_by_the_gradient_norm(self, cube3, seed):
+        """Each step moves GD_STEP along the negative gradient over its
+        norm, as np.linalg.norm gives it, rebuilt from the probes."""
+        seen, losses = [], []
+
+        def capture(u):
+            seen.append(np.array(u, dtype=float))
+            losses.append(float(np.sum((seen[-1] - [0.3, 0.8, 0.1]) ** 2)))
+            return losses[-1]
+
+        iterations = 6
+        gradient_descent(capture, cube3,
+                         GdConfig(budget=1 + 4 * iterations, seed=seed))
+        for k in range(0, 4 * iterations, 4):
+            theta, probes = seen[k], seen[k + 1:k + 4]
+            grad = np.array([np.sign(probe[i] - theta[i])
+                             * (losses[k + 1 + i] - losses[k]) / GD_PROBE
+                             for i, probe in enumerate(probes)])
+            expected = np.clip(theta - GD_STEP * grad / np.linalg.norm(grad),
+                               0.0, 1.0)
+            np.testing.assert_allclose(seen[k + 4], expected, rtol=1e-14)
 
     def test_zero_gradient_holds_position(self, cube2):
         """A flat objective gives zero gradient: the iterate never moves and

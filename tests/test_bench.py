@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cellident import bench
 from cellident.bench import (
+    MAX_PROFILE_SAMPLES,
     BenchmarkReport,
     ExperimentConfig,
     ProfileSpec,
@@ -87,6 +88,27 @@ class TestProfileSpec:
     def test_rejects_non_finite_or_negative_grid(self, duration, dt):
         with pytest.raises(ConfigError, match="dt_s|duration_s"):
             ProfileSpec(kind="rcid-like", duration_s=duration, dt_s=dt)
+
+    @pytest.mark.parametrize("kind,tile", [("rcid-like", 0),
+                                           ("drive-cycle-like", 600)])
+    def test_sample_cap_counts_what_the_generator_allocates(self, kind, tile):
+        """round(duration/dt) + 1 samples, plus the 300-s base tile of a
+        drive cycle (600 samples at dt 0.5 s): the cap passes, one more
+        sample fails."""
+        at_cap = (MAX_PROFILE_SAMPLES - 1 - tile) * 0.5
+        ProfileSpec(kind=kind, duration_s=at_cap, dt_s=0.5)
+        ProfileSpec(kind=kind, duration_s=at_cap + 0.2, dt_s=0.5)   # rounds off
+        with pytest.raises(ConfigError, match=(
+                f"needs {MAX_PROFILE_SAMPLES + 1:,} samples, above the cap")):
+            ProfileSpec(kind=kind, duration_s=at_cap + 0.5, dt_s=0.5)
+
+    @pytest.mark.parametrize("kind,duration,dt", [
+        ("rcid-like", 1e15, 1.0), ("drive-cycle-like", 1e-6, 1e-9),
+        ("rcid-like", 1e-300, 5e-324), ("drive-cycle-like", 1e308, 1e-300)])
+    def test_sample_cap_rejects_huge_and_unrepresentable_counts(
+            self, kind, duration, dt):
+        with pytest.raises(ConfigError, match="above the cap"):
+            ProfileSpec(kind=kind, duration_s=duration, dt_s=dt)
 
     def test_dict_round_trip(self):
         spec = ProfileSpec(kind="rcid-like", duration_s=600.0, dt_s=0.5)

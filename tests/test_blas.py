@@ -1,6 +1,8 @@
-"""The one-thread BLAS scope: same results, restored state, no-op fallback."""
+"""The one-thread BLAS scope (same results, restored state, no-op fallback),
+and results that depend on neither the BLAS thread count nor the kernel set."""
 
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from cellident import _blas, gp
-from cellident._blas import one_blas_thread, sum_of_squares
+from cellident._blas import one_blas_thread
 from cellident.bayesopt import maximize_acquisition
 from cellident.sampling import HaltonSampler
 
@@ -79,23 +81,9 @@ def test_scope_does_nothing_without_a_setter(monkeypatch):
     assert value == 5.0
 
 
-@pytest.mark.parametrize("n", [0, 3601, _blas._DDOT_SERIAL_MAX,
-                               _blas._DDOT_SERIAL_MAX + 1, 14_401])
-def test_sum_of_squares_is_ddot_with_a_scope_only_when_long(n, monkeypatch):
-    scopes = []
-    monkeypatch.setattr(_blas, "one_blas_thread",
-                        lambda: scopes.append(n) or one_blas_thread())
-    v = np.random.default_rng(n).normal(size=n)
-    with one_blas_thread():
-        expected = float(np.dot(v, v))
-    assert sum_of_squares(v).hex() == expected.hex()
-    assert scopes == ([n] if n > _blas._DDOT_SERIAL_MAX else [])
-
-
 _RUN = """
 import hashlib
 import numpy as np
-from cellident._blas import _DDOT_SERIAL_MAX
 from cellident.bayesopt import BoRunConfig, run_bo
 from cellident.bench import (default_config, generate_profile,
                              generate_synthetic_dataset, resolve_cell)
@@ -112,16 +100,13 @@ result = run_bo(objective.unit, BoRunConfig(box=default_box(), budget=14,
                                             seed=5, s0=8))
 for _, theta, loss in result.trace:
     digest.update(theta.tobytes() + loss.hex().encode())
-# the longest dot product that skips the scope must not thread on its own
-v = np.random.default_rng(1).normal(size=_DDOT_SERIAL_MAX)
-print(digest.hexdigest(), float(np.dot(v, v)).hex())
+print(digest.hexdigest())
 """
 
 
 def test_results_do_not_depend_on_the_thread_count():
-    """A BO run and losses on a profile of more than 10,000 samples, where
-    OpenBLAS threads ddot, are bit-identical at one and two threads; so is
-    an unscoped ddot of 10,000 elements."""
+    """A BO run and a loss on a profile of more than 10,000 samples are
+    bit-identical at one and two OpenBLAS threads."""
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -171,6 +156,61 @@ def test_gd_run_with_cached_terms_does_not_depend_on_the_thread_count():
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())
     assert digests[0] == digests[1]
+
+
+_KERNEL_SET_RUN = """
+import hashlib
+import numpy as np
+from cellident.baselines import GdConfig, PsoConfig, gradient_descent, pso
+from cellident.bench import (default_config, generate_profile,
+                             generate_synthetic_dataset, resolve_cell)
+from cellident.identify import (IdentificationDataset, VoltageFitObjective,
+                                default_box)
+
+params, ocv_p, ocv_n = resolve_cell(default_config())[:3]
+short = generate_profile("rcid-like", 3600.0, 1.0, 0, params)
+long = generate_profile("rcid-like", 3600.0, 0.25, 0, params)
+drive = generate_profile("drive-cycle-like", 1200.0, 0.5, 3, params)
+assert (short.n, long.n) == (3601, 14401)
+print(hashlib.sha256(drive.current.tobytes()).hexdigest())
+train, _, _ = generate_synthetic_dataset(params, ocv_p, ocv_n, [short, long],
+                                         [drive], 0.005, 7)
+points = np.random.default_rng(0).uniform(size=(4, 3))
+for profile, volts in zip(train.profiles, train.voltages):
+    one = VoltageFitObjective(params, ocv_p, ocv_n, default_box(),
+                              IdentificationDataset((profile,), (volts,)))
+    print(profile.n, *(one.unit(point).hex() for point in points))
+objective = VoltageFitObjective(params, ocv_p, ocv_n, default_box(), train)
+for result in (gradient_descent(objective.unit, default_box(),
+                                GdConfig(budget=20, seed=4)),
+               pso(objective.unit, default_box(), PsoConfig(budget=20, seed=4))):
+    digest = hashlib.sha256()
+    for _, theta, loss in result.trace:
+        digest.update(theta.tobytes() + loss.hex().encode())
+    print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel set")
+def test_losses_profiles_and_baselines_do_not_depend_on_the_kernel_set():
+    """Losses on a 3,601- and a 14,401-sample profile, a drive-cycle
+    profile's bytes, and GD and PSO traces are bit-identical under the
+    kernels OpenBLAS picks for this CPU and under Prescott's, which run on
+    any x86-64 CPU.  BO is left out: the GP is BLAS."""
+    outputs = []
+    for coretype in (None, "Prescott"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_SET_RUN], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 5
+    assert outputs[0] == outputs[1]
 
 
 _MAPS = """

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from cellident import bench
 from cellident.cli import main
 from cellident.params import reference_cell_path
 
@@ -328,6 +329,55 @@ class TestRejectedUpFront:
             "--method", method, "--budget", "4", "--out", str(out)])
         assert result.exit_code == code, result.output
         assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("verb", ["simulate", "gen-data", "identify",
+                                      "bench"])
+    def test_profile_over_the_sample_cap(self, runner, dataset_dir, tmp_path,
+                                         verb):
+        """A profile of 1e15 samples exits 2 before anything is allocated
+        (it used to raise MemoryError and exit 4)."""
+        if verb == "simulate":
+            args = ["--kind", "drive-cycle-like", "--duration", "1e15"]
+        else:
+            config = tmp_path / "huge.json"
+            config.write_text(json.dumps({"train_profiles": [
+                {"kind": "rcid-like", "duration_s": 1e15, "dt_s": 1.0}]}))
+            args = ["--config", str(config)]
+        if verb == "identify":
+            args += ["--data", str(dataset_dir / "manifest.json")]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [verb, *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "above the cap of 10,000,000" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["simulate", "gen-data", "bench"])
+    @pytest.mark.parametrize("extra_s,code", [(0.0, 0), (1.0, 2)])
+    def test_profile_at_and_one_past_a_lowered_cap(
+            self, runner, tmp_path, monkeypatch, verb, extra_s, code):
+        """With the cap lowered to 601 samples, a 601-sample rcid-like
+        profile and a 301-sample drive cycle (plus its 300-sample base tile)
+        run; one sample more exits 2 and writes nothing."""
+        monkeypatch.setattr(bench, "MAX_PROFILE_SAMPLES", 601)
+        if verb == "simulate":
+            args = ["--kind", "drive-cycle-like",
+                    "--duration", str(300.0 + extra_s)]
+        else:
+            config = tmp_path / "cap.json"
+            config.write_text(json.dumps({
+                "budget": 12, "repetitions": 1,
+                "train_profiles": [{"kind": "rcid-like",
+                                    "duration_s": 600.0 + extra_s,
+                                    "dt_s": 1.0}],
+                "test_profiles": [{"kind": "drive-cycle-like",
+                                   "duration_s": 300.0, "dt_s": 1.0}]}))
+            args = ["--config", str(config)]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [verb, *args, "--out", str(out)])
+        assert result.exit_code == code, result.output
+        assert out.exists() == (code == 0)
+        if code:
+            assert "needs 602 samples, above the cap of 601" in result.output
 
     def test_report_with_edited_row_exits_3(self, runner, bench_dir,
                                             tmp_path):

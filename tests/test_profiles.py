@@ -5,6 +5,7 @@ import pytest
 
 from cellident.errors import DataError
 from cellident.profiles import (
+    NOISE_BASE_PERIOD_S,
     CurrentProfile,
     noise_cycle_profile,
     staircase_profile,
@@ -92,6 +93,20 @@ class TestNoiseCycle:
         assert np.max(np.abs(profile.current)) == pytest.approx(2.0 * i1c)
         # base period is mean-removed before scaling
         assert abs(np.mean(profile.current[:300])) < 1e-9 * i1c
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_smoothing_matches_convolve(self, seed):
+        """The zero-padded sum of nine shifted slices is the 9-tap moving
+        average np.convolve gives in "same" mode."""
+        i1c, dt = 2.0, 0.5
+        n_base = int(round(NOISE_BASE_PERIOD_S / dt))
+        profile = noise_cycle_profile(i1c, seed=seed, dt=dt, duration=600.0)
+        raw = np.random.default_rng(seed).standard_normal(n_base)
+        smooth = np.convolve(raw, np.ones(9) / 9.0, "same")
+        smooth -= smooth.mean()
+        smooth *= 2.0 * i1c / np.max(np.abs(smooth))
+        np.testing.assert_allclose(profile.current[:n_base], smooth,
+                                   rtol=1e-14)
 
     def test_tiling(self):
         profile = noise_cycle_profile(1.0, seed=3, dt=1.0, duration=1800.0)

@@ -100,7 +100,7 @@ def reference_loss(base, ocv_p, ocv_n, dataset, theta):
         try:
             sim = reference_simulate_detailed(params, ocv_p, ocv_n, profile)
             residual = sim.volts - measured
-            per.append(float(np.dot(residual, residual)))
+            per.append(float(np.add.reduce(residual * residual)))
         except SimulationDiverged:
             per.append(DIVERGENCE_PENALTY)
     return float(sum(per)), tuple(per)
