@@ -36,12 +36,7 @@ from .baselines import (
 )
 from .bayesopt import BoRunConfig, run_bo
 from .ecm import bulk_concentration, check_step, simulate
-from .errors import (
-    ConfigError,
-    DataError,
-    SimulationDiverged,
-    StepTooCoarse,
-)
+from .errors import ConfigError, DataError
 from .identify import (
     THETA_NAMES,
     IdentificationDataset,
@@ -256,13 +251,13 @@ def check_step_resolution(box: ParameterBox, dts, params: CellParameters) -> Non
 
     The fastest time constant falls as D_e grows, so the box's upper D_e
     corner is the worst case; a box past it would fail every objective call
-    with StepTooCoarse.
+    with check_step's ConfigError.
     """
     d_e = float(box.upper[box.names.index("D_e")])
     for dt in dts:
         try:
             check_step(params.replace(D_e=d_e), dt)
-        except ValueError as exc:   # StepTooCoarse, or an invalid D_e
+        except (ConfigError, ValueError) as exc:   # ValueError: invalid D_e
             raise ConfigError(
                 f"search box upper D_e = {d_e:g} m^2/s cannot be simulated on "
                 f"a profile with dt = {dt:g} s: {exc}") from exc
@@ -306,20 +301,27 @@ def generate_synthetic_dataset(
     """Simulate the truth cell and add seeded Gaussian measurement noise.
 
     Returns (train, test, meta); meta records the truth parameters so
-    recovered thetas can be scored.
+    recovered thetas can be scored.  A profile the truth cell cannot
+    simulate is a ConfigError naming it, e.g. ``train_profiles[0]``.
     """
     if not (math.isfinite(noise_sigma_v) and noise_sigma_v >= 0.0):
         raise ConfigError(f"noise_sigma_v must be finite and >= 0, got "
                           f"{noise_sigma_v}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     profiles = (*train_profiles, *test_profiles)
+    n = len(train_profiles)
     voltages = []
-    for profile, child in zip(profiles, ss.spawn(len(profiles))):
-        clean = simulate(truth, ocv_p, ocv_n, profile)
+    for i, (profile, child) in enumerate(zip(profiles,
+                                             ss.spawn(len(profiles)))):
+        try:
+            clean = simulate(truth, ocv_p, ocv_n, profile)
+        except (ConfigError, DataError) as exc:
+            name = f"train_profiles[{i}]" if i < n else f"test_profiles[{i - n}]"
+            raise ConfigError(f"the cell cannot simulate {name} at dt = "
+                              f"{profile.dt:g} s: {exc}") from exc
         noise = np.random.default_rng(child).normal(0.0, noise_sigma_v,
                                                     size=clean.size)
         voltages.append(clean + noise)
-    n = len(train_profiles)
     train = IdentificationDataset(profiles[:n], tuple(voltages[:n]))
     test = IdentificationDataset(profiles[n:], tuple(voltages[n:]))
     meta = {
@@ -336,27 +338,17 @@ def build_dataset(config: ExperimentConfig, params: CellParameters,
 
     The first two children of the master SeedSequence seed the profiles and
     the measurement noise (see the module docstring); returns (train, test,
-    meta) as ``generate_synthetic_dataset`` does.  A profile the cell cannot
-    simulate is a ConfigError that names it.
+    meta) as ``generate_synthetic_dataset`` does, which names a profile the
+    cell cannot simulate.
     """
     profile_ss, noise_ss = np.random.SeedSequence(config.master_seed).spawn(2)
     specs = config.train_profiles + config.test_profiles
     profiles = [generate_profile(s.kind, s.duration_s, s.dt_s, child, params)
                 for s, child in zip(specs, profile_ss.spawn(len(specs)))]
     n_train = len(config.train_profiles)
-    try:
-        return generate_synthetic_dataset(
-            params, ocv_p, ocv_n, profiles[:n_train], profiles[n_train:],
-            config.noise_sigma_v, noise_ss)
-    except (StepTooCoarse, SimulationDiverged):
-        for spec, profile in zip(specs, profiles):   # find the one that failed
-            try:
-                simulate(params, ocv_p, ocv_n, profile)
-            except (StepTooCoarse, SimulationDiverged) as exc:
-                raise ConfigError(
-                    f"the cell cannot simulate profile kind {spec.kind!r} at "
-                    f"dt = {spec.dt_s:g} s: {type(exc).__name__}: {exc}") from exc
-        raise
+    return generate_synthetic_dataset(
+        params, ocv_p, ocv_n, profiles[:n_train], profiles[n_train:],
+        config.noise_sigma_v, noise_ss)
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +651,8 @@ def export_report(report: BenchmarkReport, out_dir, formats=("csv", "json"),
 def _write_voltage_traces(rows, test_ds: IdentificationDataset,
                           params: CellParameters, ocv_p: OcvCurve,
                           ocv_n: OcvCurve, out_dir: Path) -> list[Path]:
-    """Per-run measured-vs-model test-set traces (voltage-fit analogues),
-    one file per successful row and test profile under ``out_dir/traces``."""
+    """Per-run measured-vs-model test-set traces under ``out_dir/traces``,
+    one file per successful row and test profile with a finite model voltage."""
     trace_dir = out_dir / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -672,7 +664,11 @@ def _write_voltage_traces(rows, test_ds: IdentificationDataset,
                                 D_e=theta["D_e"])
         for i, (profile, measured) in enumerate(
                 zip(test_ds.profiles, test_ds.voltages)):
-            sim = simulate(fitted, ocv_p, ocv_n, profile)
+            try:   # a best theta every evaluation penalized has no trace
+                with np.errstate(all="ignore"):
+                    sim = simulate(fitted, ocv_p, ocv_n, profile)
+            except DataError:
+                continue
             name = f"voltage_{row['method']}_rep{row['rep']}_test{i}.csv"
             written.append(write_csv(trace_dir / name, {
                 "time_s": profile.t, "current_A": profile.current,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Verbs: simulate, gen-data, identify, bench, report.
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime failure.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 any other
+failure (a bug, or an operating-system error).
 """
 
 from __future__ import annotations
@@ -108,7 +109,13 @@ def simulate_cmd(config_path, profile_path, kind, duration, dt, seed, out_path):
         profile = load_current_csv(profile_path)
     else:
         profile = generate_profile(kind, duration, dt, seed, params)
-    volts = simulate(params, ocv_p, ocv_n, profile)
+    try:
+        volts = simulate(params, ocv_p, ocv_n, profile)
+    except DataError as exc:   # name the profile's source: a file or flags
+        if kind is None:
+            raise DataError(f"profile file {profile_path}: {exc}") from exc
+        raise ConfigError(f"the cell cannot simulate --kind {kind} at dt = "
+                          f"{dt:g} s: {exc}") from exc
     save_profile_csv(out_path, profile, volts)
     click.echo(f"wrote {profile.n} samples to {out_path}")
 

@@ -45,7 +45,8 @@ reads the step only from the profile.  Per-electrode functions take "p" or
 many theta on one profile builds the fixed terms once and may keep a term
 whose component did not change.  The float operations and their order are
 those of the one-step formula, so results do not depend on how the steps
-are scheduled.
+are scheduled.  A step too coarse for the cell is a ConfigError, and a
+profile the cell cannot simulate a DataError: the classes the user sees.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy_c import routine
-from .errors import SimulationDiverged, StepTooCoarse
+from .errors import ConfigError, DataError
 from .ocv import OcvCurve
 from .params import ELECTRODES, CellParameters, electrode_fields
 from .profiles import CurrentProfile
@@ -106,11 +107,11 @@ def min_time_constant(params: CellParameters) -> float:
 
 
 def check_step(params: CellParameters, dt: float) -> None:
-    """StepTooCoarse when ``dt`` (> 0, as every profile's step is) exceeds
+    """ConfigError when ``dt`` (> 0, as every profile's step is) exceeds
     a tenth of the fastest time constant, which falls as D_e grows."""
     tau_min = min_time_constant(params)
     if dt > tau_min / 10.0:
-        raise StepTooCoarse(
+        raise ConfigError(
             f"dt = {dt:g} s exceeds one tenth of the fastest time "
             f"constant ({tau_min:g} s); discretization would be inaccurate"
         )
@@ -147,7 +148,7 @@ def surface_concentration(params: CellParameters, electrode: str,
                           profile: CurrentProfile) -> np.ndarray:
     """c_i(t) = c_i0 + (integrator + doubled lag applied to I) * scale_i.
 
-    Raises SimulationDiverged at the first sample leaving (0, c_max_i).
+    Raises DataError at the first sample leaving (0, c_max_i).
     """
     p = params
     c0, c_max, R, D = electrode_fields(electrode, "c0", "c_max", "R", "D")(p)
@@ -161,7 +162,7 @@ def surface_concentration(params: CellParameters, electrode: str,
     bad = np.flatnonzero((c <= 0.0) | (c >= c_max))
     if bad.size:
         k = int(bad[0])
-        raise SimulationDiverged(
+        raise DataError(
             f"electrode {electrode} surface concentration {c[k]:g} mol/m^3 "
             f"left (0, {c_max:g}) at sample {k}")
     return c
@@ -179,8 +180,7 @@ def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
     """(Arrhenius(T) * F, sqrt(c (c_max - c) c_e)): i0 without its k_i.
 
     The first is ``params.i0_scale``, finite and non-zero by validation.
-    Raises SimulationDiverged where the square-root argument is not
-    positive.
+    Raises DataError where the square-root argument is not positive.
     """
     c_max, c_e = electrode_fields(electrode, "c_max", "c_e")(params)
     c = np.asarray(c_surf, dtype=float)
@@ -188,7 +188,7 @@ def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
     bad = np.flatnonzero(np.atleast_1d(arg) <= 0.0)
     if bad.size:
         k_bad = int(bad[0])
-        raise SimulationDiverged(
+        raise DataError(
             f"electrode {electrode} exchange-current argument is non-positive "
             f"at sample {k_bad} (c = {np.atleast_1d(c)[k_bad]:g} mol/m^3)")
     return params.i0_scale(electrode), np.sqrt(arg)
@@ -236,8 +236,7 @@ def fixed_terms(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
                 profile: CurrentProfile) -> FixedTerms:
     """Every term of the voltage that does not depend on (k_p, k_n, D_e).
 
-    Raises SimulationDiverged when a surface concentration leaves its valid
-    range.
+    Raises DataError when a surface concentration leaves its valid range.
     """
     p = params
     I = profile.current
@@ -287,7 +286,7 @@ def simulate(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
     """Terminal voltage at each sample of a current profile (discharge
     positive).
 
-    Raises SimulationDiverged when a surface concentration leaves its range
+    Raises DataError when a surface concentration leaves its range
     or the voltage is not finite.
     """
     check_step(params, profile.dt)
@@ -298,5 +297,5 @@ def simulate(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
                              np.empty(fixed.current.shape))
     if not np.all(np.isfinite(volts)):
         k = int(np.flatnonzero(~np.isfinite(volts))[0])
-        raise SimulationDiverged(f"non-finite terminal voltage at sample {k}")
+        raise DataError(f"non-finite terminal voltage at sample {k}")
     return volts

@@ -6,20 +6,13 @@ class CellIdentError(Exception):
 
 
 class ConfigError(CellIdentError):
-    """Invalid configuration file or CLI arguments (exit code 2)."""
+    """Invalid configuration file or CLI arguments, or a step too coarse
+    for the cell (exit code 2)."""
 
 
 class DataError(CellIdentError):
-    """Missing or malformed data file (exit code 3)."""
-
-
-class StepTooCoarse(CellIdentError, ValueError):
-    """Sample period exceeds a tenth of the fastest block time constant,
-    so the discretization would be inaccurate."""
-
-
-class SimulationDiverged(CellIdentError):
-    """A sub-model failed during simulation; the message names the sample."""
+    """Missing or malformed data file, or a profile the cell cannot
+    simulate (exit code 3)."""
 
 
 class OutOfBox(CellIdentError, ValueError):

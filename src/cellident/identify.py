@@ -32,7 +32,7 @@ from .ecm import (
     overpotential,
     terminal_voltage,
 )
-from .errors import DataError, OutOfBox, SimulationDiverged
+from .errors import DataError, OutOfBox
 from .ocv import OcvCurve
 from .params import (CellParameters, check_keys, is_json_number,
                      read_csv_table, read_json_object, write_csv, write_json)
@@ -203,14 +203,14 @@ class VoltageFitObjective:
     A theta whose voltage is not finite, and any profile whose squared
     residual exceeds DIVERGENCE_PENALTY, overflows or is NaN, charge
     DIVERGENCE_PENALTY; floating-point warnings of a call are silenced.
-    Any other error of a call (StepTooCoarse at a large D_e, an invalid
-    theta) is raised.
+    Any other error of a call (``check_step``'s ConfigError at a large D_e,
+    an invalid theta) is raised.
 
     Construction builds every profile's theta-free terms.  A profile they
-    diverge on cannot be fit at any theta: DataError naming each such
-    profile with ``fixed_terms``' message, which ``bench.build_objectives``
-    prefixes with why no theta can fit.  An out-of-table OCV query is
-    raised there too.
+    fail on (a diverging concentration, an out-of-table OCV query) cannot
+    be fit at any theta: DataError naming each such profile with
+    ``fixed_terms``' message, which ``bench.build_objectives`` prefixes with
+    why no theta can fit.
     """
 
     def __init__(self, base: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
@@ -226,7 +226,7 @@ class VoltageFitObjective:
             try:
                 self._terms.append(
                     _ProfileTerms(fixed_terms(base, ocv_p, ocv_n, profile)))
-            except SimulationDiverged as exc:
+            except DataError as exc:
                 causes.append(f"{name}: {exc}")
         if causes:
             raise DataError("; ".join(causes))

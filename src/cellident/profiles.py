@@ -43,18 +43,6 @@ class CurrentProfile:
     def t(self) -> np.ndarray:
         return self.dt * np.arange(self.n)
 
-    def refine(self, factor: int) -> "CurrentProfile":
-        """Zero-order-hold resample onto a grid factor x finer."""
-        if factor < 1 or int(factor) != factor:
-            raise ValueError(f"refine factor must be a positive integer, got {factor}")
-        factor = int(factor)
-        if factor == 1:
-            return self
-        # hold each sample over its interval; last sample has no interval
-        fine = np.repeat(self.current[:-1], factor)
-        fine = np.concatenate([fine, [self.current[-1]]])
-        return CurrentProfile(dt=self.dt / factor, current=fine)
-
 
 def staircase_profile(i_1c: float, dt: float = 1.0, duration: float = 3600.0) -> CurrentProfile:
     """Deterministic pulse/rest staircase with slow SOC sweeps.

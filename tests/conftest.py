@@ -25,6 +25,7 @@ from cellident.ecm import (
     terminal_voltage,
 )
 from cellident.identify import default_box
+from cellident.profiles import CurrentProfile
 
 
 @pytest.fixture(scope="session")
@@ -102,6 +103,19 @@ def simulate_pinned():
                                  np.empty(profile.n))
         return SimpleNamespace(volts=volts, eta_p=eta_p, eta_n=eta_n)
     return run
+
+
+@pytest.fixture(scope="session")
+def hold_refined():
+    """``hold_refined(profile, factor)``: ``profile`` resampled onto a grid
+    ``factor`` times finer under a zero-order hold.  Each sample holds over
+    its interval and the last, which has none, is kept once, so the fine
+    profile spans the same time."""
+    def refine(profile, factor):
+        fine = np.append(np.repeat(profile.current[:-1], factor),
+                         profile.current[-1])
+        return CurrentProfile(dt=profile.dt / factor, current=fine)
+    return refine
 
 
 @pytest.fixture()

@@ -112,7 +112,7 @@ def test_2_acquisition_matches_monte_carlo(capsys):
              f"(limit 4) across {n_cases} random triples in {elapsed:.1f}s")
 
 
-def test_3_simulator_invariants(cell, i_1c, capsys):
+def test_3_simulator_invariants(cell, i_1c, hold_refined, capsys):
     """Rest voltage, DC gains, charge bookkeeping, and step-size convergence."""
     t0 = time.perf_counter()
     params, ocv_p, ocv_n = cell
@@ -154,10 +154,10 @@ def test_3_simulator_invariants(cell, i_1c, capsys):
 
     # halving the step shrinks the voltage error at least first-order
     base = staircase_profile(i_1c, dt=1.0, duration=600.0)
-    v_ref = simulate(params, ocv_p, ocv_n, base.refine(100))[::100]
+    v_ref = simulate(params, ocv_p, ocv_n, hold_refined(base, 100))[::100]
     errors = []
     for factor in (1, 2, 4):
-        v = simulate(params, ocv_p, ocv_n, base.refine(factor))[::factor]
+        v = simulate(params, ocv_p, ocv_n, hold_refined(base, factor))[::factor]
         errors.append(float(np.max(np.abs(v - v_ref))))
     orders = [np.log2(errors[0] / errors[1]), np.log2(errors[1] / errors[2])]
     ok_order = min(orders) >= 1.0

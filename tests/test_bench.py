@@ -26,7 +26,7 @@ from cellident.bench import (
 )
 from cellident.baselines import min_budget
 from cellident.ecm import electrolyte_time_constants, simulate
-from cellident.errors import ConfigError, DataError, StepTooCoarse
+from cellident.errors import ConfigError, DataError
 from cellident.identify import (
     THETA_NAMES,
     IdentificationDataset,
@@ -431,11 +431,18 @@ class TestGenerateSyntheticDataset:
         assert train.profiles == (a, b) and test.profiles == (b,)
 
     def test_coarse_grid_propagates_step_error(self, cell):
+        """check_step's error, relabelled with the failing profile's role
+        and index."""
         params, ocv_p, ocv_n = cell
-        profile = generate_profile("rcid-like", 600.0, 5.0, 0, params)
-        with pytest.raises(StepTooCoarse):
-            generate_synthetic_dataset(params, ocv_p, ocv_n, [profile],
-                                       [profile], 0.0, seed=0)
+        coarse = generate_profile("rcid-like", 600.0, 5.0, 0, params)
+        fine = generate_profile("rcid-like", 600.0, 1.0, 0, params)
+        for train, test, name in (([coarse], [fine], r"train_profiles\[0\]"),
+                                  ([fine, fine], [fine, coarse],
+                                   r"test_profiles\[1\]")):
+            with pytest.raises(ConfigError, match=(
+                    rf"cannot simulate {name} at dt = 5 s: dt = 5 s exceeds")):
+                generate_synthetic_dataset(params, ocv_p, ocv_n, train, test,
+                                           0.0, seed=0)
 
 
 class TestRunBenchmark:

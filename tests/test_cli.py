@@ -1,6 +1,7 @@
 """End-to-end command-line checks via click's test runner."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,11 +86,14 @@ class TestSimulate:
             "simulate", "--profile", str(src), "--out", str(tmp_path / "v.csv")])
         assert result.exit_code == 3
 
-    def test_coarse_step_is_runtime_failure(self, runner, tmp_path):
+    def test_coarse_step_is_config_error(self, runner, tmp_path):
+        out = tmp_path / "v.csv"
         result = runner.invoke(main, [
             "simulate", "--kind", "rcid-like", "--duration", "600",
-            "--dt", "5", "--out", str(tmp_path / "v.csv")])
-        assert result.exit_code == 4
+            "--dt", "5", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config error: dt = 5 s exceeds one tenth" in result.output
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("grid", [
@@ -742,8 +746,8 @@ class TestConfigShapes:
 
 
 _UNSIMULATABLE_CELLS = {
-    "fast electrolyte": ({"D_e": 1e-8}, "StepTooCoarse: dt = 1 s exceeds"),
-    "slow anode diffusion": ({"D_n": 1e-15}, "SimulationDiverged: electrode n"),
+    "fast electrolyte": ({"D_e": 1e-8}, "dt = 1 s exceeds"),
+    "slow anode diffusion": ({"D_n": 1e-15}, "electrode n"),
 }
 
 
@@ -767,9 +771,85 @@ class TestUnsimulatableCell:
         result = runner.invoke(main, [verb, "--config", str(config),
                                       "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert ("config error: the cell cannot simulate profile kind "
-                "'rcid-like' at dt = 1 s: " + message) in result.output
+        assert ("config error: the cell cannot simulate train_profiles[0] "
+                "at dt = 1 s: " + message) in result.output
         assert not out.exists()
+
+
+_REPROS = {   # case: (exit code, message, argv before --out)
+    "simulate --dt too coarse": (
+        2, "config error: dt = 5 s exceeds one tenth", lambda inputs: [
+            "simulate", "--kind", "rcid-like", "--duration", "600",
+            "--dt", "5"]),
+    "simulate --profile the cell cannot simulate": (
+        3, "harsh.csv: electrode p surface concentration", lambda inputs: [
+            "simulate", "--profile", str(inputs.harsh)]),
+    "simulate --kind on a slow cell": (
+        2, "config error: the cell cannot simulate --kind rcid-like at "
+        "dt = 1 s: electrode n", lambda inputs: [
+            "simulate", "--config", str(inputs.slow), "--kind", "rcid-like"]),
+    "bench penalizing every evaluation": (0, "", lambda inputs: [
+        "bench", "--config", str(inputs.penalized)]),
+    "report on that bench": (0, "", lambda inputs: [
+        "report", "--report", str(inputs.penalized_report)]),
+}
+
+_REPRO_FILES = {   # what a successful case writes under --out
+    "bench penalizing every evaluation": [
+        "dataset", "dataset/manifest.json", "dataset/test_0.csv",
+        "dataset/train_0.csv", "report.json", "repetitions.csv",
+        "summary.csv", "trace_random_rep0.csv", "traces"],
+    "report on that bench": [
+        "report.json", "repetitions.csv", "summary.csv", "traces"],
+}
+
+
+class TestUnsimulatableInput:
+    """No verb exits 4 on input the model cannot simulate.  A too-coarse
+    step or a profile from flags exits 2 and one from a data file exits 3,
+    as ``gen-data`` and ``identify`` do on the same input, before anything
+    is written.  A run whose best theta every evaluation penalized (a
+    denormal k_n box: i0_n underflows) exits 0 and writes every file except
+    that row's voltage traces, without a floating-point warning."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, dataset_dir, tmp_path_factory):
+        root = tmp_path_factory.mktemp("repro")
+        harsh = root / "harsh.csv"   # the training data with current x 20
+        table = np.loadtxt(dataset_dir / "train_0.csv", delimiter=",",
+                           skiprows=1)
+        table[:, 1] *= 20.0
+        np.savetxt(harsh, table, delimiter=",", comments="",
+                   header="time_s,current_A,voltage_V", fmt="%.12g")
+        source = reference_cell_path()
+        raw = json.loads(source.read_text())
+        for key in ("ocv_cathode", "ocv_anode"):
+            raw[key] = str(source.parent / raw[key])
+        (root / "cell.json").write_text(json.dumps({**raw, "D_n": 1e-15}))
+        slow = root / "slow.json"
+        slow.write_text(json.dumps({"parameter_file": str(root / "cell.json")}))
+        penalized = root / "penalized.json"
+        penalized.write_text(json.dumps({
+            "box": {"names": ["k_p", "k_n", "D_e"],
+                    "lower": [2e-11, 5e-324, 1.6e-10],
+                    "upper": [4.5e-11, 1e-323, 4e-10]},
+            "methods": ["random"], "budget": 4, "s0": 2, "repetitions": 1}))
+        CliRunner().invoke(main, ["bench", "--config", str(penalized),
+                                  "--out", str(root / "bench")])
+        return SimpleNamespace(harsh=harsh, slow=slow, penalized=penalized,
+                               penalized_report=root / "bench" / "report.json")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(_REPROS))
+    def test_exit_code_and_files(self, runner, inputs, tmp_path, case):
+        code, message, argv = _REPROS[case]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*argv(inputs), "--out", str(out)])
+        assert result.exit_code == code, result.output
+        written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
+        assert written == sorted(_REPRO_FILES.get(case, []))
+        assert message in result.output
+        assert ("error" in result.output) == (code != 0)
 
 
 _CELL_VERBS = ["gen-data", "simulate", "identify", "bench"]

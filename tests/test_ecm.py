@@ -34,7 +34,7 @@ from cellident.ecm import (
     terminal_voltage,
     trapezoid_integral,
 )
-from cellident.errors import DataError, SimulationDiverged, StepTooCoarse
+from cellident.errors import ConfigError, DataError
 from cellident.ocv import OcvCurve
 from cellident.profiles import CurrentProfile
 
@@ -134,7 +134,7 @@ class TestTimeConstants:
         limit = min_time_constant(params) / 10.0
         check_step(params, limit * 0.99)   # fine
         check_step(params, limit)
-        with pytest.raises(StepTooCoarse,
+        with pytest.raises(ConfigError,
                            match="exceeds one tenth of the fastest time constant"):
             check_step(params, limit * 1.01)
 
@@ -149,7 +149,7 @@ class TestTimeConstants:
         """The electrolyte time constants fall as D_e grows."""
         dt = min_time_constant(params) / 10.0
         check_step(params, dt)
-        with pytest.raises(StepTooCoarse):
+        with pytest.raises(ConfigError):
             check_step(params.replace(D_e=2.0 * params.D_e), dt)
 
 
@@ -279,13 +279,13 @@ class TestChargeBookkeeping:
 
 
 class TestStepRefinement:
-    def test_first_order_convergence(self, cell, i_1c):
+    def test_first_order_convergence(self, cell, i_1c, hold_refined):
         params, ocv_p, ocv_n = cell
         base = constant_pulse(i_1c, dt=1.0)
-        reference = simulate(params, ocv_p, ocv_n, base.refine(100))
+        reference = simulate(params, ocv_p, ocv_n, hold_refined(base, 100))
         errors = []
         for factor in (1, 2, 4):
-            v = simulate(params, ocv_p, ocv_n, base.refine(factor))
+            v = simulate(params, ocv_p, ocv_n, hold_refined(base, factor))
             stride = 100 // factor
             errors.append(np.max(np.abs(v - reference[::stride])))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
@@ -362,10 +362,9 @@ class TestKinetics:
         assert hot_root == root
 
     def test_out_of_range_concentration(self, params):
-        with pytest.raises(SimulationDiverged):
+        with pytest.raises(DataError):
             exchange_current_factors(params, "p", 0.0)
-        with pytest.raises(SimulationDiverged,
-                           match="electrode p .* at sample 1 "):
+        with pytest.raises(DataError, match="electrode p .* at sample 1 "):
             exchange_current_factors(params, "p",
                                      np.array([100.0, params.c_max_p]))
 
@@ -391,7 +390,7 @@ class TestKinetics:
         with np.errstate(divide="ignore", invalid="ignore"):
             eta = overpotential(theta, fixed, "p")
             assert np.all(np.isnan(eta[:5])) and np.all(np.isinf(eta[5:]))
-            with pytest.raises(SimulationDiverged, match="at sample 0$"):
+            with pytest.raises(DataError, match="at sample 0$"):
                 simulate(theta, *ocv_pair, profile)
 
 
@@ -439,7 +438,7 @@ class TestDivergence:
     def test_overdischarge_raises_with_location(self, cell, i_1c):
         params, ocv_p, ocv_n = cell
         profile = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
-        with pytest.raises(SimulationDiverged) as err:
+        with pytest.raises(DataError) as err:
             simulate(params, ocv_p, ocv_n, profile)
         assert 0 < int(re.search(r"at sample (\d+)", str(err.value))[1]) < 600
 
@@ -461,8 +460,8 @@ class TestDivergence:
         the concentrations stay in range and only the voltage check fires."""
         params, ocv_p, ocv_n = cell
         current = np.concatenate([np.zeros(10), np.full(50, i_1c)])
-        with np.errstate(over="ignore"), pytest.raises(SimulationDiverged,
-                                                       match="at sample 10$"):
+        with np.errstate(over="ignore"), pytest.raises(
+                DataError, match="at sample 10$"):
             simulate(params.replace(k_p=5e-324), ocv_p, ocv_n,
                      CurrentProfile(dt=1.0, current=current))
 

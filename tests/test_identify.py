@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 
 from cellident import ecm, identify
 from cellident.bench import generate_synthetic_dataset
-from cellident.errors import (
-    DataError,
-    OutOfBox,
-    SimulationDiverged,
-    StepTooCoarse,
-)
+from cellident.errors import ConfigError, DataError, OutOfBox
 from cellident.identify import (
     DIVERGENCE_PENALTY,
     THETA_NAMES,
@@ -348,7 +343,7 @@ class TestFixedTermCache:
         truth = np.array([params.k_p, params.k_n, params.D_e])
         assert objective(truth).loss == 0.0
         for _ in range(2):
-            with pytest.raises(StepTooCoarse):
+            with pytest.raises(ConfigError):
                 objective(wide.upper.copy())
         assert objective(truth).loss == 0.0
         assert len(built) == len(pair.profiles)
@@ -363,7 +358,7 @@ class TestFixedTermCache:
         objective = VoltageFitObjective(faint_cell, *ocv_pair, wide, pair)
         underflow = np.array([1e-30, faint_cell.k_n, faint_cell.D_e])
         assert objective(underflow).loss == 2.0 * DIVERGENCE_PENALTY
-        with pytest.raises(StepTooCoarse):
+        with pytest.raises(ConfigError):
             objective(np.array([1e-30, faint_cell.k_n, 1.0e-8]))
         assert objective(underflow).loss == 2.0 * DIVERGENCE_PENALTY
         assert built == list(pair.profiles)
@@ -387,7 +382,7 @@ class TestFixedTermCache:
             VoltageFitObjective(params, ocv_p, ocv_n, box, dataset)
         assert built == list(dataset.profiles)
         for name, profile in harsh.items():
-            with pytest.raises(SimulationDiverged) as direct:
+            with pytest.raises(DataError) as direct:
                 ecm.fixed_terms(params, ocv_p, ocv_n, profile)
             assert re.search(r"at sample \d+", str(direct.value))
             assert f"{name}: {direct.value}" in str(info.value)
@@ -395,14 +390,18 @@ class TestFixedTermCache:
 
     def test_ocv_table_error_raised_at_construction(self, cell, box, pair,
                                                     built):
-        """An out-of-table OCV query is an error of the first profile that
-        makes one, raised before any call."""
+        """An out-of-table OCV query is a DataError of construction, raised
+        before any call, naming each profile that makes one, as a
+        divergence is named."""
         params, ocv_p, ocv_n = cell
         narrow = copy.copy(ocv_p)
         narrow.x = 0.5 * ocv_p.x   # the cell starts at cathode x = 0.8
-        with pytest.raises(DataError, match="outside table range"):
+        with pytest.raises(DataError) as info:
             VoltageFitObjective(params, narrow, ocv_n, box, pair)
-        assert built == [pair.profiles[0]]
+        assert built == list(pair.profiles)
+        for name in pair.names:
+            assert (f"{name}: stoichiometry query outside table range"
+                    in str(info.value))
 
 
 class TestThetaTermCache:
@@ -485,7 +484,7 @@ class TestThetaTermCache:
         params, ocv_p, ocv_n = cell
         before = box.denormalize(np.array([0.2, 0.7, 0.4]))
         objective(before)
-        with pytest.raises(StepTooCoarse):
+        with pytest.raises(ConfigError):
             objective(np.array([before[0] * 1.1, before[1], 9.0e-10]))
         with pytest.raises(ValueError, match="k_n must be strictly positive"):
             objective(np.array([before[0] * 1.2, -1.0, before[2]]))

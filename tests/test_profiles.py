@@ -31,24 +31,6 @@ class TestCurrentProfile:
         with pytest.raises(DataError):
             CurrentProfile(dt=1.0, current=np.array([1.0, np.inf]))
 
-    def test_refine_is_zero_order_hold(self):
-        profile = CurrentProfile(dt=1.0, current=np.array([1.0, -2.0, 3.0]))
-        fine = profile.refine(3)
-        assert fine.dt == pytest.approx(1.0 / 3.0)
-        np.testing.assert_array_equal(
-            fine.current, [1.0, 1.0, 1.0, -2.0, -2.0, -2.0, 3.0])
-        # same continuous-time duration, finer grid
-        assert fine.dt * (fine.n - 1) == pytest.approx(
-            profile.dt * (profile.n - 1))
-
-    def test_refine_identity_and_validation(self):
-        profile = CurrentProfile(dt=1.0, current=np.array([1.0, 2.0]))
-        assert profile.refine(1) is profile
-        with pytest.raises(ValueError):
-            profile.refine(0)
-        with pytest.raises(ValueError):
-            profile.refine(1.5)
-
 
 class TestStaircase:
     def test_grid(self):

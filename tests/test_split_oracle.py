@@ -27,7 +27,7 @@ from cellident.ecm import (
     simulate,
     surface_concentration,
 )
-from cellident.errors import SimulationDiverged
+from cellident.errors import DataError
 from cellident.identify import (
     DIVERGENCE_PENALTY,
     IdentificationDataset,
@@ -46,8 +46,8 @@ def _reference_i0(params, electrode, c_surf):
     arg = c * (c_max - c) * c_e
     bad = np.flatnonzero(np.atleast_1d(arg) <= 0.0)
     if bad.size:
-        raise SimulationDiverged("non-positive exchange-current argument "
-                                 f"at sample {int(bad[0])}")
+        raise DataError("non-positive exchange-current argument "
+                        f"at sample {int(bad[0])}")
     arrhenius = math.exp((1.0 / p.T_ref - 1.0 / p.T) * E_io / p.R_gas)
     i0 = arrhenius * p.F * k * np.sqrt(arg)
     return float(i0) if np.isscalar(c_surf) else i0
@@ -83,7 +83,7 @@ def reference_simulate_detailed(params, ocv_p, ocv_n, profile,
     volts = u_p - u_n - (eta_p - eta_n) + phi_e + phi_ohm - I * p.R_c
     if not np.all(np.isfinite(volts)):
         k = int(np.flatnonzero(~np.isfinite(volts))[0])
-        raise SimulationDiverged(f"non-finite terminal voltage at sample {k}")
+        raise DataError(f"non-finite terminal voltage at sample {k}")
 
     return SimpleNamespace(volts=volts, c_p=c_p, c_n=c_n,
                            eta_p=np.asarray(eta_p), eta_n=np.asarray(eta_n),
@@ -101,7 +101,7 @@ def reference_loss(base, ocv_p, ocv_n, dataset, theta):
             sim = reference_simulate_detailed(params, ocv_p, ocv_n, profile)
             residual = sim.volts - measured
             per.append(float(np.add.reduce(residual * residual)))
-        except SimulationDiverged:
+        except DataError:
             per.append(DIVERGENCE_PENALTY)
     return float(sum(per)), tuple(per)
 
@@ -177,9 +177,9 @@ class TestSimulatorSplit:
     def test_divergence_matches(self, cell, i_1c):
         params, ocv_p, ocv_n = cell
         harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
-        with pytest.raises(SimulationDiverged) as got:
+        with pytest.raises(DataError) as got:
             simulate(params, ocv_p, ocv_n, harsh)
-        with pytest.raises(SimulationDiverged) as want:
+        with pytest.raises(DataError) as want:
             reference_simulate_detailed(params, ocv_p, ocv_n, harsh)
         assert _sample(got.value) == _sample(want.value)
 
