@@ -35,7 +35,7 @@ from .baselines import (
     random_search,
 )
 from .bayesopt import BoRunConfig, run_bo
-from .ecm import bulk_concentration, check_step, simulate
+from .ecm import bulk_concentration, simulate
 from .errors import ConfigError, DataError
 from .identify import (
     THETA_NAMES,
@@ -245,24 +245,6 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def check_step_resolution(box: ParameterBox, dts, params: CellParameters) -> None:
-    """ConfigError unless every profile step in ``dts`` (s) can be simulated
-    over the box.
-
-    The fastest time constant falls as D_e grows, so the box's upper D_e
-    corner is the worst case; a box past it would fail every objective call
-    with check_step's ConfigError.
-    """
-    d_e = float(box.upper[box.names.index("D_e")])
-    for dt in dts:
-        try:
-            check_step(params.replace(D_e=d_e), dt)
-        except (ConfigError, ValueError) as exc:   # ValueError: invalid D_e
-            raise ConfigError(
-                f"search box upper D_e = {d_e:g} m^2/s cannot be simulated on "
-                f"a profile with dt = {dt:g} s: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # synthetic data
 
@@ -293,6 +275,12 @@ def generate_profile(kind: str, duration: float, dt: float, seed,
     return profile
 
 
+def _profile_names(n_train: int, n_test: int) -> tuple[str, ...]:
+    """The config keys that messages name profiles by."""
+    return (*(f"train_profiles[{i}]" for i in range(n_train)),
+            *(f"test_profiles[{j}]" for j in range(n_test)))
+
+
 def generate_synthetic_dataset(
     truth: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
     train_profiles: list[CurrentProfile], test_profiles: list[CurrentProfile],
@@ -301,8 +289,9 @@ def generate_synthetic_dataset(
     """Simulate the truth cell and add seeded Gaussian measurement noise.
 
     Returns (train, test, meta); meta records the truth parameters so
-    recovered thetas can be scored.  A profile the truth cell cannot
-    simulate is a ConfigError naming it, e.g. ``train_profiles[0]``.
+    recovered thetas can be scored.  Profiles are named as in a config,
+    e.g. ``train_profiles[0]``, in the datasets and in the ConfigError for
+    a profile the truth cell cannot simulate.
     """
     if not (math.isfinite(noise_sigma_v) and noise_sigma_v >= 0.0):
         raise ConfigError(f"noise_sigma_v must be finite and >= 0, got "
@@ -310,20 +299,19 @@ def generate_synthetic_dataset(
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     profiles = (*train_profiles, *test_profiles)
     n = len(train_profiles)
+    names = _profile_names(n, len(test_profiles))
     voltages = []
-    for i, (profile, child) in enumerate(zip(profiles,
-                                             ss.spawn(len(profiles)))):
+    for name, profile, child in zip(names, profiles, ss.spawn(len(profiles))):
         try:
             clean = simulate(truth, ocv_p, ocv_n, profile)
         except (ConfigError, DataError) as exc:
-            name = f"train_profiles[{i}]" if i < n else f"test_profiles[{i - n}]"
             raise ConfigError(f"the cell cannot simulate {name} at dt = "
                               f"{profile.dt:g} s: {exc}") from exc
         noise = np.random.default_rng(child).normal(0.0, noise_sigma_v,
                                                     size=clean.size)
         voltages.append(clean + noise)
-    train = IdentificationDataset(profiles[:n], tuple(voltages[:n]))
-    test = IdentificationDataset(profiles[n:], tuple(voltages[n:]))
+    train = IdentificationDataset(profiles[:n], tuple(voltages[:n]), names[:n])
+    test = IdentificationDataset(profiles[n:], tuple(voltages[n:]), names[n:])
     meta = {
         "truth": {"k_p": truth.k_p, "k_n": truth.k_n, "D_e": truth.D_e},
         "noise_sigma_v": noise_sigma_v,
@@ -338,14 +326,20 @@ def build_dataset(config: ExperimentConfig, params: CellParameters,
 
     The first two children of the master SeedSequence seed the profiles and
     the measurement noise (see the module docstring); returns (train, test,
-    meta) as ``generate_synthetic_dataset`` does, which names a profile the
-    cell cannot simulate.
+    meta) as ``generate_synthetic_dataset`` does.  Each ConfigError names
+    its profile, as ``train_profiles[i]`` or ``test_profiles[j]``.
     """
     profile_ss, noise_ss = np.random.SeedSequence(config.master_seed).spawn(2)
     specs = config.train_profiles + config.test_profiles
-    profiles = [generate_profile(s.kind, s.duration_s, s.dt_s, child, params)
-                for s, child in zip(specs, profile_ss.spawn(len(specs)))]
     n_train = len(config.train_profiles)
+    profiles = []
+    for name, s, child in zip(_profile_names(n_train, len(specs) - n_train),
+                              specs, profile_ss.spawn(len(specs))):
+        try:
+            profiles.append(generate_profile(s.kind, s.duration_s, s.dt_s,
+                                             child, params))
+        except ConfigError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
     return generate_synthetic_dataset(
         params, ocv_p, ocv_n, profiles[:n_train], profiles[n_train:],
         config.noise_sigma_v, noise_ss)
@@ -484,7 +478,8 @@ def build_objectives(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
                      box: ParameterBox, train: IdentificationDataset,
                      test: IdentificationDataset) -> list[VoltageFitObjective]:
     """The train and test objectives.  Both are built, so one DataError
-    names every file of either dataset the model cannot simulate."""
+    names every file of either dataset the model cannot simulate; the
+    ConfigError of a box too wide for a profile's step is raised at once."""
     objectives, causes = [], []
     for dataset in (train, test):
         try:
@@ -520,8 +515,8 @@ def run_benchmark(config: ExperimentConfig,
                   out_dir=None) -> BenchmarkReport:
     """Full protocol: data generation, method x repetition sweep, report.
 
-    A search box whose largest D_e the profiles' steps cannot resolve is a
-    ConfigError before any run.
+    The objectives are built before anything is written, so a box too wide
+    for a step, or data the model cannot simulate, fails before any run.
     Per-repetition failures are recorded with a failure flag and excluded
     from aggregates; the sweep never aborts.  When out_dir is given, every
     file ``export_report`` writes, every optimizer trace and the dataset
@@ -529,11 +524,9 @@ def run_benchmark(config: ExperimentConfig,
     """
     t_start = time.perf_counter()
     params, ocv_p, ocv_n, provenance = resolve_cell(config)
-    check_step_resolution(
-        config.box, [spec.dt_s for spec in config.train_profiles
-                     + config.test_profiles], params)
-
     train_ds, test_ds, data_meta = build_dataset(config, params, ocv_p, ocv_n)
+    train_obj, test_obj = build_objectives(params, ocv_p, ocv_n, config.box,
+                                           train_ds, test_ds)
     rep_seeds = np.random.SeedSequence(config.master_seed).spawn(
         2 + config.repetitions)[2:]
 

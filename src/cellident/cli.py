@@ -19,7 +19,6 @@ from .bench import (
     ExperimentConfig,
     build_dataset,
     build_objectives,
-    check_step_resolution,
     default_config,
     export_report,
     fit_and_score,
@@ -151,8 +150,6 @@ def identify_cmd(config_path, manifest_path, method, budget, seed, out_dir):
     params, ocv_p, ocv_n, _ = resolve_cell(config)
     train, test, _ = load_dataset(manifest_path)
     box = config.box
-    check_step_resolution(box, [p.dt for p in train.profiles + test.profiles],
-                          params)
     best, result = fit_and_score(
         method, *build_objectives(params, ocv_p, ocv_n, box, train, test),
         config.budget, config.master_seed, config.s0)

@@ -32,7 +32,7 @@ from .ecm import (
     overpotential,
     terminal_voltage,
 )
-from .errors import DataError, OutOfBox
+from .errors import ConfigError, DataError, OutOfBox
 from .ocv import OcvCurve
 from .params import (CellParameters, check_keys, is_json_number,
                      read_csv_table, read_json_object, write_csv, write_json)
@@ -203,14 +203,15 @@ class VoltageFitObjective:
     A theta whose voltage is not finite, and any profile whose squared
     residual exceeds DIVERGENCE_PENALTY, overflows or is NaN, charge
     DIVERGENCE_PENALTY; floating-point warnings of a call are silenced.
-    Any other error of a call (``check_step``'s ConfigError at a large D_e,
-    an invalid theta) is raised.
+    Any other error of a call (``check_step``'s ConfigError at a D_e past
+    the box, an invalid theta) is raised.
 
-    Construction builds every profile's theta-free terms.  A profile they
-    fail on (a diverging concentration, an out-of-table OCV query) cannot
-    be fit at any theta: DataError naming each such profile with
-    ``fixed_terms``' message, which ``bench.build_objectives`` prefixes with
-    why no theta can fit.
+    Construction checks each profile's step at the largest D_e ``unit``
+    can produce (ConfigError naming the profile), then builds every
+    profile's theta-free terms.  A profile they fail on (a diverging
+    concentration, an out-of-table OCV query) cannot be fit at any theta:
+    DataError naming each such profile with ``fixed_terms``' message, which
+    ``bench.build_objectives`` prefixes with why no theta can fit.
     """
 
     def __init__(self, base: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
@@ -220,6 +221,14 @@ class VoltageFitObjective:
         self.base = base
         self.box = box
         self.dataset = dataset
+        d_e = float(box.denormalize(np.ones(box.n))[THETA_NAMES.index("D_e")])
+        for name, profile in zip(dataset.names, dataset.profiles):
+            try:
+                check_step(base.replace(D_e=d_e), profile.dt)
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"search box upper D_e = {d_e:g} m^2/s cannot be simulated "
+                    f"on {name} with dt = {profile.dt:g} s: {exc}") from exc
         self._terms = []
         causes = []
         for name, profile in zip(dataset.names, dataset.profiles):

@@ -15,7 +15,8 @@ from cellident.bench import (
     BenchmarkReport,
     ExperimentConfig,
     ProfileSpec,
-    check_step_resolution,
+    build_dataset,
+    build_objectives,
     default_config,
     export_report,
     generate_profile,
@@ -313,9 +314,9 @@ class TestStepResolution:
 
     def test_default_config_accepted(self, cell):
         config = default_config()
-        dts = [spec.dt_s for spec in config.train_profiles
-               + config.test_profiles]
-        check_step_resolution(config.box, dts, cell[0])
+        params, ocv_p, ocv_n = cell
+        train, test, _ = build_dataset(config, params, ocv_p, ocv_n)
+        build_objectives(params, ocv_p, ocv_n, config.box, train, test)
 
     def test_large_d_e_rejected_before_any_run(self, tmp_path, monkeypatch):
         box = default_box().to_dict()
@@ -323,7 +324,9 @@ class TestStepResolution:
         runs = []
         monkeypatch.setattr(bench, "run_method",
                             lambda *args: runs.append(args))
-        with pytest.raises(ConfigError, match="upper D_e = 1e-08"):
+        with pytest.raises(ConfigError, match=(
+                r"upper D_e = 1e-08 m\^2/s cannot be simulated on "
+                r"train_profiles\[0\] with dt = 1 s")):
             run_benchmark(default_config(box=ParameterBox.from_dict(box)),
                           out_dir=tmp_path)
         assert runs == []
@@ -358,6 +361,19 @@ class TestGenerateProfile:
         monkeypatch.setattr(bench, "noise_cycle_profile", unbuilt)
         with pytest.raises(ConfigError):
             generate_profile(kind, duration, dt, 0, params)
+
+
+class TestBuildDataset:
+    @pytest.mark.parametrize("key", ["train_profiles", "test_profiles"])
+    def test_profile_leaving_the_soc_window_is_named(self, cell, key):
+        """generate_profile's ConfigError names only the kind; build_dataset
+        prefixes the profile's config key."""
+        short = ProfileSpec(kind="rcid-like", duration_s=600.0, dt_s=1.0)
+        long = ProfileSpec(kind="rcid-like", duration_s=36000.0, dt_s=1.0)
+        config = default_config(**{key: (short, long)})
+        with pytest.raises(ConfigError, match=(
+                rf"^{key}\[1\]: profile kind 'rcid-like' drives electrode")):
+            build_dataset(config, *cell)
 
 
 class TestGenerateSyntheticDataset:
@@ -429,6 +445,8 @@ class TestGenerateSyntheticDataset:
                                                         size=profile.n)
             np.testing.assert_array_equal(measured, clean + noise)
         assert train.profiles == (a, b) and test.profiles == (b,)
+        assert train.names == ("train_profiles[0]", "train_profiles[1]")
+        assert test.names == ("test_profiles[0]",)
 
     def test_coarse_grid_propagates_step_error(self, cell):
         """check_step's error, relabelled with the failing profile's role
@@ -540,10 +558,10 @@ class TestRunBenchmark:
         report.validate()  # aggregates with no surviving rows still check out
 
 
-    def test_profile_the_model_cannot_simulate_fails_the_row(
-            self, monkeypatch, i_1c):
-        """A training profile whose theta-free terms diverge fails every
-        row with the message naming it; the sweep goes on."""
+    def test_profile_the_model_cannot_simulate_rejected_before_any_row(
+            self, tmp_path, monkeypatch, i_1c):
+        """A training profile whose theta-free terms diverge is a DataError
+        naming it before any run, and nothing is written."""
         real = bench.build_dataset
 
         def harsh_train(*args):
@@ -555,19 +573,21 @@ class TestRunBenchmark:
             return train, test, meta
 
         monkeypatch.setattr(bench, "build_dataset", harsh_train)
+        runs = []
+        monkeypatch.setattr(bench, "run_method",
+                            lambda *args: runs.append(args))
         config = default_config(
             methods=("random", "gd"), budget=6, s0=2, repetitions=1,
             train_profiles=(ProfileSpec(kind="rcid-like", duration_s=600.0,
                                         dt_s=1.0),),
             test_profiles=(ProfileSpec(kind="rcid-like", duration_s=600.0,
                                        dt_s=1.0),))
-        rows = run_benchmark(config).results["rows"]
-        assert [(r["method"], r["failed"]) for r in rows] == [
-            ("random", True), ("gd", True)]
-        for row in rows:
-            assert row["error"].startswith("DataError: ")
-            assert "profile 0: electrode" in row["error"]
-            assert row["train_loss_V2"] is None
+        with pytest.raises(DataError, match=(
+                "no theta can fit data the model cannot simulate: "
+                "profile 0: electrode")):
+            run_benchmark(config, out_dir=tmp_path)
+        assert runs == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBudgetMinimums:

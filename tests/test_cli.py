@@ -186,8 +186,8 @@ class TestIdentify:
             "--method", "bo", "--budget", "8", "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert "config error" in result.output
-        assert "upper D_e = 1e-08" in result.output
-        assert "dt = 1 s" in result.output
+        assert ("upper D_e = 1e-08 m^2/s cannot be simulated on train_0.csv "
+                "with dt = 1 s") in result.output
         assert evaluations == []
         assert not out.exists()
 
@@ -270,8 +270,9 @@ class TestBenchAndReport:
         result = runner.invoke(main, [
             "bench", "--config", str(config), "--out", str(out)])
         assert result.exit_code == 2
-        assert "upper D_e" in result.output
-        assert not (out / "report.json").exists()
+        assert ("upper D_e = 1e-08 m^2/s cannot be simulated on "
+                "train_profiles[0] with dt = 1 s") in result.output
+        assert not out.exists()
 
     def test_bench_profile_leaving_the_soc_window(self, runner, tmp_path):
         config = tmp_path / "long.json"
@@ -281,7 +282,24 @@ class TestBenchAndReport:
         result = runner.invoke(main, [
             "bench", "--config", str(config), "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert "config error: profile kind 'rcid-like'" in result.output
+        assert ("config error: train_profiles[0]: profile kind 'rcid-like'"
+                in result.output)
+        assert not out.exists()
+
+    def test_bench_names_which_profile_leaves_the_soc_window(self, runner,
+                                                             tmp_path):
+        """Of two profiles of one kind, the message names the one at fault."""
+        config = tmp_path / "two-rcid.json"
+        config.write_text(json.dumps({"train_profiles": [
+            {"kind": "rcid-like", "duration_s": 600.0, "dt_s": 1.0},
+            {"kind": "rcid-like", "duration_s": 36000.0, "dt_s": 1.0}]}))
+        out = tmp_path / "b"
+        result = runner.invoke(main, [
+            "bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert ("config error: train_profiles[1]: profile kind 'rcid-like'"
+                in result.output)
+        assert "train_profiles[0]" not in result.output
         assert not out.exists()
 
 
@@ -547,6 +565,38 @@ class TestMalformedInputFiles:
             assert "at sample " in result.output
             assert evaluations == []
             assert not out.exists()
+
+    @pytest.mark.parametrize("coarse", ["train_0.csv", "test_0.csv"])
+    def test_coarse_step_outranks_a_diverging_file(
+            self, runner, config_path, dataset_dir, tmp_path, monkeypatch,
+            coarse):
+        """train_0.csv with twenty times its current diverges at every
+        theta, and a file sampled every 10 s is too coarse for the box:
+        together a config error (exit 2) naming the coarse file, before
+        any evaluation."""
+        import cellident.identify as identify
+
+        evaluations = []
+        monkeypatch.setattr(identify.VoltageFitObjective, "__call__",
+                            lambda self, theta: evaluations.append(theta))
+        data = self._edited_dataset(dataset_dir, tmp_path, None, ())
+        for name, column, factor in (("train_0.csv", 1, 20.0),
+                                     (coarse, 0, 10.0)):
+            table = np.loadtxt(data / name, delimiter=",", skiprows=1)
+            table[:, column] *= factor
+            np.savetxt(data / name, table, delimiter=",", comments="",
+                       header="time_s,current_A,voltage_V", fmt="%.12g")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "identify", "--config", str(config_path),
+            "--data", str(data / "manifest.json"), "--method", "random",
+            "--budget", "5", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert (f"config error: search box upper D_e = 4e-10 m^2/s cannot be "
+                f"simulated on {coarse} with dt = 10 s") in result.output
+        assert "data error" not in result.output
+        assert evaluations == []
+        assert not out.exists()
 
     def test_decreasing_time(self, runner, config_path, dataset_dir,
                              tmp_path):

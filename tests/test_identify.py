@@ -334,34 +334,69 @@ class TestFixedTermCache:
             assert evaluation.loss == 2.0 * DIVERGENCE_PENALTY
         assert built == list(pair.profiles)
 
-    def test_too_large_d_e_raises_on_every_call(self, cell, pair, built):
+    def test_too_large_d_e_raises_on_every_call(self, cell, box, pair,
+                                                built):
+        """A physical theta past the box still has its step checked."""
         params, ocv_p, ocv_n = cell
-        wide = ParameterBox(names=THETA_NAMES,
-                            lower=np.array([2.0e-11, 2.8e-11, 1.6e-10]),
-                            upper=np.array([4.5e-11, 5.6e-11, 1.0e-8]))
-        objective = VoltageFitObjective(params, ocv_p, ocv_n, wide, pair)
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, pair)
         truth = np.array([params.k_p, params.k_n, params.D_e])
         assert objective(truth).loss == 0.0
         for _ in range(2):
             with pytest.raises(ConfigError):
-                objective(wide.upper.copy())
+                objective(np.array([params.k_p, params.k_n, 1.0e-8]))
         assert objective(truth).loss == 0.0
         assert len(built) == len(pair.profiles)
 
     def test_step_checked_for_a_diverged_profile(self, faint_cell, ocv_pair,
-                                                  pair, built):
+                                                  box, pair, built):
         """A profile penalized at the last theta still checks its step when
         D_e changes: a too-large D_e raises, not a penalty."""
-        wide = ParameterBox(names=THETA_NAMES,
-                            lower=np.array([2.0e-11, 2.8e-11, 1.6e-10]),
-                            upper=np.array([4.5e-11, 5.6e-11, 1.0e-8]))
-        objective = VoltageFitObjective(faint_cell, *ocv_pair, wide, pair)
+        objective = VoltageFitObjective(faint_cell, *ocv_pair, box, pair)
         underflow = np.array([1e-30, faint_cell.k_n, faint_cell.D_e])
         assert objective(underflow).loss == 2.0 * DIVERGENCE_PENALTY
         with pytest.raises(ConfigError):
             objective(np.array([1e-30, faint_cell.k_n, 1.0e-8]))
         assert objective(underflow).loss == 2.0 * DIVERGENCE_PENALTY
         assert built == list(pair.profiles)
+
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    def test_box_too_wide_for_a_step_raises_at_construction(
+            self, cell, pair, built, scale):
+        """The largest D_e ``unit`` can produce must resolve every step:
+        else ConfigError naming the first profile it fails on, before any
+        term is built or any theta evaluated."""
+        params, ocv_p, ocv_n = cell
+        fine = CurrentProfile(dt=0.05, current=np.full(200, 0.5))
+        dataset = IdentificationDataset(
+            profiles=(fine, *pair.profiles),
+            voltages=(np.full(200, 3.0), *pair.voltages),
+            names=("fine.csv", "coarse.csv", "other.csv"))
+        wide = ParameterBox(names=THETA_NAMES,
+                            lower=np.array([2.0e-11, 2.8e-11, 1.6e-10]),
+                            upper=np.array([4.5e-11, 5.6e-11, 1.0e-8]),
+                            scales=("linear", "linear", scale))
+        d_e = wide.denormalize(np.ones(3))[2]
+        with pytest.raises(ConfigError) as info:
+            VoltageFitObjective(params, ocv_p, ocv_n, wide, dataset)
+        assert str(info.value).startswith(
+            f"search box upper D_e = {d_e:g} m^2/s cannot be simulated on "
+            "coarse.csv with dt = 1 s: dt = 1 s exceeds")
+        assert "other.csv" not in str(info.value)
+        assert built == []
+
+    def test_step_checked_before_any_profile_diverges(self, cell, box,
+                                                       built, i_1c):
+        """A dataset that both diverges and has too coarse a step is the
+        step's ConfigError, whichever profile comes first."""
+        params, ocv_p, ocv_n = cell
+        harsh = CurrentProfile(dt=1.0, current=np.full(600, 20.0 * i_1c))
+        coarse = CurrentProfile(dt=10.0, current=np.full(200, 0.5))
+        dataset = IdentificationDataset(
+            profiles=(harsh, coarse), voltages=(np.full(600, 3.0),
+                                                np.full(200, 3.0)))
+        with pytest.raises(ConfigError, match="on profile 1 with dt = 10 s"):
+            VoltageFitObjective(params, ocv_p, ocv_n, box, dataset)
+        assert built == []
 
     def test_construction_names_each_diverging_profile_and_sample(
             self, cell, box, pair, built, i_1c):
