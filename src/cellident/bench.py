@@ -42,6 +42,7 @@ from .identify import (
     IdentificationDataset,
     ParameterBox,
     VoltageFitObjective,
+    check_box_steps,
     default_box,
     save_dataset,
 )
@@ -515,8 +516,8 @@ def run_benchmark(config: ExperimentConfig,
                   out_dir=None) -> BenchmarkReport:
     """Full protocol: data generation, method x repetition sweep, report.
 
-    The objectives are built before anything is written, so a box too wide
-    for a step, or data the model cannot simulate, fails before any run.
+    A box too wide for a configured step fails before any data is made,
+    and data the model cannot simulate before any run or file.
     Per-repetition failures are recorded with a failure flag and excluded
     from aggregates; the sweep never aborts.  When out_dir is given, every
     file ``export_report`` writes, every optimizer trace and the dataset
@@ -524,6 +525,9 @@ def run_benchmark(config: ExperimentConfig,
     """
     t_start = time.perf_counter()
     params, ocv_p, ocv_n, provenance = resolve_cell(config)
+    check_box_steps(params, config.box, zip(
+        _profile_names(len(config.train_profiles), len(config.test_profiles)),
+        [s.dt_s for s in config.train_profiles + config.test_profiles]))
     train_ds, test_ds, data_meta = build_dataset(config, params, ocv_p, ocv_n)
     train_obj, test_obj = build_objectives(params, ocv_p, ocv_n, config.box,
                                            train_ds, test_ds)
@@ -657,10 +661,10 @@ def _write_voltage_traces(rows, test_ds: IdentificationDataset,
                                 D_e=theta["D_e"])
         for i, (profile, measured) in enumerate(
                 zip(test_ds.profiles, test_ds.voltages)):
-            try:   # a best theta every evaluation penalized has no trace
+            try:   # none for a theta penalized everywhere or under the step floor
                 with np.errstate(all="ignore"):
                     sim = simulate(fitted, ocv_p, ocv_n, profile)
-            except DataError:
+            except (ConfigError, DataError):
                 continue
             name = f"voltage_{row['method']}_rep{row['rep']}_test{i}.csv"
             written.append(write_csv(trace_dir / name, {

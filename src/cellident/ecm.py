@@ -16,12 +16,14 @@ branch G_b with an exact integrator and a diffusion branch G_d:
     G_d(s) = (R/(5D)) / (tau s + 1)
 
 so G_b + G_d = (3/R)/s + 2*(R/(5D))/(tau s + 1): one integrator plus a
-doubled first-order lag.  The electrolyte potential is two first-order lags
-scaled by C1/D_e.
+doubled first-order lag; phi_e is two first-order lags scaled by C1/D_e.
 
-Discretization: lags use the exact zero-order-hold map (pole e^(-dt/tau),
+Discretization: lags use the exact zero-order-hold map (pole a = e^(-dt/tau),
 input taken as the previous sample), the integrator uses the trapezoidal
-rule, so DC behavior is preserved exactly.
+rule, so DC behavior is preserved exactly.  The two electrolyte lags run as
+one direct-form second-order filter, whose rounding error, about
+eps (tau/dt)^2 of max |phi_e|, would pass the hold's own error dt/tau below
+dt = tau eps^(1/3), the floor of ``check_step_floor``.
 
 The identified parameters theta = (k_p, k_n, D_e) enter V only through the
 overpotentials, eta_i = R T0 (-J_i I)/(F i0_i) with i0_i proportional to
@@ -41,12 +43,12 @@ reads the step only from the profile.  Per-electrode functions take "p" or
 "n" and read that electrode's fields only through
 ``params.electrode_fields``.
 
-``simulate`` is ``check_step`` followed by both steps; a fit that evaluates
-many theta on one profile builds the fixed terms once and may keep a term
-whose component did not change.  The float operations and their order are
-those of the one-step formula, so results do not depend on how the steps
-are scheduled.  A step too coarse for the cell is a ConfigError, and a
-profile the cell cannot simulate a DataError: the classes the user sees.
+``simulate`` is both step checks followed by both steps; a fit that
+evaluates many theta on one profile builds the fixed terms once and may keep
+a term whose component did not change.  The float operations and their order
+are those of the one-step formula, so results do not depend on how the steps
+are scheduled.  A step too coarse or too fine for the cell is a ConfigError,
+and a profile the cell cannot simulate a DataError: the classes the user sees.
 """
 
 from __future__ import annotations
@@ -115,6 +117,14 @@ def check_step(params: CellParameters, dt: float) -> None:
             f"dt = {dt:g} s exceeds one tenth of the fastest time "
             f"constant ({tau_min:g} s); discretization would be inaccurate"
         )
+
+
+def check_step_floor(params: CellParameters, dt: float) -> None:
+    """ConfigError when ``dt`` is below the module docstring's floor (rising as D_e falls)."""
+    floor = max(electrolyte_time_constants(params)) * np.finfo(float).eps ** (1 / 3)
+    if dt < floor:
+        raise ConfigError(f"dt = {dt:g} s is below {floor:g} s, where phi_e's "
+                          "rounding error would exceed its discretization error")
 
 
 def c1_coefficient(params: CellParameters) -> float:
@@ -196,13 +206,17 @@ def exchange_current_factors(params: CellParameters, electrode: str, c_surf):
 
 def electrolyte_potential(params: CellParameters,
                           profile: CurrentProfile) -> np.ndarray:
-    """phi_e(t): sum of the two discretized electrolyte lags, scaled by C1/D_e."""
+    """phi_e(t): the two electrolyte lags, poles a = e^(-dt/tau) and input
+    gains b = gain (1 - a) C1/D_e, as one direct-form filter,
+    ((b+ + b-) z^-1 - (b+ a- + b- a+) z^-2) / (1 - (a+ + a-) z^-1 + a+ a- z^-2)."""
     p = params
-    tau_pos, tau_neg = electrolyte_time_constants(p)
-    y = lag_response(ELEC_GAIN_POS * p.gamma_p, tau_pos, profile.current, profile.dt)
-    y += lag_response(ELEC_GAIN_NEG * p.gamma_n, tau_neg, profile.current, profile.dt)
-    y *= c1_coefficient(p) / p.D_e
-    return y
+    a_pos, a_neg = (math.exp(-profile.dt / tau) for tau in electrolyte_time_constants(p))
+    scale = c1_coefficient(p) / p.D_e
+    b_pos = ELEC_GAIN_POS * p.gamma_p * (1.0 - a_pos) * scale
+    b_neg = ELEC_GAIN_NEG * p.gamma_n * (1.0 - a_neg) * scale
+    return _linear_filter(np.array([0.0, b_pos + b_neg, -(b_pos * a_neg + b_neg * a_pos)]),
+                          np.array([1.0, -(a_pos + a_neg), a_pos * a_neg]),
+                          np.asarray(profile.current, dtype=float), -1)
 
 
 def ohmic_drop(params: CellParameters, current):
@@ -290,6 +304,7 @@ def simulate(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
     or the voltage is not finite.
     """
     check_step(params, profile.dt)
+    check_step_floor(params, profile.dt)
     fixed = fixed_terms(params, ocv_p, ocv_n, profile)
     volts = terminal_voltage(fixed, overpotential(params, fixed, "p"),
                              overpotential(params, fixed, "n"),

@@ -180,6 +180,18 @@ class ObjectiveEvaluation:
     penalized: bool = False        # true when a divergence penalty was charged
 
 
+def check_box_steps(base: CellParameters, box: ParameterBox, named_steps) -> None:
+    """ConfigError naming the first ``(name, dt)`` too coarse for ``box``'s largest D_e."""
+    d_e = float(box.denormalize(np.ones(box.n))[THETA_NAMES.index("D_e")])
+    for name, dt in named_steps:
+        try:
+            check_step(base.replace(D_e=d_e), dt)
+        except ConfigError as exc:
+            raise ConfigError(
+                f"search box upper D_e = {d_e:g} m^2/s cannot be simulated "
+                f"on {name} with dt = {dt:g} s: {exc}") from exc
+
+
 class _ProfileTerms:
     """One profile's fixed terms and the last value of each theta term.
 
@@ -221,14 +233,7 @@ class VoltageFitObjective:
         self.base = base
         self.box = box
         self.dataset = dataset
-        d_e = float(box.denormalize(np.ones(box.n))[THETA_NAMES.index("D_e")])
-        for name, profile in zip(dataset.names, dataset.profiles):
-            try:
-                check_step(base.replace(D_e=d_e), profile.dt)
-            except ConfigError as exc:
-                raise ConfigError(
-                    f"search box upper D_e = {d_e:g} m^2/s cannot be simulated "
-                    f"on {name} with dt = {profile.dt:g} s: {exc}") from exc
+        check_box_steps(base, box, zip(dataset.names, [p.dt for p in dataset.profiles]))
         self._terms = []
         causes = []
         for name, profile in zip(dataset.names, dataset.profiles):

@@ -840,3 +840,16 @@ class TestExportReport:
         assert sample[0] == ("time_s,current_A,voltage_meas_V,"
                              "voltage_model_V,error_V")
         assert len(sample) == 1 + 301
+
+    def test_no_voltage_trace_under_the_step_floor(self, tiny_run, tmp_path):
+        """A fitted D_e so small that the test step is under the floor of
+        ``check_step_floor`` gets no trace; the other rows keep theirs."""
+        report, _ = tiny_run
+        doc = json.loads(json.dumps(report.results))
+        doc["rows"][0]["theta"]["D_e"] = 1e-16
+        written = export_report(BenchmarkReport(results=doc), tmp_path / "tr",
+                                formats=("json",), with_traces=True)
+        trace_files = [p.name for p in written if p.parent.name == "traces"]
+        row = doc["rows"][0]
+        assert f"voltage_{row['method']}_rep{row['rep']}_test0.csv" not in trace_files
+        assert len(trace_files) == len(doc["rows"]) - 1

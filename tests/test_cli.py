@@ -274,6 +274,29 @@ class TestBenchAndReport:
                 "train_profiles[0] with dt = 1 s") in result.output
         assert not out.exists()
 
+    def test_bench_box_checked_before_any_profile_is_made(
+            self, runner, tmp_path, monkeypatch):
+        """The box is checked against the config's steps, so a 10^6-sample
+        profile it rejects is never generated or simulated."""
+        made = []
+        monkeypatch.setattr(bench, "generate_profile",
+                            lambda *args: made.append(args))
+        config = tmp_path / "fine.json"
+        config.write_text(json.dumps({
+            "box": {"names": ["k_p", "k_n", "D_e"],
+                    "lower": [2.0e-11, 2.8e-11, 1.6e-10],
+                    "upper": [4.5e-11, 5.6e-11, 1.0e-6]},
+            "train_profiles": [{"kind": "drive-cycle-like",
+                                "duration_s": 10000.0, "dt_s": 0.01}]}))
+        out = tmp_path / "b"
+        result = runner.invoke(main, [
+            "bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert ("upper D_e = 1e-06 m^2/s cannot be simulated on "
+                "train_profiles[0] with dt = 0.01 s") in result.output
+        assert made == []
+        assert not out.exists()
+
     def test_bench_profile_leaving_the_soc_window(self, runner, tmp_path):
         config = tmp_path / "long.json"
         config.write_text(json.dumps({"train_profiles": [

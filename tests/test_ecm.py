@@ -11,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cellident import ecm
+from cellident.bench import generate_profile
 from cellident.ecm import (
     ELEC_GAIN_NEG,
     ELEC_GAIN_POS,
@@ -20,6 +22,7 @@ from cellident.ecm import (
     bulk_concentration,
     c1_coefficient,
     check_step,
+    check_step_floor,
     concentration_scale,
     electrolyte_potential,
     electrolyte_time_constants,
@@ -138,6 +141,21 @@ class TestTimeConstants:
                            match="exceeds one tenth of the fastest time constant"):
             check_step(params, limit * 1.01)
 
+    def test_step_floor(self, params, ocv_pair, i_1c):
+        """Below tau_max eps^(1/3) phi_e's rounding error, about
+        eps (tau/dt)^2, would exceed the hold's own error dt/tau; the
+        floor falls as D_e grows, and ``simulate`` checks it."""
+        floor = max(electrolyte_time_constants(params)) * np.finfo(float).eps ** (1 / 3)
+        check_step_floor(params, floor)
+        message = (f"dt = {floor * 0.99:g} s is below {floor:g} s, "
+                   "where phi_e's rounding error")
+        with pytest.raises(ConfigError, match=message):
+            check_step_floor(params, floor * 0.99)
+        check_step_floor(params.replace(D_e=2.0 * params.D_e), floor * 0.99)
+        with pytest.raises(ConfigError, match=message):
+            simulate(params, *ocv_pair, CurrentProfile(
+                dt=floor * 0.99, current=np.full(10, i_1c)))
+
     @pytest.mark.parametrize("dt", [-1.0, math.nan])
     def test_non_positive_step(self, dt):
         """``check_step`` takes a profile's step, and no profile has one
@@ -225,7 +243,8 @@ class TestDcGains:
 
     def test_block_wiring(self, params, i_1c):
         """Each concentration is its integrator plus doubled solid lag, and
-        phi_e is the sum of the two electrolyte lags times C1/D_e, bit for bit."""
+        phi_e is the one second-order recursion of the two electrolyte lags
+        with C1/D_e folded into its numerator, bit for bit."""
         profile = constant_pulse(i_1c, dt=0.5)
         I, dt = profile.current, profile.dt
         solid_p, solid_n, elec_pos, elec_neg = _lags(params)
@@ -237,9 +256,42 @@ class TestDcGains:
                 + 2.0 * lag_response(gain, tau, I, dt))
             assert np.array_equal(
                 surface_concentration(params, electrode, profile), want)
+        scale = c1_coefficient(params) / params.D_e
+        (gain_pos, tau_pos), (gain_neg, tau_neg) = elec_pos, elec_neg
+        a_pos, a_neg = math.exp(-dt / tau_pos), math.exp(-dt / tau_neg)
+        b_pos = gain_pos * (1.0 - a_pos) * scale
+        b_neg = gain_neg * (1.0 - a_neg) * scale
+        want = ecm._linear_filter(
+            np.array([0.0, b_pos + b_neg, -(b_pos * a_neg + b_neg * a_pos)]),
+            np.array([1.0, -(a_pos + a_neg), a_pos * a_neg]), I, -1)
+        assert np.array_equal(electrolyte_potential(params, profile), want)
+
+
+class TestElectrolyteRecursion:
+    """``electrolyte_potential`` against the parallel form it replaces: the
+    two float64 lags summed, then scaled by C1/D_e.  The direct form's
+    rounding grows as (tau/dt)^2 for two close poles near 1, so the bound
+    is 4 eps (tau_max/dt)^2 relative to max |phi_e|."""
+
+    @pytest.mark.parametrize("dt", [1.0, 0.25, 0.05, 0.01, "floor"])
+    @pytest.mark.parametrize("kind", ["constant pulse", "drive-cycle-like"])
+    def test_matches_the_two_lag_form(self, params, i_1c, kind, dt):
+        """Down to ``check_step``'s floor, where a 600-s drive cycle would
+        take 3.8 million samples, so both profiles there last 120 s."""
+        _, _, elec_pos, elec_neg = _lags(params)
+        duration = 600.0
+        if dt == "floor":
+            dt = max(elec_pos[1], elec_neg[1]) * np.finfo(float).eps ** (1 / 3)
+            duration = 120.0
+            check_step_floor(params, dt)
+        profile = (constant_pulse(i_1c, dt=dt) if kind == "constant pulse"
+                   else generate_profile(kind, duration, dt, 3, params))
+        I = profile.current
         want = ((lag_response(*elec_pos, I, dt) + lag_response(*elec_neg, I, dt))
                 * (c1_coefficient(params) / params.D_e))
-        assert np.array_equal(electrolyte_potential(params, profile), want)
+        error = np.max(np.abs(electrolyte_potential(params, profile) - want))
+        bound = 4.0 * np.finfo(float).eps * (max(elec_pos[1], elec_neg[1]) / dt) ** 2
+        assert error <= bound * np.max(np.abs(want))
 
 
 class TestChargeBookkeeping:

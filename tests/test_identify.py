@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellident import ecm, identify
-from cellident.bench import generate_synthetic_dataset
+from cellident.bench import generate_profile, generate_synthetic_dataset
 from cellident.errors import ConfigError, DataError, OutOfBox
 from cellident.identify import (
     DIVERGENCE_PENALTY,
@@ -175,6 +175,19 @@ class TestObjective:
         evaluation = objective(truth)
         assert evaluation.loss == 0.0
         assert not evaluation.penalized
+
+    def test_zero_loss_at_truth_on_sub_second_steps(self, cell, box):
+        """Noise-free data on steps of 0.25 s and 0.5 s, the train layout of
+        perfbench's sim-heavy workload: the data and the objective take
+        phi_e from the one electrolyte recursion, so the truth scores 0."""
+        params, ocv_p, ocv_n = cell
+        profiles = [generate_profile("rcid-like", 3600.0, 0.25, 0, params),
+                    generate_profile("drive-cycle-like", 7200.0, 0.5, 1, params)]
+        train, _, _ = generate_synthetic_dataset(
+            params, ocv_p, ocv_n, profiles, profiles[:1], 0.0, 5)
+        objective = VoltageFitObjective(params, ocv_p, ocv_n, box, train)
+        evaluation = objective(np.array([params.k_p, params.k_n, params.D_e]))
+        assert (evaluation.loss, evaluation.penalized) == (0.0, False)
 
     def test_additive_over_profiles(self, cell, box):
         params, ocv_p, ocv_n = cell
@@ -443,14 +456,14 @@ class TestThetaTermCache:
     """Each profile keeps eta_p for its k_p, eta_n for its k_n and phi_e for
     its D_e, and checks the step only when D_e changed; a call recomputes
     only what its theta changed.  No call runs ``CellParameters.validate``,
-    and a new D_e filters only its two electrolyte lags, not the theta-free
-    solid ones."""
+    and a new D_e runs one filter per profile, the electrolyte recursion:
+    the theta-free solid lags are not filtered again."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
         """Per-name call counts of the term functions, the step check, the
-        lag filter and the cell check."""
-        counts = {"lag_response": 0, "overpotential": 0,
+        C filter every lag runs through and the cell check."""
+        counts = {"_linear_filter": 0, "overpotential": 0,
                   "electrolyte_potential": 0, "check_step": 0, "validate": 0}
 
         def counting(name, real):
@@ -459,8 +472,8 @@ class TestThetaTermCache:
                 return real(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ecm, "lag_response",
-                            counting("lag_response", ecm.lag_response))
+        monkeypatch.setattr(ecm, "_linear_filter",
+                            counting("_linear_filter", ecm._linear_filter))
         for name in ("overpotential", "electrolyte_potential", "check_step"):
             monkeypatch.setattr(identify, name,
                                 counting(name, getattr(identify, name)))
@@ -484,7 +497,7 @@ class TestThetaTermCache:
         theta = box.denormalize(np.full(box.n, 0.5))
         theta[index] *= 1.01
         objective(theta)
-        assert calls == {"lag_response": 0, "overpotential": 2,
+        assert calls == {"_linear_filter": 0, "overpotential": 2,
                          "electrolyte_potential": 0, "check_step": 0,
                          "validate": 0}
 
@@ -492,21 +505,21 @@ class TestThetaTermCache:
         theta = box.denormalize(np.full(box.n, 0.5))
         theta[2] *= 1.01
         objective(theta)
-        # two electrolyte lags per profile; the solid lags are fixed terms
-        assert calls == {"lag_response": 4, "overpotential": 0,
+        # one electrolyte filter per profile; the solid lags are fixed terms
+        assert calls == {"_linear_filter": 2, "overpotential": 0,
                          "electrolyte_potential": 2, "check_step": 2,
                          "validate": 0}
 
     def test_repeat_recomputes_nothing(self, objective, calls, box):
         objective(box.denormalize(np.full(box.n, 0.5)))
         objective.unit(np.full(3, 0.5))
-        assert calls == {"lag_response": 0, "overpotential": 0,
+        assert calls == {"_linear_filter": 0, "overpotential": 0,
                          "electrolyte_potential": 0, "check_step": 0,
                          "validate": 0}
 
     def test_new_theta_recomputes_every_term(self, objective, calls, box):
         objective(box.denormalize(np.array([0.1, 0.2, 0.3])))
-        assert calls == {"lag_response": 4, "overpotential": 4,
+        assert calls == {"_linear_filter": 2, "overpotential": 4,
                          "electrolyte_potential": 2, "check_step": 2,
                          "validate": 0}
 
