@@ -516,8 +516,9 @@ def run_benchmark(config: ExperimentConfig,
                   out_dir=None) -> BenchmarkReport:
     """Full protocol: data generation, method x repetition sweep, report.
 
-    A box too wide for a configured step fails before any data is made,
-    and data the model cannot simulate before any run or file.
+    A box too wide for a configured step, or whose every D_e puts it under
+    the step floor, fails before any data is made, and data the model
+    cannot simulate before any run or file.
     Per-repetition failures are recorded with a failure flag and excluded
     from aggregates; the sweep never aborts.  When out_dir is given, every
     file ``export_report`` writes, every optimizer trace and the dataset

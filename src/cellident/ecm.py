@@ -28,13 +28,17 @@ dt = tau eps^(1/3), the floor of ``check_step_floor``.
 The identified parameters theta = (k_p, k_n, D_e) enter V only through the
 overpotentials, eta_i = R T0 (-J_i I)/(F i0_i) with i0_i proportional to
 k_i, and through phi_e, whose gain C1/D_e and lag poles depend on D_e.  The
-voltage is therefore built in two steps:
+voltage is therefore the separable sum
 
-- ``fixed_terms``: everything theta-free -- surface concentrations and their
-  range checks, U_p - U_n, the square roots and Arrhenius*F factors of i0,
-  the overpotential numerators R T0 (-J_i I), phi_ohm and I*R_c;
+    V = ((c_n/k_n - c_p/k_p) + phi_e(D_e)) + base
+
+of three theta-free columns and one filter, built in two steps:
+
+- ``fixed_terms``: the columns -- c_i, eta_i at k_i = 1, from the surface
+  concentrations (with their range checks) and i0's Arrhenius*F and
+  square-root factors, and base = (U_p - U_n + phi_ohm) - I R_c;
 - the three theta terms, each from its own function reading one component:
-  ``overpotential`` gives eta_i from k_i, ``electrolyte_potential`` gives
+  ``overpotential`` gives eta_i = c_i/k_i, ``electrolyte_potential`` gives
   phi_e at D_e, and ``terminal_voltage`` writes the sum above into a
   caller's buffer.
 
@@ -45,9 +49,9 @@ reads the step only from the profile.  Per-electrode functions take "p" or
 
 ``simulate`` is both step checks followed by both steps; a fit that
 evaluates many theta on one profile builds the fixed terms once and may keep
-a term whose component did not change.  The float operations and their order
-are those of the one-step formula, so results do not depend on how the steps
-are scheduled.  A step too coarse or too fine for the cell is a ConfigError,
+a term whose component did not change.  Every caller runs the same float
+operations in the same order, so results do not depend on which terms were
+kept.  A step too coarse or too fine for the cell is a ConfigError,
 and a profile the cell cannot simulate a DataError: the classes the user sees.
 """
 
@@ -226,24 +230,25 @@ def ohmic_drop(params: CellParameters, current):
 
 @dataclass(frozen=True)
 class FixedTerms:
-    """The theta-free part of one simulation (see the module docstring).
+    """The theta-free columns of one simulation (see the module docstring).
 
-    Per electrode, ``i0_scale * k * sqrt_arg`` is the exchange current
-    density and ``eta_num / (F i0)`` the overpotential.  ``i0_scale`` is
-    finite and non-zero and ``sqrt_arg`` positive, so only a k whose product
-    underflows gives a zero i0, and with it a non-finite overpotential.
+    ``c_p / k_p`` is eta_p and ``c_n / k_n`` eta_n.  Nothing is checked: a
+    k_i small enough makes c_i / k_i overflow to +-inf wherever the current
+    is not zero (it stays 0 where it is).
     """
 
-    current: np.ndarray
-    ocv_diff: np.ndarray          # U_p(x_p) - U_n(x_n) [V]
-    i0_scale_p: float             # Arrhenius * F
-    i0_scale_n: float
-    sqrt_arg_p: np.ndarray        # sqrt(c (c_max - c) c_e)
-    sqrt_arg_n: np.ndarray
-    eta_num_p: np.ndarray         # R T0 (-J_p I)
-    eta_num_n: np.ndarray
-    phi_ohm: np.ndarray           # ohmic drop [V]
-    contact_drop: np.ndarray      # I R_c [V]
+    c_p: np.ndarray               # eta_p at k_p = 1, in V times the unit of k_p
+    c_n: np.ndarray
+    base: np.ndarray              # (U_p - U_n + phi_ohm) - I R_c [V]
+
+
+def unit_overpotential(params: CellParameters, electrode: str, current,
+                       i0_scale, sqrt_arg) -> np.ndarray:
+    """R T0 (-J_i I) / ((i0_scale sqrt_arg) F), eta_i at k_i = 1, from
+    ``exchange_current_factors``' two factors.  No check."""
+    J = electrode_fields(electrode, "J")(params)
+    return (params.R_gas * params.T0 * (-J * np.asarray(current, dtype=float))
+            / (i0_scale * sqrt_arg * params.F))
 
 
 def fixed_terms(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
@@ -256,42 +261,27 @@ def fixed_terms(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
     I = profile.current
     c_p = surface_concentration(p, "p", profile)
     c_n = surface_concentration(p, "n", profile)
-    scale_p, root_p = exchange_current_factors(p, "p", c_p)
-    scale_n, root_n = exchange_current_factors(p, "n", c_n)
     return FixedTerms(
-        current=I, ocv_diff=ocv_p(c_p / p.c_max_p) - ocv_n(c_n / p.c_max_n),
-        i0_scale_p=scale_p, i0_scale_n=scale_n,
-        sqrt_arg_p=root_p, sqrt_arg_n=root_n,
-        eta_num_p=p.R_gas * p.T0 * (-p.J_p * I),
-        eta_num_n=p.R_gas * p.T0 * (-p.J_n * I),
-        phi_ohm=ohmic_drop(p, I), contact_drop=I * p.R_c)
+        c_p=unit_overpotential(p, "p", I, *exchange_current_factors(p, "p", c_p)),
+        c_n=unit_overpotential(p, "n", I, *exchange_current_factors(p, "n", c_n)),
+        base=ocv_p(c_p / p.c_max_p) - ocv_n(c_n / p.c_max_n) + ohmic_drop(p, I)
+        - I * p.R_c)
 
 
 def overpotential(params: CellParameters, fixed: FixedTerms,
                   electrode: str) -> np.ndarray:
-    """eta_i = R T0 (-J_i I)/(F i0_i) at the params' k_i from the fixed terms.
-
-    No check: where i0_i underflows to zero, eta_i is infinite or NaN.
-    """
-    i0_scale, sqrt_arg, numerator = electrode_fields(
-        electrode, "i0_scale", "sqrt_arg", "eta_num")(fixed)
-    scale = i0_scale * electrode_fields(electrode, "k")(params)
-    eta = np.multiply(scale, sqrt_arg, out=np.empty_like(numerator))   # i0
-    eta *= params.F
-    return np.divide(numerator, eta, out=eta)
+    """eta_i = c_i / k_i at the params' k_i, in one pass; no check."""
+    return (electrode_fields(electrode, "c")(fixed)
+            / electrode_fields(electrode, "k")(params))
 
 
 def terminal_voltage(fixed: FixedTerms, eta_p: np.ndarray, eta_n: np.ndarray,
                      phi_e: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """U_p - U_n - (eta_p - eta_n) + phi_e + phi_ohm - I R_c, into ``out``.
-
-    The sum is taken left to right, in place; no finiteness check.
-    """
-    np.subtract(eta_p, eta_n, out=out)
-    np.subtract(fixed.ocv_diff, out, out=out)
+    """((eta_n - eta_p) + phi_e) + base, into ``out``, in place; no
+    finiteness check."""
+    np.subtract(eta_n, eta_p, out=out)
     out += phi_e
-    out += fixed.phi_ohm
-    out -= fixed.contact_drop
+    out += fixed.base
     return out
 
 
@@ -309,7 +299,7 @@ def simulate(params: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,
     volts = terminal_voltage(fixed, overpotential(params, fixed, "p"),
                              overpotential(params, fixed, "n"),
                              electrolyte_potential(params, profile),
-                             np.empty(fixed.current.shape))
+                             np.empty_like(fixed.base))
     if not np.all(np.isfinite(volts)):
         k = int(np.flatnonzero(~np.isfinite(volts))[0])
         raise DataError(f"non-finite terminal voltage at sample {k}")

@@ -27,6 +27,7 @@ import numpy as np
 from .ecm import (
     FixedTerms,
     check_step,
+    check_step_floor,
     electrolyte_potential,
     fixed_terms,
     overpotential,
@@ -181,11 +182,14 @@ class ObjectiveEvaluation:
 
 
 def check_box_steps(base: CellParameters, box: ParameterBox, named_steps) -> None:
-    """ConfigError naming the first ``(name, dt)`` too coarse for ``box``'s largest D_e."""
+    """ConfigError naming the first ``(name, dt)`` too coarse for ``box``'s
+    largest D_e, or under the step floor there, and so at every D_e of it."""
     d_e = float(box.denormalize(np.ones(box.n))[THETA_NAMES.index("D_e")])
+    largest = base.replace(D_e=d_e)
     for name, dt in named_steps:
         try:
-            check_step(base.replace(D_e=d_e), dt)
+            check_step(largest, dt)
+            check_step_floor(largest, dt)
         except ConfigError as exc:
             raise ConfigError(
                 f"search box upper D_e = {d_e:g} m^2/s cannot be simulated "
@@ -204,7 +208,7 @@ class _ProfileTerms:
         self.fixed = fixed
         self.k_p = self.k_n = self.D_e = math.nan
         self.eta_p = self.eta_n = self.phi_e = None
-        self.volts = np.empty(fixed.current.shape)
+        self.volts = np.empty_like(fixed.base)
 
 
 class VoltageFitObjective:
@@ -218,12 +222,13 @@ class VoltageFitObjective:
     Any other error of a call (``check_step``'s ConfigError at a D_e past
     the box, an invalid theta) is raised.
 
-    Construction checks each profile's step at the largest D_e ``unit``
-    can produce (ConfigError naming the profile), then builds every
-    profile's theta-free terms.  A profile they fail on (a diverging
-    concentration, an out-of-table OCV query) cannot be fit at any theta:
-    DataError naming each such profile with ``fixed_terms``' message, which
-    ``bench.build_objectives`` prefixes with why no theta can fit.
+    Construction checks each profile's step against both step limits at
+    the largest D_e ``unit`` can produce (ConfigError naming the profile),
+    then builds every profile's theta-free terms.  A profile they fail on
+    (a diverging concentration, an out-of-table OCV query) cannot be fit at
+    any theta: DataError naming each such profile with ``fixed_terms``'
+    message, which ``bench.build_objectives`` prefixes with why no theta
+    can fit.
     """
 
     def __init__(self, base: CellParameters, ocv_p: OcvCurve, ocv_n: OcvCurve,

@@ -23,6 +23,7 @@ from cellident.ecm import (
     fixed_terms,
     overpotential,
     terminal_voltage,
+    unit_overpotential,
 )
 from cellident.identify import default_box
 from cellident.profiles import CurrentProfile
@@ -91,11 +92,15 @@ def simulate_pinned():
     exchange current pinned at its electrode's initial concentration, which
     makes every dynamic term exactly linear in the applied current."""
     def run(params, ocv_p, ocv_n, profile):
+        def pinned(electrode, c0):   # fixed_terms' column at c = c0
+            return unit_overpotential(
+                params, electrode, profile.current,
+                *exchange_current_factors(params, electrode, c0))
+
         check_step(params, profile.dt)
         fixed = dataclasses.replace(
             fixed_terms(params, ocv_p, ocv_n, profile),
-            sqrt_arg_p=exchange_current_factors(params, "p", params.c_p0)[1],
-            sqrt_arg_n=exchange_current_factors(params, "n", params.c_n0)[1])
+            c_p=pinned("p", params.c_p0), c_n=pinned("n", params.c_n0))
         eta_p = overpotential(params, fixed, "p")
         eta_n = overpotential(params, fixed, "n")
         volts = terminal_voltage(fixed, eta_p, eta_n,

@@ -620,7 +620,7 @@ class TestBudgetMinimums:
 _FACTORS = st.one_of(st.floats(0.5, 1.5), st.floats(1e-300, 10.0))
 _METHODS = ("bo", "gd", "pso", "random")
 _BREAKS = ("names", "lower", "order", "methods", "budget", "s0", "D_e",
-           "duration")
+           "duration", "floor")
 
 
 def _d_e_limit(params, dt) -> float:
@@ -630,23 +630,35 @@ def _d_e_limit(params, dt) -> float:
     return params.D_e * min(electrolyte_time_constants(params)) / (10.0 * dt)
 
 
+def _d_e_floor(params, dt) -> float:
+    """Smallest D_e that ``check_step_floor`` accepts at step ``dt``: the
+    slowest electrolyte time constant times eps^(1/3) must not exceed dt."""
+    return (params.D_e * max(electrolyte_time_constants(params))
+            * np.finfo(float).eps ** (1 / 3) / dt)
+
+
 @st.composite
 def _raw_configs(draw):
     """(broken, config dict) drawn from the loader's rules: names
     THETA_NAMES, bounds at (0, 10]x the default box's with lower below
-    upper, linear or log, an upper D_e the profile's step resolves, distinct
-    known methods, a budget of 2..12 that reaches each method's minimum,
-    1 <= s0 <= budget and profiles of 100-300 dt.  About half break the
-    rule named by ``broken``; the rest have ``broken`` None."""
+    upper, linear or log, an upper D_e between the step's floor and its
+    coarse limit, distinct known methods, a budget of 2..12 that reaches
+    each method's minimum, 1 <= s0 <= budget and profiles of 100-300 dt.
+    About half break the rule named by ``broken``; the rest have ``broken``
+    None."""
     base = default_box()
     dt = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
-    d_e_cap = 0.999 * _d_e_limit(resolve_cell(default_config())[0], dt)
+    cell = resolve_cell(default_config())[0]
+    d_e_cap = 0.999 * _d_e_limit(cell, dt)
+    d_e_floor = 1.001 * _d_e_floor(cell, dt)
     factors = [sorted(draw(st.lists(_FACTORS, min_size=2, max_size=2)))
                for _ in THETA_NAMES]
     lower = [a * v for (a, _), v in zip(factors, base.lower)]
     upper = [b * v for (_, b), v in zip(factors, base.upper)]
     if upper[2] > d_e_cap:   # keep the D_e range, scaled under the cap
         lower[2], upper[2] = (lower[2] * d_e_cap / upper[2], d_e_cap)
+    elif upper[2] < d_e_floor:   # the same, scaled over the floor
+        lower[2], upper[2] = (lower[2] * d_e_floor / upper[2], d_e_floor)
     methods = draw(st.lists(st.sampled_from(_METHODS), min_size=1,
                             max_size=4, unique=True))
     need = max(2, *(min_budget(m, len(THETA_NAMES)) for m in methods))
@@ -684,6 +696,9 @@ def _raw_configs(draw):
     elif broken == "D_e":   # the whole D_e range too large for the step
         box["lower"][2] = d_e_cap * draw(st.floats(1.01, 10.0))
         box["upper"][2] = 2.0 * box["lower"][2]
+    elif broken == "floor":   # the whole D_e range too small for the step
+        box["upper"][2] = d_e_floor * draw(st.floats(0.01, 0.99))
+        box["lower"][2] = 0.5 * box["upper"][2]
     elif broken == "duration":
         n_steps = draw(st.integers(1, 99))
     spec = {"kind": draw(st.sampled_from(["rcid-like", "drive-cycle-like"])),
@@ -696,7 +711,7 @@ class TestEveryLoadedConfigRuns:
     it with a ConfigError before any row; any other runs, and no row
     fails."""
 
-    @settings(max_examples=25, derandomize=True, deadline=None,
+    @settings(max_examples=40, derandomize=True, deadline=None,
               database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=_raw_configs())
     def test_runs_or_rejected_up_front(self, case):

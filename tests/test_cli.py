@@ -297,6 +297,26 @@ class TestBenchAndReport:
         assert made == []
         assert not out.exists()
 
+    def test_bench_step_under_the_floor_before_any_profile_is_made(
+            self, runner, tmp_path, monkeypatch):
+        """A step of 1e-5 s is under the floor at every D_e of the default
+        box, so the bench exits 2 before generating any profile."""
+        made = []
+        monkeypatch.setattr(bench, "generate_profile",
+                            lambda *args: made.append(args))
+        config = tmp_path / "fine.json"
+        config.write_text(json.dumps({"test_profiles": [
+            {"kind": "rcid-like", "duration_s": 0.01, "dt_s": 1e-5}]}))
+        out = tmp_path / "b"
+        result = runner.invoke(main, [
+            "bench", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert ("upper D_e = 4e-10 m^2/s cannot be simulated on "
+                "test_profiles[0] with dt = 1e-05 s: dt = 1e-05 s is below"
+                ) in result.output
+        assert made == []
+        assert not out.exists()
+
     def test_bench_profile_leaving_the_soc_window(self, runner, tmp_path):
         config = tmp_path / "long.json"
         config.write_text(json.dumps({"train_profiles": [
@@ -618,6 +638,37 @@ class TestMalformedInputFiles:
         assert (f"config error: search box upper D_e = 4e-10 m^2/s cannot be "
                 f"simulated on {coarse} with dt = 10 s") in result.output
         assert "data error" not in result.output
+        assert evaluations == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fine", ["train_0.csv", "test_0.csv"])
+    def test_step_under_the_floor_at_every_theta(
+            self, runner, config_path, dataset_dir, tmp_path, monkeypatch,
+            fine):
+        """A file sampled every 1e-5 s is under the step floor of
+        ``check_step_floor`` even at the box's largest D_e, where the floor
+        is lowest: a config error (exit 2) naming the file, before any
+        evaluation."""
+        import cellident.identify as identify
+
+        def refine(lines):
+            for i, line in enumerate(lines[1:]):
+                lines[i + 1] = f"{i}e-5," + line.split(",", 1)[1]
+            return lines
+
+        evaluations = []
+        monkeypatch.setattr(identify.VoltageFitObjective, "__call__",
+                            lambda self, theta: evaluations.append(theta))
+        data = self._edited_dataset(dataset_dir, tmp_path, refine, (fine,))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "identify", "--config", str(config_path),
+            "--data", str(data / "manifest.json"), "--method", "random",
+            "--budget", "5", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert (f"config error: search box upper D_e = 4e-10 m^2/s cannot be "
+                f"simulated on {fine} with dt = 1e-05 s: dt = 1e-05 s is "
+                "below") in result.output
         assert evaluations == []
         assert not out.exists()
 

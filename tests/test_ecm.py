@@ -30,12 +30,14 @@ from cellident.ecm import (
     fixed_terms,
     lag_response,
     min_time_constant,
+    ohmic_drop,
     overpotential,
     simulate,
     solid_time_constant,
     surface_concentration,
     terminal_voltage,
     trapezoid_integral,
+    unit_overpotential,
 )
 from cellident.errors import ConfigError, DataError
 from cellident.ocv import OcvCurve
@@ -220,7 +222,8 @@ class TestZeroCurrent:
         assert np.all(overpotential(params, fixed, "p") == 0.0)
         assert np.all(overpotential(params, fixed, "n") == 0.0)
         assert np.all(electrolyte_potential(params, profile) == 0.0)
-        assert np.all(fixed.phi_ohm == 0.0)
+        assert np.all(ohmic_drop(params, profile.current) == 0.0)
+        assert np.all(fixed.base == v_oc)
 
 
 def _lags(params):
@@ -431,18 +434,19 @@ class TestKinetics:
 
     def test_zero_exchange_current_is_an_error(self, faint_cell, ocv_pair,
                                                i_1c):
-        """A k_p whose i0_p underflows to zero gives a non-finite eta_p
-        wherever it is not 0/0, and ``simulate`` raises at the first such
-        sample."""
+        """A k_p small enough for c_p / k_p to overflow gives eta_p = 0
+        where no current flows and +inf where it does, and ``simulate``
+        raises at the first sample with current.  c_p itself is finite."""
         theta = faint_cell.with_theta(1e-30, faint_cell.k_n, faint_cell.D_e)
         profile = CurrentProfile(dt=1.0, current=np.concatenate(
             [np.zeros(5), np.full(20, i_1c)]))
         fixed = fixed_terms(theta, *ocv_pair, profile)
-        assert fixed.i0_scale_p * theta.k_p == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.all(np.isfinite(fixed.c_p))
+        with np.errstate(over="ignore"):
             eta = overpotential(theta, fixed, "p")
-            assert np.all(np.isnan(eta[:5])) and np.all(np.isinf(eta[5:]))
-            with pytest.raises(DataError, match="at sample 0$"):
+            assert eta[:5].tobytes() == np.zeros(5).tobytes()
+            assert np.all(eta[5:] == math.inf)
+            with pytest.raises(DataError, match="at sample 5$"):
                 simulate(theta, *ocv_pair, profile)
 
 
@@ -452,9 +456,10 @@ _roots = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-6, math.nan,
 
 
 class TestZeroExchangeCurrent:
-    """``overpotential`` makes no test of i0: for every input, zeros,
-    NaN and infinities included, it returns the bits of
-    R T0 (-J I) / (F i0)."""
+    """Neither ``unit_overpotential`` nor ``overpotential`` tests i0: for
+    every input, zeros, NaN and infinities included, the first returns the
+    bits of R T0 (-J I) / ((Arrhenius F sqrt) F), the column ``fixed_terms``
+    keeps, and the second the bits of that column over k."""
 
     @settings(max_examples=400, deadline=None)
     @given(roots=st.one_of(_roots, st.lists(_roots, min_size=1, max_size=8)),
@@ -462,28 +467,67 @@ class TestZeroExchangeCurrent:
                               st.floats(min_value=0.0, max_value=1e300)),
            k=st.one_of(st.sampled_from([5e-324, 1e-300, 3e-11]),
                        st.floats(min_value=5e-324, max_value=1e300)))
-    @example(roots=[1e-6, 50.0], i0_scale=96485.33212, k=5e-324)   # underflow
+    @example(roots=[1e-6, 50.0], i0_scale=96485.33212, k=5e-324)   # overflow
     @example(roots=[math.nan, 0.0, math.nan], i0_scale=1.0, k=3e-11)
     @example(roots=[math.nan, math.inf], i0_scale=0.0, k=3e-11)    # 0 * inf
     @example(roots=-2e-300, i0_scale=1e-20, k=1e-10)
     def test_bits_of_numerator_over_f_i0(self, params, roots, i0_scale, k):
         if isinstance(roots, list):
-            sqrt_arg, numerator = np.array(roots), np.linspace(-1.0, 1.0, len(roots))
+            sqrt_arg, current = np.array(roots), np.linspace(-1.0, 1.0, len(roots))
         else:   # a scalar root broadcasts, as in pinned fixed terms
-            sqrt_arg, numerator = np.float64(roots), np.linspace(-1.0, 1.0, 3)
-        fixed = FixedTerms(current=numerator, ocv_diff=numerator,
-                           i0_scale_p=i0_scale, i0_scale_n=i0_scale,
-                           sqrt_arg_p=sqrt_arg, sqrt_arg_n=sqrt_arg,
-                           eta_num_p=numerator, eta_num_n=numerator,
-                           phi_ohm=numerator, contact_drop=numerator)
+            sqrt_arg, current = np.float64(roots), np.linspace(-1.0, 1.0, 3)
         theta = params.with_theta(k, k, params.D_e)
         with np.errstate(all="ignore"):
-            i0 = i0_scale * k * sqrt_arg
             for electrode in ("p", "n"):
+                J = params.J_p if electrode == "p" else params.J_n
+                column = unit_overpotential(params, electrode, current,
+                                            i0_scale, sqrt_arg)
+                want = (params.R_gas * params.T0 * (-J * current)
+                        / (i0_scale * sqrt_arg * params.F))
+                assert column.shape == want.shape
+                assert column.tobytes() == want.tobytes()
+                fixed = FixedTerms(c_p=column, c_n=column, base=current)
                 eta = overpotential(theta, fixed, electrode)
-                want = numerator / (theta.F * i0)
                 assert eta.shape == want.shape
-                assert eta.tobytes() == want.tobytes()
+                assert eta.tobytes() == (want / k).tobytes()
+
+
+def _five_term_voltage(params, ocv_p, ocv_n, profile):
+    """The voltage as it was summed before the separable form:
+    U_p - U_n - (eta_p - eta_n) + phi_e + phi_ohm - I R_c, with
+    eta_i = R T0 (-J_i I) / (F i0_i) and i0_i = (Arrhenius F k_i) sqrt."""
+    p, I = params, profile.current
+    eta, ocv = {}, {}
+    for electrode, curve, c_max, k, J in (("p", ocv_p, p.c_max_p, p.k_p, p.J_p),
+                                          ("n", ocv_n, p.c_max_n, p.k_n, p.J_n)):
+        c = surface_concentration(p, electrode, profile)
+        i0_scale, sqrt_arg = exchange_current_factors(p, electrode, c)
+        eta[electrode] = (p.R_gas * p.T0 * (-J * I)
+                          / (i0_scale * k * sqrt_arg * p.F))
+        ocv[electrode] = curve(c / c_max)
+    return ((ocv["p"] - ocv["n"]) - (eta["p"] - eta["n"])
+            + electrolyte_potential(p, profile) + ohmic_drop(p, I) - I * p.R_c)
+
+
+class TestSeparableVoltage:
+    """``simulate`` sums ((c_n/k_n - c_p/k_p) + phi_e) + base, which rounds
+    differently from the five-term sum it replaced but stays within
+    4 eps max |V| of it, on the two ``sim-heavy`` training profiles at 24
+    theta spread over [0.5, 2] times each truth component."""
+
+    def test_within_rounding_of_the_five_term_sum(self, cell):
+        params, ocv_p, ocv_n = cell
+        profiles = [generate_profile("rcid-like", 3600.0, 0.25, 1, params),
+                    generate_profile("drive-cycle-like", 7200.0, 0.5, 1, params)]
+        factors = 2.0 ** np.random.default_rng(7).uniform(-1.0, 1.0, (24, 3))
+        for f_p, f_n, f_e in factors:
+            theta = params.with_theta(params.k_p * f_p, params.k_n * f_n,
+                                      params.D_e * f_e)
+            for profile in profiles:
+                got = simulate(theta, ocv_p, ocv_n, profile)
+                want = _five_term_voltage(theta, ocv_p, ocv_n, profile)
+                bound = 4.0 * np.finfo(float).eps * np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= bound
 
 
 class TestDivergence:

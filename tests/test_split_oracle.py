@@ -1,10 +1,13 @@
 """The two-step simulator (``fixed_terms``, then the term functions summed
-by ``simulate``) and the caching objective against the one-step simulator
-they replaced, compared with ``==``.
+by ``simulate``) and the caching objective against a one-step simulator,
+compared with ``==``.
 
-``reference_simulate_detailed`` is a copy of the one-step simulator with its
+``reference_simulate_detailed`` is the one-step simulator with its
 exchange-current and overpotential helpers inlined, so the oracle does not
-change when the split does; it returns every voltage contribution.
+change when the split does; it sums the separable form
+((eta_n - eta_p) + phi_e) + ((U_p - U_n + phi_ohm) - I R_c) with
+eta_i = (R T0 (-J_i I) / (i0_i(k_i = 1) F)) / k_i, and returns every
+voltage contribution.
 """
 
 import math
@@ -36,12 +39,13 @@ from cellident.identify import (
 from cellident.profiles import CurrentProfile
 
 
-def _reference_i0(params, electrode, c_surf):
+def _reference_unit_i0(params, electrode, c_surf):
+    """i0 at k = 1: (Arrhenius F) sqrt(c (c_max - c) c_e)."""
     p = params
     if electrode == "p":
-        k, c_max, c_e, E_io = p.k_p, p.c_max_p, p.c_e_p, p.E_io_p
+        c_max, c_e, E_io = p.c_max_p, p.c_e_p, p.E_io_p
     else:
-        k, c_max, c_e, E_io = p.k_n, p.c_max_n, p.c_e_n, p.E_io_n
+        c_max, c_e, E_io = p.c_max_n, p.c_e_n, p.E_io_n
     c = np.asarray(c_surf, dtype=float)
     arg = c * (c_max - c) * c_e
     bad = np.flatnonzero(np.atleast_1d(arg) <= 0.0)
@@ -49,14 +53,16 @@ def _reference_i0(params, electrode, c_surf):
         raise DataError("non-positive exchange-current argument "
                         f"at sample {int(bad[0])}")
     arrhenius = math.exp((1.0 / p.T_ref - 1.0 / p.T) * E_io / p.R_gas)
-    i0 = arrhenius * p.F * k * np.sqrt(arg)
+    i0 = arrhenius * p.F * np.sqrt(arg)
     return float(i0) if np.isscalar(c_surf) else i0
 
 
-def _reference_eta(params, electrode, current, i0):
+def _reference_eta(params, electrode, current, unit_i0):
     p = params
-    J = p.J_p if electrode == "p" else p.J_n
-    return p.R_gas * p.T0 * (-J * np.asarray(current, dtype=float)) / (p.F * i0)
+    J, k = (p.J_p, p.k_p) if electrode == "p" else (p.J_n, p.k_n)
+    column = (p.R_gas * p.T0 * (-J * np.asarray(current, dtype=float))
+              / (unit_i0 * p.F))
+    return column / k
 
 
 def reference_simulate_detailed(params, ocv_p, ocv_n, profile,
@@ -67,11 +73,11 @@ def reference_simulate_detailed(params, ocv_p, ocv_n, profile,
     c_p = surface_concentration(p, "p", profile)
     c_n = surface_concentration(p, "n", profile)
     if freeze_exchange_current:
-        i0_p = _reference_i0(p, "p", p.c_p0)
-        i0_n = _reference_i0(p, "n", p.c_n0)
+        i0_p = _reference_unit_i0(p, "p", p.c_p0)
+        i0_n = _reference_unit_i0(p, "n", p.c_n0)
     else:
-        i0_p = _reference_i0(p, "p", c_p)
-        i0_n = _reference_i0(p, "n", c_n)
+        i0_p = _reference_unit_i0(p, "p", c_p)
+        i0_n = _reference_unit_i0(p, "n", c_n)
     u_p = ocv_p(c_p / p.c_max_p)
     u_n = ocv_n(c_n / p.c_max_n)
 
@@ -79,15 +85,16 @@ def reference_simulate_detailed(params, ocv_p, ocv_n, profile,
     eta_n = _reference_eta(p, "n", I, i0_n)
     phi_e = electrolyte_potential(p, profile)
     phi_ohm = ohmic_drop(p, I)
+    base = (u_p - u_n + phi_ohm) - I * p.R_c
 
-    volts = u_p - u_n - (eta_p - eta_n) + phi_e + phi_ohm - I * p.R_c
+    volts = ((eta_n - eta_p) + phi_e) + base
     if not np.all(np.isfinite(volts)):
         k = int(np.flatnonzero(~np.isfinite(volts))[0])
         raise DataError(f"non-finite terminal voltage at sample {k}")
 
     return SimpleNamespace(volts=volts, c_p=c_p, c_n=c_n,
                            eta_p=np.asarray(eta_p), eta_n=np.asarray(eta_n),
-                           phi_e=phi_e, phi_ohm=phi_ohm)
+                           phi_e=phi_e, base=base)
 
 
 def reference_loss(base, ocv_p, ocv_n, dataset, theta):
@@ -118,7 +125,7 @@ def _sample(exc) -> int:
     return int(re.search(r"at sample (\d+)", str(exc))[1])
 
 
-FIELDS = ("volts", "c_p", "c_n", "eta_p", "eta_n", "phi_e", "phi_ohm")
+FIELDS = ("volts", "c_p", "c_n", "eta_p", "eta_n", "phi_e", "base")
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +154,8 @@ class TestSimulatorSplit:
     def test_every_field_matches(self, cell, profiles, simulate_pinned,
                                  freeze, kind, scale):
         """``simulate``'s voltage and each term function's output.  freeze
-        pins i0 at the initial concentrations: scalar square roots in the
-        fixed terms, broadcast by ``overpotential``."""
+        pins i0 at the initial concentrations: columns of the fixed terms
+        from scalar square roots."""
         params, ocv_p, ocv_n = cell
         theta = params.replace(k_p=params.k_p * scale[0],
                                k_n=params.k_n * scale[1],
@@ -158,7 +165,7 @@ class TestSimulatorSplit:
         got = {"c_p": surface_concentration(theta, "p", profile),
                "c_n": surface_concentration(theta, "n", profile),
                "phi_e": electrolyte_potential(theta, profile),
-               "phi_ohm": fixed.phi_ohm}
+               "base": fixed.base}
         if freeze:
             pinned = simulate_pinned(theta, ocv_p, ocv_n, profile)
             got.update(volts=pinned.volts, eta_p=pinned.eta_p,
