@@ -6,7 +6,10 @@ keeps spinning after each threaded call.  OpenBLAS (0.3.27 and later)
 exports ``openblas_set_num_threads_local``, which sets the thread count for
 the calling thread only and returns the previous value; ``one_blas_thread``
 applies it to every OpenBLAS loaded in the process (numpy and scipy each
-bundle their own).  Where no loaded library exports it (another OS, MKL, an
+bundle their own).  numpy's copy is mapped when numpy is imported; scipy's
+comes with scipy's LAPACK extension, which loads at the first GP fit or the
+first scope, whichever comes first, so a run that fits no surrogate maps
+neither.  Where no loaded library exports the setter (another OS, MKL, an
 older OpenBLAS) the scope does nothing.
 
 Only the GP calls BLAS: losses, profiles and the baselines use plain numpy
@@ -28,9 +31,9 @@ def _thread_local_setters() -> tuple:
     """The per-thread setter of every loaded OpenBLAS, found on first use.
 
     numpy maps its copy when it is imported, and scipy's copy is mapped
-    with scipy's LAPACK extension, which ``gp`` loads.  The first use loads
-    that extension itself before it scans, so the cached tuple covers both
-    copies whether or not ``gp`` is imported yet.
+    with scipy's LAPACK extension, which ``gp`` loads at its first fit.
+    The first use loads that extension itself before it scans, so the
+    cached tuple covers both copies whether or not a fit has run yet.
     """
     routine("linalg", "_flapack", "dpotrf", "lapack.dpotrf")
     paths = set()

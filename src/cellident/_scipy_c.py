@@ -15,6 +15,13 @@ once it is loaded, so a later import of the subpackage imports it the
 usual way; CPython then reuses the module it has cached, and both give the
 same function object.
 
+Each extension loads when its first user needs it: ``_sigtools`` when
+``ecm`` is imported, ``_flapack`` (and the OpenBLAS scipy bundles with it)
+at the first ``gp.fit`` or ``one_blas_thread`` scope, and
+``_special_ufuncs`` at the first expected-improvement score.  So
+``simulate``, ``gen-data`` and the GD, PSO and random-search runs never map
+the last two.
+
 The names are private to scipy.  Where the file or the attribute is missing
 (or the file does not load), ``routine`` returns the public function, which
 gives the same bits:

@@ -27,7 +27,13 @@ from .sampling import HaltonSampler
 log = logging.getLogger(__name__)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-ndtr = routine("special", "_special_ufuncs", "ndtr", "ndtr")   # skips scipy.special
+
+
+@functools.cache
+def _ndtr():
+    """``scipy.special.ndtr`` without importing scipy.special, loaded at
+    the first EI, so a process that runs no BO never maps it."""
+    return routine("special", "_special_ufuncs", "ndtr", "ndtr")
 
 
 def expected_improvement(mean, variance, best_so_far: float):
@@ -71,7 +77,7 @@ def _ei_core(mean, variance, best_so_far: float) -> np.ndarray:
     np.sqrt(sigma, out=sigma)
     diff = np.subtract(best_so_far, mean, out=mean)
     z = diff / sigma
-    out = ndtr(z)
+    out = _ndtr()(z)
     out *= diff
     pdf = np.multiply(-0.5, z)
     pdf *= z

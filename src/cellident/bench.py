@@ -653,6 +653,12 @@ def _write_voltage_traces(rows, test_ds: IdentificationDataset,
     one file per successful row and test profile with a finite model voltage."""
     trace_dir = out_dir / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
+    # the columns every run shares on one test profile, formatted once
+    shared = [{name: [format(v, ".9g") for v in values.tolist()]
+               for name, values in (("time_s", profile.t),
+                                    ("current_A", profile.current),
+                                    ("voltage_meas_V", measured))}
+              for profile, measured in zip(test_ds.profiles, test_ds.voltages)]
     written = []
     for row in rows:
         if row["failed"] or row["theta"] is None:
@@ -669,7 +675,6 @@ def _write_voltage_traces(rows, test_ds: IdentificationDataset,
                 continue
             name = f"voltage_{row['method']}_rep{row['rep']}_test{i}.csv"
             written.append(write_csv(trace_dir / name, {
-                "time_s": profile.t, "current_A": profile.current,
-                "voltage_meas_V": measured, "voltage_model_V": sim,
+                **shared[i], "voltage_model_V": sim,
                 "error_V": sim - measured}, spec=".9g"))
     return written

@@ -9,6 +9,7 @@ zero mean and unit scale, and posterior moments are mapped back on output.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +20,15 @@ from .errors import SingularKernel
 
 JITTER_LADDER = (1e-8, 1e-6, 1e-4)
 
-# scipy's LAPACK without importing scipy.linalg: the objects
-# scipy.linalg.lapack hands out, called with the arguments that
-# scipy.linalg.cholesky and solve_triangular pass them
-_dpotrf, _dtrtrs, _dtrtri = (
-    routine("linalg", "_flapack", name, f"lapack.{name}")
-    for name in ("dpotrf", "dtrtrs", "dtrtri"))
+
+@functools.cache
+def _lapack(name: str):
+    """scipy's LAPACK routine ``name`` without importing scipy.linalg: the
+    object scipy.linalg.lapack hands out, called with the arguments that
+    scipy.linalg.cholesky and solve_triangular pass it.  Loaded at the
+    first fit, so a process that fits no surrogate never maps scipy's
+    LAPACK or the OpenBLAS it brings."""
+    return routine("linalg", "_flapack", name, f"lapack.{name}")
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -37,7 +41,7 @@ def cholesky(a: np.ndarray, lower: bool) -> np.ndarray:
     """``scipy.linalg.cholesky(a, lower)`` of a square float64 array whose
     finiteness the caller has checked: POTRF on a copy, the other triangle
     zeroed."""
-    factor, info = _dpotrf(a, lower=lower, overwrite_a=0, clean=1)
+    factor, info = _lapack("dpotrf")(a, lower=lower, overwrite_a=0, clean=1)
     if info > 0:
         raise LinAlgError(
             f"{info}-th leading minor of the array is not positive definite")
@@ -50,7 +54,7 @@ def cholesky(a: np.ndarray, lower: bool) -> np.ndarray:
 def _solve_lower(chol: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
     """``L x = b`` (trans 0) or ``L^T x = b`` (trans 1) for a Fortran-ordered
     lower factor, by TRTRS as ``scipy.linalg.solve_triangular`` calls it."""
-    x, info = _dtrtrs(chol, b, lower=1, trans=trans)
+    x, info = _lapack("dtrtrs")(chol, b, lower=1, trans=trans)
     if info > 0:
         raise LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}")
@@ -178,7 +182,7 @@ def fit(points, values) -> GPPosterior:
     _check_finite(rhs)
     alpha = _solve_lower(chol, rhs, trans=1)
     # the factor's diagonal is positive, so its inverse exists
-    chol_inv, _ = _dtrtri(chol, lower=1)
+    chol_inv, _ = _lapack("dtrtri")(chol, lower=1)
     return GPPosterior(points=points, neg_half_sq_norms=neg_half_sq_norms,
                        chol_inv=chol_inv, alpha=alpha, mean_shift=mean_shift,
                        scale=scale, jitter=jitter)

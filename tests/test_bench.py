@@ -638,14 +638,14 @@ def _d_e_floor(params, dt) -> float:
 
 
 @st.composite
-def _raw_configs(draw):
-    """(broken, config dict) drawn from the loader's rules: names
+def _raw_configs(draw, broken):
+    """A config dict drawn from the loader's rules: names
     THETA_NAMES, bounds at (0, 10]x the default box's with lower below
     upper, linear or log, an upper D_e between the step's floor and its
     coarse limit, distinct known methods, a budget of 2..12 that reaches
-    each method's minimum, 1 <= s0 <= budget and profiles of 100-300 dt.
-    About half break the rule named by ``broken``; the rest have ``broken``
-    None."""
+    each method's minimum, 1 <= s0 <= budget and profiles of 100-300 dt;
+    then, unless ``broken`` is None, the rule it names (one of _BREAKS) is
+    broken."""
     base = default_box()
     dt = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
     cell = resolve_cell(default_config())[0]
@@ -675,7 +675,6 @@ def _raw_configs(draw):
         "master_seed": draw(st.integers(0, 2**32 - 1)),
     }
     n_steps = draw(st.integers(100, 300))
-    broken = draw(st.one_of(st.none(), st.sampled_from(_BREAKS)))
     i = draw(st.integers(0, 2))
     box = raw["box"]
     if broken == "names":   # permuted, or one unknown
@@ -703,19 +702,20 @@ def _raw_configs(draw):
         n_steps = draw(st.integers(1, 99))
     spec = {"kind": draw(st.sampled_from(["rcid-like", "drive-cycle-like"])),
             "duration_s": dt * n_steps, "dt_s": dt}
-    return broken, {**raw, "train_profiles": [spec], "test_profiles": [spec]}
+    return {**raw, "train_profiles": [spec], "test_profiles": [spec]}
 
 
 class TestEveryLoadedConfigRuns:
     """A config that breaks a rule fails to load or run_benchmark rejects
     it with a ConfigError before any row; any other runs, and no row
-    fails."""
+    fails.  Every rule of _BREAKS, and none, is drawn on purpose."""
 
-    @settings(max_examples=40, derandomize=True, deadline=None,
+    @pytest.mark.parametrize("broken", [None, *_BREAKS])
+    @settings(max_examples=25, derandomize=True, deadline=None,
               database=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(case=_raw_configs())
-    def test_runs_or_rejected_up_front(self, case):
-        broken, raw = case
+    @given(data=st.data())
+    def test_runs_or_rejected_up_front(self, broken, data):
+        raw = data.draw(_raw_configs(broken))
         try:
             report = run_benchmark(ExperimentConfig.from_dict(raw))
         except ConfigError:

@@ -228,6 +228,8 @@ def mapped():
 
 import cellident.cli
 from cellident import _blas
+with _blas.one_blas_thread():
+    pass
 before = mapped()
 with_setter = {p for p in before
                if hasattr(ctypes.CDLL(p), "openblas_set_num_threads_local")}
@@ -240,9 +242,10 @@ print(sorted(mapped() - before))
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
                     reason="needs /proc/self/maps")
 def test_scope_covers_every_openblas_the_gp_uses():
-    """``import cellident.cli`` maps every OpenBLAS that scipy's LAPACK
-    uses: a later ``import scipy.linalg`` maps no further copy, and the
-    scope finds each mapped copy that has a per-thread setter."""
+    """After the scope's first use, the scope finds each mapped OpenBLAS
+    copy that has a per-thread setter, and a later ``import scipy.linalg``
+    maps no further copy: the first scope loads scipy's LAPACK, and its
+    OpenBLAS with it, before it looks."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", _MAPS], env=env,

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import LinAlgError, cholesky, lapack, solve_triangular
 
 import cellident.gp as gp
+from cellident._blas import one_blas_thread
 from cellident.errors import SingularKernel
 from cellident.gp import JITTER_LADDER, fit
 from cellident.sampling import HaltonSampler
@@ -297,6 +298,34 @@ class TestInverseFactor:
         np.testing.assert_allclose(var / state.scale ** 2,
                                    ref_var / state.scale ** 2,
                                    rtol=0.0, atol=1e-10)
+
+
+class TestBatchLayout:
+    """A point's posterior bits do not depend on where it sits in its batch,
+    nor on blocks of 256 columns or more, on one BLAS thread as BO scores
+    them.  Narrow blocks do not keep this: OpenBLAS's edge kernels round
+    differently, and 30-column blocks change bits at almost every s."""
+
+    def test_permuted_and_blocked_batches_give_the_same_bits(self,
+                                                             bo_like_data):
+        broken = []
+        for s in range(1, 200):
+            state = fit(*bo_like_data(s, s))
+            queries = HaltonSampler(3, s).draw(2048)
+            perm = np.random.default_rng(s).permutation(2048)
+            with one_blas_thread():
+                mean, var = state.posterior(queries)
+                layouts = {"permuted": [state.posterior(queries[perm])]}
+                for width in (256, 512, 1024):
+                    layouts[width] = [state.posterior(queries[i:i + width])
+                                      for i in range(0, 2048, width)]
+            for name, parts in layouts.items():
+                got = [np.concatenate(column) for column in zip(*parts)]
+                ref = ((mean[perm], var[perm]) if name == "permuted"
+                       else (mean, var))
+                if any(x.tobytes() != y.tobytes() for x, y in zip(got, ref)):
+                    broken.append((s, name))
+        assert broken == []
 
 
 class TestPosteriorBehavior:
