@@ -15,6 +15,7 @@ from pathlib import Path
 import click
 
 from .bench import (
+    METHODS,
     BenchmarkReport,
     ExperimentConfig,
     build_dataset,
@@ -137,7 +138,7 @@ def gen_data_cmd(config_path, seed, out_dir):
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--data", "manifest_path", type=click.Path(), required=True,
               help="Dataset manifest from gen-data.")
-@click.option("--method", type=click.Choice(["bo", "gd", "pso", "random"]),
+@click.option("--method", type=click.Choice([*METHODS, "random"]),
               default="bo", show_default=True)
 @click.option("--budget", type=int, default=None, help="Evaluation budget.")
 @click.option("--seed", type=int, default=None)
@@ -168,7 +169,7 @@ def identify_cmd(config_path, manifest_path, method, budget, seed, out_dir):
 @click.option("--seed", type=int, default=None)
 @click.option("--budget", type=int, default=None)
 @click.option("--reps", type=int, default=None)
-@click.option("--method", type=click.Choice(["bo", "gd", "pso", "all"]),
+@click.option("--method", type=click.Choice([*METHODS, "all"]),
               default="all", show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_exit_codes

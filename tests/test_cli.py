@@ -934,7 +934,8 @@ class TestUnsimulatableInput:
     as ``gen-data`` and ``identify`` do on the same input, before anything
     is written.  A run whose best theta every evaluation penalized (a
     denormal k_n box: i0_n underflows) exits 0 and writes every file except
-    that row's voltage traces, without a floating-point warning."""
+    that row's voltage traces, without a warning of any kind a fresh
+    interpreter would print."""
 
     @pytest.fixture(scope="class")
     def inputs(self, dataset_dir, tmp_path_factory):
@@ -963,13 +964,17 @@ class TestUnsimulatableInput:
         return SimpleNamespace(harsh=harsh, slow=slow, penalized=penalized,
                                penalized_report=root / "bench" / "report.json")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("error", "ignore::DeprecationWarning",
+                                "ignore::PendingDeprecationWarning",
+                                "ignore::ImportWarning",
+                                "ignore::ResourceWarning")
     @pytest.mark.parametrize("case", sorted(_REPROS))
     def test_exit_code_and_files(self, runner, inputs, tmp_path, case):
         code, message, argv = _REPROS[case]
         out = tmp_path / "out"
         result = runner.invoke(main, [*argv(inputs), "--out", str(out)])
         assert result.exit_code == code, result.output
+        assert out.exists() == (code == 0)   # rglob lists nothing in a file
         written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
         assert written == sorted(_REPRO_FILES.get(case, []))
         assert message in result.output
